@@ -108,7 +108,7 @@ def run_eval(scene: ManifoldScene, window: int) -> dict:
         "command": "eval",
         "scene": scene_to_dict(scene),
         "window": window,
-        "structure": _structure_dict(Q.quotient_structure(rs)),
+        "structure": _structure_dict(Q.quotient_structure(rs, solver)),
         "knots": knots,
         "notes": list(scene.notes),
     }
@@ -135,7 +135,7 @@ def run_concordance(scene: ManifoldScene, window: int) -> dict:
         "scene": scene_to_dict(scene),
         "window": window,
         "structure": _structure_dict(Q.quotient_structure(rs)),
-        "structure_folded": _structure_dict(Q.quotient_structure(folded)),
+        "structure_folded": _structure_dict(Q.quotient_structure(folded, solver)),
         "added_relations": sum(1 for p in folded.provenance
                                if p == Q.PROV_CONCORDANCE),
         "knots": knots,
@@ -147,11 +147,13 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
     if scene.dimension != 3 or scene.mode != CIRCLES:
         raise DaxKernelError("orbit reduction applies to circles in dimension 3")
     rs, action = build_relations(scene, window)
+    solver = Q.QuotientSolver(rs)
     items = []
 
     def reduce_value(name, value):
         orbit = Q.centralizer_orbit_reduce(value, rs, action.centralizer,
-                                           dict(action.whisker), action.s_class)
+                                           dict(action.whisker), action.s_class,
+                                           solver=solver)
         items.append({
             "name": name,
             "value": str(value),
@@ -173,7 +175,7 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
             "centralizer": [render_word(b) for b in action.centralizer],
             "whisker": {render_word(b): str(v) for b, v in action.whisker},
         },
-        "structure": _structure_dict(Q.quotient_structure(rs)),
+        "structure": _structure_dict(Q.quotient_structure(rs, solver)),
         "orbits": items,
         "notes": list(scene.notes),
     }

@@ -42,7 +42,8 @@ class SceneError(DaxKernelError):
 
 
 class WindowOverflowError(DaxKernelError):
-    """A relation or value cannot be supported on the generator window.
+    """A relation or value cannot be supported on the generator window, or
+    the window's ball exceeds its element cap.
 
     CLI exit code 3.  ``offender`` holds a printable description of the
     relation that did not fit.

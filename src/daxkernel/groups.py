@@ -20,6 +20,7 @@ from .errors import (
     SpecMismatchError,
     UnknownGeneratorError,
     UnsupportedClassError,
+    WindowOverflowError,
 )
 
 FREE = "free"
@@ -225,7 +226,8 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
     """All elements of word length <= radius, identity first, in word_key order.
 
     Breadth-first over generator steps; deterministic.  ``limit`` guards
-    against exponentially large balls in free groups.
+    against exponentially large balls in free groups: a larger ball raises
+    ``WindowOverflowError``.
     """
     if radius < 0:
         return []
@@ -244,7 +246,7 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
                     seen.add(v)
                     nxt.append(v)
                     if len(seen) > limit:
-                        raise UnsupportedClassError(
+                        raise WindowOverflowError(
                             f"ball of radius {radius} exceeds {limit} elements;"
                             " use a smaller window"
                         )

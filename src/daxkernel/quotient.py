@@ -127,7 +127,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     spec = ctx.spec
     gens = window_generators(spec, window)
     gens_set = set(gens)
-    enum = ball(spec, window, limit=MAX_WINDOW_GENERATORS)
+    enum = (spec.identity(),) + gens  # the ball, identity first
 
     kept: list[RingElem] = []
     prov: list[str] = []
@@ -284,10 +284,10 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
 class QuotientSolver:
     """Coordinates and canonical residues for one windowed quotient.
 
-    The free rank and invariant factors come from a sparse elimination
-    (unit pivots by substitution, dense Smith form on the small residual);
-    the transforms needed for coordinates and canonical residues are dense
-    and computed lazily on first use.
+    One sparse elimination (unit pivots by substitution, dense Smith form on
+    the small residual block) gives the free rank, the invariant factors and
+    the coordinates; the Hermite basis behind canonical residues is dense and
+    computed lazily on first use.
     """
 
     def __init__(self, rs: RelationSet):
@@ -298,27 +298,10 @@ class QuotientSolver:
         sparse_cols = []
         for rel in rs.relations:
             sparse_cols.append({self.index[w]: c for w, c in rel.items()})
-        self._rank, residual_torsion = snf.sparse_rank_and_torsion(sparse_cols, n)
-        self.free_rank = n - self._rank
-        self.torsion = tuple(residual_torsion)
-        self._diag = None
-        self._left = None
+        self._elim = snf.sparse_rank_and_torsion(sparse_cols, n)
+        self.free_rank = n - self._elim.rank
+        self.torsion = tuple(self._elim.torsion)
         self._hnf_rows = None
-
-    def _ensure_transform(self):
-        if self._left is not None:
-            return
-        n = len(self.generators)
-        cols = [self.vector(rel) for rel in self.rs.relations]
-        if cols:
-            matrix = [[col[i] for col in cols] for i in range(n)]
-            res = snf.smith_normal_form(matrix, want_left=True)
-            self._diag = res.diagonal
-            self._left = res.left
-        else:
-            self._diag = []
-            self._left = [[1 if i == j else 0 for j in range(n)]
-                          for i in range(n)]
 
     @property
     def _hnf(self):
@@ -344,19 +327,36 @@ class QuotientSolver:
                             [(w, c) for w, c in zip(self.generators, vec) if c])
 
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free coordinates, torsion coordinates) of the class of elem."""
-        self._ensure_transform()
+        """(free coordinates, torsion coordinates) of the class of elem.
+
+        The free coordinates list the generators that are neither substituted
+        away nor in the residual block, then the free rows of the block;
+        torsion coordinates follow the invariant factors, each reduced into
+        [0, d).  The basis is the one the sparse elimination picks.
+        """
+        elim = self._elim
         v = self.vector(elem)
-        n = len(v)
-        y = [sum(self._left[i][k] * v[k] for k in range(n)) for i in range(n)]
-        free = []
+        # substitute each pivot row away; a pivot column's own entry is its
+        # sign, so the pivot row itself ends at zero
+        for p, sign, col in elim.pivots:
+            x = v[p]
+            if x:
+                x *= sign
+                for i, c in col.items():
+                    v[i] -= x * c
+        free = [v[i] for i in elim.free_rows]
         tors = []
-        for i in range(n):
-            d = self._diag[i] if i < len(self._diag) else 0
+        block = [v[i] for i in elim.residual_rows]
+        diagonal = elim.residual_diagonal
+        for i, row in enumerate(elim.residual_left):
+            d = diagonal[i] if i < len(diagonal) else 0
+            if d == 1:
+                continue
+            y = sum(a * b for a, b in zip(row, block))
             if d == 0:
-                free.append(y[i])
-            elif d > 1:
-                tors.append(y[i] % d)
+                free.append(y)
+            else:
+                tors.append(y % d)
         return tuple(free), tuple(tors)
 
     def canonical_residue(self, elem: RingElem) -> RingElem:
@@ -390,14 +390,16 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
                        tuple(dropped))
 
 
-def quotient_structure(rs: RelationSet) -> AbelianStructure:
+def quotient_structure(rs: RelationSet,
+                       solver: QuotientSolver | None = None) -> AbelianStructure:
     """Free rank and invariant factors of the windowed quotient.
 
     The stable flag reports that the invariant factors agree with the two
     next-smaller windows (free rank keeps growing with the window; torsion
-    is the part that converges).
+    is the part that converges).  ``solver``, when given, is the solver
+    already built for ``rs``.
     """
-    solver = QuotientSolver(rs)
+    solver = solver or QuotientSolver(rs)
     prev = QuotientSolver(restrict_relationset(rs, rs.window - 1))
     stable = solver.torsion == prev.torsion
     if rs.window >= 2 and stable:
@@ -431,17 +433,19 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
 def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
                              centralizer, whisker: dict[Word, RingElem] | None = None,
                              s_class: Word | None = None,
-                             max_states: int = 4096) -> OrbitResult:
+                             max_states: int = 4096,
+                             solver: QuotientSolver | None = None) -> OrbitResult:
     """Deterministic representative of the orbit of ``value`` mod ``rs``.
 
     The supplied centralizer elements act by r -> b r b^-1 + w(b) (and their
     inverses, with w(b^-1) derived from the action law).  The orbit is
     explored within the window; moves that leave it mark the result
     incomplete instead of failing, so representatives of window-infinite
-    orbits are still canonical for the explored region.
+    orbits are still canonical for the explored region.  ``solver``, when
+    given, is the solver already built for ``rs``.
     """
     whisker = dict(whisker or {})
-    solver = QuotientSolver(rs)
+    solver = solver or QuotientSolver(rs)
     if s_class is not None:
         for b in centralizer:
             if mul(mul(s_class, b), inv(s_class)) != b:

@@ -159,14 +159,36 @@ def invariant_factors(rows: list[list[int]]) -> list[int]:
     return [d for d in res.diagonal if d > 1]
 
 
-def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> tuple[int, list[int]]:
-    """Rank and invariant factors > 1 of the n-row matrix with the given
-    sparse columns.
+@dataclass
+class SparseElimination:
+    """Record of one sparse elimination of an n-row matrix.
+
+    Read as a change of basis of Z^n modulo the column span: each unit pivot
+    substitutes its row away, then the surviving rows split into free rows
+    that no remaining column touches and a residual block with its own Smith
+    form.
+    """
+
+    rank: int
+    torsion: list[int]            # invariant factors > 1
+    # (pivot row, sign, frozen column) in elimination order; a pivot column
+    # has no entries in earlier pivot rows
+    pivots: list[tuple[int, int, dict[int, int]]]
+    free_rows: list[int]          # uneliminated rows outside the residual block
+    residual_rows: list[int]
+    residual_diagonal: list[int]  # Smith diagonal of the residual block
+    residual_left: list[list[int]]  # its left transform U (U*B*V = D)
+
+
+def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> SparseElimination:
+    """Sparse elimination of the n-row matrix with the given sparse columns.
 
     Unit entries are eliminated by substitution first (unimodular, no
     coefficient growth, invariant factor 1 each); the usually tiny residual
-    block goes through the dense Smith form.  Exact, and fast on the
-    two-term unit-coefficient matrices produced by folding relations.
+    block goes through the dense Smith form with its left transform.  Exact,
+    and fast on the two-term unit-coefficient matrices produced by folding
+    relations.  The record gives the rank, the invariant factors > 1 and
+    enough of the transform to map vectors to quotient coordinates.
     """
     cols = [dict(c) for c in cols]
     row_occ: dict[int, set[int]] = {}
@@ -178,7 +200,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> tuple[int, li
                   if any(abs(v) == 1 for v in col.values())]
     eliminated_rows: set[int] = set()
     eliminated_cols: set[int] = set()
-    rank_units = 0
+    pivots: list[tuple[int, int, dict[int, int]]] = []
 
     while unit_queue:
         j = unit_queue.pop()
@@ -195,7 +217,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> tuple[int, li
         piv = col[pivot_row]
         eliminated_rows.add(pivot_row)
         eliminated_cols.add(j)
-        rank_units += 1
+        pivots.append((pivot_row, piv, col))
         # clear the pivot row from every other column: col_k -= q * col_j
         for k in list(row_occ.get(pivot_row, ())):
             if k == j or k in eliminated_cols:
@@ -222,23 +244,27 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> tuple[int, li
                                if i not in eliminated_rows):
                 unit_queue.append(k)
 
-    residual_rows = sorted(
-        {i for j, col in enumerate(cols) if j not in eliminated_cols
-         for i in col if i not in eliminated_rows})
+    # columns left over never touch a pivot row: each pivot cleared its row
+    # from every column not yet eliminated
     residual_cols = [j for j in range(len(cols))
-                     if j not in eliminated_cols and
-                     any(i not in eliminated_rows for i in cols[j])]
+                     if j not in eliminated_cols and cols[j]]
+    residual_rows = sorted({i for j in residual_cols for i in cols[j]})
+    in_block = set(residual_rows)
+    free_rows = [i for i in range(n)
+                 if i not in eliminated_rows and i not in in_block]
+    rank, torsion, diagonal, left = len(pivots), [], [], []
     if residual_cols:
         index = {i: k for k, i in enumerate(residual_rows)}
         dense = [[0] * len(residual_cols) for _ in residual_rows]
         for c, j in enumerate(residual_cols):
             for i, v in cols[j].items():
-                if i in index:
-                    dense[index[i]][c] = v
-        res = smith_normal_form(dense)
+                dense[index[i]][c] = v
+        res = smith_normal_form(dense, want_left=True)
+        rank += res.rank
         torsion = [d for d in res.diagonal if d > 1]
-        return rank_units + res.rank, torsion
-    return rank_units, []
+        diagonal, left = res.diagonal, res.left
+    return SparseElimination(rank, torsion, pivots, free_rows, residual_rows,
+                             diagonal, left)
 
 
 # ---------------------------------------------------------------------------

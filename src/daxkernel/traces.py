@@ -90,7 +90,8 @@ def dax_of_knot(k: KnotRecord, rs: RelationSet,
     complete, size = True, 1
     if action is not None and action.centralizer:
         orbit = centralizer_orbit_reduce(value, rs, action.centralizer,
-                                         dict(action.whisker), action.s_class)
+                                         dict(action.whisker), action.s_class,
+                                         solver=solver)
         residue = orbit.representative
         complete, size = orbit.complete, orbit.size
     free, tors = solver.coords(residue)

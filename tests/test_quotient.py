@@ -372,3 +372,59 @@ def test_orbit_value_outside_window():
     with pytest.raises(WindowOverflowError):
         centralizer_orbit_reduce(parse_ring("t^9", Z), rs, action.centralizer,
                                  {}, action.s_class)
+
+
+# -- coordinates ----------------------------------------------------------------
+
+def test_coords_on_random_relation_sets():
+    """Coordinates from the sparse elimination, non-unit residual blocks
+    included: relations vanish, coordinates separate exactly the classes
+    that Hermite residues separate, the map is additive, and its shape fits
+    the structure."""
+    from daxkernel.snf import hermite_row_basis, reduce_mod_rows
+    rng = rng_for("coords")
+    window = 4
+    all_gens = window_generators(Z, window)
+    blocks = torsion_blocks = 0
+    for _ in range(250):
+        n, m = rng.randint(1, 7), rng.randint(0, 7)
+        gens = all_gens[:n]
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        rels = tuple(R.from_terms(Z, [(g, c) for g, c in zip(gens, row) if c])
+                     for row in rows)
+        solver = QuotientSolver(RelationSet(Z, window, gens, rels,
+                                            (PROV_DAX_IMAGE,) * m))
+        blocks += bool(solver._elim.residual_rows)
+        torsion_blocks += bool(solver.torsion)
+        hnf = hermite_row_basis(rows)
+        torsion = solver.torsion
+        zero = ((0,) * solver.free_rank, (0,) * len(torsion))
+
+        def coords(vec):
+            free, tors = solver.coords(solver.elem(vec))
+            assert len(free) == solver.free_rank
+            assert len(tors) == len(torsion)
+            assert all(0 <= c < d for c, d in zip(tors, torsion))
+            return free, tors
+
+        for rel in rels:
+            assert solver.coords(rel) == zero
+        for _ in range(6):
+            v = [rng.randint(-6, 6) for _ in range(n)]
+            if rows and rng.random() < 0.5:
+                # same class: add an integer combination of the relations
+                w = list(v)
+                for row in rows:
+                    q = rng.randint(-2, 2)
+                    w = [a + q * b for a, b in zip(w, row)]
+            else:
+                w = [rng.randint(-6, 6) for _ in range(n)]
+            cv, cw = coords(v), coords(w)
+            same_class = reduce_mod_rows(v, hnf) == reduce_mod_rows(w, hnf)
+            assert (cv == cw) == same_class
+            free, tors = coords([a + b for a, b in zip(v, w)])
+            assert free == tuple(a + b for a, b in zip(cv[0], cw[0]))
+            assert tors == tuple((a + b) % d
+                                 for a, b, d in zip(cv[1], cw[1], torsion))
+    # the residual transform is exercised, torsion included
+    assert blocks >= 100 and torsion_blocks >= 40, (blocks, torsion_blocks)

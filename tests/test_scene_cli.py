@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import daxkernel
 from daxkernel.errors import SceneError
 from daxkernel.groups import parse_group_spec, parse_word
 from daxkernel.ring import parse_ring
@@ -266,6 +269,14 @@ def test_cli_window_overflow_exit_code(capsys):
     assert code == 3
 
 
+def test_cli_ball_cap_exit_code(capsys):
+    # the radius-8 ball of F<x,y> exceeds the generator cap
+    code = main(["target", "--preset", "aspherical",
+                 "--param", "group=F<x,y>", "--window", "8"])
+    assert code == 3
+    assert "window overflow" in capsys.readouterr().err
+
+
 def test_cli_bad_scene_file_exit_code(tmp_path):
     path = tmp_path / "broken.toml"
     path.write_text("dimension = 5\nmode = \"arcs\"\ngroup = \"Q<v>\"\n")
@@ -273,8 +284,13 @@ def test_cli_bad_scene_file_exit_code(tmp_path):
 
 
 def test_cli_entry_point_runs():
+    # the child interpreter imports the same package copy as this one
+    src = str(Path(daxkernel.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "daxkernel.cli", "target", "--preset", "disk_d"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "free rank 0" in proc.stdout

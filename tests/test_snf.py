@@ -254,12 +254,12 @@ def test_sparse_rank_and_torsion_matches_dense():
         dense = random_matrix(rng, n, m, -6, 6)
         cols = [{i: dense[i][j] for i in range(n) if dense[i][j]}
                 for j in range(m)]
-        rank, torsion = sparse_rank_and_torsion(cols, n)
+        elim = sparse_rank_and_torsion(cols, n)
         res = smith_normal_form(dense) if m else None
         expected_rank = res.rank if res else 0
         expected_torsion = [d for d in res.diagonal if d > 1] if res else []
-        assert rank == expected_rank
-        assert torsion == expected_torsion
+        assert elim.rank == expected_rank
+        assert elim.torsion == expected_torsion
 
 
 def test_sparse_path_fast_on_fold_matrices():
@@ -269,6 +269,6 @@ def test_sparse_path_fast_on_fold_matrices():
     n = 4000
     cols = [{2 * i: 1, 2 * i + 1: -1} for i in range(n // 2)]
     start = time.perf_counter()
-    rank, torsion = sparse_rank_and_torsion(cols, n)
-    assert rank == n // 2 and torsion == []
+    elim = sparse_rank_and_torsion(cols, n)
+    assert elim.rank == n // 2 and elim.torsion == []
     assert time.perf_counter() - start < 2.0
