@@ -1,8 +1,11 @@
 """Core dax formulas: basepoint rebasing, translation, and image enumeration.
 
-All outputs live in the reduced ring (no identity term).  Reduction happens
-eagerly at each formula boundary; intermediate pairing values stay
-unreduced because the derivation rules are exact only before reduction.
+All outputs live in the reduced ring (no identity term).  Intermediate
+pairing values stay unreduced because the derivation rules are exact only
+before reduction.  Each formula adds its terms into one dictionary and
+reduces once, at the end: reduction is linear, and the only maps applied to
+an already reduced value (conjugation, inversion) never send a non-identity
+word to the identity, so this equals reducing every piece separately.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .ring import RingElem
 from .pairing import (
     PairingTable,
     SphereClass,
-    lambda_flip,
+    flip_sign,
     lambda_word,
     rebase_table,
 )
@@ -68,16 +71,36 @@ def dax_rebase(a: SphereClass, ctx: DaxContext) -> RingElem:
     return R.gr_add(a.base_dax, R.gr_bar_reduce(a.lambda_u))
 
 
+def _add(acc: dict[Word, int], terms, scale: int = 1) -> None:
+    """acc += scale * (sum of c*w over the (w, c) terms)."""
+    for w, c in terms:
+        acc[w] = acc.get(w, 0) + scale * c
+
+
+def _reduced(ctx: DaxContext, acc: dict[Word, int]) -> RingElem:
+    """red(sum of acc): the identity term dropped, the rest sorted once."""
+    acc.pop(ctx.spec.identity(), None)
+    return R.from_terms(ctx.spec, acc)
+
+
+def _flipped(terms, d: int) -> list[tuple[Word, int]]:
+    """Terms of lambda_flip: (-1)^(d-1) * bar(sum of c*w)."""
+    sign = flip_sign(d)
+    return [(inv(w), sign * c) for w, c in terms]
+
+
 def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     """Base dax of the translated class g*a:
 
         dax(g a) = g dax(a) g^-1 - red(lambda(g a, g)) + red(lambda(g, g a))
     """
-    lam = R.left_mul(g, lambda_word(ctx.table, a, g))  # lambda(g a, g)
-    out = R.gr_conj(g, a.base_dax)
-    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam)))
-    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam, ctx.d)))
-    return out
+    gi = inv(g)
+    lam = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]  # lambda(g a, g)
+    acc: dict[Word, int] = {}
+    _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
+    _add(acc, lam, -1)
+    _add(acc, _flipped(lam, ctx.d))
+    return _reduced(ctx, acc)
 
 
 def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -86,14 +109,22 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax_u(g a) = g dax_u(a) g^-1 + red(lambda(g a, u))
                      - red(lambda(g a, g u)) + red(lambda(g, g a))
     """
-    lam_g = R.left_mul(g, lambda_word(ctx.table, a, g))   # lambda(g a, g)
-    lam_u = R.left_mul(g, a.lambda_u)                     # lambda(g a, u)
-    lam_gu = R.gr_add(lam_g, R.right_mul(lam_u, inv(g)))  # lambda(g a, g u)
-    out = R.gr_conj(g, dax_rebase(a, ctx))
-    out = R.gr_add(out, R.gr_bar_reduce(lam_u))
-    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam_gu)))
-    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam_g, ctx.d)))
-    return out
+    gi = inv(g)
+    lam_g = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]  # lambda(g a, g)
+    lam_u = [(mul(g, w), c) for w, c in a.lambda_u.terms]                    # lambda(g a, u)
+    lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                           # g lambda(a, u) g^-1
+    acc: dict[Word, int] = {}
+    # g dax_u(a) g^-1, where dax_u(a) = base dax + red(lambda(a, u)) as in dax_rebase
+    _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
+    _add(acc, lam_u_gi)
+    _add(acc, lam_u)
+    # lambda(g a, g u) = lambda(g a, g) + lambda(g a, u) g^-1; lam_u_gi enters
+    # twice with opposite signs, and both stay so that this formula remains
+    # independent of dax_u_embedded, which cross-checks it
+    _add(acc, lam_g, -1)
+    _add(acc, lam_u_gi, -1)
+    _add(acc, _flipped(lam_g, ctx.d))
+    return _reduced(ctx, acc)
 
 
 def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -105,12 +136,12 @@ def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     """
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    lam_g = R.left_mul(g, lambda_word(ctx.table, a, g))
-    lam_u = R.left_mul(g, a.lambda_u)
-    out = R.gr_bar_reduce(lam_u)
-    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam_g)))
-    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam_g, ctx.d)))
-    return out
+    lam_g = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]
+    acc: dict[Word, int] = {}
+    _add(acc, ((mul(g, w), c) for w, c in a.lambda_u.terms))
+    _add(acc, lam_g, -1)
+    _add(acc, _flipped(lam_g, ctx.d))
+    return _reduced(ctx, acc)
 
 
 def dax_boundary_sphere(g: Word, ctx: DaxContext) -> RingElem:
@@ -122,10 +153,9 @@ def dax_boundary_sphere(g: Word, ctx: DaxContext) -> RingElem:
     """
     if ctx.mode != CIRCLES:
         raise ModeError("the boundary sphere exists only in circles mode")
-    sign = 1 if (ctx.d - 1) % 2 == 0 else -1
-    val = R.gr_add(R.monomial(inv(g), sign),
-                   R.monomial(mul(g, inv(ctx.s_class)), -1))
-    return R.gr_bar_reduce(val)
+    acc = {inv(g): flip_sign(ctx.d)}
+    _add(acc, [(mul(g, inv(ctx.s_class)), -1)])
+    return _reduced(ctx, acc)
 
 
 def dax_image(ctx: DaxContext, enumeration) -> list[RingElem]:

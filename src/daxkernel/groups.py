@@ -59,19 +59,23 @@ class GroupSpec:
     """A direct product of supported factors; no factors means the trivial group."""
 
     factors: tuple[Factor, ...]
-    # name -> (factor index, position within factor, global index)
+    # name -> (factor index, global index, cyclic order or 0): the one
+    # lookup per letter of the word functions below
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         index: dict[str, tuple[int, int, int]] = {}
         g = 0
         for fi, fac in enumerate(self.factors):
-            for pi, name in enumerate(fac.gens):
+            order = fac.order if fac.kind == FINITE_CYCLIC else 0
+            for name in fac.gens:
                 if name in index:
                     raise UnsupportedClassError(f"duplicate generator name {name!r}")
-                index[name] = (fi, pi, g)
+                index[name] = (fi, g, order)
                 g += 1
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash(self.factors))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -83,16 +87,10 @@ class GroupSpec:
 
     def factor_of(self, name: str) -> tuple[int, Factor]:
         try:
-            fi, _, _ = self._index[name]
+            fi = self._index[name][0]
         except KeyError:
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
         return fi, self.factors[fi]
-
-    def gen_index(self, name: str) -> int:
-        try:
-            return self._index[name][2]
-        except KeyError:
-            raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
     def commute(self, a: str, b: str) -> bool:
         """Whether generators a and b commute as a consequence of the spec."""
@@ -107,10 +105,12 @@ class GroupSpec:
         return normalize(letters, self)
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, GroupSpec) and self.factors == other.factors
+        return self is other or (isinstance(other, GroupSpec)
+                                 and self._hash == other._hash
+                                 and self.factors == other.factors)
 
     def __str__(self):
         return render_group_spec(self)
@@ -124,14 +124,31 @@ class Word:
     factors, one sorted letter per generator for abelian factors (exponents in
     ``[1, m)`` for finite cyclic order m), with factor blocks concatenated in
     declaration order.
+
+    The hash is computed once, at construction; a Word is immutable.
     """
 
     spec: GroupSpec
     letters: tuple[tuple[str, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.spec._hash, self.letters)))
 
     @property
     def is_identity(self) -> bool:
         return not self.letters
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.letters == other.letters
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def __str__(self):
         return render_word(self)
@@ -140,56 +157,52 @@ class Word:
         return mul(self, other)
 
 
-def _canon_exponent(e: int, fac: Factor) -> int:
-    if fac.kind == FINITE_CYCLIC:
-        return e % fac.order
-    return e
-
-
-def _signed_exponent(e: int, fac: Factor) -> int:
-    """Shortest signed representative of a canonical exponent."""
-    if fac.kind == FINITE_CYCLIC and e > fac.order - e:
-        return e - fac.order
-    return e
-
-
 def normalize(letters: Iterable[tuple[str, int]], spec: GroupSpec) -> Word:
     """Canonical form of a raw letter sequence.
 
     Two raw sequences representing the same group element yield equal Words.
     """
+    index = spec._index
     per_factor: list[list[tuple[str, int]]] = [[] for _ in spec.factors]
-    for name, exp in letters:
-        fi, _ = spec.factor_of(name)
-        if exp != 0:
-            per_factor[fi].append((name, exp))
+    try:
+        for name, exp in letters:
+            fi = index[name][0]
+            if exp != 0:
+                per_factor[fi].append((name, exp))
+    except KeyError as exc:
+        raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
 
     out: list[tuple[str, int]] = []
-    for fi, fac in enumerate(spec.factors):
-        chunk = per_factor[fi]
-        if fac.abelian:
-            totals = {g: 0 for g in fac.gens}
-            for name, exp in chunk:
-                totals[name] += exp
-            for name in fac.gens:
-                e = _canon_exponent(totals[name], fac)
-                if e:
-                    out.append((name, e))
-        else:
-            stack: list[list] = []
+    for fac, chunk in zip(spec.factors, per_factor):
+        if not chunk:
+            continue
+        if fac.kind == FREE:
+            stack: list[tuple[str, int]] = []
             for name, exp in chunk:
                 if stack and stack[-1][0] == name:
-                    stack[-1][1] += exp
-                    if stack[-1][1] == 0:
+                    e = stack[-1][1] + exp
+                    if e:
+                        stack[-1] = (name, e)
+                    else:
                         stack.pop()
                 else:
-                    stack.append([name, exp])
-            out.extend((n, e) for n, e in stack)
+                    stack.append((name, exp))
+            out.extend(stack)
+        else:
+            totals = dict.fromkeys(fac.gens, 0)
+            for name, exp in chunk:
+                totals[name] += exp
+            cyclic = fac.kind == FINITE_CYCLIC
+            for name, e in totals.items():
+                if cyclic:
+                    e %= fac.order
+                if e:
+                    out.append((name, e))
     return Word(spec, tuple(out))
 
 
 def mul(g: Word, h: Word) -> Word:
-    if g.spec != h.spec:
+    if g.spec is not h.spec and g.spec != h.spec:
         raise SpecMismatchError("cannot multiply words over different group specs")
     return normalize(g.letters + h.letters, g.spec)
 
@@ -198,28 +211,34 @@ def inv(g: Word) -> Word:
     return normalize(tuple((n, -e) for n, e in reversed(g.letters)), g.spec)
 
 
-def conjugate(g: Word, x: Word) -> Word:
-    """g x g^-1."""
-    return mul(mul(g, x), inv(g))
-
-
 def word_length(w: Word) -> int:
     """Length in the word metric of the declared generating set."""
-    total = 0
-    for name, exp in w.letters:
-        _, fac = w.spec.factor_of(name)
-        total += abs(_signed_exponent(exp, fac))
-    return total
+    return word_key(w)[0]
 
 
 def word_key(w: Word):
-    """Deterministic total order: graded by word length, then lexicographic."""
+    """Deterministic total order: graded by word length, then lexicographic.
+
+    Each letter keys as (global generator index, |e|, 0 if e > 0 else 1),
+    where e is the shortest signed representative of its exponent.
+    """
+    index = w.spec._index
+    total = 0
     letters = []
-    for name, exp in w.letters:
-        _, fac = w.spec.factor_of(name)
-        se = _signed_exponent(exp, fac)
-        letters.append((w.spec.gen_index(name), abs(se), 0 if se > 0 else 1))
-    return (word_length(w), tuple(letters))
+    try:
+        for name, exp in w.letters:
+            _, g, order = index[name]
+            if order and exp > order - exp:
+                exp -= order
+            if exp > 0:
+                letters.append((g, exp, 0))
+                total += exp
+            else:
+                letters.append((g, -exp, 1))
+                total -= exp
+    except KeyError as exc:
+        raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
+    return (total, tuple(letters))
 
 
 def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:

@@ -145,14 +145,17 @@ def _lambda_letter(spec: GroupSpec, a: SphereClass, gen: str, exp: int) -> RingE
 
 def _lambda_raw(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
     # lambda(a, l1 l2 ... ln) = sum_i lambda(a, li) * bar(l1 ... l(i-1))
-    acc = R.zero(spec)
+    acc: dict = {}
     prefix = spec.identity()
     for gen, exp in letters:
         piece = _lambda_letter(spec, a, gen, exp)
         if not piece.is_zero:
-            acc = R.gr_add(acc, R.right_mul(piece, inv(prefix)))
+            prefix_bar = inv(prefix)
+            for w, c in piece.terms:
+                v = mul(w, prefix_bar)
+                acc[v] = acc.get(v, 0) + c
         prefix = mul(prefix, spec.word([(gen, exp)]))
-    return acc
+    return R.from_terms(spec, acc)
 
 
 def lambda_letters(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
@@ -183,12 +186,16 @@ def lambda_linear(table: PairingTable, coeffs, k: Word, use_u: bool) -> RingElem
     return acc
 
 
-def lambda_flip(v: RingElem, d: int) -> RingElem:
-    """lambda with the slots exchanged: (-1)^(d-1) * bar(value)."""
+def flip_sign(d: int) -> int:
+    """The sign (-1)^(d-1) that exchanging the two slots of lambda picks up."""
     if d < 3:
         raise PairingDataError("ambient dimension must be >= 3")
-    flipped = R.gr_involute(v)
-    return flipped if (d - 1) % 2 == 0 else R.gr_neg(flipped)
+    return 1 if (d - 1) % 2 == 0 else -1
+
+
+def lambda_flip(v: RingElem, d: int) -> RingElem:
+    """lambda with the slots exchanged: (-1)^(d-1) * bar(value)."""
+    return R.gr_scale(flip_sign(d), R.gr_involute(v))
 
 
 def lambdabar_conj_shift(table: PairingTable, a: SphereClass, g: Word,

@@ -55,15 +55,22 @@ class RingElem:
         return gr_mul(self, other)
 
 
+def _term_key(term: tuple[Word, int]):
+    return word_key(term[0])
+
+
 def from_terms(spec: GroupSpec, terms: Mapping[Word, int] | Iterable[tuple[Word, int]]) -> RingElem:
-    acc: dict[Word, int] = {}
-    pairs = terms.items() if isinstance(terms, Mapping) else terms
-    for w, c in pairs:
-        if w.spec != spec:
+    # a dict is the common argument: test it before the slower Mapping check
+    if isinstance(terms, dict) or isinstance(terms, Mapping):
+        acc = terms
+    else:
+        acc = {}
+        for w, c in terms:
+            acc[w] = acc.get(w, 0) + c
+    for w in acc:
+        if w.spec is not spec and w.spec != spec:
             raise SpecMismatchError("term word over a different group spec")
-        acc[w] = acc.get(w, 0) + c
-    cleaned = tuple(sorted(((w, c) for w, c in acc.items() if c != 0),
-                           key=lambda t: word_key(t[0])))
+    cleaned = tuple(sorted([(w, c) for w, c in acc.items() if c != 0], key=_term_key))
     return RingElem(spec, cleaned)
 
 

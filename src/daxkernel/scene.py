@@ -302,6 +302,12 @@ def scene_to_dict(scene: ManifoldScene) -> dict:
     return out
 
 
+# scalar scene keys with the type they must have
+_SCALAR_TYPES = (("dimension", int, "an integer"), ("window", int, "an integer"),
+                 ("mode", str, "a string"), ("group", str, "a string"),
+                 ("u", str, "a string"), ("s", str, "a string"))
+
+
 def scene_from_dict(data: dict) -> ManifoldScene:
     known = {"dimension", "mode", "group", "u", "s", "window", "preset", "notes",
              "sphere_generators", "whisker", "knots"}
@@ -311,6 +317,12 @@ def scene_from_dict(data: dict) -> ManifoldScene:
     for key in ("dimension", "mode", "group"):
         if key not in data:
             raise SceneError(f"scene is missing required key {key!r}")
+    for key, kind, noun in _SCALAR_TYPES:
+        if key in data:
+            value = data[key]
+            # bool is a subclass of int, but `window = true` is not a window
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise SceneError(f"scene key {key!r} must be {noun}, got {value!r}")
     return make_scene(
         dimension=data["dimension"],
         mode=data["mode"],

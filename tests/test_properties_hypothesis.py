@@ -2,7 +2,24 @@
 
 from hypothesis import given, settings, strategies as st
 
-from daxkernel.groups import inv, mul, normalize, parse_group_spec
+from daxkernel.calculus import (
+    DaxContext,
+    dax_rebase,
+    dax_translate,
+    dax_u_embedded,
+    dax_u_general,
+)
+from daxkernel.errors import ModeError, UnknownGeneratorError
+from daxkernel.groups import (
+    FINITE_CYCLIC,
+    Word,
+    inv,
+    mul,
+    normalize,
+    parse_group_spec,
+    word_key,
+    word_length,
+)
 from daxkernel import ring as R
 from daxkernel.ring import (
     gr_add,
@@ -12,7 +29,7 @@ from daxkernel.ring import (
     parse_ring,
     render_ring,
 )
-from daxkernel.pairing import lambda_word, sphere_class
+from daxkernel.pairing import PairingTable, lambda_flip, lambda_word, sphere_class
 
 SPECS = {text: parse_group_spec(text)
          for text in ("Z<t>", "F<x,y>", "Z/3<u>", "Z<a,b>")}
@@ -99,9 +116,195 @@ def test_derivation_rule(data, coeff):
         gbar = R.monomial(inv(spec.word([(g, 1)])))
         rows[g] = gr_mul(r, gr_add(R.one(spec), R.gr_neg(gbar)))
     a = sphere_class(spec, "a", False, R.zero(spec), R.zero(spec), rows)
-    from daxkernel.pairing import PairingTable
     table = PairingTable(spec, 5, (a,), spec.identity())
     lhs = lambda_word(table, a, mul(w1, w2))
     rhs = gr_add(lambda_word(table, a, w1),
                  R.right_mul(lambda_word(table, a, w2), inv(w1)))
     assert lhs == rhs
+
+
+# -- the word layer and the dax formulas against the code they replaced --------
+#
+# The references below are the word functions and dax formulas as they were
+# before the word layer read ``GroupSpec._index`` directly and the formulas
+# summed into one dictionary.  They are copied unchanged, except that the
+# per-letter lookups are recomputed from ``spec.factors`` so that the
+# references share no table with the code under test.
+
+def _ref_factor_of(spec, name):
+    for fi, fac in enumerate(spec.factors):
+        if name in fac.gens:
+            return fi, fac
+    raise UnknownGeneratorError(f"unknown generator {name!r}")
+
+
+def _ref_gen_index(spec, name):
+    return spec.generators.index(name)
+
+
+def _ref_canon_exponent(e, fac):
+    if fac.kind == FINITE_CYCLIC:
+        return e % fac.order
+    return e
+
+
+def _ref_signed_exponent(e, fac):
+    """Shortest signed representative of a canonical exponent."""
+    if fac.kind == FINITE_CYCLIC and e > fac.order - e:
+        return e - fac.order
+    return e
+
+
+def ref_normalize(letters, spec):
+    per_factor = [[] for _ in spec.factors]
+    for name, exp in letters:
+        fi, _ = _ref_factor_of(spec, name)
+        if exp != 0:
+            per_factor[fi].append((name, exp))
+
+    out = []
+    for fi, fac in enumerate(spec.factors):
+        chunk = per_factor[fi]
+        if fac.abelian:
+            totals = {g: 0 for g in fac.gens}
+            for name, exp in chunk:
+                totals[name] += exp
+            for name in fac.gens:
+                e = _ref_canon_exponent(totals[name], fac)
+                if e:
+                    out.append((name, e))
+        else:
+            stack = []
+            for name, exp in chunk:
+                if stack and stack[-1][0] == name:
+                    stack[-1][1] += exp
+                    if stack[-1][1] == 0:
+                        stack.pop()
+                else:
+                    stack.append([name, exp])
+            out.extend((n, e) for n, e in stack)
+    return Word(spec, tuple(out))
+
+
+def ref_word_length(w):
+    total = 0
+    for name, exp in w.letters:
+        _, fac = _ref_factor_of(w.spec, name)
+        total += abs(_ref_signed_exponent(exp, fac))
+    return total
+
+
+def ref_word_key(w):
+    letters = []
+    for name, exp in w.letters:
+        _, fac = _ref_factor_of(w.spec, name)
+        se = _ref_signed_exponent(exp, fac)
+        letters.append((_ref_gen_index(w.spec, name), abs(se), 0 if se > 0 else 1))
+    return (ref_word_length(w), tuple(letters))
+
+
+def ref_dax_translate(g, a, ctx):
+    lam = R.left_mul(g, lambda_word(ctx.table, a, g))  # lambda(g a, g)
+    out = R.gr_conj(g, a.base_dax)
+    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam)))
+    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam, ctx.d)))
+    return out
+
+
+def ref_dax_u_general(g, a, ctx):
+    lam_g = R.left_mul(g, lambda_word(ctx.table, a, g))   # lambda(g a, g)
+    lam_u = R.left_mul(g, a.lambda_u)                     # lambda(g a, u)
+    lam_gu = R.gr_add(lam_g, R.right_mul(lam_u, inv(g)))  # lambda(g a, g u)
+    out = R.gr_conj(g, dax_rebase(a, ctx))
+    out = R.gr_add(out, R.gr_bar_reduce(lam_u))
+    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam_gu)))
+    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam_g, ctx.d)))
+    return out
+
+
+def ref_dax_u_embedded(g, a, ctx):
+    if not a.embedded:
+        raise ModeError(f"class {a.name!r} has no embedded representative")
+    lam_g = R.left_mul(g, lambda_word(ctx.table, a, g))
+    lam_u = R.left_mul(g, a.lambda_u)
+    out = R.gr_bar_reduce(lam_u)
+    out = R.gr_add(out, R.gr_neg(R.gr_bar_reduce(lam_g)))
+    out = R.gr_add(out, R.gr_bar_reduce(lambda_flip(lam_g, ctx.d)))
+    return out
+
+
+WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>")
+WORD_SPECS = {text: parse_group_spec(text) for text in WORD_SPEC_TEXTS}
+
+
+def raw_letters(spec, max_size=8, bound=7):
+    """Unreduced letter sequences: zero exponents, repeats and wrap-around."""
+    return st.lists(st.tuples(st.sampled_from(spec.generators),
+                              st.integers(min_value=-bound, max_value=bound)),
+                    max_size=max_size)
+
+
+@st.composite
+def word_spec_and_letters(draw, n):
+    text = draw(st.sampled_from(WORD_SPEC_TEXTS))
+    spec = WORD_SPECS[text]
+    return text, spec, [draw(raw_letters(spec)) for _ in range(n)]
+
+
+@given(word_spec_and_letters(3))
+@settings(max_examples=300, deadline=None)
+def test_word_layer_matches_reference(data):
+    text, spec, seqs = data
+    words = [normalize(letters, spec) for letters in seqs]
+    for letters, w in zip(seqs, words):
+        ref = ref_normalize(letters, spec)
+        assert w.letters == ref.letters and w == ref
+        assert word_key(w) == ref_word_key(w)
+        assert word_length(w) == ref_word_length(w)
+    # a copy over an equal, separately parsed spec is the same element
+    twin = parse_group_spec(text)
+    copies = [Word(twin, w.letters) for w in words]
+    assert copies == words and [hash(w) for w in copies] == [hash(w) for w in words]
+    candidates = words + copies
+    for x in candidates:
+        for y in candidates:
+            assert (x == y) == (hash(x) == hash(y) and x.letters == y.letters)
+    a, b, c = words
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@st.composite
+def consistent_tables(draw):
+    """A table of one or two classes with principal rows r*(1 - g^-1)."""
+    spec = WORD_SPECS[draw(st.sampled_from(WORD_SPEC_TEXTS))]
+
+    def elem():
+        terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
+                                        st.integers(min_value=-3, max_value=3)),
+                              max_size=3))
+        return R.from_terms(spec, [(normalize(w, spec), c) for w, c in terms])
+
+    classes = []
+    for i in range(draw(st.integers(min_value=1, max_value=2))):
+        r = elem()
+        rows = {g: R.gr_mul(r, R.gr_add(R.one(spec), R.gr_neg(
+                    R.monomial(inv(spec.word([(g, 1)]))))))
+                for g in spec.generators}
+        embedded = draw(st.booleans())
+        base = R.zero(spec) if embedded else R.gr_bar_reduce(elem())
+        classes.append(sphere_class(spec, f"a{i}", embedded, base, elem(), rows))
+    d = draw(st.integers(min_value=3, max_value=6))
+    table = PairingTable(spec, d, tuple(classes), spec.identity())
+    g = normalize(draw(raw_letters(spec, 4, 3)), spec)
+    return DaxContext(table, spec.identity(), "arcs"), g
+
+
+@given(consistent_tables())
+@settings(max_examples=200, deadline=None)
+def test_dax_formulas_match_reference(data):
+    ctx, g = data
+    for a in ctx.table.classes:
+        assert dax_u_general(g, a, ctx) == ref_dax_u_general(g, a, ctx)
+        assert dax_translate(g, a, ctx) == ref_dax_translate(g, a, ctx)
+        if a.embedded:
+            assert dax_u_embedded(g, a, ctx) == ref_dax_u_embedded(g, a, ctx)

@@ -1,3 +1,6 @@
+import types
+from collections import Counter
+
 import pytest
 
 from daxkernel.errors import GroupParseError, SpecMismatchError
@@ -40,6 +43,18 @@ def test_mul_examples():
     g = monomial(parse_word("t^4", Z))
     assert gr_mul(g, R.one(Z)) == g
     assert gr_mul(parse_ring("x", F), parse_ring("y", F)) == parse_ring("x*y", F)
+
+
+def test_from_terms_accepts_any_mapping():
+    t, t2 = parse_word("t", Z), parse_word("t^2", Z)
+    want = elem("3*t - t^2")
+    terms = {t2: -1, t: 3, Z.identity(): 0}
+    assert R.from_terms(Z, terms) == want
+    assert R.from_terms(Z, types.MappingProxyType(terms)) == want
+    assert R.from_terms(Z, Counter(terms)) == want
+    assert R.from_terms(Z, [(t, 1), (t2, -1), (t, 2)]) == want
+    with pytest.raises(SpecMismatchError):
+        R.from_terms(F, types.MappingProxyType(terms))
 
 
 def test_spec_mismatch():

@@ -283,6 +283,24 @@ def test_cli_bad_scene_file_exit_code(tmp_path):
     assert main(["target", "--scene", str(path)]) == 2
 
 
+TYPED_SCENE = {"dimension": "5", "mode": '"circles"', "group": '"Z<t>"',
+               "u": '"1"', "s": '"t"', "window": "3"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dimension", '"5"'), ("dimension", "true"), ("window", "true"),
+    ("window", '"3"'), ("mode", "1"), ("group", "3"), ("u", "1"), ("s", "2")])
+def test_cli_scene_value_type_exit_code(tmp_path, capsys, key, value):
+    path = tmp_path / "typed.toml"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in TYPED_SCENE.items()))
+    assert main(["target", "--scene", str(path)]) == 0
+    capsys.readouterr()
+    fields = dict(TYPED_SCENE, **{key: value})
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["target", "--scene", str(path)]) == 2
+    assert f"scene key {key!r} must be" in capsys.readouterr().err
+
+
 def test_cli_entry_point_runs():
     # the child interpreter imports the same package copy as this one
     src = str(Path(daxkernel.__file__).resolve().parent.parent)
