@@ -161,6 +161,8 @@ def normalize(letters: Iterable[tuple[str, int]], spec: GroupSpec) -> Word:
     """Canonical form of a raw letter sequence.
 
     Two raw sequences representing the same group element yield equal Words.
+    Products and inverses of Words do not come here: ``mul`` and ``inv``
+    combine normal forms directly.
     """
     index = spec._index
     per_factor: list[list[tuple[str, int]]] = [[] for _ in spec.factors]
@@ -177,38 +179,130 @@ def normalize(letters: Iterable[tuple[str, int]], spec: GroupSpec) -> Word:
         if not chunk:
             continue
         if fac.kind == FREE:
-            stack: list[tuple[str, int]] = []
-            for name, exp in chunk:
-                if stack and stack[-1][0] == name:
-                    e = stack[-1][1] + exp
-                    if e:
-                        stack[-1] = (name, e)
-                    else:
-                        stack.pop()
-                else:
-                    stack.append((name, exp))
-            out.extend(stack)
+            out += _free_reduce(chunk)
         else:
-            totals = dict.fromkeys(fac.gens, 0)
-            for name, exp in chunk:
-                totals[name] += exp
-            cyclic = fac.kind == FINITE_CYCLIC
-            for name, e in totals.items():
-                if cyclic:
-                    e %= fac.order
-                if e:
-                    out.append((name, e))
+            out += _abelian_sum(fac, chunk)
     return Word(spec, tuple(out))
 
 
+def _free_join(left: tuple, right: tuple) -> tuple:
+    """Product of two freely reduced letter tuples of one free factor.
+
+    Letters can cancel or merge only where the two meet: pop or merge at the
+    end of ``left`` while the next letter of ``right`` has the same name.
+    """
+    i, j, n = len(left), 0, len(right)
+    while i and j < n:
+        name, exp = right[j]
+        last, e = left[i - 1]
+        if last != name:
+            break
+        e += exp
+        if e:
+            return left[:i - 1] + ((name, e),) + right[j + 1:]
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
+
+
+def _free_reduce(letters: list) -> tuple:
+    """Free reduction of raw letters (no zero exponents), halves joined."""
+    if len(letters) < 2:
+        return tuple(letters)
+    mid = len(letters) // 2
+    return _free_join(_free_reduce(letters[:mid]), _free_reduce(letters[mid:]))
+
+
+def _abelian_sum(fac: Factor, letters) -> tuple:
+    """Exponent sum per generator of an abelian factor, in ``fac.gens`` order."""
+    totals = dict.fromkeys(fac.gens, 0)
+    for name, exp in letters:
+        totals[name] += exp
+    cyclic = fac.kind == FINITE_CYCLIC
+    out = []
+    for name, e in totals.items():
+        if cyclic:
+            e %= fac.order
+        if e:
+            out.append((name, e))
+    return tuple(out)
+
+
+def _blocks(letters: tuple, index: dict) -> dict[int, tuple]:
+    """Split a normal form into its factor blocks: factor index -> letters."""
+    blocks = {}
+    start = 0
+    fi = index[letters[0][0]][0]
+    for k in range(1, len(letters)):
+        f = index[letters[k][0]][0]
+        if f != fi:
+            blocks[fi] = letters[start:k]
+            fi, start = f, k
+    blocks[fi] = letters[start:]
+    return blocks
+
+
+def _join(fac: Factor, left: tuple, right: tuple) -> tuple:
+    if fac.kind == FREE:
+        return _free_join(left, right)
+    return _abelian_sum(fac, left + right)
+
+
+def _inverse(fac: Factor, block: tuple) -> list:
+    if fac.kind == FREE:
+        return [(name, -e) for name, e in reversed(block)]
+    if fac.kind == FINITE_CYCLIC:
+        return [(name, fac.order - e) for name, e in block]
+    return [(name, -e) for name, e in block]
+
+
 def mul(g: Word, h: Word) -> Word:
-    if g.spec is not h.spec and g.spec != h.spec:
+    """The product g*h.
+
+    Both arguments must be normal forms (every ``Word`` built by this module
+    is one).  Their letters are combined where the two words meet, factor
+    block by factor block; nothing is renormalized.
+    """
+    spec = g.spec
+    if spec is not h.spec and spec != h.spec:
         raise SpecMismatchError("cannot multiply words over different group specs")
-    return normalize(g.letters + h.letters, g.spec)
+    a, b = g.letters, h.letters
+    if not b:
+        return g
+    if not a:
+        return h if h.spec is spec else Word(spec, b)
+    factors = spec.factors
+    if len(factors) == 1:
+        return Word(spec, _join(factors[0], a, b))
+    index = spec._index
+    if index[a[-1][0]][0] < index[b[0][0]][0]:
+        return Word(spec, a + b)
+    left, right = _blocks(a, index), _blocks(b, index)
+    out: list[tuple[str, int]] = []
+    for fi, fac in enumerate(factors):
+        x, y = left.get(fi, ()), right.get(fi, ())
+        out += _join(fac, x, y) if x and y else x + y
+    return Word(spec, tuple(out))
 
 
 def inv(g: Word) -> Word:
-    return normalize(tuple((n, -e) for n, e in reversed(g.letters)), g.spec)
+    """The inverse of g, which must be a normal form (as every ``Word`` is).
+
+    Free blocks are reversed with negated exponents, free-abelian exponents
+    negated and a cyclic exponent e becomes ``order - e``; nothing is
+    renormalized.
+    """
+    a = g.letters
+    if not a:
+        return g
+    spec = g.spec
+    factors = spec.factors
+    if len(factors) == 1:
+        return Word(spec, tuple(_inverse(factors[0], a)))
+    out: list[tuple[str, int]] = []
+    for fi, block in _blocks(a, spec._index).items():
+        out += _inverse(factors[fi], block)
+    return Word(spec, tuple(out))
 
 
 def word_length(w: Word) -> int:

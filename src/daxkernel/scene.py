@@ -414,16 +414,32 @@ def _dump_toml(data: dict) -> str:
 
 # -- reader ------------------------------------------------------------------
 
+def _outside_strings(s: str):
+    r"""Yield (index, character) for each character of s outside "..." strings.
+
+    Inside a string a backslash escapes the next character, so ``"a\\"``
+    (the text ``a\``) ends at its last quote.
+    """
+    in_str = escaped = False
+    for i, ch in enumerate(s):
+        if not in_str:
+            if ch == '"':
+                in_str = True
+            else:
+                yield i, ch
+        elif escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            in_str = False
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"' and (not out or out[-1] != "\\"):
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out)
+    for i, ch in _outside_strings(line):
+        if ch == "#":
+            return line[:i]
+    return line
 
 
 def _parse_scalar(text: str, i: int):
@@ -471,6 +487,8 @@ def _parse_scalar(text: str, i: int):
                 i += 1
             if i >= n or text[i] != "=":
                 raise SceneError("scene file: expected '=' in inline table")
+            if key in table:
+                raise SceneError(f"scene file: duplicate key {key!r}")
             val, i = _parse_scalar(text, i + 1)
             table[key] = val
     if text.startswith("true", i):
@@ -498,6 +516,7 @@ def _parse_key(text: str, i: int):
 def _parse_toml(text: str) -> dict:
     root: dict = {}
     target = root
+    arrays = set()  # names of [[array]] sections
     lines = text.splitlines()
     idx = 0
     while idx < len(lines):
@@ -509,6 +528,9 @@ def _parse_toml(text: str) -> dict:
             if not line.endswith("]]"):
                 raise SceneError(f"scene file: bad section {line!r}")
             name = line[2:-2].strip()
+            if name in root and name not in arrays:
+                raise SceneError(f"scene file: duplicate key {name!r}")
+            arrays.add(name)
             target = {}
             root.setdefault(name, []).append(target)
             continue
@@ -516,7 +538,9 @@ def _parse_toml(text: str) -> dict:
             if not line.endswith("]"):
                 raise SceneError(f"scene file: bad section {line!r}")
             name = line[1:-1].strip()
-            target = root.setdefault(name, {})
+            if name in root:
+                raise SceneError(f"scene file: duplicate key {name!r}")
+            target = root[name] = {}
             continue
         key, i = _parse_key(line, 0)
         while i < len(line) and line[i] in " \t":
@@ -532,21 +556,17 @@ def _parse_toml(text: str) -> dict:
         rest = value_text[j:].strip()
         if rest:
             raise SceneError(f"scene file: trailing input {rest!r}")
+        if key in target:
+            raise SceneError(f"scene file: duplicate key {key!r}")
         target[key] = val
     return root
 
 
 def _open_brackets(s: str) -> int:
     depth = 0
-    in_str = False
-    prev = ""
-    for ch in s:
-        if ch == '"' and prev != "\\":
-            in_str = not in_str
-        elif not in_str:
-            if ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-        prev = ch
+    for _, ch in _outside_strings(s):
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
     return depth

@@ -153,12 +153,6 @@ def smith_normal_form(rows: list[list[int]], want_left: bool = False,
     return SmithResult(diag, rank, U, V)
 
 
-def invariant_factors(rows: list[list[int]]) -> list[int]:
-    """Nontrivial invariant factors (entries > 1) of the matrix."""
-    res = smith_normal_form(rows)
-    return [d for d in res.diagonal if d > 1]
-
-
 @dataclass
 class SparseElimination:
     """Record of one sparse elimination of an n-row matrix.

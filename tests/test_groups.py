@@ -118,6 +118,23 @@ def test_mul_examples():
     assert mul(parse_word("t^2", z), parse_word("t^3", z)) == parse_word("t^5", z)
     assert mul(parse_word("x*y", free), parse_word("y^-1*x", free)) == \
         parse_word("x^2", free)
+    # the seam cancels or merges through several letters
+    free = parse_group_spec("F<x,y,z>")
+    xyz = parse_word("x*y*z", free)
+    assert mul(xyz, parse_word("z^-1*y^-1*x^-1", free)).is_identity
+    assert mul(xyz, parse_word("z^-1*y^-1*x", free)) == parse_word("x^2", free)
+    assert mul(xyz, parse_word("z^-1*y^2", free)) == parse_word("x*y^3", free)
+    cyc = parse_group_spec("Z/3<u>")
+    assert mul(parse_word("u^2", cyc), parse_word("u", cyc)).is_identity
+    assert mul(parse_word("u^2", cyc), parse_word("u^2", cyc)) == parse_word("u", cyc)
+    # factor blocks interleave: the seam is inside each shared factor
+    spec = parse_group_spec("Z/2<u> x F<x,y> x Z<t>")
+    g = parse_word("u*x*y*t^2", spec)
+    h = parse_word("u*y^-1*x*t^-2", spec)
+    assert mul(g, h) == parse_word("x^2", spec)
+    assert mul(h, g) == parse_word("y^-1*x^2*y", spec)
+    assert mul(parse_word("x", spec), parse_word("u*t", spec)) == \
+        parse_word("u*x*t", spec)
 
 
 def test_inv_examples():
@@ -126,6 +143,10 @@ def test_inv_examples():
     assert inv(free.identity()).is_identity
     assert inv(parse_word("x*y", free)) == parse_word("y^-1*x^-1", free)
     assert inv(parse_word("u", cyc)) == parse_word("u^2", cyc)
+    spec = parse_group_spec("Z/5<u> x F<x,y> x Z<s,t>")
+    g = parse_word("u^2*x*y^-2*x^3*s^-1*t^4", spec)
+    assert inv(g).letters == (("u", 3), ("x", -3), ("y", 2), ("x", -1),
+                              ("s", 1), ("t", -4))
 
 
 def test_spec_mismatch():

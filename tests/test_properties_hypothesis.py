@@ -233,7 +233,8 @@ def ref_dax_u_embedded(g, a, ctx):
     return out
 
 
-WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>")
+WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>",
+                   "F<x,y> x F<z,v>", "Z/2<u> x F<x>")
 WORD_SPECS = {text: parse_group_spec(text) for text in WORD_SPEC_TEXTS}
 
 
@@ -269,6 +270,15 @@ def test_word_layer_matches_reference(data):
     for x in candidates:
         for y in candidates:
             assert (x == y) == (hash(x) == hash(y) and x.letters == y.letters)
+    # products and inverses of normal forms against renormalizing the letters
+    for x in words:
+        for y in words:
+            ref = ref_normalize(x.letters + y.letters, spec)
+            prod = mul(x, y)
+            assert prod.letters == ref.letters and hash(prod) == hash(ref)
+        ref = ref_normalize([(n, -e) for n, e in reversed(x.letters)], spec)
+        x_inv = inv(x)
+        assert x_inv.letters == ref.letters and hash(x_inv) == hash(ref)
     a, b, c = words
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
 

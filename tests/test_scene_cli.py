@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -149,14 +150,24 @@ def test_round_trip_presets(preset, params):
 
 
 def test_scene_file_comments_and_whitespace():
-    text = """
+    text = r"""
 # a scene
 dimension = 5
 mode = "arcs"   # trailing comment
 group = "Z<t>"
+notes = ["a\\"]  # a string ending in an escaped backslash, then a comment
 """
     sc = loads_scene(text)
     assert sc.dimension == 5 and sc.mode == "arcs"
+    assert sc.notes == ("a\\",)
+
+
+def test_round_trip_note_ending_in_backslash():
+    sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
+    sc = replace(sc, notes=sc.notes + ("ends in \\",))
+    text = dumps_scene(sc)
+    assert "[[sphere_generators]]" in text.split("ends in")[1]
+    assert dumps_scene(loads_scene(text)) == text
 
 
 def test_multiline_trace_array():
@@ -299,6 +310,32 @@ def test_cli_scene_value_type_exit_code(tmp_path, capsys, key, value):
     path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
     assert main(["target", "--scene", str(path)]) == 2
     assert f"scene key {key!r} must be" in capsys.readouterr().err
+
+
+DUPLICATE_KEY_SCENES = {
+    "top level": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+                  'dimension = 6\n', "dimension"),
+    "table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+              '[whisker]\n"t" = "1"\n"t" = "2"\n', "t"),
+    "inline table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+                     '[[sphere_generators]]\nname = "a"\n'
+                     'lambda_gen = {t = "1", t = "2"}\n', "t"),
+    "array entry": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+                    '[[knots]]\nname = "k1"\nname = "k2"\ntrace = []\n', "name"),
+    "table twice": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+                    '[whisker]\n"t" = "1"\n[whisker]\n"t^2" = "2"\n', "whisker"),
+    "key and table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
+                      'knots = []\n[[knots]]\nname = "k"\ntrace = []\n', "knots"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_KEY_SCENES))
+def test_cli_duplicate_key_exit_code(tmp_path, capsys, case):
+    text, key = DUPLICATE_KEY_SCENES[case]
+    path = tmp_path / "dup.toml"
+    path.write_text(text)
+    assert main(["target", "--scene", str(path)]) == 2
+    assert f"duplicate key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():
