@@ -7,6 +7,7 @@ structure, trace evaluation, the concordance fold, and type-1 universality.
 """
 
 from .errors import (
+    BallOverflowError,
     DaxKernelError,
     GroupParseError,
     ModeError,
@@ -31,7 +32,6 @@ from .groups import (
 )
 from .ring import (
     RingElem,
-    augmentation,
     gr_add,
     gr_bar_reduce,
     gr_conj,

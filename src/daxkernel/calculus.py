@@ -11,6 +11,7 @@ word to the identity, so this equals reducing every piece separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ModeError, SpecMismatchError
 from .groups import Word, inv, mul, render_word
@@ -103,14 +104,19 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     return _reduced(ctx, acc)
 
 
-def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
+def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
+                  lam: Iterable[tuple[Word, int]] | None = None) -> RingElem:
     """Dax value over the arc for a translated class, valid for any class:
 
         dax_u(g a) = g dax_u(a) g^-1 + red(lambda(g a, u))
                      - red(lambda(g a, g u)) + red(lambda(g, g a))
+
+    ``lam``, when given, holds the (word, coefficient) terms of lambda(a, g).
     """
     gi = inv(g)
-    lam_g = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]  # lambda(g a, g)
+    if lam is None:
+        lam = lambda_word(ctx.table, a, g).terms
+    lam_g = [(mul(g, w), c) for w, c in lam]                                 # lambda(g a, g)
     lam_u = [(mul(g, w), c) for w, c in a.lambda_u.terms]                    # lambda(g a, u)
     lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                           # g lambda(a, u) g^-1
     acc: dict[Word, int] = {}
@@ -127,16 +133,20 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     return _reduced(ctx, acc)
 
 
-def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
+def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
+                   lam: Iterable[tuple[Word, int]] | None = None) -> RingElem:
     """Shortcut for classes with an embedded representative:
 
         dax_u(g a) = red(lambda(g a, u)) - red(lambda(g a, g)) + red(lambda(g, g a))
 
-    Used as an independent cross-check of ``dax_u_general``.
+    Used as an independent cross-check of ``dax_u_general``.  ``lam``, when
+    given, holds the (word, coefficient) terms of lambda(a, g).
     """
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    lam_g = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]
+    if lam is None:
+        lam = lambda_word(ctx.table, a, g).terms
+    lam_g = [(mul(g, w), c) for w, c in lam]
     acc: dict[Word, int] = {}
     _add(acc, ((mul(g, w), c) for w, c in a.lambda_u.terms))
     _add(acc, lam_g, -1)

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DaxKernelError, WindowOverflowError
+from .errors import BallOverflowError, DaxKernelError, WindowOverflowError
 from .groups import render_word
 from .ring import parse_ring
 from .calculus import CIRCLES
@@ -62,11 +62,22 @@ def _fit_profile(windows, free_ranks) -> dict:
 
 
 def run_target(scene: ManifoldScene, windows) -> dict:
+    """Structure of each window in turn; the report details the last one.
+
+    A window whose ball exceeds the generator cap ends the sweep once a
+    smaller window has answered, and ``sweep.truncated`` names it.
+    """
     sweep = {"windows": [], "free_ranks": [], "torsion": [], "stable": []}
     final_rs = None
     final_structure = None
     for w in windows:
-        rs = build_relations(scene, w)[0]
+        try:
+            rs = build_relations(scene, w)[0]
+        except BallOverflowError:
+            if final_rs is None:
+                raise
+            sweep["truncated"] = w
+            break
         st = Q.quotient_structure(rs)
         sweep["windows"].append(w)
         sweep["free_ranks"].append(st.free_rank)
@@ -79,7 +90,7 @@ def run_target(scene: ManifoldScene, windows) -> dict:
         "window": final_rs.window,
         "generators": [render_word(g) for g in final_rs.generators],
         "relations": _relation_entries(final_rs),
-        "dropped_relations": [{"provenance": p, "value": v}
+        "dropped_relations": [{"provenance": p, "value": str(v)}
                               for p, v in final_rs.dropped],
         "structure": _structure_dict(final_structure),
         "sweep": sweep,
@@ -233,6 +244,9 @@ def render_report(report: dict) -> str:
                                     sweep["torsion"], sweep["stable"]):
             tor_s = ",".join(map(str, tor)) or "-"
             lines.append(f"  sweep W={w}: free {fr}, torsion {tor_s}, stable {stab}")
+        if "truncated" in sweep:
+            lines.append(f"  sweep truncated at W={sweep['truncated']}: its ball exceeds"
+                         f" {Q.MAX_WINDOW_GENERATORS} elements")
         prof = report["profile"]
         if prof.get("slope") is not None:
             lines.append(f"  free-rank profile: {prof['slope']}*W"

@@ -52,3 +52,11 @@ class WindowOverflowError(DaxKernelError):
     def __init__(self, message, offender=None):
         super().__init__(message)
         self.offender = offender
+
+
+class BallOverflowError(WindowOverflowError):
+    """The window's ball exceeds its element cap.
+
+    CLI exit code 3, like every window overflow; a default ``target`` sweep
+    instead stops before the first such window and reports where.
+    """

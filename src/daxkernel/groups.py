@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
+    BallOverflowError,
     GroupParseError,
     SpecMismatchError,
     UnknownGeneratorError,
     UnsupportedClassError,
-    WindowOverflowError,
 )
 
 FREE = "free"
@@ -340,7 +340,7 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
 
     Breadth-first over generator steps; deterministic.  ``limit`` guards
     against exponentially large balls in free groups: a larger ball raises
-    ``WindowOverflowError``.
+    ``BallOverflowError``.
     """
     if radius < 0:
         return []
@@ -359,27 +359,12 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
                     seen.add(v)
                     nxt.append(v)
                     if len(seen) > limit:
-                        raise WindowOverflowError(
+                        raise BallOverflowError(
                             f"ball of radius {radius} exceeds {limit} elements;"
                             " use a smaller window"
                         )
         frontier = nxt
     return sorted(seen, key=word_key)
-
-
-def powers(g: Word, n: int) -> Word:
-    """g^n by repeated squaring (exponents may be large)."""
-    if n == 0:
-        return g.spec.identity()
-    base = g if n > 0 else inv(g)
-    n = abs(n)
-    acc = g.spec.identity()
-    while n:
-        if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        n >>= 1
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ The derivation rule makes lambda(a, -) a crossed homomorphism, so stored
 rows must vanish on the group's defining relators (commutators of commuting
 generators, and g^m for finite cyclic generators).  That consistency is
 checked when a table is built; geometric pairings always satisfy it.
+
+Two evaluations follow.  ``lambda_word`` derives lambda(a, k) for one word,
+letter by letter.  ``lambda_on_ball`` derives it for every element of a ball
+at once: each element is its parent times one generator step, so its value
+is the parent's value plus one shifted copy of the step's value (a Fox
+derivative, R. H. Fox, Ann. of Math. 57, 1953).  Relation assembly uses the
+second; both give the same element, because lambda is well defined on the
+group.
 """
 
 from __future__ import annotations
@@ -168,6 +176,46 @@ def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     if k.spec != table.spec:
         raise SpecMismatchError("word over a different spec")
     return _lambda_raw(table.spec, a, k.letters)
+
+
+def lambda_on_ball(table: PairingTable, a: SphereClass,
+                   elements) -> dict[Word, dict[Word, int]]:
+    """lambda(a, g) as a term dict, for every g of ``elements``.
+
+    ``elements`` is a ball listed by word length, as ``groups.ball`` returns
+    it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
+    letter's generator, signed like its shortest exponent, so p is one
+    shorter and already done:  lambda(a, g) = lambda(a, p) + lambda(a, s) p^-1.
+    """
+    spec = table.spec
+    index = spec._index
+    steps: dict[tuple[str, int], tuple[Word, tuple]] = {}
+    values: dict[Word, dict[Word, int]] = {}
+    for g in elements:
+        if not g.letters:
+            values[g] = {}
+            continue
+        name, exp = g.letters[-1]
+        order = index[name][2]
+        sign = -1 if exp < 0 or (order and exp > order - exp) else 1
+        step = steps.get((name, sign))
+        if step is None:
+            s = spec.word([(name, sign)])
+            step = steps[name, sign] = (inv(s), _lambda_letter(spec, a, name, sign).terms)
+        s_inv, lam_s = step
+        p = mul(g, s_inv)
+        val = dict(values[p])
+        if lam_s:
+            p_inv = inv(p)
+            for w, c in lam_s:
+                v = mul(w, p_inv)
+                c += val.get(v, 0)
+                if c:
+                    val[v] = c
+                else:
+                    del val[v]
+        values[g] = val
+    return values
 
 
 def lambda_arc(table: PairingTable, a: SphereClass, g: Word, use_u: bool) -> RingElem:

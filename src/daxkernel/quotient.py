@@ -26,6 +26,7 @@ from .calculus import (
     dax_u_embedded,
     dax_u_general,
 )
+from .pairing import lambda_on_ball
 
 PROV_DAX_IMAGE = "dax_image"
 PROV_WHISKER = "whisker"
@@ -45,7 +46,7 @@ class RelationSet:
     generators: tuple[Word, ...]
     relations: tuple[RingElem, ...]
     provenance: tuple[str, ...]
-    dropped: tuple[tuple[str, str], ...] = ()  # (provenance, rendered relation)
+    dropped: tuple[tuple[str, RingElem], ...] = ()  # (provenance, relation)
 
     def __post_init__(self):
         gens = set(self.generators)
@@ -116,7 +117,7 @@ def _classify(kept, prov_list, seen, dropped, gens_set, val: RingElem,
         raise WindowOverflowError(
             f"base relation {val} exceeds the generator window; increase the"
             " window", str(val))
-    dropped.append((provenance, str(val)))
+    dropped.append((provenance, val))
 
 
 def _assemble(ctx: DaxContext, window: int, circles: bool,
@@ -131,15 +132,16 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
 
     kept: list[RingElem] = []
     prov: list[str] = []
-    dropped: list[tuple[str, str]] = []
+    dropped: list[tuple[str, RingElem]] = []
     seen: set[RingElem] = set()
 
+    classes = ctx.table.classes
+    # lambda(a, g) for every class and translate, each from its parent's value
+    lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
+    dax = dax_u_embedded if use_embedded_formula else dax_u_general
     for g in enum:
-        for a in ctx.table.classes:
-            if use_embedded_formula:
-                val = dax_u_embedded(g, a, ctx)
-            else:
-                val = dax_u_general(g, a, ctx)
+        for a, lam_a in zip(classes, lam):
+            val = dax(g, a, ctx, lam_a[g].items())
             _classify(kept, prov, seen, dropped, gens_set, val, class_prov,
                       g.is_identity)
     if circles:
@@ -385,7 +387,7 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
             kept.append(rel)
             prov.append(p)
         else:
-            dropped.append((p, str(rel)))
+            dropped.append((p, rel))
     return RelationSet(rs.spec, window, gens, tuple(kept), tuple(prov),
                        tuple(dropped))
 

@@ -145,11 +145,6 @@ def is_reduced(r: RingElem) -> bool:
     return all(not w.is_identity for w, _ in r.terms)
 
 
-def augmentation(r: RingElem) -> int:
-    """Sum of coefficients; ring homomorphism to Z, handy as a sanity check."""
-    return sum(c for _, c in r.terms)
-
-
 # ---------------------------------------------------------------------------
 # text form: "2*t^-1 - t^3 + 1"
 # ---------------------------------------------------------------------------

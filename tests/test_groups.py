@@ -13,7 +13,6 @@ from daxkernel.groups import (
     normalize,
     parse_group_spec,
     parse_word,
-    powers,
     render_group_spec,
     render_word,
     word_key,
@@ -21,6 +20,21 @@ from daxkernel.groups import (
 )
 
 from conftest import GROUP_TEXTS, random_word, rng_for
+
+
+def powers(g, n):
+    """g^n by repeated squaring (exponents may be large); a test reference."""
+    if n == 0:
+        return g.spec.identity()
+    base = g if n > 0 else inv(g)
+    n = abs(n)
+    acc = g.spec.identity()
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        n >>= 1
+    return acc
 
 
 # -- presentation parsing ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Property-based checks of the core algebraic identities."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from daxkernel.calculus import (
@@ -13,6 +14,7 @@ from daxkernel.errors import ModeError, UnknownGeneratorError
 from daxkernel.groups import (
     FINITE_CYCLIC,
     Word,
+    ball,
     inv,
     mul,
     normalize,
@@ -29,7 +31,13 @@ from daxkernel.ring import (
     parse_ring,
     render_ring,
 )
-from daxkernel.pairing import PairingTable, lambda_flip, lambda_word, sphere_class
+from daxkernel.pairing import (
+    PairingTable,
+    lambda_flip,
+    lambda_on_ball,
+    lambda_word,
+    sphere_class,
+)
 
 SPECS = {text: parse_group_spec(text)
          for text in ("Z<t>", "F<x,y>", "Z/3<u>", "Z<a,b>")}
@@ -235,7 +243,11 @@ def ref_dax_u_embedded(g, a, ctx):
 
 WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>",
                    "F<x,y> x F<z,v>", "Z/2<u> x F<x>")
-WORD_SPECS = {text: parse_group_spec(text) for text in WORD_SPEC_TEXTS}
+# in a cyclic factor of order m >= 4, u^(m-1) is one letter long but u^(m-2)
+# is not, so a ball step that ignores the shortest signed exponent shows
+# (test_lambda_on_ball)
+BALL_SPEC_TEXTS = WORD_SPEC_TEXTS + ("Z/5<u> x F<x>",)
+WORD_SPECS = {text: parse_group_spec(text) for text in BALL_SPEC_TEXTS}
 
 
 def raw_letters(spec, max_size=8, bound=7):
@@ -284,9 +296,9 @@ def test_word_layer_matches_reference(data):
 
 
 @st.composite
-def consistent_tables(draw):
+def consistent_tables(draw, texts=WORD_SPEC_TEXTS):
     """A table of one or two classes with principal rows r*(1 - g^-1)."""
-    spec = WORD_SPECS[draw(st.sampled_from(WORD_SPEC_TEXTS))]
+    spec = WORD_SPECS[draw(st.sampled_from(texts))]
 
     def elem():
         terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
@@ -318,3 +330,25 @@ def test_dax_formulas_match_reference(data):
         assert dax_translate(g, a, ctx) == ref_dax_translate(g, a, ctx)
         if a.embedded:
             assert dax_u_embedded(g, a, ctx) == ref_dax_u_embedded(g, a, ctx)
+
+
+@pytest.mark.parametrize("text", BALL_SPEC_TEXTS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_lambda_on_ball(text, data):
+    # the table built along the ball equals lambda_word on every element, and
+    # the dax formulas fed from it equal the ones that derive lambda per word
+    ctx, _ = data.draw(consistent_tables((text,)))
+    table, spec = ctx.table, ctx.spec
+    elements = ball(spec, 6 if text == "Z<t>" else 3)
+    for a in table.classes:
+        values = lambda_on_ball(table, a, elements)
+        assert list(values) == elements
+        for g in elements:
+            lam = values[g]
+            assert 0 not in lam.values()
+            assert R.from_terms(spec, lam) == lambda_word(table, a, g)
+            general = dax_u_general(g, a, ctx, lam.items())
+            assert general == dax_u_general(g, a, ctx)
+            if a.embedded:
+                assert dax_u_embedded(g, a, ctx, lam.items()) == general

@@ -163,6 +163,9 @@ def test_translated_overflow_is_dropped_and_reported():
     rs = build_rel_circles(sc.context(), {}, 4)
     assert rs.dropped
     assert all(prov in (PROV_DAX_IMAGE, PROV_BOUNDARY) for prov, _ in rs.dropped)
+    # kept as elements, rendered only by a report; each sticks out of the window
+    gens = set(rs.generators)
+    assert all(any(w not in gens for w in val.support()) for _, val in rs.dropped)
 
 
 def test_restrict_relationset_drops_wide_relations():
@@ -173,6 +176,9 @@ def test_restrict_relationset_drops_wide_relations():
     assert all(all(word_length(w) <= 3 for w in rel.support())
                for rel in small.relations)
     assert len(small.dropped) > len(rs.dropped)
+    assert small.dropped[:len(rs.dropped)] == rs.dropped
+    moved = [rel for rel in rs.relations if rel not in small.relations]
+    assert [val for _, val in small.dropped[len(rs.dropped):]] == moved
 
 
 # -- three-manifold builder ------------------------------------------------------

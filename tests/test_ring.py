@@ -7,7 +7,6 @@ from daxkernel.errors import GroupParseError, SpecMismatchError
 from daxkernel.groups import parse_group_spec, parse_word
 from daxkernel import ring as R
 from daxkernel.ring import (
-    augmentation,
     gr_add,
     gr_bar_reduce,
     gr_conj,
@@ -27,6 +26,11 @@ F = parse_group_spec("F<x,y>")
 
 def elem(text, spec=Z):
     return parse_ring(text, spec)
+
+
+def augmentation(r):
+    """Sum of coefficients: the ring homomorphism Z[G] -> Z, as a reference."""
+    return sum(c for _, c in r.terms)
 
 
 # -- addition / multiplication ----------------------------------------------

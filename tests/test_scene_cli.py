@@ -200,6 +200,7 @@ def test_target_default_sweep_profile():
     assert rep["sweep"]["windows"] == [4, 6, 8, 10]
     assert rep["sweep"]["free_ranks"] == [8, 12, 16, 20]
     assert rep["profile"] == {"slope": "2", "intercept": "0", "linear": True}
+    assert "truncated" not in rep["sweep"]
 
 
 def test_eval_report():
@@ -286,6 +287,31 @@ def test_cli_ball_cap_exit_code(capsys):
                  "--param", "group=F<x,y>", "--window", "8"])
     assert code == 3
     assert "window overflow" in capsys.readouterr().err
+
+
+def test_cli_default_sweep_stops_at_ball_cap(capsys):
+    # W=4 and W=6 answer; the radius-8 ball exceeds the cap and ends the sweep
+    argv = ["target", "--preset", "aspherical", "--param", "group=F<x,y>"]
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["window"] == 6
+    assert report["sweep"]["windows"] == [4, 6]
+    assert report["sweep"]["truncated"] == 8
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if "truncated" in ln] == [
+        "  sweep truncated at W=8: its ball exceeds 6000 elements"]
+
+
+def test_cli_default_sweep_without_answer_exit_code(capsys):
+    # a ball cap at the sweep's first window leaves no smaller answer
+    assert main(["target", "--preset", "aspherical",
+                 "--param", "group=F<a,b,c,d,e,f>"]) == 3
+    assert "ball of radius 4 exceeds" in capsys.readouterr().err
+    # a base relation that overflows is not a ball cap: no truncation
+    assert main(["target", "--preset", "solid_torus_circles",
+                 "--param", "d=5", "--param", "k0=9"]) == 3
+    assert "base relation" in capsys.readouterr().err
 
 
 def test_cli_bad_scene_file_exit_code(tmp_path):
