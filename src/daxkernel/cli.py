@@ -249,8 +249,10 @@ def render_report(report: dict) -> str:
                          f" {Q.MAX_WINDOW_GENERATORS} elements")
         prof = report["profile"]
         if prof.get("slope") is not None:
+            icpt = prof["intercept"]
+            sign, icpt = ("-", icpt[1:]) if icpt.startswith("-") else ("+", icpt)
             lines.append(f"  free-rank profile: {prof['slope']}*W"
-                         f" + {prof['intercept']} (linear={prof['linear']})")
+                         f" {sign} {icpt} (linear={prof['linear']})")
     if report["command"] == "concordance":
         stf = report["structure_folded"]
         tor = " + ".join(f"Z/{t}" for t in stf["torsion"]) or "none"

@@ -80,12 +80,6 @@ class OrbitAction:
     centralizer: tuple[Word, ...]
     whisker: tuple[tuple[Word, RingElem], ...]
 
-    def whisker_of(self, b: Word) -> RingElem | None:
-        for k, v in self.whisker:
-            if k == b:
-                return v
-        return None
-
 
 @dataclass
 class OrbitResult:

@@ -2,12 +2,14 @@
 
 A scene is the full input to a computation: ambient dimension, mode,
 group, basepoint classes, sphere-class pairing data, whisker table, knots.
-Scene files use a TOML-compatible key/value subset (documented in the
-README); emission is canonical, so emit -> parse -> emit is the identity.
+Scene files are TOML 1.0, read with ``tomllib``; one schema states the type
+of every scene value.  Emission is canonical, so emit -> parse -> emit is
+the identity.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, replace
 
@@ -151,19 +153,18 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
     """Expand a named preset into a fully explicit scene."""
     p = dict(params or {})
 
-    def take_int(key, default=None):
+    def take(key, default=None, schema=str):
         if key not in p:
-            if default is None:
-                raise SceneError(f"preset {name!r} needs parameter {key}")
             return default
-        v = p.pop(key)
-        try:
-            return int(v)
-        except (TypeError, ValueError):
-            raise SceneError(f"parameter {key} must be an integer") from None
+        value = p.pop(key)
+        _check(value, schema, key, "parameter")
+        return value
 
-    def take(key, default=None):
-        return p.pop(key, default)
+    def take_int(key, default=None):
+        value = take(key, default, int)
+        if value is None:
+            raise SceneError(f"preset {name!r} needs parameter {key}")
+        return value
 
     if name == "disk_d":
         d = take_int("d", 5)
@@ -218,13 +219,14 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
         mode = take("mode", ARCS)
         s = take("s", "1")
         u = take("u", "1")
-        spheres = list(take("spheres", []) or [])
+        spheres = [{"embedded": True, **entry} for entry in
+                   take("spheres", [], _SCHEMA["sphere_generators"])]
         phi = take("phi", "none")
         spec = parse_group_spec(group)
         if phi not in ("none", "boundary_arc", "circle"):
             raise SceneError("phi must be one of none, boundary_arc, circle")
         if phi != "none":
-            s_word = parse_word(s, spec) if isinstance(s, str) else s
+            s_word = parse_word(s, spec)
             lam_u = ("0" if phi == "boundary_arc"
                      else render_ring(R.gr_add(R.one(spec),
                                                R.monomial(inv(s_word), -1))))
@@ -234,16 +236,15 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
                 "lambda_gen": _phi_rows(spec),
                 "lambda_u": lam_u,
             })
-        for entry in spheres:
-            entry.setdefault("embedded", True)
         scene = make_scene(3, mode, group, u=u, s=s, sphere_generators=spheres,
-                           whisker=take("whisker", {}) or {}, preset=name)
+                           whisker=take("whisker", {}, _SCHEMA["whisker"]),
+                           preset=name)
     elif name == "product_DkY":
         group = take("group")
         if group is None:
             raise SceneError("preset 'product_DkY' needs parameter group")
         d = take_int("d", 5)
-        spheres = take("spheres", {}) or {}
+        spheres = take("spheres", {}, {str: str})
         gens = [{
             "name": nm,
             "embedded": False,
@@ -264,7 +265,7 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
 
 
 # ---------------------------------------------------------------------------
-# scene file format (TOML-compatible subset)
+# scene files (TOML)
 # ---------------------------------------------------------------------------
 
 def scene_to_dict(scene: ManifoldScene) -> dict:
@@ -302,27 +303,65 @@ def scene_to_dict(scene: ManifoldScene) -> dict:
     return out
 
 
-# scalar scene keys with the type they must have
-_SCALAR_TYPES = (("dimension", int, "an integer"), ("window", int, "an integer"),
-                 ("mode", str, "a string"), ("group", str, "a string"),
-                 ("u", str, "a string"), ("s", str, "a string"))
+# The type of every scene value, at every depth.  A list gives the schema of
+# each item of an array, a dict the keys of a table ({str: ...} for a table
+# with any keys), and a tuple the items of a fixed-length array: a trace's
+# [sign, word] pairs, whose sign is "+", "-", "+1", "-1", 1 or -1.
+_SIGN = str | int
+_SCHEMA = {
+    "dimension": int, "mode": str, "group": str, "u": str, "s": str,
+    "window": int, "preset": str, "notes": [str],
+    "sphere_generators": [{"name": str, "embedded": bool, "base_dax": str,
+                           "lambda_u": str, "lambda_gen": {str: str}}],
+    "whisker": {str: str},
+    "knots": [{"name": str, "trace": [(_SIGN, str)]}],
+}
+# keys that every table whose schema names them must hold
+_REQUIRED = ("dimension", "mode", "group", "name")
+_NOUNS = {int: "an integer", str: "a string", bool: "a boolean",
+          _SIGN: "a sign (+ or -)"}
+
+
+def _check(value, schema, path: str, what: str = "scene key") -> None:
+    """Raise SceneError unless value has the type schema gives it, at every
+    depth.  path names the value, as in ``knots[0].trace``; what says whose
+    key it is (a scene key or a preset parameter)."""
+    def fail(noun):
+        raise SceneError(f"{what} {path!r} must be {noun}, got {value!r}")
+
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            fail("a table")
+        prefix = f"{path}." if path else ""
+        if str in schema:
+            for k, v in value.items():
+                _check(v, schema[str], f"{prefix}{k}", what)
+            return
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise SceneError(f"unknown {what}s: {', '.join(prefix + k for k in unknown)}")
+        for key in _REQUIRED:
+            if key in schema and key not in value:
+                raise SceneError(f"missing required {what} {prefix + key!r}")
+        for k, v in value.items():
+            _check(v, schema[k], prefix + k, what)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            fail("an array")
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{path}[{i}]", what)
+    elif isinstance(schema, tuple):
+        if not isinstance(value, list) or len(value) != len(schema):
+            fail("a [sign, word] pair")
+        for i, (item, sub) in enumerate(zip(value, schema)):
+            _check(item, sub, f"{path}[{i}]", what)
+    # bool is a subclass of int, but `window = true` is not a window
+    elif not isinstance(value, schema) or (isinstance(value, bool) and schema is not bool):
+        fail(_NOUNS[schema])
 
 
 def scene_from_dict(data: dict) -> ManifoldScene:
-    known = {"dimension", "mode", "group", "u", "s", "window", "preset", "notes",
-             "sphere_generators", "whisker", "knots"}
-    unknown = set(data) - known
-    if unknown:
-        raise SceneError(f"unknown scene keys: {', '.join(sorted(unknown))}")
-    for key in ("dimension", "mode", "group"):
-        if key not in data:
-            raise SceneError(f"scene is missing required key {key!r}")
-    for key, kind, noun in _SCALAR_TYPES:
-        if key in data:
-            value = data[key]
-            # bool is a subclass of int, but `window = true` is not a window
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise SceneError(f"scene key {key!r} must be {noun}, got {value!r}")
+    _check(data, _SCHEMA, "")
     return make_scene(
         dimension=data["dimension"],
         mode=data["mode"],
@@ -343,7 +382,14 @@ def dumps_scene(scene: ManifoldScene) -> str:
 
 
 def loads_scene(text: str) -> ManifoldScene:
-    return scene_from_dict(_parse_toml(text))
+    # imported here, not at the top: tomllib pulls in datetime, which would
+    # make `import daxkernel` measurably slower for every command
+    import tomllib
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SceneError(f"scene file: {exc}") from None
+    return scene_from_dict(data)
 
 
 def load_scene_file(path) -> ManifoldScene:
@@ -361,8 +407,8 @@ def load_scene_file(path) -> ManifoldScene:
 # -- writer ------------------------------------------------------------------
 
 def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{out}"'
+    # a JSON string is a TOML basic string, except that TOML also escapes DEL
+    return json.dumps(s, ensure_ascii=False).replace("\x7f", "\\u007f")
 
 
 def _inline_value(v) -> str:
@@ -410,163 +456,3 @@ def _dump_toml(data: dict) -> str:
             for k, v in entry.items():
                 lines.append(f"{_key(k)} = {_inline_value(v)}")
     return "\n".join(lines) + "\n"
-
-
-# -- reader ------------------------------------------------------------------
-
-def _outside_strings(s: str):
-    r"""Yield (index, character) for each character of s outside "..." strings.
-
-    Inside a string a backslash escapes the next character, so ``"a\\"``
-    (the text ``a\``) ends at its last quote.
-    """
-    in_str = escaped = False
-    for i, ch in enumerate(s):
-        if not in_str:
-            if ch == '"':
-                in_str = True
-            else:
-                yield i, ch
-        elif escaped:
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == '"':
-            in_str = False
-
-
-def _strip_comment(line: str) -> str:
-    for i, ch in _outside_strings(line):
-        if ch == "#":
-            return line[:i]
-    return line
-
-
-def _parse_scalar(text: str, i: int):
-    n = len(text)
-    while i < n and text[i] in " \t":
-        i += 1
-    if i >= n:
-        raise SceneError("scene file: missing value")
-    ch = text[i]
-    if ch == '"':
-        i += 1
-        buf = []
-        while i < n:
-            c = text[i]
-            if c == "\\" and i + 1 < n:
-                nxt = text[i + 1]
-                buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                i += 2
-                continue
-            if c == '"':
-                return "".join(buf), i + 1
-            buf.append(c)
-            i += 1
-        raise SceneError("scene file: unterminated string")
-    if ch == "[":
-        items = []
-        i += 1
-        while True:
-            while i < n and text[i] in " \t,":
-                i += 1
-            if i < n and text[i] == "]":
-                return items, i + 1
-            val, i = _parse_scalar(text, i)
-            items.append(val)
-    if ch == "{":
-        table = {}
-        i += 1
-        while True:
-            while i < n and text[i] in " \t,":
-                i += 1
-            if i < n and text[i] == "}":
-                return table, i + 1
-            key, i = _parse_key(text, i)
-            while i < n and text[i] in " \t":
-                i += 1
-            if i >= n or text[i] != "=":
-                raise SceneError("scene file: expected '=' in inline table")
-            if key in table:
-                raise SceneError(f"scene file: duplicate key {key!r}")
-            val, i = _parse_scalar(text, i + 1)
-            table[key] = val
-    if text.startswith("true", i):
-        return True, i + 4
-    if text.startswith("false", i):
-        return False, i + 5
-    m = re.match(r"[+-]?\d+", text[i:])
-    if m:
-        return int(m.group(0)), i + m.end()
-    raise SceneError(f"scene file: cannot parse value near {text[i:i+20]!r}")
-
-
-def _parse_key(text: str, i: int):
-    n = len(text)
-    while i < n and text[i] in " \t":
-        i += 1
-    if i < n and text[i] == '"':
-        return _parse_scalar(text, i)
-    m = re.match(r"[A-Za-z0-9_-]+", text[i:])
-    if not m:
-        raise SceneError(f"scene file: bad key near {text[i:i+20]!r}")
-    return m.group(0), i + m.end()
-
-
-def _parse_toml(text: str) -> dict:
-    root: dict = {}
-    target = root
-    arrays = set()  # names of [[array]] sections
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines):
-        line = _strip_comment(lines[idx]).strip()
-        idx += 1
-        if not line:
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise SceneError(f"scene file: bad section {line!r}")
-            name = line[2:-2].strip()
-            if name in root and name not in arrays:
-                raise SceneError(f"scene file: duplicate key {name!r}")
-            arrays.add(name)
-            target = {}
-            root.setdefault(name, []).append(target)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise SceneError(f"scene file: bad section {line!r}")
-            name = line[1:-1].strip()
-            if name in root:
-                raise SceneError(f"scene file: duplicate key {name!r}")
-            target = root[name] = {}
-            continue
-        key, i = _parse_key(line, 0)
-        while i < len(line) and line[i] in " \t":
-            i += 1
-        if i >= len(line) or line[i] != "=":
-            raise SceneError(f"scene file: expected '=' in line {line!r}")
-        value_text = line[i + 1:]
-        # allow arrays to span lines: join until brackets balance
-        while _open_brackets(value_text) > 0 and idx < len(lines):
-            value_text += " " + _strip_comment(lines[idx]).strip()
-            idx += 1
-        val, j = _parse_scalar(value_text, 0)
-        rest = value_text[j:].strip()
-        if rest:
-            raise SceneError(f"scene file: trailing input {rest!r}")
-        if key in target:
-            raise SceneError(f"scene file: duplicate key {key!r}")
-        target[key] = val
-    return root
-
-
-def _open_brackets(s: str) -> int:
-    depth = 0
-    for _, ch in _outside_strings(s):
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-    return depth

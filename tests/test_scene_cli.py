@@ -2,17 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import daxkernel
-from daxkernel.errors import SceneError
+from daxkernel.errors import DaxKernelError, SceneError
 from daxkernel.groups import parse_group_spec, parse_word
 from daxkernel.ring import parse_ring
 from daxkernel.cli import main, run_scene
 from daxkernel.scene import (
+    ManifoldScene,
     dumps_scene,
     loads_scene,
     make_scene,
@@ -155,11 +158,11 @@ def test_scene_file_comments_and_whitespace():
 dimension = 5
 mode = "arcs"   # trailing comment
 group = "Z<t>"
-notes = ["a\\"]  # a string ending in an escaped backslash, then a comment
+notes = ["a\\", "x\u0041"]  # an escaped backslash at the end, then a comment
 """
     sc = loads_scene(text)
     assert sc.dimension == 5 and sc.mode == "arcs"
-    assert sc.notes == ("a\\",)
+    assert sc.notes == ("a\\", "xA")
 
 
 def test_round_trip_note_ending_in_backslash():
@@ -168,6 +171,83 @@ def test_round_trip_note_ending_in_backslash():
     text = dumps_scene(sc)
     assert "[[sphere_generators]]" in text.split("ends in")[1]
     assert dumps_scene(loads_scene(text)) == text
+
+
+@given(notes=st.lists(st.text(), max_size=3), sphere=st.text(min_size=1),
+       knot=st.text())
+@example(notes=["a\nb", "\x7f", "\t\x00"], sphere='"', knot="\\")
+@settings(max_examples=150, deadline=None)
+def test_round_trip_any_string(notes, sphere, knot):
+    sc = scene_with_everything()
+    sc = replace(sc, notes=tuple(notes),
+                 sphere_generators=(replace(sc.sphere_generators[0], name=sphere),),
+                 knots=(replace(sc.knots[0], name=knot),))
+    text = dumps_scene(sc)
+    assert loads_scene(text) == sc
+    assert dumps_scene(loads_scene(text)) == text
+
+
+def _toml(value) -> str:
+    """TOML text of a value, with every table inline.  A string outside the
+    Basic Multilingual Plane comes out as a surrogate pair, which TOML
+    rejects: that text, too, must give a typed error."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)} = {_toml(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_toml(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, float)):
+        return repr(value)
+    return value.isoformat()  # a date, a time or a datetime
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+TOML_VALUES = st.recursive(
+    st.integers() | st.floats() | st.booleans() | st.text() | st.dates()
+    | st.times() | st.datetimes(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_scene_text_loads_or_raises_typed_error(data):
+    base = dumps_scene(scene_with_everything())
+    how = data.draw(st.sampled_from(["replace", "truncate", "text"]))
+    if how == "replace":
+        # one value at any depth becomes a random TOML value
+        tree = tomllib.loads(base)
+        *parent, last = data.draw(st.sampled_from([p for p in _paths(tree) if p]))
+        node = tree
+        for k in parent:
+            node = node[k]
+        node[last] = data.draw(TOML_VALUES)
+        text = "".join(f"{json.dumps(k)} = {_toml(v)}\n" for k, v in tree.items())
+    elif how == "truncate":
+        text = base[:data.draw(st.integers(0, len(base)))]
+    else:
+        text = data.draw(st.text())
+    try:
+        sc = loads_scene(text)
+    except DaxKernelError:
+        return
+    assert isinstance(sc, ManifoldScene)
 
 
 def test_multiline_trace_array():
@@ -301,6 +381,7 @@ def test_cli_default_sweep_stops_at_ball_cap(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if "truncated" in ln] == [
         "  sweep truncated at W=8: its ball exceeds 6000 elements"]
+    assert "  free-rank profile: 648*W - 2432 (linear=True)" in lines
 
 
 def test_cli_default_sweep_without_answer_exit_code(capsys):
@@ -338,30 +419,97 @@ def test_cli_scene_value_type_exit_code(tmp_path, capsys, key, value):
     assert f"scene key {key!r} must be" in capsys.readouterr().err
 
 
-DUPLICATE_KEY_SCENES = {
+DUPLICATE_KEY_SCENES = {  # scene text, and the line of the repeated key
     "top level": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
-                  'dimension = 6\n', "dimension"),
+                  'dimension = 6\n', 4),
     "table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
-              '[whisker]\n"t" = "1"\n"t" = "2"\n', "t"),
+              '[whisker]\n"t" = "1"\n"t" = "2"\n', 6),
     "inline table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
                      '[[sphere_generators]]\nname = "a"\n'
-                     'lambda_gen = {t = "1", t = "2"}\n', "t"),
+                     'lambda_gen = {t = "1", t = "2"}\n', 6),
     "array entry": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
-                    '[[knots]]\nname = "k1"\nname = "k2"\ntrace = []\n', "name"),
+                    '[[knots]]\nname = "k1"\nname = "k2"\ntrace = []\n', 6),
     "table twice": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
-                    '[whisker]\n"t" = "1"\n[whisker]\n"t^2" = "2"\n', "whisker"),
+                    '[whisker]\n"t" = "1"\n[whisker]\n"t^2" = "2"\n', 6),
     "key and table": ('dimension = 5\nmode = "circles"\ngroup = "Z<t>"\n'
-                      'knots = []\n[[knots]]\nname = "k"\ntrace = []\n', "knots"),
+                      'knots = []\n[[knots]]\nname = "k"\ntrace = []\n', 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DUPLICATE_KEY_SCENES))
 def test_cli_duplicate_key_exit_code(tmp_path, capsys, case):
-    text, key = DUPLICATE_KEY_SCENES[case]
+    text, line = DUPLICATE_KEY_SCENES[case]
     path = tmp_path / "dup.toml"
     path.write_text(text)
     assert main(["target", "--scene", str(path)]) == 2
-    assert f"duplicate key {key!r}" in capsys.readouterr().err
+    assert f"(at line {line}, column" in capsys.readouterr().err
+
+
+BAD_VALUE_HEAD = 'dimension = 5\nmode = "circles"\ngroup = "Z<t>"\nu = "t"\ns = "t"\n'
+GOOD_VALUE_TAIL = ('notes = ["n"]\npreset = "p"\n[whisker]\nt = "0"\n'
+                   '[[sphere_generators]]\nname = "a"\nembedded = false\n'
+                   'base_dax = "t + t^-1"\nlambda_gen = {t = "1"}\n'
+                   '[[knots]]\nname = "k"\ntrace = [["+", "t"], [-1, "t^2"]]\n')
+SPHERE, KNOT = '[[sphere_generators]]\nname = "a"\n', '[[knots]]\nname = "k"\n'
+
+
+BAD_SCENE_VALUES = {  # text after BAD_VALUE_HEAD, and the key the error names
+    "spheres not an array": ('sphere_generators = "x"\n', "sphere_generators"),
+    "whisker not a table": ("whisker = [1]\n", "whisker"),
+    "knots not an array": ('knots = "k"\n', "knots"),
+    "notes not an array": ('notes = "hello"\n', "notes"),
+    "note a date": ("notes = [1979-05-27]\n", "notes[0]"),
+    "preset an integer": ("preset = 3\n", "preset"),
+    "window a float": ("window = 5.0\n", "window"),
+    "whisker value an integer": ("[whisker]\nt = 2\n", "whisker.t"),
+    "base_dax an integer": (SPHERE + "base_dax = 3\n", "sphere_generators[0].base_dax"),
+    "lambda_gen an array": (SPHERE + 'lambda_gen = ["t"]\n',
+                            "sphere_generators[0].lambda_gen"),
+    "lambda_gen row an integer": (SPHERE + "lambda_gen = {t = 1}\n",
+                                  "sphere_generators[0].lambda_gen.t"),
+    "embedded a string": (SPHERE + 'embedded = "no"\n', "sphere_generators[0].embedded"),
+    "unknown sphere key": (SPHERE + 'colour = "red"\n', "sphere_generators[0].colour"),
+    "sphere name an integer": ("[[sphere_generators]]\nname = 7\n",
+                               "sphere_generators[0].name"),
+    "knot without name": ("[[knots]]\ntrace = []\n", "knots[0].name"),
+    "knot name an integer": ("[[knots]]\nname = 7\n", "knots[0].name"),
+    "trace a string": (KNOT + 'trace = "t"\n', "knots[0].trace"),
+    "trace pair too short": (KNOT + 'trace = [["+"]]\n', "knots[0].trace[0]"),
+    "trace word an integer": (KNOT + 'trace = [["+", 3]]\n', "knots[0].trace[0][1]"),
+    "trace sign a float": (KNOT + 'trace = [[1.0, "t"]]\n', "knots[0].trace[0][0]"),
+    "trace sign a boolean": (KNOT + 'trace = [[true, "t"]]\n', "knots[0].trace[0][0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENE_VALUES))
+def test_cli_bad_scene_value_exit_code(tmp_path, capsys, case):
+    tail, key = BAD_SCENE_VALUES[case]
+    path = tmp_path / "bad.toml"
+    path.write_text(BAD_VALUE_HEAD + GOOD_VALUE_TAIL)
+    assert main(["target", "--scene", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(BAD_VALUE_HEAD + tail)
+    assert main(["target", "--scene", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, params, key", [
+    ("product_DkY", ["group=F<x,y>", 'spheres={"s1":3}'], "spheres.s1"),
+    ("product_DkY", ["group=F<x,y>", "spheres=[1]"], "spheres"),
+    ("three_mfd", ["group=Z<t>", "mode=circles", "s=t", 'whisker={"t":1}'],
+     "whisker.t"),
+    ("three_mfd", ["group=Z<t>", "spheres=[1]"], "spheres[0]"),
+    ("three_mfd", ["group=Z<t>", "spheres=x"], "spheres"),
+    ("aspherical", ["group=5"], "group"),
+    ("s1_x_sphere", ["w0=true"], "w0"),
+    ("s1_x_sphere", ["w0=oops"], "w0"),
+])
+def test_cli_bad_preset_parameter_exit_code(capsys, preset, params, key):
+    argv = ["target", "--preset", preset, "--window", "2"]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 2
+    assert f"parameter {key!r} must be" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():
