@@ -82,6 +82,14 @@ from .traces import (
     universality_witness,
 )
 from .scene import ManifoldScene, dumps_scene, loads_scene, make_scene, preset_expand
-from .cli import run_scene
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_scene is loaded on first use, so that `python -m daxkernel.cli` does
+    # not find the module half-imported and `import daxkernel` stays light
+    if name == "run_scene":
+        from .cli import run_scene
+        return run_scene
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ from . import quotient as Q
 from .traces import dax_of_knot, eval_dax_trace, mu2_reduce
 from .scene import (
     ManifoldScene,
+    coerce_param,
     load_scene_file,
     preset_expand,
     scene_to_dict,
@@ -271,18 +272,6 @@ def render_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce_param(value: str):
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    if value[:1] in "[{":
-        return json.loads(value)
-    return value
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dax-kernel",
@@ -311,7 +300,7 @@ def main(argv=None) -> int:
                 if "=" not in item:
                     raise DaxKernelError(f"--param expects K=V, got {item!r}")
                 k, _, v = item.partition("=")
-                params[k.strip()] = _coerce_param(v.strip())
+                params[k.strip()] = coerce_param(k.strip(), v.strip())
             scene = preset_expand(args.preset, params)
         else:
             raise DaxKernelError("a scene is required: --scene FILE or --preset NAME")

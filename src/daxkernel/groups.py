@@ -116,7 +116,7 @@ class GroupSpec:
         return render_group_spec(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A group element in canonical normal form.
 
@@ -125,7 +125,9 @@ class Word:
     ``[1, m)`` for finite cyclic order m), with factor blocks concatenated in
     declaration order.
 
-    The hash is computed once, at construction; a Word is immutable.
+    The hash is computed once, at construction; a Word is immutable.  It has
+    slots and no per-instance dict, because relation sets and pairing tables
+    keep many Words alive at once.
     """
 
     spec: GroupSpec

@@ -11,6 +11,7 @@ there is a hard error rather than a silent weakening.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 
@@ -282,8 +283,9 @@ class QuotientSolver:
 
     One sparse elimination (unit pivots by substitution, dense Smith form on
     the small residual block) gives the free rank, the invariant factors and
-    the coordinates; the Hermite basis behind canonical residues is dense and
-    computed lazily on first use.
+    the coordinates, and on the way the invariant factors of the two
+    next-smaller windows.  The Hermite basis behind canonical residues is
+    dense and computed lazily on first use.
     """
 
     def __init__(self, rs: RelationSet):
@@ -291,12 +293,34 @@ class QuotientSolver:
         self.generators = rs.generators
         self.index = {w: i for i, w in enumerate(rs.generators)}
         n = len(rs.generators)
-        sparse_cols = []
+        # one column per relation up to sign, each with its shell: the length
+        # of its longest word, which is its last term (terms are in word_key
+        # order, graded by length)
+        seen = set()
+        shelled = []
         for rel in rs.relations:
-            sparse_cols.append({self.index[w]: c for w, c in rel.items()})
-        self._elim = snf.sparse_rank_and_torsion(sparse_cols, n)
+            terms = tuple((self.index[w], c) for w, c in rel.items())
+            key = terms
+            if terms and terms[0][1] < 0:
+                key = tuple((i, -c) for i, c in terms)
+            if key in seen:
+                continue
+            seen.add(key)
+            shell = word_length(rel.terms[-1][0]) if terms else 0
+            shelled.append((shell, dict(terms)))
+        # stably sorted by shell, the columns of a smaller window W' are a
+        # prefix: exactly the relations supported on the ball of radius W'
+        shelled.sort(key=lambda sc: sc[0])
+        shells = [shell for shell, _ in shelled]
+        smaller = (rs.window - 2, rs.window - 1)
+        self._elim = snf.sparse_rank_and_torsion(
+            [col for _, col in shelled], n,
+            prefixes=[bisect.bisect_right(shells, w) for w in smaller])
         self.free_rank = n - self._elim.rank
         self.torsion = tuple(self._elim.torsion)
+        # invariant factors of the windows W-2, W-1 and W
+        self.window_torsion = dict(zip(smaller, map(tuple, self._elim.prefix_torsion)))
+        self.window_torsion[rs.window] = self.torsion
         self._hnf_rows = None
 
     @property
@@ -393,14 +417,13 @@ def quotient_structure(rs: RelationSet,
     The stable flag reports that the invariant factors agree with the two
     next-smaller windows (free rank keeps growing with the window; torsion
     is the part that converges).  ``solver``, when given, is the solver
-    already built for ``rs``.
+    already built for ``rs``; its one elimination gives all three windows.
     """
     solver = solver or QuotientSolver(rs)
-    prev = QuotientSolver(restrict_relationset(rs, rs.window - 1))
-    stable = solver.torsion == prev.torsion
-    if rs.window >= 2 and stable:
-        prev2 = QuotientSolver(restrict_relationset(rs, rs.window - 2))
-        stable = prev.torsion == prev2.torsion
+    torsion, w = solver.window_torsion, rs.window
+    stable = torsion[w] == torsion[w - 1]
+    if w >= 2 and stable:
+        stable = torsion[w - 1] == torsion[w - 2]
     return solver.structure(stable)
 
 

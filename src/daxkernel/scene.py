@@ -153,18 +153,27 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
     """Expand a named preset into a fully explicit scene."""
     p = dict(params or {})
 
-    def take(key, default=None, schema=str):
+    def take(key, default=None, schema=None):
         if key not in p:
             return default
         value = p.pop(key)
-        _check(value, schema, key, "parameter")
+        _check(value, schema or _PARAM_SCHEMA[key], key, "parameter")
         return value
 
     def take_int(key, default=None):
-        value = take(key, default, int)
+        value = take(key, default)
         if value is None:
             raise SceneError(f"preset {name!r} needs parameter {key}")
         return value
+
+    def take_group():
+        group = take("group")
+        if group is None:
+            raise SceneError(f"preset {name!r} needs parameter group")
+        try:
+            return parse_group_spec(group)
+        except GroupParseError as exc:
+            raise SceneError(f"parameter 'group' must be a group spec: {exc}") from None
 
     if name == "disk_d":
         d = take_int("d", 5)
@@ -204,25 +213,20 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
             }],
             preset=name, notes=notes)
     elif name == "aspherical":
-        group = take("group")
-        if group is None:
-            raise SceneError("preset 'aspherical' needs parameter group")
+        group = take_group()
         d = take_int("d", 5)
         mode = take("mode", ARCS)
         s = take("s", "1")
         u = take("u", "1")
         scene = make_scene(d, mode, group, u=u, s=s, preset=name)
     elif name == "three_mfd":
-        group = take("group")
-        if group is None:
-            raise SceneError("preset 'three_mfd' needs parameter group")
+        spec = take_group()
         mode = take("mode", ARCS)
         s = take("s", "1")
         u = take("u", "1")
         spheres = [{"embedded": True, **entry} for entry in
-                   take("spheres", [], _SCHEMA["sphere_generators"])]
+                   take("spheres", [])]
         phi = take("phi", "none")
-        spec = parse_group_spec(group)
         if phi not in ("none", "boundary_arc", "circle"):
             raise SceneError("phi must be one of none, boundary_arc, circle")
         if phi != "none":
@@ -236,13 +240,11 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
                 "lambda_gen": _phi_rows(spec),
                 "lambda_u": lam_u,
             })
-        scene = make_scene(3, mode, group, u=u, s=s, sphere_generators=spheres,
-                           whisker=take("whisker", {}, _SCHEMA["whisker"]),
+        scene = make_scene(3, mode, spec, u=u, s=s, sphere_generators=spheres,
+                           whisker=take("whisker", {}),
                            preset=name)
     elif name == "product_DkY":
-        group = take("group")
-        if group is None:
-            raise SceneError("preset 'product_DkY' needs parameter group")
+        group = take_group()
         d = take_int("d", 5)
         spheres = take("spheres", {}, {str: str})
         gens = [{
@@ -316,10 +318,38 @@ _SCHEMA = {
     "whisker": {str: str},
     "knots": [{"name": str, "trace": [(_SIGN, str)]}],
 }
+# The type of every preset parameter; product_DkY takes its own `spheres`, a
+# table of sphere names to base values.
+_PARAM_SCHEMA = {
+    "d": int, "k0": int, "w0": int, "window": int,
+    "group": str, "mode": str, "s": str, "u": str, "phi": str,
+    "spheres": _SCHEMA["sphere_generators"], "whisker": _SCHEMA["whisker"],
+}
 # keys that every table whose schema names them must hold
 _REQUIRED = ("dimension", "mode", "group", "name")
 _NOUNS = {int: "an integer", str: "a string", bool: "a boolean",
           _SIGN: "a sign (+ or -)"}
+
+
+def coerce_param(key: str, text: str):
+    """A preset parameter given as text, as on the command line, typed by
+    its schema: an integer parameter reads as an int when it spells one, an
+    array or table as JSON, and anything else stays a string, so that
+    ``group=1`` names the trivial group.  ``preset_expand`` checks the type."""
+    schema = _PARAM_SCHEMA.get(key, str)
+    if schema is str:
+        return text
+    if schema is int:
+        try:
+            return int(text)
+        except ValueError:
+            return text
+    if text[:1] not in "[{":
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SceneError(f"parameter {key!r} is not valid JSON: {exc}") from None
 
 
 def _check(value, schema, path: str, what: str = "scene key") -> None:

@@ -8,7 +8,9 @@ linear solver with infeasibility certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -172,9 +174,57 @@ class SparseElimination:
     residual_rows: list[int]
     residual_diagonal: list[int]  # Smith diagonal of the residual block
     residual_left: list[list[int]]  # its left transform U (U*B*V = D)
+    # invariant factors > 1 of each requested column prefix, in request order
+    prefix_torsion: list[list[int]] = field(default_factory=list)
 
 
-def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> SparseElimination:
+def _substitute_pivots(col: dict[int, int], pivots, pivot_at: dict[int, int]):
+    """Substitute the pivots found so far out of a new column, in pivot order.
+
+    Pivot k's column has no entries in the rows of earlier pivots, so the
+    pivots to apply come off a heap of pivot indices, each at most once.
+    """
+    heap = [pivot_at[i] for i in col if i in pivot_at]
+    heapq.heapify(heap)
+    while heap:
+        row, sign, pcol = pivots[heapq.heappop(heap)]
+        x = col.pop(row, 0) * sign
+        if not x:
+            continue
+        for i, c in pcol.items():
+            if i == row:
+                continue
+            new = col.get(i, 0) - x * c
+            if not new:
+                del col[i]
+                continue
+            if i not in col and i in pivot_at:
+                heapq.heappush(heap, pivot_at[i])
+            col[i] = new
+
+
+def _residual_smith(cols, done: int, eliminated_cols, want_left: bool):
+    """Residual columns and rows among the first ``done`` columns, and the
+    dense Smith form of that block (None when it is empty)."""
+    residual_cols = [j for j in range(done)
+                     if j not in eliminated_cols and cols[j]]
+    residual_rows = sorted({i for j in residual_cols for i in cols[j]})
+    if not residual_cols:
+        return residual_rows, None
+    index = {i: k for k, i in enumerate(residual_rows)}
+    dense = [[0] * len(residual_cols) for _ in residual_rows]
+    for c, j in enumerate(residual_cols):
+        for i, v in cols[j].items():
+            dense[index[i]][c] = v
+    return residual_rows, smith_normal_form(dense, want_left=want_left)
+
+
+def _torsion(res: SmithResult | None) -> list[int]:
+    return [d for d in res.diagonal if d > 1] if res is not None else []
+
+
+def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
+                            prefixes: Sequence[int] = ()) -> SparseElimination:
     """Sparse elimination of the n-row matrix with the given sparse columns.
 
     Unit entries are eliminated by substitution first (unimodular, no
@@ -183,82 +233,95 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int) -> SparseElimina
     and fast on the two-term unit-coefficient matrices produced by folding
     relations.  The record gives the rank, the invariant factors > 1 and
     enough of the transform to map vectors to quotient coordinates.
+
+    ``prefixes`` lists non-decreasing column counts, none above len(cols).
+    The columns then enter one prefix at a time: each new column has the
+    pivots found so far substituted out before the unit loop resumes, so the
+    state after a prefix is an elimination of exactly its columns, and a
+    Smith form of its residual block gives that prefix's invariant factors
+    (``prefix_torsion``).  Without prefixes all columns enter at once.
     """
     cols = [dict(c) for c in cols]
     row_occ: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for i in col:
-            row_occ.setdefault(i, set()).add(j)
-
-    unit_queue = [j for j, col in enumerate(cols)
-                  if any(abs(v) == 1 for v in col.values())]
-    eliminated_rows: set[int] = set()
+    pivot_at: dict[int, int] = {}  # pivot row -> its index in pivots
     eliminated_cols: set[int] = set()
     pivots: list[tuple[int, int, dict[int, int]]] = []
+    prefix_torsion: list[list[int] | None] = []
+    done = 0
 
-    while unit_queue:
-        j = unit_queue.pop()
-        if j in eliminated_cols:
-            continue
-        col = cols[j]
-        pivot_row = None
-        for i in sorted(col):
-            if i not in eliminated_rows and abs(col[i]) == 1:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        piv = col[pivot_row]
-        eliminated_rows.add(pivot_row)
-        eliminated_cols.add(j)
-        pivots.append((pivot_row, piv, col))
-        # clear the pivot row from every other column: col_k -= q * col_j
-        for k in list(row_occ.get(pivot_row, ())):
-            if k == j or k in eliminated_cols:
+    for batch, stop in enumerate((*prefixes, len(cols))):
+        unit_queue = []
+        for j in range(done, stop):
+            col = cols[j]
+            if pivots:
+                _substitute_pivots(col, pivots, pivot_at)
+            for i in col:
+                row_occ.setdefault(i, set()).add(j)
+            if any(abs(v) == 1 for v in col.values()):
+                unit_queue.append(j)
+        done = stop
+
+        while unit_queue:
+            j = unit_queue.pop()
+            if j in eliminated_cols:
                 continue
-            other = cols[k]
-            q = other[pivot_row] * piv  # piv in {1,-1}: q = other/piv
-            changed = False
-            for i, v in col.items():
-                if i == pivot_row:
+            col = cols[j]
+            pivot_row = None
+            for i in sorted(col):
+                if i not in pivot_at and abs(col[i]) == 1:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            piv = col[pivot_row]
+            pivot_at[pivot_row] = len(pivots)
+            eliminated_cols.add(j)
+            pivots.append((pivot_row, piv, col))
+            # clear the pivot row from every other column: col_k -= q * col_j
+            for k in list(row_occ.get(pivot_row, ())):
+                if k == j or k in eliminated_cols:
                     continue
-                new = other.get(i, 0) - q * v
-                if new:
-                    other[i] = new
-                    row_occ.setdefault(i, set()).add(k)
-                else:
-                    other.pop(i, None)
-                    occ = row_occ.get(i)
-                    if occ:
-                        occ.discard(k)
-                changed = True
-            del other[pivot_row]
-            row_occ[pivot_row].discard(k)
-            if changed and any(abs(v) == 1 for i, v in other.items()
-                               if i not in eliminated_rows):
-                unit_queue.append(k)
+                other = cols[k]
+                q = other[pivot_row] * piv  # piv in {1,-1}: q = other/piv
+                changed = False
+                for i, v in col.items():
+                    if i == pivot_row:
+                        continue
+                    new = other.get(i, 0) - q * v
+                    if new:
+                        other[i] = new
+                        row_occ.setdefault(i, set()).add(k)
+                    else:
+                        other.pop(i, None)
+                        occ = row_occ.get(i)
+                        if occ:
+                            occ.discard(k)
+                    changed = True
+                del other[pivot_row]
+                row_occ[pivot_row].discard(k)
+                if changed and any(abs(v) == 1 for i, v in other.items()
+                                   if i not in pivot_at):
+                    unit_queue.append(k)
+
+        if batch < len(prefixes):
+            # a prefix of all the columns takes the record's own torsion below
+            prefix_torsion.append(
+                _torsion(_residual_smith(cols, done, eliminated_cols, False)[1])
+                if done < len(cols) else None)
 
     # columns left over never touch a pivot row: each pivot cleared its row
-    # from every column not yet eliminated
-    residual_cols = [j for j in range(len(cols))
-                     if j not in eliminated_cols and cols[j]]
-    residual_rows = sorted({i for j in residual_cols for i in cols[j]})
+    # from every column not yet eliminated, and each later column had the
+    # pivots substituted out on entry
+    residual_rows, res = _residual_smith(cols, len(cols), eliminated_cols, True)
     in_block = set(residual_rows)
-    free_rows = [i for i in range(n)
-                 if i not in eliminated_rows and i not in in_block]
-    rank, torsion, diagonal, left = len(pivots), [], [], []
-    if residual_cols:
-        index = {i: k for k, i in enumerate(residual_rows)}
-        dense = [[0] * len(residual_cols) for _ in residual_rows]
-        for c, j in enumerate(residual_cols):
-            for i, v in cols[j].items():
-                dense[index[i]][c] = v
-        res = smith_normal_form(dense, want_left=True)
+    free_rows = [i for i in range(n) if i not in pivot_at and i not in in_block]
+    rank, torsion, diagonal, left = len(pivots), _torsion(res), [], []
+    if res is not None:
         rank += res.rank
-        torsion = [d for d in res.diagonal if d > 1]
         diagonal, left = res.diagonal, res.left
+    prefix_torsion = [torsion if t is None else t for t in prefix_torsion]
     return SparseElimination(rank, torsion, pivots, free_rows, residual_rows,
-                             diagonal, left)
+                             diagonal, left, prefix_torsion)
 
 
 # ---------------------------------------------------------------------------

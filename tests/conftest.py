@@ -105,3 +105,23 @@ def random_circles_context(rng, spec, d=None):
     if rng.random() < 0.5:
         classes.append(random_class(rng, spec, name="b"))
     return circles_context(table_for(spec, classes, d=d), s)
+
+
+def reference_structure(rs):
+    """quotient_structure from three separate eliminations: the
+    window, and its restrictions to the windows W-1 and W-2."""
+    from daxkernel.quotient import AbelianStructure, restrict_relationset
+    from daxkernel.snf import sparse_rank_and_torsion
+
+    def eliminate(sub):
+        index = {w: i for i, w in enumerate(sub.generators)}
+        cols = [{index[w]: c for w, c in rel.items()} for rel in sub.relations]
+        return sparse_rank_and_torsion(cols, len(sub.generators))
+
+    whole = eliminate(rs)
+    prev = eliminate(restrict_relationset(rs, rs.window - 1)).torsion
+    stable = whole.torsion == prev
+    if rs.window >= 2 and stable:
+        stable = prev == eliminate(restrict_relationset(rs, rs.window - 2)).torsion
+    return AbelianStructure(len(rs.generators) - whole.rank, tuple(whole.torsion),
+                            rs.window, stable)

@@ -90,6 +90,16 @@ def test_duplicate_generators_rejected():
 
 # -- normalization -----------------------------------------------------------
 
+def test_word_is_slotted_and_hashes_once():
+    spec = parse_group_spec("F<x,y>")
+    w = parse_word("x*y^-1*x", spec)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    again = normalize([("x", 1), ("y", -1), ("x", 1)], spec)
+    assert w == again and hash(w) == hash(again) == w._hash
+
+
 def test_free_cancellation():
     spec = parse_group_spec("F<x,y>")
     w = normalize([("x", 1), ("y", 1), ("y", -1), ("x", 1)], spec)

@@ -1,5 +1,7 @@
 """Property-based checks of the core algebraic identities."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,17 @@ from daxkernel.pairing import (
     lambda_word,
     sphere_class,
 )
+from daxkernel.quotient import (
+    PROV_DAX_IMAGE,
+    QuotientSolver,
+    RelationSet,
+    quotient_structure,
+    restrict_relationset,
+    window_generators,
+)
+from daxkernel.snf import sparse_rank_and_torsion
+
+from conftest import reference_structure
 
 SPECS = {text: parse_group_spec(text)
          for text in ("Z<t>", "F<x,y>", "Z/3<u>", "Z<a,b>")}
@@ -352,3 +365,94 @@ def test_lambda_on_ball(text, data):
             assert general == dax_u_general(g, a, ctx)
             if a.embedded:
                 assert dax_u_embedded(g, a, ctx, lam.items()) == general
+
+
+# -- prefix torsions of one shell-ordered elimination ---------------------------
+
+def sympy_torsion(cols, n):
+    """Invariant factors > 1 of the n-row matrix with these sparse columns,
+    from sympy's Smith form."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+    if not cols:
+        return []
+    s = smith_normal_form(Matrix([[col.get(i, 0) for col in cols]
+                                  for i in range(n)]), domain=ZZ)
+    return sorted(abs(s[i, i]) for i in range(min(s.shape)) if abs(s[i, i]) > 1)
+
+
+ENTRY = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6))
+
+
+@st.composite
+def shelled_columns(draw):
+    """Sparse columns over n rows, each row with a length, stably sorted by
+    shell: the largest length in a column's support, 0 for an empty one."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=4),
+                            min_size=n, max_size=n))
+    cols = [{i: v for i, v in enumerate(entries) if v}
+            for entries in draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                         max_size=9))]
+    shells = [max((lengths[i] for i in col), default=0) for col in cols]
+    order = sorted(range(len(cols)), key=shells.__getitem__)
+    return n, [cols[j] for j in order], sorted(shells)
+
+
+@given(shelled_columns())
+@settings(max_examples=300, deadline=None)
+def test_prefix_torsion_matches_fresh_elimination(data):
+    n, cols, shells = data
+    prefixes = [bisect_right(shells, k) for k in range(5)]
+    elim = sparse_rank_and_torsion(cols, n, prefixes=prefixes)
+    whole = sparse_rank_and_torsion(cols, n)
+    assert (elim.rank, elim.torsion) == (whole.rank, whole.torsion)
+    assert len(elim.prefix_torsion) == len(prefixes)
+    for p, torsion in zip(prefixes, elim.prefix_torsion):
+        assert torsion == sparse_rank_and_torsion(cols[:p], n).torsion
+        assert torsion == sympy_torsion(cols[:p], n)
+    # a pivot column has no entries in the rows of earlier pivots: the
+    # coordinate replay relies on it
+    rows = set()
+    for row, sign, col in elim.pivots:
+        assert col[row] == sign and not rows & set(col)
+        rows.add(row)
+
+
+WINDOW_SPECS = [parse_group_spec(t) for t in ("Z<t>", "F<x,y>", "Z<t> x Z/2<u>")]
+
+
+@st.composite
+def window_relation_sets(draw):
+    """Relation sets on a window with torsion, duplicates and negated pairs:
+    each relation has up to three terms no longer than a drawn shell."""
+    spec = draw(st.sampled_from(WINDOW_SPECS))
+    window = draw(st.integers(min_value=1, max_value=3 if spec.generators == ("t",)
+                              else 2))
+    gens = window_generators(spec, window)
+    rels = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if rels and draw(st.integers(min_value=0, max_value=4)) == 0:
+            rels.append(R.gr_scale(draw(st.sampled_from((1, -1))),
+                                   draw(st.sampled_from(rels))))
+            continue
+        shell = draw(st.integers(min_value=1, max_value=window))
+        short = [g for g in gens if word_length(g) <= shell]
+        terms = draw(st.lists(st.tuples(st.sampled_from(short),
+                                        st.integers(min_value=-6, max_value=6)),
+                              max_size=3))
+        rels.append(R.from_terms(spec, terms))
+    return RelationSet(spec, window, gens, tuple(rels), (PROV_DAX_IMAGE,) * len(rels))
+
+
+@given(window_relation_sets())
+@settings(max_examples=200, deadline=None)
+def test_window_torsion_matches_restriction(rs):
+    solver = QuotientSolver(rs)
+    for w in (rs.window - 2, rs.window - 1, rs.window):
+        small = restrict_relationset(rs, w)
+        index = {g: i for i, g in enumerate(small.generators)}
+        cols = [{index[g]: c for g, c in rel.items()} for rel in small.relations]
+        assert list(solver.window_torsion[w]) == sympy_torsion(cols, len(index))
+    assert quotient_structure(rs, solver) == reference_structure(rs)

@@ -1,6 +1,10 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from daxkernel.errors import SceneError, WindowOverflowError
+from daxkernel import cli
+from daxkernel.errors import BallOverflowError, SceneError, WindowOverflowError
 from daxkernel.groups import inv, mul, parse_group_spec, parse_word, word_length
 from daxkernel import ring as R
 from daxkernel.ring import gr_bar_reduce, monomial, parse_ring
@@ -22,9 +26,9 @@ from daxkernel.quotient import (
     restrict_relationset,
     window_generators,
 )
-from daxkernel.scene import preset_expand
+from daxkernel.scene import loads_scene, preset_expand
 
-from conftest import rng_for, table_for
+from conftest import reference_structure, rng_for, table_for
 
 Z = parse_group_spec("Z<t>")
 F2 = parse_group_spec("F<x,y>")
@@ -434,3 +438,60 @@ def test_coords_on_random_relation_sets():
                                  for a, b, d in zip(cv[1], cw[1], torsion))
     # the residual transform is exercised, torsion included
     assert blocks >= 100 and torsion_blocks >= 40, (blocks, torsion_blocks)
+
+
+# -- the stable flag from one elimination ------------------------------------------
+
+def sweep_relation_sets(scene, windows):
+    """Relation sets of a sweep, up to the first window past the ball cap."""
+    for w in windows:
+        try:
+            yield cli.build_relations(scene, w)[0]
+        except BallOverflowError:
+            return
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("disk_d", {}),
+    ("solid_torus_arcs", {}),
+    ("solid_torus_circles", {"k0": 2}),
+    ("solid_torus_circles", {"d": 6, "k0": 3}),
+    ("s1_x_sphere", {"w0": 3}),
+    ("s1_x_sphere", {"d": 4, "w0": 2}),
+    ("aspherical", {"group": "F<x,y>", "mode": "circles", "s": "x"}),
+    ("aspherical", {"group": "Z<t> x Z/2<u>", "mode": "circles", "s": "t*u"}),
+    ("three_mfd", {"group": "Z<a,b>", "mode": "circles", "s": "a",
+                   "phi": "circle"}),
+    ("product_DkY", {"group": "Z<a,b>", "spheres": {"p": "a - b^-1"}}),
+])
+def test_structure_matches_three_eliminations_on_presets(preset, params):
+    sc = preset_expand(preset, params)
+    for rs in sweep_relation_sets(sc, cli.DEFAULT_SWEEP):
+        solver = QuotientSolver(rs)
+        assert quotient_structure(rs, solver) == reference_structure(rs)
+        for w in (rs.window - 2, rs.window - 1):
+            small = restrict_relationset(rs, w)
+            assert solver.window_torsion[w] == reference_structure(small).torsion
+
+
+def bench_scenes():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import corpus
+    return [pytest.param(op, id=f"{workload}/{op.op_id}")
+            for workload in corpus.WORKLOADS for op in corpus.build(workload, 0)]
+
+
+@pytest.mark.parametrize("op", bench_scenes())
+def test_structure_matches_three_eliminations_on_bench_scenes(op):
+    sc = loads_scene(op.scene_text)
+    if op.window is not None:
+        windows = [op.window]
+    else:
+        windows = [sc.window] if sc.window else cli.DEFAULT_SWEEP
+    for rs in sweep_relation_sets(sc, windows):
+        assert quotient_structure(rs) == reference_structure(rs)
+        if op.command == "concordance":
+            folded = concordance_quotient(rs)
+            assert quotient_structure(folded) == reference_structure(folded)

@@ -512,14 +512,64 @@ def test_cli_bad_preset_parameter_exit_code(capsys, preset, params, key):
     assert f"parameter {key!r} must be" in capsys.readouterr().err
 
 
-def test_cli_entry_point_runs():
-    # the child interpreter imports the same package copy as this one
+def run_child(*args):
+    """Run a child interpreter that imports the same package copy as this one."""
     src = str(Path(daxkernel.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "daxkernel.cli", "target", "--preset", "disk_d"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_cli_entry_point_runs():
+    proc = run_child("-m", "daxkernel.cli", "target", "--preset", "disk_d")
     assert proc.returncode == 0
     assert "free rank 0" in proc.stdout
+
+
+def test_cli_module_run_prints_no_warning():
+    proc = run_child("-m", "daxkernel.cli", "target", "--preset",
+                     "solid_torus_circles", "--param", "k0=2", "--window", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "free rank 4, torsion none" in proc.stdout
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    proc = run_child("-c", "import sys, daxkernel;"
+                     " print(sorted({'argparse', 'fractions', 'daxkernel.cli'}"
+                     " & set(sys.modules)));"
+                     " from daxkernel import run_scene; print(run_scene.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "daxkernel.cli"]
+    with pytest.raises(AttributeError):
+        daxkernel.no_such_name
+
+
+@pytest.mark.parametrize("params", [
+    ["group=1"],
+    ["group=Z<t>", "mode=circles", "s=1", "u=1"],
+    ["group=Z<t>", "mode=circles", "s=t", "u=1", "d=5"],
+])
+def test_cli_trivial_spellings_stay_strings(capsys, params):
+    argv = ["target", "--preset", "aspherical", "--window", "2", "--json"]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 0
+    scene = json.loads(capsys.readouterr().out)["scene"]
+    assert scene["group"] == params[0].split("=")[1] and scene["u"] == "1"
+
+
+def test_cli_preset_parameter_types():
+    from daxkernel.scene import coerce_param
+    assert coerce_param("w0", "3") == 3
+    assert coerce_param("w0", "true") == "true"  # rejected by preset_expand
+    assert coerce_param("group", "1") == "1"
+    assert coerce_param("whisker", '{"t": "1"}') == {"t": "1"}
+    assert coerce_param("spheres", "x") == "x"
+    with pytest.raises(SceneError, match="'spheres' is not valid JSON"):
+        coerce_param("spheres", "[{")
+    # the preset itself still rejects a value of the wrong type
+    with pytest.raises(SceneError, match="parameter 'group' must be a string"):
+        preset_expand("aspherical", {"group": 1})
