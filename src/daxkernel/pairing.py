@@ -124,7 +124,7 @@ def _relators(spec: GroupSpec) -> list[tuple[str, list[tuple[str, int]]]]:
 
 def _check_row_consistency(spec: GroupSpec, a: SphereClass):
     for label, letters in _relators(spec):
-        val = _lambda_raw(spec, a, letters)
+        val = lambda_letters(spec, a, letters)
         if not val.is_zero:
             raise PairingDataError(
                 f"class {a.name!r}: pairing rows violate the derivation rule on"
@@ -151,7 +151,8 @@ def _lambda_letter(spec: GroupSpec, a: SphereClass, gen: str, exp: int) -> RingE
     return R.gr_neg(R.right_mul(pos, power))
 
 
-def _lambda_raw(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
+def lambda_letters(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
+    """Derivation-rule evaluation on a raw letter sequence (need not be reduced)."""
     # lambda(a, l1 l2 ... ln) = sum_i lambda(a, li) * bar(l1 ... l(i-1))
     acc: dict = {}
     prefix = spec.identity()
@@ -166,16 +167,11 @@ def _lambda_raw(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
     return R.from_terms(spec, acc)
 
 
-def lambda_letters(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
-    """Derivation-rule evaluation on a raw letter sequence (need not be reduced)."""
-    return _lambda_raw(spec, a, letters)
-
-
 def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     """lambda(a, k) for a group element k, derived from the stored rows."""
     if k.spec != table.spec:
         raise SpecMismatchError("word over a different spec")
-    return _lambda_raw(table.spec, a, k.letters)
+    return lambda_letters(table.spec, a, k.letters)
 
 
 def lambda_on_ball(table: PairingTable, a: SphereClass,

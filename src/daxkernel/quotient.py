@@ -152,9 +152,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
         if whisker:
             # validate against the sphere and boundary relations only: the
             # whisker values themselves are the data under scrutiny
-            base_rs = RelationSet(spec, window, gens, tuple(kept), tuple(prov),
-                                  tuple(dropped))
-            _validate_whisker_action(ctx, whisker, base_rs)
+            _validate_whisker_action(ctx, whisker, gens, kept)
         for b in sorted(whisker, key=word_key):
             _classify(kept, prov, seen, dropped, gens_set, whisker[b],
                       PROV_WHISKER, True)
@@ -238,13 +236,14 @@ def _is_power_of(b: Word, s: Word) -> bool:
 
 
 def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
-                             base_rs: RelationSet):
+                             gens: tuple[Word, ...], base: list[RingElem]):
     """Reject whisker tables that cannot come from a centralizer action.
 
     Powers of the circle class drag a point around itself, so their values
     vanish identically.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1 + w(b1)
     is checked on key pairs whose product is again a key, modulo the sphere
-    and boundary relations (the action lives on that quotient).
+    and boundary relations ``base`` on the window ``gens`` (the action lives
+    on that quotient).
     """
     for b, val in whisker.items():
         if _is_power_of(b, ctx.s_class) and not val.is_zero:
@@ -252,14 +251,18 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
                 f"whisker value of {render_word(b)} must vanish: it is a power"
                 " of the circle class")
 
-    solver = QuotientSolver(base_rs)
+    index = {w: i for i, w in enumerate(gens)}
+    basis = None
 
     def is_trivial(val: RingElem) -> bool:
+        nonlocal basis
         if val.is_zero:
             return True
-        if any(w not in solver.index for w in val.support()):
+        if any(w not in index for w in val.support()):
             return False
-        return solver.is_relation(val)
+        if basis is None:  # most tables have no nonzero law value to check
+            basis = snf.hermite_row_basis([column(index, rel) for rel in base])
+        return not snf.reduce_mod_rows(column(index, val), basis)
 
     keys = list(whisker)
     for b1 in keys:
@@ -278,14 +281,29 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
 # quotient structure
 # ---------------------------------------------------------------------------
 
+def column(index: dict[Word, int], elem: RingElem) -> dict[int, int]:
+    """elem as a sparse vector: generator index -> coefficient."""
+    col = {}
+    for w, c in elem.items():
+        if w.is_identity:
+            raise SceneError("values must be reduced (no identity term)")
+        try:
+            col[index[w]] = c
+        except KeyError:
+            raise WindowOverflowError(
+                f"value {elem} not supported on the window", str(elem)) from None
+    return col
+
+
 class QuotientSolver:
     """Coordinates and canonical residues for one windowed quotient.
 
-    One sparse elimination (unit pivots by substitution, dense Smith form on
-    the small residual block) gives the free rank, the invariant factors and
-    the coordinates, and on the way the invariant factors of the two
+    One sparse elimination (unit pivots by substitution, a Smith form of the
+    small residual block) gives the free rank, the invariant factors and the
+    coordinates, and on the way the invariant factors of the two
     next-smaller windows.  The Hermite basis behind canonical residues is
-    dense and computed lazily on first use.
+    computed lazily on first use.  Coordinates and residues both reduce the
+    value's column by a list of pivots.
     """
 
     def __init__(self, rs: RelationSet):
@@ -299,15 +317,15 @@ class QuotientSolver:
         seen = set()
         shelled = []
         for rel in rs.relations:
-            terms = tuple((self.index[w], c) for w, c in rel.items())
-            key = terms
-            if terms and terms[0][1] < 0:
-                key = tuple((i, -c) for i, c in terms)
+            col = column(self.index, rel)
+            key = tuple(col.items())
+            if key and key[0][1] < 0:
+                key = tuple((i, -c) for i, c in key)
             if key in seen:
                 continue
             seen.add(key)
-            shell = word_length(rel.terms[-1][0]) if terms else 0
-            shelled.append((shell, dict(terms)))
+            shell = word_length(rel.terms[-1][0]) if col else 0
+            shelled.append((shell, col))
         # stably sorted by shell, the columns of a smaller window W' are a
         # prefix: exactly the relations supported on the ball of radius W'
         shelled.sort(key=lambda sc: sc[0])
@@ -327,24 +345,14 @@ class QuotientSolver:
     def _hnf(self):
         if self._hnf_rows is None:
             self._hnf_rows = snf.hermite_row_basis(
-                [self.vector(rel) for rel in self.rs.relations])
+                [column(self.index, rel) for rel in self.rs.relations])
         return self._hnf_rows
 
-    def vector(self, elem: RingElem) -> list[int]:
-        v = [0] * len(self.generators)
-        for w, c in elem.items():
-            if w.is_identity:
-                raise SceneError("values must be reduced (no identity term)")
-            try:
-                v[self.index[w]] = c
-            except KeyError:
-                raise WindowOverflowError(
-                    f"value {elem} not supported on the window", str(elem)) from None
-        return v
-
-    def elem(self, vec) -> RingElem:
-        return R.from_terms(self.rs.spec,
-                            [(w, c) for w, c in zip(self.generators, vec) if c])
+    def elem(self, pairs) -> RingElem:
+        """The ring element with coefficient c at generator i, for each
+        (i, c) of ``pairs``."""
+        gens = self.generators
+        return R.from_terms(self.rs.spec, [(gens[i], c) for i, c in pairs])
 
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion coordinates) of the class of elem.
@@ -355,18 +363,11 @@ class QuotientSolver:
         [0, d).  The basis is the one the sparse elimination picks.
         """
         elim = self._elim
-        v = self.vector(elem)
-        # substitute each pivot row away; a pivot column's own entry is its
-        # sign, so the pivot row itself ends at zero
-        for p, sign, col in elim.pivots:
-            x = v[p]
-            if x:
-                x *= sign
-                for i, c in col.items():
-                    v[i] -= x * c
-        free = [v[i] for i in elim.free_rows]
+        # substitute every pivot row away
+        v = snf._reduce(column(self.index, elem), elim.pivots, elim.pivot_at)
+        free = [v.get(i, 0) for i in elim.free_rows]
         tors = []
-        block = [v[i] for i in elim.residual_rows]
+        block = [v.get(i, 0) for i in elim.residual_rows]
         diagonal = elim.residual_diagonal
         for i, row in enumerate(elim.residual_left):
             d = diagonal[i] if i < len(diagonal) else 0
@@ -380,10 +381,8 @@ class QuotientSolver:
         return tuple(free), tuple(tors)
 
     def canonical_residue(self, elem: RingElem) -> RingElem:
-        return self.elem(snf.reduce_mod_rows(self.vector(elem), self._hnf))
-
-    def is_relation(self, elem: RingElem) -> bool:
-        return all(x == 0 for x in snf.reduce_mod_rows(self.vector(elem), self._hnf))
+        return self.elem(snf.reduce_mod_rows(column(self.index, elem),
+                                             self._hnf).items())
 
     def structure(self, stable: bool, window: int | None = None) -> AbelianStructure:
         return AbelianStructure(self.free_rank, self.torsion,
@@ -488,7 +487,13 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
                 seen_moves.add(move[0])
                 moves.append(move)
 
-    start = tuple(snf.reduce_mod_rows(solver.vector(value), solver._hnf))
+    def state(elem: RingElem) -> tuple[tuple[int, int], ...]:
+        # the residue's (index, coefficient) pairs: the least state is the
+        # earliest-supported, smallest-coefficient one, and zero comes first
+        residue = snf.reduce_mod_rows(column(solver.index, elem), solver._hnf)
+        return tuple(sorted(residue.items()))
+
+    start = state(value)
     visited = {start}
     queue = deque([start])
     complete = True
@@ -503,15 +508,9 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
             if any(w not in solver.index for w in moved.support()):
                 complete = False
                 continue
-            key = tuple(snf.reduce_mod_rows(solver.vector(moved), solver._hnf))
+            key = state(moved)
             if key not in visited:
                 visited.add(key)
                 queue.append(key)
 
-    def term_order(vec):
-        # earliest-supported, smallest-coefficient representative; the zero
-        # vector sorts first
-        return tuple((i, c) for i, c in enumerate(vec) if c)
-
-    rep = min(visited, key=term_order)
-    return OrbitResult(solver.elem(rep), complete, len(visited))
+    return OrbitResult(solver.elem(min(visited)), complete, len(visited))

@@ -2,8 +2,10 @@
 
 Smith normal form over arbitrary-precision integers with a deterministic
 minimal-pivot strategy (keeps coefficient growth down), optional unimodular
-transforms, a Hermite-style canonical basis of a row span, and an integer
-linear solver with infeasibility certificates.
+transforms, a sparse elimination, a Hermite-style canonical basis of a row
+span, and an integer linear solver with infeasibility certificates.  Sparse
+vectors are dicts from index to nonzero entry; one routine reduces them by a
+list of pivots, for the elimination and the Hermite basis alike.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ class SparseElimination:
 
     rank: int
     torsion: list[int]            # invariant factors > 1
-    # (pivot row, sign, frozen column) in elimination order; a pivot column
-    # has no entries in earlier pivot rows
-    pivots: list[tuple[int, int, dict[int, int]]]
+    # (pivot row, frozen column) in elimination order; the column's entry in
+    # its pivot row is 1 or -1, and it has no entries in earlier pivot rows
+    pivots: list[tuple[int, dict[int, int]]]
+    pivot_at: dict[int, int]      # pivot row -> its index in pivots
     free_rows: list[int]          # uneliminated rows outside the residual block
     residual_rows: list[int]
     residual_diagonal: list[int]  # Smith diagonal of the residual block
@@ -178,34 +181,37 @@ class SparseElimination:
     prefix_torsion: list[list[int]] = field(default_factory=list)
 
 
-def _substitute_pivots(col: dict[int, int], pivots, pivot_at: dict[int, int]):
-    """Substitute the pivots found so far out of a new column, in pivot order.
+def _reduce(v: dict[int, int], pivots, at: dict[int, int]) -> dict[int, int]:
+    """Reduce the sparse vector ``v`` in place by the pivots, in pivot order.
 
-    Pivot k's column has no entries in the rows of earlier pivots, so the
-    pivots to apply come off a heap of pivot indices, each at most once.
+    ``pivots`` lists (position, vector) pairs and ``at`` maps each pivot
+    position to its index in that list.  Pivot k subtracts q * vector with
+    q = v[position] // vector[position]: a unit pivot clears the entry, a
+    larger one leaves it in [0, pivot).  No pivot's vector has entries at the
+    positions of earlier pivots, so the pivots to apply come off a heap of
+    pivot indices, each at most once.  Vectors hold no zero entries.
     """
-    heap = [pivot_at[i] for i in col if i in pivot_at]
+    heap = [at[i] for i in v if i in at]
     heapq.heapify(heap)
     while heap:
-        row, sign, pcol = pivots[heapq.heappop(heap)]
-        x = col.pop(row, 0) * sign
-        if not x:
+        pos, vec = pivots[heapq.heappop(heap)]
+        q = v.get(pos, 0) // vec[pos]
+        if not q:
             continue
-        for i, c in pcol.items():
-            if i == row:
-                continue
-            new = col.get(i, 0) - x * c
+        for i, c in vec.items():
+            new = v.get(i, 0) - q * c
             if not new:
-                del col[i]
+                del v[i]
                 continue
-            if i not in col and i in pivot_at:
-                heapq.heappush(heap, pivot_at[i])
-            col[i] = new
+            if i not in v and i in at:
+                heapq.heappush(heap, at[i])
+            v[i] = new
+    return v
 
 
 def _residual_smith(cols, done: int, eliminated_cols, want_left: bool):
     """Residual columns and rows among the first ``done`` columns, and the
-    dense Smith form of that block (None when it is empty)."""
+    Smith form of that block (None when it is empty)."""
     residual_cols = [j for j in range(done)
                      if j not in eliminated_cols and cols[j]]
     residual_rows = sorted({i for j in residual_cols for i in cols[j]})
@@ -229,7 +235,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
 
     Unit entries are eliminated by substitution first (unimodular, no
     coefficient growth, invariant factor 1 each); the usually tiny residual
-    block goes through the dense Smith form with its left transform.  Exact,
+    block goes through ``smith_normal_form`` with its left transform.  Exact,
     and fast on the two-term unit-coefficient matrices produced by folding
     relations.  The record gives the rank, the invariant factors > 1 and
     enough of the transform to map vectors to quotient coordinates.
@@ -245,7 +251,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
     row_occ: dict[int, set[int]] = {}
     pivot_at: dict[int, int] = {}  # pivot row -> its index in pivots
     eliminated_cols: set[int] = set()
-    pivots: list[tuple[int, int, dict[int, int]]] = []
+    pivots: list[tuple[int, dict[int, int]]] = []
     prefix_torsion: list[list[int] | None] = []
     done = 0
 
@@ -254,7 +260,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
         for j in range(done, stop):
             col = cols[j]
             if pivots:
-                _substitute_pivots(col, pivots, pivot_at)
+                _reduce(col, pivots, pivot_at)
             for i in col:
                 row_occ.setdefault(i, set()).add(j)
             if any(abs(v) == 1 for v in col.values()):
@@ -276,7 +282,7 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
             piv = col[pivot_row]
             pivot_at[pivot_row] = len(pivots)
             eliminated_cols.add(j)
-            pivots.append((pivot_row, piv, col))
+            pivots.append((pivot_row, col))
             # clear the pivot row from every other column: col_k -= q * col_j
             for k in list(row_occ.get(pivot_row, ())):
                 if k == j or k in eliminated_cols:
@@ -320,69 +326,63 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
         rank += res.rank
         diagonal, left = res.diagonal, res.left
     prefix_torsion = [torsion if t is None else t for t in prefix_torsion]
-    return SparseElimination(rank, torsion, pivots, free_rows, residual_rows,
-                             diagonal, left, prefix_torsion)
+    return SparseElimination(rank, torsion, pivots, pivot_at, free_rows,
+                             residual_rows, diagonal, left, prefix_torsion)
 
 
 # ---------------------------------------------------------------------------
 # row-span canonical form and residues
 # ---------------------------------------------------------------------------
 
-def hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
+def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
+    """x*a + y*b for sparse vectors, without zero entries."""
+    out = {i: x * c for i, c in a.items()}
+    for i, c in b.items():
+        out[i] = out.get(i, 0) + y * c
+    return {i: c for i, c in out.items() if c}
+
+
+def hermite_row_basis(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """Canonical basis of the integer row span (row-style Hermite form).
 
-    Pivots positive, in strictly increasing column order; entries above a
-    pivot reduced into [0, pivot).  Two matrices have equal row spans iff
-    their bases are equal.
+    Rows are sparse: dicts from column to entry.  The basis lists (pivot
+    column, row) pairs in strictly increasing pivot order; pivots are
+    positive and the entries above a pivot are reduced into [0, pivot).  Two
+    matrices have equal row spans iff their bases are equal.
     """
-    if not rows:
-        return []
-    m = len(rows[0])
-    pivot_row: dict[int, list[int]] = {}
+    pivot_row: dict[int, dict[int, int]] = {}
     for r in rows:
-        v = list(r)
-        for j in range(m):
-            if not v[j]:
-                continue
-            if j not in pivot_row:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                pivot_row[j] = v
+        v = {j: c for j, c in r.items() if c}
+        while v:
+            j = min(v)
+            p = pivot_row.get(j)
+            if p is None:
+                pivot_row[j] = v if v[j] > 0 else {i: -c for i, c in v.items()}
                 break
-            p = pivot_row[j]
             if v[j] % p[j] == 0:
-                q = v[j] // p[j]
-                v = [a - q * b for a, b in zip(v, p)]
+                v = _combine(1, v, -(v[j] // p[j]), p)
             else:
                 g, x, y = xgcd(p[j], v[j])
-                combo = [x * a + y * b for a, b in zip(p, v)]
-                qp, qv = p[j] // g, v[j] // g
-                new_v = [qp * b - qv * a for a, b in zip(p, v)]
-                pivot_row[j] = combo
-                v = new_v
+                pivot_row[j], v = (_combine(x, p, y, v),
+                                   _combine(p[j] // g, v, -(v[j] // g), p))
         # fully reduced vectors vanish
-    basis = [pivot_row[j] for j in sorted(pivot_row)]
-    # normalize entries above each pivot; increasing pivot order so that the
-    # columns a reduction disturbs are themselves normalized later
-    for idx in range(1, len(basis)):
-        row = basis[idx]
-        j = next(k for k, x in enumerate(row) if x)
-        for above in range(idx):
-            q = basis[above][j] // row[j]
-            if q:
-                basis[above] = [a - q * b for a, b in zip(basis[above], row)]
+    basis = sorted(pivot_row.items())
+    at = {j: k for k, (j, _) in enumerate(basis)}
+    # entries above each pivot: every row is reduced by the rows below it,
+    # in increasing pivot order, leaving its own pivot aside
+    for j, row in basis:
+        lead = row.pop(j)
+        _reduce(row, basis, at)
+        row[j] = lead
     return basis
 
 
-def reduce_mod_rows(vec: list[int], basis: list[list[int]]) -> list[int]:
-    """Canonical coset representative of vec modulo the span of the basis."""
-    v = list(vec)
-    for row in basis:
-        j = next(k for k, x in enumerate(row) if x)
-        q = v[j] // row[j]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
+def reduce_mod_rows(vec: dict[int, int],
+                    basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """Canonical coset representative of the sparse vector ``vec`` modulo
+    the span of a ``hermite_row_basis``; zero entries are dropped."""
+    return _reduce({i: c for i, c in vec.items() if c}, basis,
+                   {j: k for k, (j, _) in enumerate(basis)})
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,13 @@ def dax_of_knot(k: KnotRecord, rs: RelationSet,
     """
     solver = solver or QuotientSolver(rs)
     value = eval_dax_trace(k.trace, rs.spec)
-    residue = solver.canonical_residue(value)
-    complete, size = True, 1
     if action is not None and action.centralizer:
         orbit = centralizer_orbit_reduce(value, rs, action.centralizer,
                                          dict(action.whisker), action.s_class,
                                          solver=solver)
-        residue = orbit.representative
-        complete, size = orbit.complete, orbit.size
+        residue, complete, size = orbit.representative, orbit.complete, orbit.size
+    else:
+        residue, complete, size = solver.canonical_residue(value), True, 1
     free, tors = solver.coords(residue)
     return KnotDax(k.name, value, residue, free, tors, complete, size)
 

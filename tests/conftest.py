@@ -125,3 +125,154 @@ def reference_structure(rs):
         stable = prev == eliminate(restrict_relationset(rs, rs.window - 2)).torsion
     return AbelianStructure(len(rs.generators) - whole.rank, tuple(whole.torsion),
                             rs.window, stable)
+
+
+# -- sparse vectors and the dense Hermite reference ------------------------------------
+
+def sparse(row):
+    """A dense integer row as a dict from column to nonzero entry."""
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def dense(vec, m):
+    """A sparse vector (dict from column to entry) as a dense row of length m."""
+    row = [0] * m
+    for j, c in vec.items():
+        row[j] = c
+    return row
+
+
+def dense_hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Canonical basis of the integer row span (row-style Hermite form).
+
+    Pivots positive, in strictly increasing column order; entries above a
+    pivot reduced into [0, pivot).  Two matrices have equal row spans iff
+    their bases are equal.
+    """
+    from daxkernel.snf import xgcd
+
+    if not rows:
+        return []
+    m = len(rows[0])
+    pivot_row: dict[int, list[int]] = {}
+    for r in rows:
+        v = list(r)
+        for j in range(m):
+            if not v[j]:
+                continue
+            if j not in pivot_row:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                pivot_row[j] = v
+                break
+            p = pivot_row[j]
+            if v[j] % p[j] == 0:
+                q = v[j] // p[j]
+                v = [a - q * b for a, b in zip(v, p)]
+            else:
+                g, x, y = xgcd(p[j], v[j])
+                combo = [x * a + y * b for a, b in zip(p, v)]
+                qp, qv = p[j] // g, v[j] // g
+                new_v = [qp * b - qv * a for a, b in zip(p, v)]
+                pivot_row[j] = combo
+                v = new_v
+        # fully reduced vectors vanish
+    basis = [pivot_row[j] for j in sorted(pivot_row)]
+    # normalize entries above each pivot; increasing pivot order so that the
+    # columns a reduction disturbs are themselves normalized later
+    for idx in range(1, len(basis)):
+        row = basis[idx]
+        j = next(k for k, x in enumerate(row) if x)
+        for above in range(idx):
+            q = basis[above][j] // row[j]
+            if q:
+                basis[above] = [a - q * b for a, b in zip(basis[above], row)]
+    return basis
+
+
+def dense_reduce_mod_rows(vec: list[int], basis: list[list[int]]) -> list[int]:
+    """Canonical coset representative of vec modulo the span of the basis."""
+    v = list(vec)
+    for row in basis:
+        j = next(k for k, x in enumerate(row) if x)
+        q = v[j] // row[j]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def dense_coords(elim, vec):
+    """(free, torsion) coordinates of a dense vector from a SparseElimination
+    record, replaying every pivot on the whole vector in pivot order."""
+    v = list(vec)
+    for p, col in elim.pivots:
+        x = v[p]
+        if x:
+            x *= col[p]
+            for i, c in col.items():
+                v[i] -= x * c
+    free = [v[i] for i in elim.free_rows]
+    tors = []
+    block = [v[i] for i in elim.residual_rows]
+    diagonal = elim.residual_diagonal
+    for i, row in enumerate(elim.residual_left):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if d == 1:
+            continue
+        y = sum(a * b for a, b in zip(row, block))
+        if d == 0:
+            free.append(y)
+        else:
+            tors.append(y % d)
+    return tuple(free), tuple(tors)
+
+
+def dense_orbit(value, rs, centralizer, whisker):
+    """(representative, complete, size) of the centralizer orbit of value,
+    searched over dense residue vectors of the dense Hermite basis; the
+    representative is the least state by its nonzero (index, coefficient)
+    pairs."""
+    from collections import deque
+
+    from daxkernel.quotient import column
+
+    index = {w: i for i, w in enumerate(rs.generators)}
+    n = len(rs.generators)
+    basis = dense_hermite_row_basis([dense(column(index, r), n) for r in rs.relations])
+
+    def state(elem):
+        return tuple(dense_reduce_mod_rows(dense(column(index, elem), n), basis))
+
+    def elem(vec):
+        return R.from_terms(rs.spec, [(w, c) for w, c in zip(rs.generators, vec) if c])
+
+    moves, seen_moves = [], set()
+    for b in centralizer:
+        w_b = R.gr_bar_reduce(whisker.get(b, R.zero(rs.spec)))
+        bi = inv(b)
+        w_bi = whisker.get(bi)
+        w_bi = (R.gr_neg(R.gr_conj(bi, w_b)) if w_bi is None
+                else R.gr_bar_reduce(w_bi))
+        for move in ((b, w_b), (bi, w_bi)):
+            if move[0] not in seen_moves:
+                seen_moves.add(move[0])
+                moves.append(move)
+
+    start = state(value)
+    visited, queue, complete = {start}, deque([start]), True
+    while queue:
+        if len(visited) > 4096:
+            complete = False
+            break
+        r = elem(queue.popleft())
+        for b, w_b in moves:
+            moved = R.gr_add(R.gr_conj(b, r), w_b)
+            if any(w not in index for w in moved.support()):
+                complete = False
+                continue
+            key = state(moved)
+            if key not in visited:
+                visited.add(key)
+                queue.append(key)
+    rep = min(visited, key=lambda vec: tuple((i, c) for i, c in enumerate(vec) if c))
+    return elem(rep), complete, len(visited)

@@ -7,9 +7,16 @@ import pytest
 from daxkernel.groups import inv, parse_group_spec, parse_word
 from daxkernel import ring as R
 from daxkernel.ring import gr_bar_reduce, monomial
-from daxkernel.quotient import QuotientSolver, build_rel_circles, quotient_structure
+from daxkernel.quotient import (
+    QuotientSolver,
+    build_rel_circles,
+    column,
+    quotient_structure,
+)
 from daxkernel.scene import preset_expand
 from daxkernel.cli import run_scene
+
+from conftest import dense
 
 GOLDEN_SOLID_TORUS = {
     "command": "target",
@@ -85,7 +92,9 @@ def test_aspherical_circles_matches_direct_boundary_family(group, s, d, window):
     assert set(rs.relations) == direct
 
     st = quotient_structure(rs)
-    free, torsion = sympy_structure([solver.vector(r) for r in direct],
+    free, torsion = sympy_structure([dense(column(solver.index, r),
+                                           len(solver.generators))
+                                     for r in direct],
                                     len(rs.generators))
     assert (st.free_rank, list(st.torsion)) == (free, torsion)
 

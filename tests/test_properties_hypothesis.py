@@ -3,7 +3,7 @@
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from daxkernel.calculus import (
     DaxContext,
@@ -48,9 +48,16 @@ from daxkernel.quotient import (
     restrict_relationset,
     window_generators,
 )
-from daxkernel.snf import sparse_rank_and_torsion
+from daxkernel.snf import hermite_row_basis, reduce_mod_rows, sparse_rank_and_torsion
 
-from conftest import reference_structure
+from conftest import (
+    dense,
+    dense_coords,
+    dense_hermite_row_basis,
+    dense_reduce_mod_rows,
+    reference_structure,
+    sparse,
+)
 
 SPECS = {text: parse_group_spec(text)
          for text in ("Z<t>", "F<x,y>", "Z/3<u>", "Z<a,b>")}
@@ -415,8 +422,8 @@ def test_prefix_torsion_matches_fresh_elimination(data):
     # a pivot column has no entries in the rows of earlier pivots: the
     # coordinate replay relies on it
     rows = set()
-    for row, sign, col in elim.pivots:
-        assert col[row] == sign and not rows & set(col)
+    for row, col in elim.pivots:
+        assert abs(col[row]) == 1 and not rows & set(col)
         rows.add(row)
 
 
@@ -456,3 +463,40 @@ def test_window_torsion_matches_restriction(rs):
         cols = [{index[g]: c for g, c in rel.items()} for rel in small.relations]
         assert list(solver.window_torsion[w]) == sympy_torsion(cols, len(index))
     assert quotient_structure(rs, solver) == reference_structure(rs)
+
+
+# -- one sparse pivot reduction: Hermite bases, residues and coordinates -----------
+
+Z_WINDOW = window_generators(SPECS["Z<t>"], 4)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """An integer matrix with m columns and entries -6..6 (zero rows and no
+    rows at all included), and vectors to reduce by it."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(ENTRY, min_size=m, max_size=m)
+    return m, draw(st.lists(row, max_size=8)), draw(st.lists(row, min_size=1, max_size=4))
+
+
+@given(matrices_and_vectors())
+@example((3, [], [[1, -2, 3]]))
+@example((2, [[0, 0], [2, 0], [0, 0], [4, 6]], [[5, 5], [-1, 7]]))
+@settings(max_examples=300, deadline=None)
+def test_sparse_pivot_reduction_matches_dense_reference(data):
+    m, rows, vectors = data
+    basis = hermite_row_basis([sparse(r) for r in rows])
+    reference = dense_hermite_row_basis(rows)
+    assert [dense(row, m) for _, row in basis] == reference
+    assert all(min(row) == j and row[j] > 0 for j, row in basis)
+    # the rows as relations over Z<t>: residues and coordinates of the solver
+    gens = Z_WINDOW[:m]
+    rels = tuple(R.from_terms(Z_WINDOW[0].spec, zip(gens, r)) for r in rows)
+    solver = QuotientSolver(RelationSet(Z_WINDOW[0].spec, 4, gens, rels,
+                                        (PROV_DAX_IMAGE,) * len(rels)))
+    for v in vectors:
+        residue = dense_reduce_mod_rows(v, reference)
+        assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
+        elem = solver.elem(enumerate(v))
+        assert solver.canonical_residue(elem) == solver.elem(enumerate(residue))
+        assert solver.coords(elem) == dense_coords(solver._elim, v)

@@ -21,6 +21,7 @@ from daxkernel.quotient import (
     build_rel_arcs,
     build_rel_circles,
     centralizer_orbit_reduce,
+    column,
     concordance_quotient,
     quotient_structure,
     restrict_relationset,
@@ -28,7 +29,16 @@ from daxkernel.quotient import (
 )
 from daxkernel.scene import loads_scene, preset_expand
 
-from conftest import reference_structure, rng_for, table_for
+from conftest import (
+    dense,
+    dense_hermite_row_basis,
+    dense_orbit,
+    dense_reduce_mod_rows,
+    reference_structure,
+    rng_for,
+    sparse,
+    table_for,
+)
 
 Z = parse_group_spec("Z<t>")
 F2 = parse_group_spec("F<x,y>")
@@ -50,7 +60,8 @@ def sympy_structure(rows, n_gens):
 
 def structure_via_oracle(rs):
     solver = QuotientSolver(rs)
-    rows = [solver.vector(rel) for rel in rs.relations]
+    rows = [dense(column(solver.index, rel), len(rs.generators))
+            for rel in rs.relations]
     return sympy_structure(rows, len(rs.generators))
 
 
@@ -352,19 +363,23 @@ def test_orbit_free_group_matches_brute_force():
                                    F2.identity())
     # brute force: conjugates of y by powers of x that stay inside the window
     gens_set = set(rs.generators)
+
+    def vector(elem):
+        return dense(column(solver.index, elem), len(rs.generators))
+
     reps = set()
     for n in range(-3, 4):
         w = mul(mul(parse_word(f"x^{n}", F2) if n else F2.identity(), y),
                 inv(parse_word(f"x^{n}", F2) if n else F2.identity()))
         if w in gens_set:
-            reps.add(tuple(solver.vector(solver.canonical_residue(monomial(w)))))
+            reps.add(tuple(vector(solver.canonical_residue(monomial(w)))))
     assert not res.complete  # the true orbit leaves any finite window
     assert res.size == len(reps)
 
     def term_order(vec):
         return tuple((i, c) for i, c in enumerate(vec) if c)
 
-    assert tuple(solver.vector(res.representative)) == min(reps, key=term_order)
+    assert tuple(vector(res.representative)) == min(reps, key=term_order)
 
 
 def test_orbit_requires_centralizing_elements():
@@ -406,12 +421,12 @@ def test_coords_on_random_relation_sets():
                                             (PROV_DAX_IMAGE,) * m))
         blocks += bool(solver._elim.residual_rows)
         torsion_blocks += bool(solver.torsion)
-        hnf = hermite_row_basis(rows)
+        hnf = hermite_row_basis([sparse(row) for row in rows])
         torsion = solver.torsion
         zero = ((0,) * solver.free_rank, (0,) * len(torsion))
 
         def coords(vec):
-            free, tors = solver.coords(solver.elem(vec))
+            free, tors = solver.coords(solver.elem(enumerate(vec)))
             assert len(free) == solver.free_rank
             assert len(tors) == len(torsion)
             assert all(0 <= c < d for c, d in zip(tors, torsion))
@@ -430,7 +445,8 @@ def test_coords_on_random_relation_sets():
             else:
                 w = [rng.randint(-6, 6) for _ in range(n)]
             cv, cw = coords(v), coords(w)
-            same_class = reduce_mod_rows(v, hnf) == reduce_mod_rows(w, hnf)
+            same_class = (reduce_mod_rows(sparse(v), hnf)
+                          == reduce_mod_rows(sparse(w), hnf))
             assert (cv == cw) == same_class
             free, tors = coords([a + b for a, b in zip(v, w)])
             assert free == tuple(a + b for a, b in zip(cv[0], cw[0]))
@@ -495,3 +511,43 @@ def test_structure_matches_three_eliminations_on_bench_scenes(op):
         if op.command == "concordance":
             folded = concordance_quotient(rs)
             assert quotient_structure(folded) == reference_structure(folded)
+
+
+@pytest.mark.parametrize("op", bench_scenes())
+def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
+    """The sparse Hermite basis, the canonical residues of the knot values
+    and their orbit representatives equal those of the dense reference."""
+    from daxkernel.traces import eval_dax_trace
+    sc = loads_scene(op.scene_text)
+    if op.window is not None:
+        windows = [op.window]
+    else:
+        windows = [sc.window] if sc.window else cli.DEFAULT_SWEEP
+    values = [eval_dax_trace(k.trace, sc.group) for k in sc.knots]
+    if op.extra_value is not None:
+        values.append(parse_ring(op.extra_value, sc.group))
+    for w in windows:
+        try:
+            rs, action = cli.build_relations(sc, w)
+        except BallOverflowError:
+            break
+        sets = [rs, concordance_quotient(rs)] if op.command == "concordance" else [rs]
+        for rel_set in sets:
+            solver = QuotientSolver(rel_set)
+            n = len(rel_set.generators)
+            reference = dense_hermite_row_basis(
+                [dense(column(solver.index, r), n) for r in rel_set.relations])
+            assert [dense(row, n) for _, row in solver._hnf] == reference
+            for value in values:
+                if any(g not in solver.index for g in value.support()):
+                    continue
+                residue = dense_reduce_mod_rows(
+                    dense(column(solver.index, value), n), reference)
+                assert solver.canonical_residue(value) == solver.elem(enumerate(residue))
+        if action is not None and action.centralizer:
+            for value in values:
+                orbit = centralizer_orbit_reduce(value, rs, action.centralizer,
+                                                 dict(action.whisker))
+                assert ((orbit.representative, orbit.complete, orbit.size)
+                        == dense_orbit(value, rs, action.centralizer,
+                                       dict(action.whisker)))

@@ -12,6 +12,8 @@ from daxkernel.snf import (
     xgcd,
 )
 
+from conftest import dense, sparse
+
 
 def rng_for(name):
     return random.Random(f"snf::{name}")
@@ -149,12 +151,22 @@ def test_invariant_factors_filters_units():
 
 # -- hermite row basis ----------------------------------------------------------------
 
+def hnf(M, m):
+    """hermite_row_basis of dense rows with m columns, as dense rows."""
+    return [dense(row, m) for _, row in hermite_row_basis([sparse(r) for r in M])]
+
+
+def residue(v, M, m):
+    """reduce_mod_rows of a dense vector by the basis of M, as a dense row."""
+    return dense(reduce_mod_rows(sparse(v), hermite_row_basis([sparse(r) for r in M])), m)
+
+
 def test_hermite_canonical_under_row_operations():
     rng = rng_for("hnf")
     for _ in range(120):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, n, m, -6, 6)
-        base = hermite_row_basis(M)
+        base = hnf(M, m)
         # shuffle rows, negate some, add random multiples: same span
         M2 = [row[:] for row in M]
         rng.shuffle(M2)
@@ -164,15 +176,16 @@ def test_hermite_canonical_under_row_operations():
             M2[i] = [a + q * b for a, b in zip(M2[i], M2[j])]
         k = rng.randrange(len(M2))
         M2[k] = [-a for a in M2[k]]
-        assert hermite_row_basis(M2) == base
-        assert hermite_row_basis(base if base else []) == base
+        assert hnf(M2, m) == base
+        assert hnf(base if base else [], m) == base
 
 
 def test_hermite_pivots_normalized():
     rng = rng_for("hnf-norm")
     for _ in range(80):
-        M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
-        basis = hermite_row_basis(M)
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        M = random_matrix(rng, n, m, -9, 9)
+        basis = hnf(M, m)
         pivots = []
         for row in basis:
             j = next(k for k, x in enumerate(row) if x)
@@ -190,19 +203,18 @@ def test_reduce_mod_rows_is_coset_invariant():
     for _ in range(120):
         n, m = rng.randint(1, 4), rng.randint(2, 5)
         M = random_matrix(rng, n, m, -5, 5)
-        basis = hermite_row_basis(M)
         v = [rng.randint(-10, 10) for _ in range(m)]
         shifted = v[:]
         for row in M:
             q = rng.randint(-3, 3)
             shifted = [a + q * b for a, b in zip(shifted, row)]
-        assert reduce_mod_rows(v, basis) == reduce_mod_rows(shifted, basis)
+        assert residue(v, M, m) == residue(shifted, M, m)
         # membership: reducing a span element gives zero
         combo = [0] * m
         for row in M:
             q = rng.randint(-3, 3)
             combo = [a + q * b for a, b in zip(combo, row)]
-        assert reduce_mod_rows(combo, basis) == [0] * m
+        assert residue(combo, M, m) == [0] * m
 
 
 # -- integer solve ---------------------------------------------------------------------
