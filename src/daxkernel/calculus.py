@@ -6,6 +6,12 @@ before reduction.  Each formula adds its terms into one dictionary and
 reduces once, at the end: reduction is linear, and the only maps applied to
 an already reduced value (conjugation, inversion) never send a non-identity
 word to the identity, so this equals reducing every piece separately.
+
+The formulas behind relation assembly each have one private body that
+returns that reduced dictionary, word -> coefficient (zero coefficients
+included).  The public ``dax_u_general``, ``dax_u_embedded`` and
+``dax_boundary_sphere`` sort it into a ``RingElem``; relation assembly reads
+the dictionary itself and classifies each term by its generator index.
 """
 
 from __future__ import annotations
@@ -78,10 +84,10 @@ def _add(acc: dict[Word, int], terms, scale: int = 1) -> None:
         acc[w] = acc.get(w, 0) + scale * c
 
 
-def _reduced(ctx: DaxContext, acc: dict[Word, int]) -> RingElem:
-    """red(sum of acc): the identity term dropped, the rest sorted once."""
+def _reduced(ctx: DaxContext, acc: dict[Word, int]) -> dict[Word, int]:
+    """red(sum of acc), still a term dict: the identity term dropped."""
     acc.pop(ctx.spec.identity(), None)
-    return R.from_terms(ctx.spec, acc)
+    return acc
 
 
 def _flipped(terms, d: int) -> list[tuple[Word, int]]:
@@ -101,7 +107,7 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
     _add(acc, lam, -1)
     _add(acc, _flipped(lam, ctx.d))
-    return _reduced(ctx, acc)
+    return R.from_terms(ctx.spec, _reduced(ctx, acc))
 
 
 def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
@@ -113,6 +119,11 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
 
     ``lam``, when given, holds the (word, coefficient) terms of lambda(a, g).
     """
+    return R.from_terms(ctx.spec, _dax_u_general(g, a, ctx, lam))
+
+
+def _dax_u_general(g, a, ctx, lam=None) -> dict[Word, int]:
+    """``dax_u_general`` as a reduced term dict."""
     gi = inv(g)
     if lam is None:
         lam = lambda_word(ctx.table, a, g).terms
@@ -142,6 +153,11 @@ def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
     Used as an independent cross-check of ``dax_u_general``.  ``lam``, when
     given, holds the (word, coefficient) terms of lambda(a, g).
     """
+    return R.from_terms(ctx.spec, _dax_u_embedded(g, a, ctx, lam))
+
+
+def _dax_u_embedded(g, a, ctx, lam=None) -> dict[Word, int]:
+    """``dax_u_embedded`` as a reduced term dict."""
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
     if lam is None:
@@ -161,6 +177,11 @@ def dax_boundary_sphere(g: Word, ctx: DaxContext) -> RingElem:
 
     Closed form; no table lookup.  Circles mode only.
     """
+    return R.from_terms(ctx.spec, _dax_boundary_sphere(g, ctx))
+
+
+def _dax_boundary_sphere(g, ctx) -> dict[Word, int]:
+    """``dax_boundary_sphere`` as a reduced term dict."""
     if ctx.mode != CIRCLES:
         raise ModeError("the boundary sphere exists only in circles mode")
     acc = {inv(g): flip_sign(ctx.d)}

@@ -116,7 +116,7 @@ class GroupSpec:
         return render_group_spec(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A group element in canonical normal form.
 
@@ -127,15 +127,20 @@ class Word:
 
     The hash is computed once, at construction; a Word is immutable.  It has
     slots and no per-instance dict, because relation sets and pairing tables
-    keep many Words alive at once.
+    keep many Words alive at once.  Every product and inverse builds one, so
+    the constructor is written by hand: it stores the three slots through
+    their member descriptors, past the frozen ``__setattr__``, and takes the
+    letters as given (``normalize`` makes a normal form of raw letters).
     """
 
     spec: GroupSpec
     letters: tuple[tuple[str, int], ...]
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.spec._hash, self.letters)))
+    def __init__(self, spec: GroupSpec, letters: tuple[tuple[str, int], ...]):
+        _set_spec(self, spec)
+        _set_letters(self, letters)
+        _set_hash(self, hash((spec._hash, letters)))
 
     @property
     def is_identity(self) -> bool:
@@ -157,6 +162,12 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         return mul(self, other)
+
+
+# the slots' member descriptors, which ``Word.__init__`` writes through
+_set_spec = Word.spec.__set__
+_set_letters = Word.letters.__set__
+_set_hash = Word._hash.__set__
 
 
 def normalize(letters: Iterable[tuple[str, int]], spec: GroupSpec) -> Word:

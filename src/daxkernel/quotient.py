@@ -23,9 +23,9 @@ from . import snf
 from .calculus import (
     CIRCLES,
     DaxContext,
-    dax_boundary_sphere,
-    dax_u_embedded,
-    dax_u_general,
+    _dax_boundary_sphere,
+    _dax_u_embedded,
+    _dax_u_general,
 )
 from .pairing import lambda_on_ball
 
@@ -98,52 +98,68 @@ def window_generators(spec, window: int) -> tuple[Word, ...]:
     return tuple(w for w in elements if not w.is_identity)
 
 
-def _classify(kept, prov_list, seen, dropped, gens_set, val: RingElem,
-              provenance: str, from_identity: bool):
-    if val.is_zero:
-        return
-    if all(w in gens_set for w in val.support()):
-        if val not in seen:
-            seen.add(val)
-            kept.append(val)
-            prov_list.append(provenance)
-        return
-    if from_identity:
-        raise WindowOverflowError(
-            f"base relation {val} exceeds the generator window; increase the"
-            " window", str(val))
-    dropped.append((provenance, val))
-
-
 def _assemble(ctx: DaxContext, window: int, circles: bool,
               whisker: dict[Word, RingElem], class_prov: str,
               use_embedded_formula: bool) -> RelationSet:
+    """The relation set of one window: the dax value of every translate in
+    the ball (and, in circles mode, the boundary spheres and whiskers).
+
+    Values are classified in generator-index space.  The formula bodies give
+    each value as a reduced term dict, and each term is looked up once in
+    ``index``, which maps a generator to its position in the window.  A
+    value supported on the window becomes its nonzero (index, coefficient)
+    pairs sorted as integers: the window is the ball in ``word_key`` order,
+    so this is the order ``from_terms`` would give, without a ``word_key``
+    per term.  Duplicates are caught on those pairs, and a kept relation
+    shares the ball's Words.  Only a value that leaves the window is sorted
+    into a ``RingElem``: it is dropped, or, for a base relation (the identity
+    translate and the whiskers), reported in a ``WindowOverflowError``.
+    """
     if window < 1:
         raise SceneError("window must be >= 1")
     spec = ctx.spec
     gens = window_generators(spec, window)
-    gens_set = set(gens)
+    index = {w: i for i, w in enumerate(gens)}
     enum = (spec.identity(),) + gens  # the ball, identity first
 
-    kept: list[RingElem] = []
+    kept: list[tuple[tuple[int, int], ...]] = []  # sorted (index, coefficient)
     prov: list[str] = []
     dropped: list[tuple[str, RingElem]] = []
-    seen: set[RingElem] = set()
+    seen: set[tuple[tuple[int, int], ...]] = set()
+
+    def classify(acc: dict[Word, int], provenance: str, from_identity: bool):
+        pairs = []
+        for w, c in acc.items():
+            if not c:
+                continue
+            i = index.get(w)
+            if i is None:
+                val = R.from_terms(spec, acc)
+                if from_identity:
+                    raise WindowOverflowError(
+                        f"base relation {val} exceeds the generator window;"
+                        " increase the window", str(val))
+                dropped.append((provenance, val))
+                return
+            pairs.append((i, c))
+        if pairs:
+            pairs.sort()
+            key = tuple(pairs)
+            if key not in seen:
+                seen.add(key)
+                kept.append(key)
+                prov.append(provenance)
 
     classes = ctx.table.classes
     # lambda(a, g) for every class and translate, each from its parent's value
     lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
-    dax = dax_u_embedded if use_embedded_formula else dax_u_general
+    dax = _dax_u_embedded if use_embedded_formula else _dax_u_general
     for g in enum:
         for a, lam_a in zip(classes, lam):
-            val = dax(g, a, ctx, lam_a[g].items())
-            _classify(kept, prov, seen, dropped, gens_set, val, class_prov,
-                      g.is_identity)
+            classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
     if circles:
         for g in enum:
-            val = dax_boundary_sphere(g, ctx)
-            _classify(kept, prov, seen, dropped, gens_set, val, PROV_BOUNDARY,
-                      g.is_identity)
+            classify(_dax_boundary_sphere(g, ctx), PROV_BOUNDARY, g.is_identity)
         for val in whisker.values():
             if val.spec != spec:
                 raise SceneError("whisker value over a different group spec")
@@ -152,12 +168,13 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
         if whisker:
             # validate against the sphere and boundary relations only: the
             # whisker values themselves are the data under scrutiny
-            _validate_whisker_action(ctx, whisker, gens, kept)
+            _validate_whisker_action(ctx, whisker, index, kept)
         for b in sorted(whisker, key=word_key):
-            _classify(kept, prov, seen, dropped, gens_set, whisker[b],
-                      PROV_WHISKER, True)
+            classify(dict(whisker[b].items()), PROV_WHISKER, True)
 
-    return RelationSet(spec, window, gens, tuple(kept), tuple(prov),
+    relations = tuple(RingElem(spec, tuple((gens[i], c) for i, c in key))
+                      for key in kept)
+    return RelationSet(spec, window, gens, relations, tuple(prov),
                        tuple(dropped))
 
 
@@ -236,14 +253,15 @@ def _is_power_of(b: Word, s: Word) -> bool:
 
 
 def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
-                             gens: tuple[Word, ...], base: list[RingElem]):
+                             index: dict[Word, int],
+                             base: list[tuple[tuple[int, int], ...]]):
     """Reject whisker tables that cannot come from a centralizer action.
 
     Powers of the circle class drag a point around itself, so their values
     vanish identically.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1 + w(b1)
     is checked on key pairs whose product is again a key, modulo the sphere
-    and boundary relations ``base`` on the window ``gens`` (the action lives
-    on that quotient).
+    and boundary relations ``base`` (as (index, coefficient) pairs of the
+    window ``index``; the action lives on that quotient).
     """
     for b, val in whisker.items():
         if _is_power_of(b, ctx.s_class) and not val.is_zero:
@@ -251,18 +269,18 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
                 f"whisker value of {render_word(b)} must vanish: it is a power"
                 " of the circle class")
 
-    index = {w: i for i, w in enumerate(gens)}
-    basis = None
+    basis = at = None
 
     def is_trivial(val: RingElem) -> bool:
-        nonlocal basis
+        nonlocal basis, at
         if val.is_zero:
             return True
         if any(w not in index for w in val.support()):
             return False
         if basis is None:  # most tables have no nonzero law value to check
-            basis = snf.hermite_row_basis([column(index, rel) for rel in base])
-        return not snf.reduce_mod_rows(column(index, val), basis)
+            basis = snf.hermite_row_basis([dict(rel) for rel in base])
+            at = snf.pivot_index(basis)
+        return not snf.reduce_mod_rows(column(index, val), basis, at)
 
     keys = list(whisker)
     for b1 in keys:
@@ -339,14 +357,20 @@ class QuotientSolver:
         # invariant factors of the windows W-2, W-1 and W
         self.window_torsion = dict(zip(smaller, map(tuple, self._elim.prefix_torsion)))
         self.window_torsion[rs.window] = self.torsion
-        self._hnf_rows = None
+        self._hnf_rows = self._hnf_at = None
 
     @property
     def _hnf(self):
         if self._hnf_rows is None:
             self._hnf_rows = snf.hermite_row_basis(
                 [column(self.index, rel) for rel in self.rs.relations])
+            self._hnf_at = snf.pivot_index(self._hnf_rows)
         return self._hnf_rows
+
+    def _residue(self, elem: RingElem) -> dict[int, int]:
+        """The canonical residue of elem, as a sparse vector."""
+        basis = self._hnf
+        return snf.reduce_mod_rows(column(self.index, elem), basis, self._hnf_at)
 
     def elem(self, pairs) -> RingElem:
         """The ring element with coefficient c at generator i, for each
@@ -381,8 +405,7 @@ class QuotientSolver:
         return tuple(free), tuple(tors)
 
     def canonical_residue(self, elem: RingElem) -> RingElem:
-        return self.elem(snf.reduce_mod_rows(column(self.index, elem),
-                                             self._hnf).items())
+        return self.elem(self._residue(elem).items())
 
     def structure(self, stable: bool, window: int | None = None) -> AbelianStructure:
         return AbelianStructure(self.free_rank, self.torsion,
@@ -490,8 +513,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     def state(elem: RingElem) -> tuple[tuple[int, int], ...]:
         # the residue's (index, coefficient) pairs: the least state is the
         # earliest-supported, smallest-coefficient one, and zero comes first
-        residue = snf.reduce_mod_rows(column(solver.index, elem), solver._hnf)
-        return tuple(sorted(residue.items()))
+        return tuple(sorted(solver._residue(elem).items()))
 
     start = state(value)
     visited = {start}

@@ -367,7 +367,7 @@ def hermite_row_basis(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, i
                                    _combine(p[j] // g, v, -(v[j] // g), p))
         # fully reduced vectors vanish
     basis = sorted(pivot_row.items())
-    at = {j: k for k, (j, _) in enumerate(basis)}
+    at = pivot_index(basis)
     # entries above each pivot: every row is reduced by the rows below it,
     # in increasing pivot order, leaving its own pivot aside
     for j, row in basis:
@@ -377,12 +377,18 @@ def hermite_row_basis(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, i
     return basis
 
 
-def reduce_mod_rows(vec: dict[int, int],
-                    basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+def pivot_index(basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """Pivot column -> position in a ``hermite_row_basis``; build it once
+    per basis and pass it to every ``reduce_mod_rows`` call."""
+    return {j: k for k, (j, _) in enumerate(basis)}
+
+
+def reduce_mod_rows(vec: dict[int, int], basis: list[tuple[int, dict[int, int]]],
+                    at: dict[int, int]) -> dict[int, int]:
     """Canonical coset representative of the sparse vector ``vec`` modulo
-    the span of a ``hermite_row_basis``; zero entries are dropped."""
-    return _reduce({i: c for i, c in vec.items() if c}, basis,
-                   {j: k for k, (j, _) in enumerate(basis)})
+    the span of a ``hermite_row_basis``, whose ``pivot_index`` is ``at``;
+    zero entries are dropped."""
+    return _reduce({i: c for i, c in vec.items() if c}, basis, at)
 
 
 # ---------------------------------------------------------------------------

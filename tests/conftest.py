@@ -276,3 +276,119 @@ def dense_orbit(value, rs, centralizer, whisker):
                 queue.append(key)
     rep = min(visited, key=lambda vec: tuple((i, c) for i, c in enumerate(vec) if c))
     return elem(rep), complete, len(visited)
+
+
+# -- relation assembly: the reference that classifies RingElems ------------------------
+
+def reference_assemble(ctx, window, circles, whisker, class_prov, use_embedded_formula):
+    """``quotient._assemble`` as it was before values were classified by
+    generator index: every value is a ``RingElem`` sorted by ``word_key``,
+    kept when its support lies in the window and not seen before as a
+    ``RingElem``, dropped otherwise (a base relation raises instead)."""
+    from daxkernel import quotient as Q
+    from daxkernel.calculus import dax_boundary_sphere, dax_u_embedded, dax_u_general
+    from daxkernel.errors import SceneError, WindowOverflowError
+    from daxkernel.groups import word_key
+    from daxkernel.pairing import lambda_on_ball
+
+    if window < 1:
+        raise SceneError("window must be >= 1")
+    spec = ctx.spec
+    gens = Q.window_generators(spec, window)
+    gens_set = set(gens)
+    enum = (spec.identity(),) + gens
+    kept, prov, dropped, seen = [], [], [], set()
+
+    def classify(val, provenance, from_identity):
+        if val.is_zero:
+            return
+        if all(w in gens_set for w in val.support()):
+            if val not in seen:
+                seen.add(val)
+                kept.append(val)
+                prov.append(provenance)
+            return
+        if from_identity:
+            raise WindowOverflowError(
+                f"base relation {val} exceeds the generator window; increase the"
+                " window", str(val))
+        dropped.append((provenance, val))
+
+    classes = ctx.table.classes
+    lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
+    dax = dax_u_embedded if use_embedded_formula else dax_u_general
+    for g in enum:
+        for a, lam_a in zip(classes, lam):
+            classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
+    if circles:
+        for g in enum:
+            classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)
+        for val in whisker.values():
+            if val.spec != spec:
+                raise SceneError("whisker value over a different group spec")
+        whisker = {b: R.gr_bar_reduce(v) for b, v in whisker.items()}
+        Q._validate_whisker_keys(ctx, whisker)
+        if whisker:
+            index = {w: i for i, w in enumerate(gens)}
+            Q._validate_whisker_action(
+                ctx, whisker, index, [tuple(Q.column(index, r).items()) for r in kept])
+        for b in sorted(whisker, key=word_key):
+            classify(whisker[b], Q.PROV_WHISKER, True)
+    return Q.RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped))
+
+
+def assembled(build):
+    """(generators, relations, provenance, dropped) of the relation set that
+    ``build()`` returns, or the type and text of the error it raises.  Every
+    relation's terms must be in strictly increasing ``word_key`` order."""
+    from daxkernel.errors import DaxKernelError
+    from daxkernel.groups import word_key
+
+    try:
+        rs = build()
+    except DaxKernelError as exc:
+        return type(exc), str(exc)
+    if isinstance(rs, tuple):  # build_rel_3mfd and cli.build_relations
+        rs = rs[0]
+    for rel in rs.relations:
+        keys = [word_key(w) for w, _ in rel.terms]
+        assert all(a < b for a, b in zip(keys, keys[1:])), str(rel)
+    return rs.generators, rs.relations, rs.provenance, rs.dropped
+
+
+def assert_assembly_matches_reference(build):
+    """``build()`` gives the same relations (terms and order), provenance,
+    dropped values and overflow error through ``quotient._assemble`` as
+    through ``reference_assemble``; returns what it gives."""
+    from daxkernel import quotient as Q
+
+    got = assembled(build)
+    saved = Q._assemble
+    Q._assemble = reference_assemble
+    try:
+        want = assembled(build)
+    finally:
+        Q._assemble = saved
+    assert got == want
+    return got
+
+
+def random_whisker(rng, ctx):
+    """One or two whisker entries keyed in the centralizer of the circle
+    class: powers of it, mostly with the zero value that the action law asks
+    for, and random words that commute with it, with values on the ball of
+    radius 2.  Some tables break the action law or leave the window."""
+    from daxkernel.groups import ball, mul
+
+    s, spec = ctx.s_class, ctx.spec
+    short = ball(spec, 2)[1:]
+    whisker = {}
+    for _ in range(rng.randint(1, 2)):
+        power = rng.random() < 0.4
+        b = rng.choice((s, inv(s), mul(s, s))) if power else random_word(rng, spec, max_exp=1)
+        if b.is_identity or mul(mul(s, b), inv(s)) != b:
+            continue
+        terms = [] if power and rng.random() < 0.9 or not short else [
+            (rng.choice(short), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 2))]
+        whisker[b] = R.from_terms(spec, terms)
+    return whisker

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from daxkernel.errors import (
@@ -94,10 +96,27 @@ def test_word_is_slotted_and_hashes_once():
     spec = parse_group_spec("F<x,y>")
     w = parse_word("x*y^-1*x", spec)
     assert not hasattr(w, "__dict__")
-    with pytest.raises(AttributeError):
-        w.letters = ()
+    for name in ("spec", "letters", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(w, name, None)
+    assert hash(w) == hash((spec._hash, w.letters)) == w._hash
     again = normalize([("x", 1), ("y", -1), ("x", 1)], spec)
-    assert w == again and hash(w) == hash(again) == w._hash
+    assert w == again and hash(w) == hash(again)
+    # products and inverses over a product spec equal the normal forms of
+    # their raw letters, hashes included
+    spec = parse_group_spec("F<x,y> x Z<t> x Z/3<u>")
+    rng = rng_for("word-invariants")
+    words = [random_word(rng, spec, max_syllables=5) for _ in range(30)]
+    for a in words:
+        ref = normalize([(n, -e) for n, e in reversed(a.letters)], spec)
+        a_inv = inv(a)
+        assert a_inv == ref and a_inv.letters == ref.letters
+        assert hash(a_inv) == hash(ref) == hash((spec._hash, ref.letters))
+        for b in words:
+            ref = normalize(a.letters + b.letters, spec)
+            prod = mul(a, b)
+            assert prod == ref and prod.letters == ref.letters
+            assert hash(prod) == hash(ref) == hash((spec._hash, ref.letters))
 
 
 def test_free_cancellation():

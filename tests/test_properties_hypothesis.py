@@ -1,5 +1,6 @@
 """Property-based checks of the core algebraic identities."""
 
+import random
 from bisect import bisect_right
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from daxkernel.calculus import (
     DaxContext,
+    arcs_context,
+    circles_context,
     dax_rebase,
     dax_translate,
     dax_u_embedded,
@@ -44,19 +47,36 @@ from daxkernel.quotient import (
     PROV_DAX_IMAGE,
     QuotientSolver,
     RelationSet,
+    build_rel_3mfd,
+    build_rel_arcs,
+    build_rel_circles,
     quotient_structure,
     restrict_relationset,
     window_generators,
 )
-from daxkernel.snf import hermite_row_basis, reduce_mod_rows, sparse_rank_and_torsion
+from daxkernel.snf import (
+    hermite_row_basis,
+    pivot_index,
+    reduce_mod_rows,
+    sparse_rank_and_torsion,
+)
 
 from conftest import (
     dense,
+    GROUP_TEXTS,
+    assert_assembly_matches_reference,
     dense_coords,
     dense_hermite_row_basis,
     dense_reduce_mod_rows,
+    phi_class,
+    random_arcs_context,
+    random_circles_context,
+    random_class,
+    random_whisker,
+    random_word,
     reference_structure,
     sparse,
+    table_for,
 )
 
 SPECS = {text: parse_group_spec(text)
@@ -496,7 +516,43 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
                                         (PROV_DAX_IMAGE,) * len(rels)))
     for v in vectors:
         residue = dense_reduce_mod_rows(v, reference)
-        assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
+        assert dense(reduce_mod_rows(sparse(v), basis, pivot_index(basis)), m) == residue
         elem = solver.elem(enumerate(v))
         assert solver.canonical_residue(elem) == solver.elem(enumerate(residue))
         assert solver.coords(elem) == dense_coords(solver._elim, v)
+
+
+# -- relation assembly in generator-index space ------------------------------------
+
+@st.composite
+def relation_builds(draw):
+    """A relation build over a random context from conftest: arcs, circles
+    (whiskers included) or a 3-manifold (embedded classes in dimension 3,
+    arcs or circles with a boundary sphere and whiskers)."""
+    spec = parse_group_spec(draw(st.sampled_from(GROUP_TEXTS)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    window = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(("arcs", "circles", "3mfd")))
+    if kind == "arcs":
+        ctx = random_arcs_context(rng, spec)
+        return lambda: build_rel_arcs(ctx, window)
+    if kind == "circles":
+        ctx = random_circles_context(rng, spec)
+        whisker = random_whisker(rng, ctx)
+        return lambda: build_rel_circles(ctx, whisker, window)
+    circles = draw(st.booleans())
+    s = random_word(rng, spec) if circles else spec.identity()
+    classes = [random_class(rng, spec, name=f"b{i}", embedded=True)
+               for i in range(rng.randint(0, 2))]
+    if circles and rng.random() < 0.5:
+        classes.append(phi_class(spec, s))
+    table = table_for(spec, classes, d=3)
+    ctx = circles_context(table, s) if circles else arcs_context(table)
+    whisker = random_whisker(rng, ctx) if circles else {}
+    return lambda: build_rel_3mfd(ctx, window, circles, whisker)
+
+
+@given(relation_builds())
+@settings(max_examples=150, deadline=None)
+def test_assembly_matches_reference(build):
+    assert_assembly_matches_reference(build)

@@ -30,6 +30,7 @@ from daxkernel.quotient import (
 from daxkernel.scene import loads_scene, preset_expand
 
 from conftest import (
+    assert_assembly_matches_reference,
     dense,
     dense_hermite_row_basis,
     dense_orbit,
@@ -406,7 +407,7 @@ def test_coords_on_random_relation_sets():
     included: relations vanish, coordinates separate exactly the classes
     that Hermite residues separate, the map is additive, and its shape fits
     the structure."""
-    from daxkernel.snf import hermite_row_basis, reduce_mod_rows
+    from daxkernel.snf import hermite_row_basis, pivot_index, reduce_mod_rows
     rng = rng_for("coords")
     window = 4
     all_gens = window_generators(Z, window)
@@ -422,6 +423,7 @@ def test_coords_on_random_relation_sets():
         blocks += bool(solver._elim.residual_rows)
         torsion_blocks += bool(solver.torsion)
         hnf = hermite_row_basis([sparse(row) for row in rows])
+        at = pivot_index(hnf)
         torsion = solver.torsion
         zero = ((0,) * solver.free_rank, (0,) * len(torsion))
 
@@ -445,8 +447,8 @@ def test_coords_on_random_relation_sets():
             else:
                 w = [rng.randint(-6, 6) for _ in range(n)]
             cv, cw = coords(v), coords(w)
-            same_class = (reduce_mod_rows(sparse(v), hnf)
-                          == reduce_mod_rows(sparse(w), hnf))
+            same_class = (reduce_mod_rows(sparse(v), hnf, at)
+                          == reduce_mod_rows(sparse(w), hnf, at))
             assert (cv == cw) == same_class
             free, tors = coords([a + b for a, b in zip(v, w)])
             assert free == tuple(a + b for a, b in zip(cv[0], cw[0]))
@@ -467,7 +469,7 @@ def sweep_relation_sets(scene, windows):
             return
 
 
-@pytest.mark.parametrize("preset,params", [
+PRESET_CASES = [
     ("disk_d", {}),
     ("solid_torus_arcs", {}),
     ("solid_torus_circles", {"k0": 2}),
@@ -479,7 +481,10 @@ def sweep_relation_sets(scene, windows):
     ("three_mfd", {"group": "Z<a,b>", "mode": "circles", "s": "a",
                    "phi": "circle"}),
     ("product_DkY", {"group": "Z<a,b>", "spheres": {"p": "a - b^-1"}}),
-])
+]
+
+
+@pytest.mark.parametrize("preset,params", PRESET_CASES)
 def test_structure_matches_three_eliminations_on_presets(preset, params):
     sc = preset_expand(preset, params)
     for rs in sweep_relation_sets(sc, cli.DEFAULT_SWEEP):
@@ -488,6 +493,13 @@ def test_structure_matches_three_eliminations_on_presets(preset, params):
         for w in (rs.window - 2, rs.window - 1):
             small = restrict_relationset(rs, w)
             assert solver.window_torsion[w] == reference_structure(small).torsion
+
+
+def default_windows(sc, op=None):
+    """The windows an op builds: its own, or the scene's, or the default sweep."""
+    if op is not None and op.window is not None:
+        return [op.window]
+    return [sc.window] if sc.window else cli.DEFAULT_SWEEP
 
 
 def bench_scenes():
@@ -502,11 +514,7 @@ def bench_scenes():
 @pytest.mark.parametrize("op", bench_scenes())
 def test_structure_matches_three_eliminations_on_bench_scenes(op):
     sc = loads_scene(op.scene_text)
-    if op.window is not None:
-        windows = [op.window]
-    else:
-        windows = [sc.window] if sc.window else cli.DEFAULT_SWEEP
-    for rs in sweep_relation_sets(sc, windows):
+    for rs in sweep_relation_sets(sc, default_windows(sc, op)):
         assert quotient_structure(rs) == reference_structure(rs)
         if op.command == "concordance":
             folded = concordance_quotient(rs)
@@ -519,14 +527,10 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
     and their orbit representatives equal those of the dense reference."""
     from daxkernel.traces import eval_dax_trace
     sc = loads_scene(op.scene_text)
-    if op.window is not None:
-        windows = [op.window]
-    else:
-        windows = [sc.window] if sc.window else cli.DEFAULT_SWEEP
     values = [eval_dax_trace(k.trace, sc.group) for k in sc.knots]
     if op.extra_value is not None:
         values.append(parse_ring(op.extra_value, sc.group))
-    for w in windows:
+    for w in default_windows(sc, op):
         try:
             rs, action = cli.build_relations(sc, w)
         except BallOverflowError:
@@ -551,3 +555,39 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
                 assert ((orbit.representative, orbit.complete, orbit.size)
                         == dense_orbit(value, rs, action.centralizer,
                                        dict(action.whisker)))
+
+
+# -- relation assembly in generator-index space ------------------------------------
+
+
+@pytest.mark.parametrize("preset,params", PRESET_CASES + [
+    ("aspherical", {"group": "F<x,y>"}),
+    ("three_mfd", {"group": "Z<a,b>", "mode": "circles", "s": "a*b", "u": "a*b",
+                   "phi": "circle", "whisker": {"b": "a*b^2 - a^-1"}}),
+    ("three_mfd", {"group": "F<x,y>", "mode": "circles", "s": "x", "u": "x",
+                   "phi": "boundary_arc", "whisker": {"x^2": "0"}}),
+])
+def test_assembly_matches_reference_on_presets(preset, params):
+    sc = preset_expand(preset, params)
+    for w in default_windows(sc):
+        assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+@pytest.mark.parametrize("op", bench_scenes())
+def test_assembly_matches_reference_on_bench_scenes(op):
+    sc = loads_scene(op.scene_text)
+    for w in default_windows(sc, op):
+        assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+def test_assembly_keeps_values_whose_cancelled_terms_leave_the_window():
+    """dax_u_general adds g lambda(a, u) g^-1 and takes it away again; over a
+    free group those words can leave the window while the value stays in it.
+    At W=2 the translate x^2 of lambda(a, u) = x^-1*y gives x*y, with the
+    cancelled word x*y*x^-2 outside: x*y is kept, not dropped."""
+    a = sphere_class(F2, "a", False, R.zero(F2), parse_ring("x^-1*y", F2), {})
+    ctx = arcs_context(table_for(F2, [a]))
+    _, relations, _, dropped = assert_assembly_matches_reference(
+        lambda: build_rel_arcs(ctx, 2))
+    assert parse_ring("x*y", F2) in relations
+    assert dropped

@@ -6,6 +6,7 @@ import pytest
 
 from daxkernel.snf import (
     hermite_row_basis,
+    pivot_index,
     reduce_mod_rows,
     smith_normal_form,
     solve_integer,
@@ -158,7 +159,8 @@ def hnf(M, m):
 
 def residue(v, M, m):
     """reduce_mod_rows of a dense vector by the basis of M, as a dense row."""
-    return dense(reduce_mod_rows(sparse(v), hermite_row_basis([sparse(r) for r in M])), m)
+    basis = hermite_row_basis([sparse(r) for r in M])
+    return dense(reduce_mod_rows(sparse(v), basis, pivot_index(basis)), m)
 
 
 def test_hermite_canonical_under_row_operations():
