@@ -36,6 +36,7 @@ PROV_CONCORDANCE = "concordance"
 PROV_SPHERE_3MFD = "sphere_3mfd"
 
 MAX_WINDOW_GENERATORS = 6000
+MAX_ORBIT_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -269,18 +270,17 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
                 f"whisker value of {render_word(b)} must vanish: it is a power"
                 " of the circle class")
 
-    basis = at = None
+    basis = None
 
     def is_trivial(val: RingElem) -> bool:
-        nonlocal basis, at
+        nonlocal basis
         if val.is_zero:
             return True
         if any(w not in index for w in val.support()):
             return False
         if basis is None:  # most tables have no nonzero law value to check
             basis = snf.hermite_row_basis([dict(rel) for rel in base])
-            at = snf.pivot_index(basis)
-        return not snf.reduce_mod_rows(column(index, val), basis, at)
+        return not snf.reduce_mod_rows(column(index, val), basis)
 
     keys = list(whisker)
     for b1 in keys:
@@ -316,12 +316,11 @@ def column(index: dict[Word, int], elem: RingElem) -> dict[int, int]:
 class QuotientSolver:
     """Coordinates and canonical residues for one windowed quotient.
 
-    One sparse elimination (unit pivots by substitution, a Smith form of the
-    small residual block) gives the free rank, the invariant factors and the
-    coordinates, and on the way the invariant factors of the two
-    next-smaller windows.  The Hermite basis behind canonical residues is
-    computed lazily on first use.  Coordinates and residues both reduce the
-    value's column by a list of pivots.
+    One reduction of the relations to their Hermite basis
+    (``snf.sparse_rank_and_torsion``) gives the free rank, the invariant
+    factors, the canonical residues and the coordinates, and on the way the
+    invariant factors of the two next-smaller windows.  A coordinate vector
+    is read off the canonical residue, so it depends on the lattice alone.
     """
 
     def __init__(self, rs: RelationSet):
@@ -357,20 +356,10 @@ class QuotientSolver:
         # invariant factors of the windows W-2, W-1 and W
         self.window_torsion = dict(zip(smaller, map(tuple, self._elim.prefix_torsion)))
         self.window_torsion[rs.window] = self.torsion
-        self._hnf_rows = self._hnf_at = None
-
-    @property
-    def _hnf(self):
-        if self._hnf_rows is None:
-            self._hnf_rows = snf.hermite_row_basis(
-                [column(self.index, rel) for rel in self.rs.relations])
-            self._hnf_at = snf.pivot_index(self._hnf_rows)
-        return self._hnf_rows
 
     def _residue(self, elem: RingElem) -> dict[int, int]:
         """The canonical residue of elem, as a sparse vector."""
-        basis = self._hnf
-        return snf.reduce_mod_rows(column(self.index, elem), basis, self._hnf_at)
+        return snf.reduce_mod_rows(column(self.index, elem), self._elim.basis)
 
     def elem(self, pairs) -> RingElem:
         """The ring element with coefficient c at generator i, for each
@@ -381,14 +370,14 @@ class QuotientSolver:
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion coordinates) of the class of elem.
 
-        The free coordinates list the generators that are neither substituted
-        away nor in the residual block, then the free rows of the block;
-        torsion coordinates follow the invariant factors, each reduced into
-        [0, d).  The basis is the one the sparse elimination picks.
+        The canonical residue is zero at the unit pivots of the Hermite
+        basis.  The free coordinates list its entries at the generators that
+        are neither pivots nor in the residual block, then the free rows of
+        the block; torsion coordinates follow the invariant factors, each
+        reduced into [0, d).
         """
         elim = self._elim
-        # substitute every pivot row away
-        v = snf._reduce(column(self.index, elem), elim.pivots, elim.pivot_at)
+        v = self._residue(elem)
         free = [v.get(i, 0) for i in elim.free_rows]
         tors = []
         block = [v.get(i, 0) for i in elim.residual_rows]
@@ -406,11 +395,6 @@ class QuotientSolver:
 
     def canonical_residue(self, elem: RingElem) -> RingElem:
         return self.elem(self._residue(elem).items())
-
-    def structure(self, stable: bool, window: int | None = None) -> AbelianStructure:
-        return AbelianStructure(self.free_rank, self.torsion,
-                                self.rs.window if window is None else window,
-                                stable)
 
 
 def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
@@ -439,14 +423,14 @@ def quotient_structure(rs: RelationSet,
     The stable flag reports that the invariant factors agree with the two
     next-smaller windows (free rank keeps growing with the window; torsion
     is the part that converges).  ``solver``, when given, is the solver
-    already built for ``rs``; its one elimination gives all three windows.
+    already built for ``rs``; its one reduction gives all three windows.
     """
     solver = solver or QuotientSolver(rs)
     torsion, w = solver.window_torsion, rs.window
     stable = torsion[w] == torsion[w - 1]
     if w >= 2 and stable:
         stable = torsion[w - 1] == torsion[w - 2]
-    return solver.structure(stable)
+    return AbelianStructure(solver.free_rank, solver.torsion, w, stable)
 
 
 def concordance_quotient(rs: RelationSet) -> RelationSet:
@@ -474,15 +458,15 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
 def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
                              centralizer, whisker: dict[Word, RingElem] | None = None,
                              s_class: Word | None = None,
-                             max_states: int = 4096,
                              solver: QuotientSolver | None = None) -> OrbitResult:
     """Deterministic representative of the orbit of ``value`` mod ``rs``.
 
     The supplied centralizer elements act by r -> b r b^-1 + w(b) (and their
     inverses, with w(b^-1) derived from the action law).  The orbit is
-    explored within the window; moves that leave it mark the result
-    incomplete instead of failing, so representatives of window-infinite
-    orbits are still canonical for the explored region.  ``solver``, when
+    explored within the window, up to ``MAX_ORBIT_STATES`` states; moves
+    that leave it, or a search cut at that bound, mark the result incomplete
+    instead of failing, so representatives of window-infinite orbits are
+    still canonical for the explored region.  ``solver``, when
     given, is the solver already built for ``rs``.
     """
     whisker = dict(whisker or {})
@@ -520,7 +504,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     queue = deque([start])
     complete = True
     while queue:
-        if len(visited) > max_states:
+        if len(visited) > MAX_ORBIT_STATES:
             complete = False
             break
         vec = queue.popleft()

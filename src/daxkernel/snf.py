@@ -2,10 +2,12 @@
 
 Smith normal form over arbitrary-precision integers with a deterministic
 minimal-pivot strategy (keeps coefficient growth down), optional unimodular
-transforms, a sparse elimination, a Hermite-style canonical basis of a row
-span, and an integer linear solver with infeasibility certificates.  Sparse
-vectors are dicts from index to nonzero entry; one routine reduces them by a
-list of pivots, for the elimination and the Hermite basis alike.
+transforms, the Hermite basis of a sparse lattice with the structure of its
+quotient, and an integer linear solver with infeasibility certificates.
+Sparse vectors are dicts from index to nonzero entry.  An echelon basis is
+a dict from pivot position to row; one routine reduces a vector by it, to
+insert the vector into the basis, to reduce the entries above the pivots
+and to give canonical residues.
 """
 
 from __future__ import annotations
@@ -159,21 +161,19 @@ def smith_normal_form(rows: list[list[int]], want_left: bool = False,
 
 @dataclass
 class SparseElimination:
-    """Record of one sparse elimination of an n-row matrix.
+    """The Hermite basis of a lattice of Z^n and the structure of its quotient.
 
-    Read as a change of basis of Z^n modulo the column span: each unit pivot
-    substitutes its row away, then the surviving rows split into free rows
-    that no remaining column touches and a residual block with its own Smith
-    form.
+    Read as a change of basis of Z^n modulo the lattice: the canonical
+    residue of a vector is zero at the unit pivots, and its other entries
+    split into free rows and the rows of a residual block.  The block's
+    columns are the non-unit basis rows, its rows the positions they touch,
+    and it has its own Smith form.
     """
 
     rank: int
     torsion: list[int]            # invariant factors > 1
-    # (pivot row, frozen column) in elimination order; the column's entry in
-    # its pivot row is 1 or -1, and it has no entries in earlier pivot rows
-    pivots: list[tuple[int, dict[int, int]]]
-    pivot_at: dict[int, int]      # pivot row -> its index in pivots
-    free_rows: list[int]          # uneliminated rows outside the residual block
+    basis: dict[int, dict[int, int]]  # the Hermite basis, as hermite_row_basis
+    free_rows: list[int]          # rows outside the pivots and the residual block
     residual_rows: list[int]
     residual_diagonal: list[int]  # Smith diagonal of the residual block
     residual_left: list[list[int]]  # its left transform U (U*B*V = D)
@@ -181,46 +181,91 @@ class SparseElimination:
     prefix_torsion: list[list[int]] = field(default_factory=list)
 
 
-def _reduce(v: dict[int, int], pivots, at: dict[int, int]) -> dict[int, int]:
-    """Reduce the sparse vector ``v`` in place by the pivots, in pivot order.
+def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce the sparse vector ``v`` in place by an echelon basis.
 
-    ``pivots`` lists (position, vector) pairs and ``at`` maps each pivot
-    position to its index in that list.  Pivot k subtracts q * vector with
-    q = v[position] // vector[position]: a unit pivot clears the entry, a
-    larger one leaves it in [0, pivot).  No pivot's vector has entries at the
-    positions of earlier pivots, so the pivots to apply come off a heap of
-    pivot indices, each at most once.  Vectors hold no zero entries.
+    ``rows`` maps each pivot position to its row, whose entries lie at that
+    position and after it.  The row at position p subtracts q * row with
+    q = v[p] // row[p]: a unit pivot clears the entry, a larger one leaves it
+    in [0, row[p]).  A row adds entries only after its pivot, so the
+    positions come off a heap in increasing order, each settled for good.
+    Vectors hold no zero entries.
     """
-    heap = [at[i] for i in v if i in at]
+    heap = [i for i in v if i in rows]
     heapq.heapify(heap)
     while heap:
-        pos, vec = pivots[heapq.heappop(heap)]
-        q = v.get(pos, 0) // vec[pos]
+        pos = heapq.heappop(heap)
+        row = rows[pos]
+        q = v.get(pos, 0) // row[pos]
         if not q:
             continue
-        for i, c in vec.items():
+        for i, c in row.items():
             new = v.get(i, 0) - q * c
             if not new:
                 del v[i]
                 continue
-            if i not in v and i in at:
-                heapq.heappush(heap, at[i])
+            if i not in v and i in rows:
+                heapq.heappush(heap, i)
             v[i] = new
     return v
 
 
-def _residual_smith(cols, done: int, eliminated_cols, want_left: bool):
-    """Residual columns and rows among the first ``done`` columns, and the
-    Smith form of that block (None when it is empty)."""
-    residual_cols = [j for j in range(done)
-                     if j not in eliminated_cols and cols[j]]
-    residual_rows = sorted({i for j in residual_cols for i in cols[j]})
-    if not residual_cols:
+def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
+    """x*a + y*b for sparse vectors, without zero entries."""
+    out = {i: x * c for i, c in a.items()}
+    for i, c in b.items():
+        out[i] = out.get(i, 0) + y * c
+    return {i: c for i, c in out.items() if c}
+
+
+def _insert(rows: dict[int, dict[int, int]], v: dict[int, int]) -> None:
+    """Add the sparse vector ``v`` to the lattice of the echelon basis
+    ``rows``, in place; ``v`` is consumed.  The pivot of a row is its
+    smallest position, and it is positive."""
+    while _reduce(v, rows):
+        j = min(v)
+        row = rows.get(j)
+        if row is None:
+            rows[j] = v if v[j] > 0 else {i: -c for i, c in v.items()}
+            return
+        # v[j] is in (0, row[j]) now: the gcd becomes the pivot, and the
+        # combination with no entry at j goes round again
+        g, x, y = xgcd(row[j], v[j])
+        rows[j], v = (_combine(x, row, y, v),
+                      _combine(row[j] // g, v, -(v[j] // g), row))
+
+
+def _hermite(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The echelon basis ``rows`` with the entries above each pivot reduced
+    into [0, pivot), in increasing pivot order: the Hermite basis of its
+    lattice.  Each row is reduced by the rows after it, its own pivot left
+    aside."""
+    basis = dict(sorted(rows.items()))
+    for j, row in basis.items():
+        lead = row.pop(j)
+        _reduce(row, basis)
+        row[j] = lead
+    return basis
+
+
+def _residual_smith(rows: dict[int, dict[int, int]], want_left: bool):
+    """The rows of the residual block of an echelon basis, and the Smith
+    form of that block (None when it is empty).
+
+    The unit rows are unitriangular on their pivots, so the Smith form of
+    the basis is 1s beside that of its non-unit rows reduced by the unit
+    rows.  Those reduced rows, in the basis order, are the columns of the
+    block, over the positions they touch.
+    """
+    units = {j: row for j, row in rows.items() if row[j] == 1}
+    block = [_reduce(dict(row), units) for j, row in rows.items() if row[j] != 1]
+    residual_rows = sorted({i for vec in block for i in vec})
+    if not block:
         return residual_rows, None
     index = {i: k for k, i in enumerate(residual_rows)}
-    dense = [[0] * len(residual_cols) for _ in residual_rows]
-    for c, j in enumerate(residual_cols):
-        for i, v in cols[j].items():
+    dense = [[0] * len(block) for _ in residual_rows]
+    for c, vec in enumerate(block):
+        for i, v in vec.items():
             dense[index[i]][c] = v
     return residual_rows, smith_normal_form(dense, want_left=want_left)
 
@@ -231,102 +276,43 @@ def _torsion(res: SmithResult | None) -> list[int]:
 
 def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
                             prefixes: Sequence[int] = ()) -> SparseElimination:
-    """Sparse elimination of the n-row matrix with the given sparse columns.
+    """The Hermite basis of the span of the sparse columns, and the structure
+    of Z^n modulo it.
 
-    Unit entries are eliminated by substitution first (unimodular, no
-    coefficient growth, invariant factor 1 each); the usually tiny residual
-    block goes through ``smith_normal_form`` with its left transform.  Exact,
-    and fast on the two-term unit-coefficient matrices produced by folding
-    relations.  The record gives the rank, the invariant factors > 1 and
-    enough of the transform to map vectors to quotient coordinates.
+    Each column is reduced by the echelon rows found so far and inserted
+    (``_insert``); at the end the entries above the pivots are reduced,
+    which gives the canonical Hermite basis.  Its non-unit rows are the
+    residual block: their Smith form, with its left transform, gives the
+    invariant factors > 1 and maps a canonical residue to quotient
+    coordinates.  The rank is the number of basis rows.  Exact, and fast on
+    the two-term unit-coefficient matrices produced by folding relations.
 
     ``prefixes`` lists non-decreasing column counts, none above len(cols).
-    The columns then enter one prefix at a time: each new column has the
-    pivots found so far substituted out before the unit loop resumes, so the
-    state after a prefix is an elimination of exactly its columns, and a
-    Smith form of its residual block gives that prefix's invariant factors
-    (``prefix_torsion``).  Without prefixes all columns enter at once.
+    The echelon rows after a prefix span exactly its columns, so the Smith
+    form of their residual block gives that prefix's invariant factors
+    (``prefix_torsion``).
     """
-    cols = [dict(c) for c in cols]
-    row_occ: dict[int, set[int]] = {}
-    pivot_at: dict[int, int] = {}  # pivot row -> its index in pivots
-    eliminated_cols: set[int] = set()
-    pivots: list[tuple[int, dict[int, int]]] = []
+    rows: dict[int, dict[int, int]] = {}
     prefix_torsion: list[list[int] | None] = []
     done = 0
-
     for batch, stop in enumerate((*prefixes, len(cols))):
-        unit_queue = []
-        for j in range(done, stop):
-            col = cols[j]
-            if pivots:
-                _reduce(col, pivots, pivot_at)
-            for i in col:
-                row_occ.setdefault(i, set()).add(j)
-            if any(abs(v) == 1 for v in col.values()):
-                unit_queue.append(j)
+        for col in cols[done:stop]:
+            _insert(rows, {i: c for i, c in col.items() if c})
         done = stop
-
-        while unit_queue:
-            j = unit_queue.pop()
-            if j in eliminated_cols:
-                continue
-            col = cols[j]
-            pivot_row = None
-            for i in sorted(col):
-                if i not in pivot_at and abs(col[i]) == 1:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            piv = col[pivot_row]
-            pivot_at[pivot_row] = len(pivots)
-            eliminated_cols.add(j)
-            pivots.append((pivot_row, col))
-            # clear the pivot row from every other column: col_k -= q * col_j
-            for k in list(row_occ.get(pivot_row, ())):
-                if k == j or k in eliminated_cols:
-                    continue
-                other = cols[k]
-                q = other[pivot_row] * piv  # piv in {1,-1}: q = other/piv
-                changed = False
-                for i, v in col.items():
-                    if i == pivot_row:
-                        continue
-                    new = other.get(i, 0) - q * v
-                    if new:
-                        other[i] = new
-                        row_occ.setdefault(i, set()).add(k)
-                    else:
-                        other.pop(i, None)
-                        occ = row_occ.get(i)
-                        if occ:
-                            occ.discard(k)
-                    changed = True
-                del other[pivot_row]
-                row_occ[pivot_row].discard(k)
-                if changed and any(abs(v) == 1 for i, v in other.items()
-                                   if i not in pivot_at):
-                    unit_queue.append(k)
-
         if batch < len(prefixes):
             # a prefix of all the columns takes the record's own torsion below
-            prefix_torsion.append(
-                _torsion(_residual_smith(cols, done, eliminated_cols, False)[1])
-                if done < len(cols) else None)
+            prefix_torsion.append(_torsion(_residual_smith(rows, False)[1])
+                                  if done < len(cols) else None)
 
-    # columns left over never touch a pivot row: each pivot cleared its row
-    # from every column not yet eliminated, and each later column had the
-    # pivots substituted out on entry
-    residual_rows, res = _residual_smith(cols, len(cols), eliminated_cols, True)
+    basis = _hermite(rows)
+    residual_rows, res = _residual_smith(basis, True)
     in_block = set(residual_rows)
-    free_rows = [i for i in range(n) if i not in pivot_at and i not in in_block]
-    rank, torsion, diagonal, left = len(pivots), _torsion(res), [], []
+    free_rows = [i for i in range(n) if i not in basis and i not in in_block]
+    torsion, diagonal, left = _torsion(res), [], []
     if res is not None:
-        rank += res.rank
         diagonal, left = res.diagonal, res.left
     prefix_torsion = [torsion if t is None else t for t in prefix_torsion]
-    return SparseElimination(rank, torsion, pivots, pivot_at, free_rows,
+    return SparseElimination(len(basis), torsion, basis, free_rows,
                              residual_rows, diagonal, left, prefix_torsion)
 
 
@@ -334,61 +320,24 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
 # row-span canonical form and residues
 # ---------------------------------------------------------------------------
 
-def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
-    """x*a + y*b for sparse vectors, without zero entries."""
-    out = {i: x * c for i, c in a.items()}
-    for i, c in b.items():
-        out[i] = out.get(i, 0) + y * c
-    return {i: c for i, c in out.items() if c}
-
-
-def hermite_row_basis(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+def hermite_row_basis(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Canonical basis of the integer row span (row-style Hermite form).
 
-    Rows are sparse: dicts from column to entry.  The basis lists (pivot
-    column, row) pairs in strictly increasing pivot order; pivots are
+    Rows are sparse: dicts from column to entry.  The basis maps each pivot
+    column to its row, in strictly increasing pivot order; pivots are
     positive and the entries above a pivot are reduced into [0, pivot).  Two
     matrices have equal row spans iff their bases are equal.
     """
-    pivot_row: dict[int, dict[int, int]] = {}
+    basis: dict[int, dict[int, int]] = {}
     for r in rows:
-        v = {j: c for j, c in r.items() if c}
-        while v:
-            j = min(v)
-            p = pivot_row.get(j)
-            if p is None:
-                pivot_row[j] = v if v[j] > 0 else {i: -c for i, c in v.items()}
-                break
-            if v[j] % p[j] == 0:
-                v = _combine(1, v, -(v[j] // p[j]), p)
-            else:
-                g, x, y = xgcd(p[j], v[j])
-                pivot_row[j], v = (_combine(x, p, y, v),
-                                   _combine(p[j] // g, v, -(v[j] // g), p))
-        # fully reduced vectors vanish
-    basis = sorted(pivot_row.items())
-    at = pivot_index(basis)
-    # entries above each pivot: every row is reduced by the rows below it,
-    # in increasing pivot order, leaving its own pivot aside
-    for j, row in basis:
-        lead = row.pop(j)
-        _reduce(row, basis, at)
-        row[j] = lead
-    return basis
+        _insert(basis, {j: c for j, c in r.items() if c})
+    return _hermite(basis)
 
 
-def pivot_index(basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    """Pivot column -> position in a ``hermite_row_basis``; build it once
-    per basis and pass it to every ``reduce_mod_rows`` call."""
-    return {j: k for k, (j, _) in enumerate(basis)}
-
-
-def reduce_mod_rows(vec: dict[int, int], basis: list[tuple[int, dict[int, int]]],
-                    at: dict[int, int]) -> dict[int, int]:
+def reduce_mod_rows(vec: dict[int, int], basis: dict[int, dict[int, int]]) -> dict[int, int]:
     """Canonical coset representative of the sparse vector ``vec`` modulo
-    the span of a ``hermite_row_basis``, whose ``pivot_index`` is ``at``;
-    zero entries are dropped."""
-    return _reduce({i: c for i, c in vec.items() if c}, basis, at)
+    the span of a ``hermite_row_basis``; zero entries are dropped."""
+    return _reduce({i: c for i, c in vec.items() if c}, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Shared test helpers: group corpus and consistent random pairing data."""
 
+import heapq
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -107,16 +109,124 @@ def random_circles_context(rng, spec, d=None):
     return circles_context(table_for(spec, classes, d=d), s)
 
 
+# -- the unit-pivot elimination: the reference for rank and torsion --------------------
+
+class Elimination(NamedTuple):
+    rank: int
+    torsion: list[int]            # invariant factors > 1
+    prefix_torsion: list[list[int]]
+
+
+def _substitute(v, pivots, at):
+    """Substitute the unit pivots out of the sparse column ``v``, in place.
+    ``pivots`` lists (row, column) pairs in elimination order and ``at`` maps
+    a pivot row to its index there; a pivot column has no entries in the
+    rows of earlier pivots, so each pivot comes off a heap at most once."""
+    heap = [at[i] for i in v if i in at]
+    heapq.heapify(heap)
+    while heap:
+        pos, vec = pivots[heapq.heappop(heap)]
+        q = v.get(pos, 0) // vec[pos]
+        if not q:
+            continue
+        for i, c in vec.items():
+            new = v.get(i, 0) - q * c
+            if not new:
+                del v[i]
+                continue
+            if i not in v and i in at:
+                heapq.heappush(heap, at[i])
+            v[i] = new
+    return v
+
+
+def _residual_smith(cols, done, eliminated_cols):
+    """The Smith form of the columns among the first ``done`` that are left
+    after the unit pivots, as a dense block (None when there are none)."""
+    from daxkernel.snf import smith_normal_form
+
+    residual_cols = [j for j in range(done) if j not in eliminated_cols and cols[j]]
+    residual_rows = sorted({i for j in residual_cols for i in cols[j]})
+    if not residual_cols:
+        return None
+    return smith_normal_form([[cols[j].get(i, 0) for j in residual_cols]
+                              for i in residual_rows])
+
+
+def _torsion(res):
+    return [d for d in res.diagonal if d > 1] if res is not None else []
+
+
+def reference_elimination(cols, n, prefixes=()):
+    """Rank, torsion and prefix torsion of the n-row matrix with these sparse
+    columns, by the unit-pivot elimination that earlier versions used: unit
+    entries are eliminated by substitution, column by column, and the
+    columns left over go through a dense Smith form.  The columns enter one
+    prefix at a time, each with the pivots found so far substituted out."""
+    cols = [{i: c for i, c in col.items() if c} for col in cols]
+    row_occ, pivot_at, eliminated_cols, pivots = {}, {}, set(), []
+    prefix_torsion, done = [], 0
+    for batch, stop in enumerate((*prefixes, len(cols))):
+        unit_queue = []
+        for j in range(done, stop):
+            col = _substitute(cols[j], pivots, pivot_at)
+            for i in col:
+                row_occ.setdefault(i, set()).add(j)
+            if any(abs(v) == 1 for v in col.values()):
+                unit_queue.append(j)
+        done = stop
+        while unit_queue:
+            j = unit_queue.pop()
+            if j in eliminated_cols:
+                continue
+            col = cols[j]
+            pivot_row = next((i for i in sorted(col)
+                              if i not in pivot_at and abs(col[i]) == 1), None)
+            if pivot_row is None:
+                continue
+            piv = col[pivot_row]
+            pivot_at[pivot_row] = len(pivots)
+            eliminated_cols.add(j)
+            pivots.append((pivot_row, col))
+            # clear the pivot row from every other column: col_k -= q * col_j
+            for k in list(row_occ.get(pivot_row, ())):
+                if k == j or k in eliminated_cols:
+                    continue
+                other = cols[k]
+                q = other[pivot_row] * piv  # piv in {1,-1}: q = other/piv
+                changed = False
+                for i, v in col.items():
+                    if i == pivot_row:
+                        continue
+                    new = other.get(i, 0) - q * v
+                    if new:
+                        other[i] = new
+                        row_occ.setdefault(i, set()).add(k)
+                    else:
+                        other.pop(i, None)
+                        row_occ.get(i, set()).discard(k)
+                    changed = True
+                del other[pivot_row]
+                row_occ[pivot_row].discard(k)
+                if changed and any(abs(v) == 1 for i, v in other.items()
+                                   if i not in pivot_at):
+                    unit_queue.append(k)
+        if batch < len(prefixes):
+            prefix_torsion.append(_torsion(_residual_smith(cols, done, eliminated_cols)))
+    res = _residual_smith(cols, len(cols), eliminated_cols)
+    return Elimination(len(pivots) + (res.rank if res is not None else 0),
+                       _torsion(res), prefix_torsion)
+
+
 def reference_structure(rs):
     """quotient_structure from three separate eliminations: the
     window, and its restrictions to the windows W-1 and W-2."""
     from daxkernel.quotient import AbelianStructure, restrict_relationset
-    from daxkernel.snf import sparse_rank_and_torsion
 
     def eliminate(sub):
         index = {w: i for i, w in enumerate(sub.generators)}
         cols = [{index[w]: c for w, c in rel.items()} for rel in sub.relations]
-        return sparse_rank_and_torsion(cols, len(sub.generators))
+        return reference_elimination(cols, len(sub.generators))
 
     whole = eliminate(rs)
     prev = eliminate(restrict_relationset(rs, rs.window - 1)).torsion
@@ -201,29 +311,34 @@ def dense_reduce_mod_rows(vec: list[int], basis: list[list[int]]) -> list[int]:
     return v
 
 
-def dense_coords(elim, vec):
-    """(free, torsion) coordinates of a dense vector from a SparseElimination
-    record, replaying every pivot on the whole vector in pivot order."""
-    v = list(vec)
-    for p, col in elim.pivots:
-        x = v[p]
-        if x:
-            x *= col[p]
-            for i, c in col.items():
-                v[i] -= x * c
-    free = [v[i] for i in elim.free_rows]
+def dense_coords(rows, vec):
+    """(free, torsion) coordinates of a dense vector modulo the span of the
+    dense rows, from the dense Hermite basis: the residue of the vector is
+    zero at the unit pivots; its entries at the columns outside the pivots
+    and the non-unit rows are free coordinates, and the left transform of
+    the Smith form of the non-unit rows (as columns) maps its entries at the
+    columns those rows touch to the rest."""
+    from daxkernel.snf import smith_normal_form
+
+    basis = dense_hermite_row_basis(rows)
+    v = dense_reduce_mod_rows(vec, basis)
+    pivots = {next(j for j, x in enumerate(row) if x): row for row in basis}
+    block = [row for j, row in pivots.items() if row[j] != 1]
+    touched = [j for j in range(len(vec)) if any(row[j] for row in block)]
+    free = [v[j] for j in range(len(vec)) if j not in pivots and j not in touched]
     tors = []
-    block = [v[i] for i in elim.residual_rows]
-    diagonal = elim.residual_diagonal
-    for i, row in enumerate(elim.residual_left):
-        d = diagonal[i] if i < len(diagonal) else 0
-        if d == 1:
-            continue
-        y = sum(a * b for a, b in zip(row, block))
-        if d == 0:
-            free.append(y)
-        else:
-            tors.append(y % d)
+    if block:
+        res = smith_normal_form([[row[j] for row in block] for j in touched],
+                                want_left=True)
+        for i, left in enumerate(res.left):
+            d = res.diagonal[i] if i < len(res.diagonal) else 0
+            if d == 1:
+                continue
+            y = sum(a * v[j] for a, j in zip(left, touched))
+            if d == 0:
+                free.append(y)
+            else:
+                tors.append(y % d)
     return tuple(free), tuple(tors)
 
 

@@ -577,7 +577,7 @@ def test_acceptance_7_concordance_reduction():
     st_direct = quotient_structure(direct)
     assert (st.free_rank, st.torsion) == (st_direct.free_rank, st_direct.torsion)
     solver_a, solver_b = QuotientSolver(folded), QuotientSolver(direct)
-    assert solver_a._hnf == solver_b._hnf  # same subgroup, not only isomorphic
+    assert solver_a._elim.basis == solver_b._elim.basis  # same subgroup, not only isomorphic
     announce("7 [concordance reduction, 200 sheet-choice cases]", True)
 
 

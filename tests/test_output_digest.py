@@ -19,16 +19,29 @@ def test_output_digest_lists_and_compares(tmp_path):
     assert listing.returncode == 0, listing.stderr
     lines = listing.stdout.splitlines()
     assert len(lines) == 7
-    assert all(re.fullmatch(r"eval_knots 0 \S+ [0-9a-f]{64}", line) for line in lines)
+    assert all(re.fullmatch(r"eval_knots 0 \S+ [0-9a-f]{64} [0-9a-f]{64}", line)
+               for line in lines)
     same = tmp_path / "same.txt"
     same.write_text(listing.stdout)
     assert digest_tool("--compare", str(same)).returncode == 0
-    # one changed digest and one missing op are both listed
-    workload, seed, op_id, digest = lines[0].split()
-    changed = [f"{workload} {seed} {op_id} {'0' * 64}"] + lines[2:]
+    # a changed output digest alone is basis-only, a changed invariant
+    # digest is not; a missing op is listed too
+    ops = [line.split() for line in lines]
+    changed = [" ".join(ops[0][:3] + ["0" * 64, ops[0][4]]),
+               " ".join(ops[1][:3] + ["0" * 64, "0" * 64])] + lines[3:]
     other = tmp_path / "other.txt"
     other.write_text("\n".join(changed) + "\n")
     result = digest_tool("--compare", str(other))
     assert result.returncode == 1
-    assert result.stdout.splitlines() == [f"{workload} {seed} {op_id} differs",
-                                          f"{lines[1].rsplit(' ', 1)[0]} not in the listing"]
+    assert result.stdout.splitlines() == [" ".join(ops[0][:3] + ["basis-only"]),
+                                          " ".join(ops[1][:3] + ["invariant"]),
+                                          " ".join(ops[2][:3] + ["not in the listing"])]
+    assert "3 differ" in result.stderr
+    # a listing with one digest per op still reads; a changed digest there
+    # cannot be told apart
+    old = [" ".join(ops[0][:3] + ["0" * 64])] + [" ".join(op[:4]) for op in ops[1:]]
+    old_listing = tmp_path / "old.txt"
+    old_listing.write_text("\n".join(old) + "\n")
+    result = digest_tool("--compare", str(old_listing))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [" ".join(ops[0][:3] + ["differs"])]

@@ -56,7 +56,6 @@ from daxkernel.quotient import (
 )
 from daxkernel.snf import (
     hermite_row_basis,
-    pivot_index,
     reduce_mod_rows,
     sparse_rank_and_torsion,
 )
@@ -74,6 +73,7 @@ from conftest import (
     random_class,
     random_whisker,
     random_word,
+    reference_elimination,
     reference_structure,
     sparse,
     table_for,
@@ -394,7 +394,7 @@ def test_lambda_on_ball(text, data):
                 assert dax_u_embedded(g, a, ctx, lam.items()) == general
 
 
-# -- prefix torsions of one shell-ordered elimination ---------------------------
+# -- prefix torsions of one shell-ordered reduction -----------------------------
 
 def sympy_torsion(cols, n):
     """Invariant factors > 1 of the n-row matrix with these sparse columns,
@@ -433,18 +433,14 @@ def test_prefix_torsion_matches_fresh_elimination(data):
     n, cols, shells = data
     prefixes = [bisect_right(shells, k) for k in range(5)]
     elim = sparse_rank_and_torsion(cols, n, prefixes=prefixes)
-    whole = sparse_rank_and_torsion(cols, n)
+    whole = reference_elimination(cols, n, prefixes)
     assert (elim.rank, elim.torsion) == (whole.rank, whole.torsion)
-    assert len(elim.prefix_torsion) == len(prefixes)
+    assert elim.torsion == sympy_torsion(cols, n)
+    assert elim.prefix_torsion == whole.prefix_torsion
     for p, torsion in zip(prefixes, elim.prefix_torsion):
-        assert torsion == sparse_rank_and_torsion(cols[:p], n).torsion
+        assert torsion == reference_elimination(cols[:p], n).torsion
         assert torsion == sympy_torsion(cols[:p], n)
-    # a pivot column has no entries in the rows of earlier pivots: the
-    # coordinate replay relies on it
-    rows = set()
-    for row, col in elim.pivots:
-        assert abs(col[row]) == 1 and not rows & set(col)
-        rows.add(row)
+    assert elim.basis == hermite_row_basis(cols)
 
 
 WINDOW_SPECS = [parse_group_spec(t) for t in ("Z<t>", "F<x,y>", "Z<t> x Z/2<u>")]
@@ -507,8 +503,9 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
     m, rows, vectors = data
     basis = hermite_row_basis([sparse(r) for r in rows])
     reference = dense_hermite_row_basis(rows)
-    assert [dense(row, m) for _, row in basis] == reference
-    assert all(min(row) == j and row[j] > 0 for j, row in basis)
+    assert [dense(row, m) for row in basis.values()] == reference
+    assert list(basis) == sorted(basis)
+    assert all(min(row) == j and row[j] > 0 for j, row in basis.items())
     # the rows as relations over Z<t>: residues and coordinates of the solver
     gens = Z_WINDOW[:m]
     rels = tuple(R.from_terms(Z_WINDOW[0].spec, zip(gens, r)) for r in rows)
@@ -516,10 +513,56 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
                                         (PROV_DAX_IMAGE,) * len(rels)))
     for v in vectors:
         residue = dense_reduce_mod_rows(v, reference)
-        assert dense(reduce_mod_rows(sparse(v), basis, pivot_index(basis)), m) == residue
+        assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
         elem = solver.elem(enumerate(v))
         assert solver.canonical_residue(elem) == solver.elem(enumerate(residue))
-        assert solver.coords(elem) == dense_coords(solver._elim, v)
+        assert solver.coords(elem) == dense_coords(rows, v)
+
+
+@st.composite
+def relation_sets_and_variants(draw):
+    """A relation set from ``window_relation_sets``, the same relations
+    shuffled with some negated and some repeated, and elements of the
+    window as coefficient lists over its generators."""
+    rs = draw(window_relation_sets())
+    rels = [R.gr_scale(draw(st.sampled_from((1, -1))), rel) for rel in rs.relations]
+    if rels:
+        rels += draw(st.lists(st.sampled_from(rels), max_size=3))
+    rels = draw(st.permutations(rels))
+    variant = RelationSet(rs.spec, rs.window, rs.generators, tuple(rels),
+                          (PROV_DAX_IMAGE,) * len(rels))
+    n = len(rs.generators)
+    vectors = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                            min_size=2, max_size=4))
+    return rs, variant, vectors
+
+
+@given(relation_sets_and_variants())
+@settings(max_examples=300, deadline=None)
+def test_answers_depend_on_the_lattice_alone(data):
+    """Rank, torsion, residues and coordinates are functions of the span of
+    the relations, not of their order, signs or repeats; coordinates vanish
+    on relations, are additive (torsion mod d) and separate exactly the
+    classes that residues separate."""
+    rs, variant, vectors = data
+    solver, other = QuotientSolver(rs), QuotientSolver(variant)
+    assert (solver.free_rank, solver.torsion, solver.window_torsion) == \
+        (other.free_rank, other.torsion, other.window_torsion)
+    torsion = solver.torsion
+    zero = ((0,) * solver.free_rank, (0,) * len(torsion))
+    for rel in rs.relations:
+        assert solver.coords(rel) == zero
+    elems = [solver.elem(enumerate(v)) for v in vectors]
+    coords = [solver.coords(e) for e in elems]
+    for elem, c in zip(elems, coords):
+        assert other.canonical_residue(elem) == solver.canonical_residue(elem)
+        assert other.coords(elem) == c
+    for (a, ca), (b, cb) in zip(zip(elems, coords), zip(elems[1:], coords[1:])):
+        same_class = solver.canonical_residue(a) == solver.canonical_residue(b)
+        assert (ca == cb) == same_class
+        free, tors = solver.coords(R.gr_add(a, b))
+        assert free == tuple(x + y for x, y in zip(ca[0], cb[0]))
+        assert tors == tuple((x + y) % d for x, y, d in zip(ca[1], cb[1], torsion))
 
 
 # -- relation assembly in generator-index space ------------------------------------

@@ -32,12 +32,12 @@ from daxkernel.scene import loads_scene, preset_expand
 from conftest import (
     assert_assembly_matches_reference,
     dense,
+    dense_coords,
     dense_hermite_row_basis,
     dense_orbit,
     dense_reduce_mod_rows,
     reference_structure,
     rng_for,
-    sparse,
     table_for,
 )
 
@@ -403,11 +403,10 @@ def test_orbit_value_outside_window():
 # -- coordinates ----------------------------------------------------------------
 
 def test_coords_on_random_relation_sets():
-    """Coordinates from the sparse elimination, non-unit residual blocks
-    included: relations vanish, coordinates separate exactly the classes
-    that Hermite residues separate, the map is additive, and its shape fits
-    the structure."""
-    from daxkernel.snf import hermite_row_basis, pivot_index, reduce_mod_rows
+    """Coordinates from the Hermite basis, non-unit residual blocks
+    included: they equal the dense reference, relations vanish, coordinates
+    separate exactly the classes that residues separate, the map is
+    additive, and its shape fits the structure."""
     rng = rng_for("coords")
     window = 4
     all_gens = window_generators(Z, window)
@@ -422,13 +421,13 @@ def test_coords_on_random_relation_sets():
                                             (PROV_DAX_IMAGE,) * m))
         blocks += bool(solver._elim.residual_rows)
         torsion_blocks += bool(solver.torsion)
-        hnf = hermite_row_basis([sparse(row) for row in rows])
-        at = pivot_index(hnf)
+        hnf = dense_hermite_row_basis(rows)
         torsion = solver.torsion
         zero = ((0,) * solver.free_rank, (0,) * len(torsion))
 
         def coords(vec):
             free, tors = solver.coords(solver.elem(enumerate(vec)))
+            assert (free, tors) == dense_coords(rows, vec)
             assert len(free) == solver.free_rank
             assert len(tors) == len(torsion)
             assert all(0 <= c < d for c, d in zip(tors, torsion))
@@ -447,8 +446,7 @@ def test_coords_on_random_relation_sets():
             else:
                 w = [rng.randint(-6, 6) for _ in range(n)]
             cv, cw = coords(v), coords(w)
-            same_class = (reduce_mod_rows(sparse(v), hnf, at)
-                          == reduce_mod_rows(sparse(w), hnf, at))
+            same_class = dense_reduce_mod_rows(v, hnf) == dense_reduce_mod_rows(w, hnf)
             assert (cv == cw) == same_class
             free, tors = coords([a + b for a, b in zip(v, w)])
             assert free == tuple(a + b for a, b in zip(cv[0], cw[0]))
@@ -458,7 +456,7 @@ def test_coords_on_random_relation_sets():
     assert blocks >= 100 and torsion_blocks >= 40, (blocks, torsion_blocks)
 
 
-# -- the stable flag from one elimination ------------------------------------------
+# -- the stable flag from one reduction --------------------------------------------
 
 def sweep_relation_sets(scene, windows):
     """Relation sets of a sweep, up to the first window past the ball cap."""
@@ -515,7 +513,11 @@ def bench_scenes():
 def test_structure_matches_three_eliminations_on_bench_scenes(op):
     sc = loads_scene(op.scene_text)
     for rs in sweep_relation_sets(sc, default_windows(sc, op)):
-        assert quotient_structure(rs) == reference_structure(rs)
+        solver = QuotientSolver(rs)
+        assert quotient_structure(rs, solver) == reference_structure(rs)
+        for w in (rs.window - 2, rs.window - 1):
+            small = restrict_relationset(rs, w)
+            assert solver.window_torsion[w] == reference_structure(small).torsion
         if op.command == "concordance":
             folded = concordance_quotient(rs)
             assert quotient_structure(folded) == reference_structure(folded)
@@ -541,7 +543,7 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
             n = len(rel_set.generators)
             reference = dense_hermite_row_basis(
                 [dense(column(solver.index, r), n) for r in rel_set.relations])
-            assert [dense(row, n) for _, row in solver._hnf] == reference
+            assert [dense(row, n) for row in solver._elim.basis.values()] == reference
             for value in values:
                 if any(g not in solver.index for g in value.support()):
                     continue

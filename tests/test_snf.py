@@ -6,7 +6,6 @@ import pytest
 
 from daxkernel.snf import (
     hermite_row_basis,
-    pivot_index,
     reduce_mod_rows,
     smith_normal_form,
     solve_integer,
@@ -154,13 +153,12 @@ def test_invariant_factors_filters_units():
 
 def hnf(M, m):
     """hermite_row_basis of dense rows with m columns, as dense rows."""
-    return [dense(row, m) for _, row in hermite_row_basis([sparse(r) for r in M])]
+    return [dense(row, m) for row in hermite_row_basis([sparse(r) for r in M]).values()]
 
 
 def residue(v, M, m):
     """reduce_mod_rows of a dense vector by the basis of M, as a dense row."""
-    basis = hermite_row_basis([sparse(r) for r in M])
-    return dense(reduce_mod_rows(sparse(v), basis, pivot_index(basis)), m)
+    return dense(reduce_mod_rows(sparse(v), hermite_row_basis([sparse(r) for r in M])), m)
 
 
 def test_hermite_canonical_under_row_operations():

@@ -3,21 +3,29 @@
     python3 tools/output_digest.py --seeds 0-19 > before.txt
     python3 tools/output_digest.py --seeds 0-19 --compare before.txt
 
-Each op of ``bench/corpus.py`` is run once through ``harness.run_op``, and
-the sha256 of its output (the JSON report and the text report, coordinates
-included) is printed as one line ``workload seed op_id sha256``.  With
-``--compare FILE`` the digests are checked against an earlier listing
-instead: the ops of this run whose digest differs from the listing, or that
-the listing lacks, are listed, and the exit status is then 1.  ``--root DIR``
-runs the ``src`` and ``bench`` of another checkout, such as a copy of the
-parent commit.  Nothing under ``bench`` is edited.
+Each op of ``bench/corpus.py`` is run once through ``harness.run_op``.
+Two sha256 digests of its output are printed as one line
+``workload seed op_id sha256 invariant``: the first covers the JSON report
+and the text report, coordinates included; the second is
+``check.invariant_digest`` of the JSON report, which leaves out the
+basis-dependent fields (coordinates, and a universality op's ``w_map``,
+``base_value`` and ``witness``).  With ``--compare FILE`` the digests are
+checked against an earlier listing instead.  The ops of this run that
+differ from the listing are listed: ``basis-only`` when only the first
+digest differs, ``invariant`` when the second does too, ``differs`` when
+the listing has no second digest to tell, and ``not in the listing``.  The
+exit status is then 1.  ``--root DIR`` runs the ``src`` and ``bench`` of
+another checkout, such as a copy of the parent commit.  Nothing under
+``bench`` is edited.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -31,8 +39,10 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def digests(root: Path, workloads, seeds):
-    """(workload, seed, op id, sha256) for every op, in corpus order."""
+    """(workload, seed, op id, sha256, invariant sha256) for every op, in
+    corpus order."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import check
     import corpus
     import harness
 
@@ -40,13 +50,28 @@ def digests(root: Path, workloads, seeds):
         for seed in seeds:
             for op in corpus.build(workload, seed):
                 out = harness.run_op(op)
-                yield workload, seed, op.op_id, hashlib.sha256(out.encode()).hexdigest()
+                report = json.loads(out.split("\n", 1)[0])
+                yield (workload, seed, op.op_id, hashlib.sha256(out.encode()).hexdigest(),
+                       check.invariant_digest(report))
 
 
-def read_listing(path: str) -> dict[tuple[str, str, str], str]:
+def read_listing(path: str) -> dict[tuple[str, str, str], list[str]]:
+    """(workload, seed, op id) -> its digests; a listing written before the
+    invariant digest was added has one digest per op."""
     with open(path, encoding="utf-8") as fh:
-        return {tuple(fields[:3]): fields[3]
+        return {tuple(fields[:3]): fields[3:]
                 for fields in (line.split() for line in fh) if fields}
+
+
+def difference(expected: list[str] | None, digest: str, invariant: str) -> str | None:
+    """How an op's digests differ from the listing's, or None if they agree."""
+    if expected is None:
+        return "not in the listing"
+    if expected[0] == digest:
+        return None
+    if len(expected) < 2:
+        return "differs"
+    return "basis-only" if expected[1] == invariant else "invariant"
 
 
 def main(argv=None) -> int:
@@ -66,16 +91,18 @@ def main(argv=None) -> int:
             print(*row)
         return 0
     want = read_listing(args.compare)
-    ran = differ = 0
-    for workload, seed, op_id, digest in digests(args.root.resolve(),
-                                                 args.workload, args.seeds):
+    ran, kinds = 0, Counter()
+    for workload, seed, op_id, digest, invariant in digests(
+            args.root.resolve(), args.workload, args.seeds):
         ran += 1
-        expected = want.get((workload, str(seed), op_id))
-        if expected != digest:
-            differ += 1
-            print(workload, seed, op_id,
-                  "not in the listing" if expected is None else "differs")
-    print(f"{ran} ops run, {differ} differ from {args.compare}", file=sys.stderr)
+        kind = difference(want.get((workload, str(seed), op_id)), digest, invariant)
+        if kind is not None:
+            kinds[kind] += 1
+            print(workload, seed, op_id, kind)
+    differ = sum(kinds.values())
+    detail = ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
+    print(f"{ran} ops run, {differ} differ from {args.compare}"
+          + (f" ({detail})" if detail else ""), file=sys.stderr)
     return 1 if differ else 0
 
 
