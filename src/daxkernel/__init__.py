@@ -46,7 +46,6 @@ from .pairing import (
     SphereClass,
     lambda_arc,
     lambda_flip,
-    lambda_linear,
     lambda_word,
     lambdabar_conj_shift,
     sphere_class,
@@ -56,7 +55,6 @@ from .calculus import (
     arcs_context,
     circles_context,
     dax_boundary_sphere,
-    dax_image,
     dax_rebase,
     dax_translate,
     dax_u_embedded,
@@ -65,6 +63,7 @@ from .calculus import (
 )
 from .quotient import (
     AbelianStructure,
+    OrbitAction,
     RelationSet,
     build_rel_3mfd,
     build_rel_arcs,

@@ -103,10 +103,9 @@ def run_target(scene: ManifoldScene, windows) -> dict:
 
 def run_eval(scene: ManifoldScene, window: int) -> dict:
     rs, action = build_relations(scene, window)
-    solver = Q.QuotientSolver(rs)
     knots = []
     for k in scene.knots:
-        data = dax_of_knot(k, rs, action, solver)
+        data = dax_of_knot(k, rs, action)
         knots.append({
             "name": data.name,
             "value": str(data.value),
@@ -120,7 +119,7 @@ def run_eval(scene: ManifoldScene, window: int) -> dict:
         "command": "eval",
         "scene": scene_to_dict(scene),
         "window": window,
-        "structure": _structure_dict(Q.quotient_structure(rs, solver)),
+        "structure": _structure_dict(Q.quotient_structure(rs)),
         "knots": knots,
         "notes": list(scene.notes),
     }
@@ -129,12 +128,11 @@ def run_eval(scene: ManifoldScene, window: int) -> dict:
 def run_concordance(scene: ManifoldScene, window: int) -> dict:
     rs, _ = build_relations(scene, window)
     folded = Q.concordance_quotient(rs)
-    solver = Q.QuotientSolver(folded)
     knots = []
     for k in scene.knots:
         value = eval_dax_trace(k.trace, rs.spec)
         mu2 = mu2_reduce(value)
-        free, tors = solver.coords(value)
+        free, tors = folded.solver.coords(value)
         knots.append({
             "name": k.name,
             "value": str(value),
@@ -147,7 +145,7 @@ def run_concordance(scene: ManifoldScene, window: int) -> dict:
         "scene": scene_to_dict(scene),
         "window": window,
         "structure": _structure_dict(Q.quotient_structure(rs)),
-        "structure_folded": _structure_dict(Q.quotient_structure(folded, solver)),
+        "structure_folded": _structure_dict(Q.quotient_structure(folded)),
         "added_relations": sum(1 for p in folded.provenance
                                if p == Q.PROV_CONCORDANCE),
         "knots": knots,
@@ -159,13 +157,10 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
     if scene.dimension != 3 or scene.mode != CIRCLES:
         raise DaxKernelError("orbit reduction applies to circles in dimension 3")
     rs, action = build_relations(scene, window)
-    solver = Q.QuotientSolver(rs)
     items = []
 
     def reduce_value(name, value):
-        orbit = Q.centralizer_orbit_reduce(value, rs, action.centralizer,
-                                           dict(action.whisker), action.s_class,
-                                           solver=solver)
+        orbit = Q.centralizer_orbit_reduce(value, rs, action)
         items.append({
             "name": name,
             "value": str(value),
@@ -187,7 +182,7 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
             "centralizer": [render_word(b) for b in action.centralizer],
             "whisker": {render_word(b): str(v) for b, v in action.whisker},
         },
-        "structure": _structure_dict(Q.quotient_structure(rs, solver)),
+        "structure": _structure_dict(Q.quotient_structure(rs)),
         "orbits": items,
         "notes": list(scene.notes),
     }
@@ -196,6 +191,8 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
 def run_scene(scene: ManifoldScene, command: str, window: int | None = None,
               extra_value: str | None = None) -> dict:
     """Deterministic report for one scene and command."""
+    if extra_value is not None and command != "orbit":
+        raise DaxKernelError(f"--value applies to the orbit command only, not {command}")
     if command == "target":
         if window is not None:
             windows = [window]
@@ -292,6 +289,8 @@ def main(argv=None) -> int:
     try:
         if args.scene and args.preset:
             raise DaxKernelError("give either --scene or --preset, not both")
+        if args.param and not args.preset:
+            raise DaxKernelError("--param applies to --preset only")
         if args.scene:
             scene = load_scene_file(args.scene)
         elif args.preset:

@@ -12,8 +12,9 @@ there is a hard error rather than a silent weakening.
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ModeError, SceneError, WindowOverflowError
 from .groups import GroupSpec, Word, ball, inv, mul, render_word, word_key, word_length
@@ -58,6 +59,11 @@ class RelationSet:
                     raise WindowOverflowError(
                         f"relation {rel} not supported on the window", str(rel))
 
+    @functools.cached_property
+    def solver(self) -> QuotientSolver:
+        """The one reduction of these relations, built on first use."""
+        return QuotientSolver(self)
+
 
 @dataclass(frozen=True)
 class AbelianStructure:
@@ -76,11 +82,33 @@ class AbelianStructure:
 
 @dataclass(frozen=True)
 class OrbitAction:
-    """Centralizer action data for circle scenes in dimension three."""
+    """Centralizer action data for circle scenes in dimension three.
+
+    Construction checks that each centralizer element b centralizes
+    ``s_class`` and derives the ``moves`` (b, w(b)) and (b^-1, w(b^-1)),
+    each group element once; a w(b^-1) missing from ``whisker`` follows
+    from the action law w(b^-1) = -b^-1 w(b) b.
+    """
 
     s_class: Word
     centralizer: tuple[Word, ...]
     whisker: tuple[tuple[Word, RingElem], ...]
+    moves: tuple[tuple[Word, RingElem], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s, table = self.s_class, dict(self.whisker)
+        moves: dict[Word, RingElem] = {}
+        for b in self.centralizer:
+            if mul(mul(s, b), inv(s)) != b:
+                raise SceneError(
+                    f"orbit element {render_word(b)} is not in the centralizer"
+                    f" of {render_word(s)}")
+            w_b = R.gr_bar_reduce(table.get(b, R.zero(s.spec)))
+            bi = inv(b)
+            moves.setdefault(b, w_b)
+            moves.setdefault(bi, R.gr_bar_reduce(table[bi]) if bi in table
+                             else R.gr_neg(R.gr_conj(bi, w_b)))
+        object.__setattr__(self, "moves", tuple(moves.items()))
 
 
 @dataclass
@@ -100,10 +128,11 @@ def window_generators(spec, window: int) -> tuple[Word, ...]:
 
 
 def _assemble(ctx: DaxContext, window: int, circles: bool,
-              whisker: dict[Word, RingElem], class_prov: str,
-              use_embedded_formula: bool) -> RelationSet:
+              whisker: dict[Word, RingElem], embedded: bool) -> RelationSet:
     """The relation set of one window: the dax value of every translate in
     the ball (and, in circles mode, the boundary spheres and whiskers).
+    ``embedded`` selects the 3-manifold formula and provenance over the
+    general dax-image ones.
 
     Values are classified in generator-index space.  The formula bodies give
     each value as a reduced term dict, and each term is looked up once in
@@ -154,7 +183,8 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     classes = ctx.table.classes
     # lambda(a, g) for every class and translate, each from its parent's value
     lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
-    dax = _dax_u_embedded if use_embedded_formula else _dax_u_general
+    dax = _dax_u_embedded if embedded else _dax_u_general
+    class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
     for g in enum:
         for a, lam_a in zip(classes, lam):
             classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
@@ -183,8 +213,7 @@ def build_rel_arcs(ctx: DaxContext, window: int) -> RelationSet:
     """Dax-image relations for arcs: the kernel presentation denominator."""
     if ctx.mode != "arcs":
         raise ModeError("build_rel_arcs requires arcs mode")
-    return _assemble(ctx, window, circles=False, whisker={},
-                     class_prov=PROV_DAX_IMAGE, use_embedded_formula=False)
+    return _assemble(ctx, window, circles=False, whisker={}, embedded=False)
 
 
 def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
@@ -193,7 +222,7 @@ def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
     if ctx.mode != CIRCLES:
         raise ModeError("build_rel_circles requires circles mode")
     return _assemble(ctx, window, circles=True, whisker=dict(whisker or {}),
-                     class_prov=PROV_DAX_IMAGE, use_embedded_formula=False)
+                     embedded=False)
 
 
 def build_rel_3mfd(ctx: DaxContext, window: int, circles: bool,
@@ -211,8 +240,7 @@ def build_rel_3mfd(ctx: DaxContext, window: int, circles: bool,
             raise SceneError(
                 f"3-manifold sphere generators must be embedded: {a.name!r}")
     whisker = dict(whisker or {})
-    rs = _assemble(ctx, window, circles=circles, whisker=whisker,
-                   class_prov=PROV_SPHERE_3MFD, use_embedded_formula=True)
+    rs = _assemble(ctx, window, circles=circles, whisker=whisker, embedded=True)
     cent = sorted(set(whisker), key=word_key)
     if circles and not ctx.s_class.is_identity and ctx.s_class not in cent:
         cent.append(ctx.s_class)
@@ -321,10 +349,12 @@ class QuotientSolver:
     factors, the canonical residues and the coordinates, and on the way the
     invariant factors of the two next-smaller windows.  A coordinate vector
     is read off the canonical residue, so it depends on the lattice alone.
+    Built once per relation set as ``RelationSet.solver``; it keeps the
+    spec, not the relation set, so the two are freed together.
     """
 
     def __init__(self, rs: RelationSet):
-        self.rs = rs
+        self.spec = rs.spec
         self.generators = rs.generators
         self.index = {w: i for i, w in enumerate(rs.generators)}
         n = len(rs.generators)
@@ -365,7 +395,7 @@ class QuotientSolver:
         """The ring element with coefficient c at generator i, for each
         (i, c) of ``pairs``."""
         gens = self.generators
-        return R.from_terms(self.rs.spec, [(gens[i], c) for i, c in pairs])
+        return R.from_terms(self.spec, [(gens[i], c) for i, c in pairs])
 
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion coordinates) of the class of elem.
@@ -416,16 +446,15 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
                        tuple(dropped))
 
 
-def quotient_structure(rs: RelationSet,
-                       solver: QuotientSolver | None = None) -> AbelianStructure:
+def quotient_structure(rs: RelationSet) -> AbelianStructure:
     """Free rank and invariant factors of the windowed quotient.
 
     The stable flag reports that the invariant factors agree with the two
     next-smaller windows (free rank keeps growing with the window; torsion
-    is the part that converges).  ``solver``, when given, is the solver
-    already built for ``rs``; its one reduction gives all three windows.
+    is the part that converges).  The one reduction ``rs.solver`` gives all
+    three windows.
     """
-    solver = solver or QuotientSolver(rs)
+    solver = rs.solver
     torsion, w = solver.window_torsion, rs.window
     stable = torsion[w] == torsion[w - 1]
     if w >= 2 and stable:
@@ -456,43 +485,17 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
 # ---------------------------------------------------------------------------
 
 def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
-                             centralizer, whisker: dict[Word, RingElem] | None = None,
-                             s_class: Word | None = None,
-                             solver: QuotientSolver | None = None) -> OrbitResult:
+                             action: OrbitAction) -> OrbitResult:
     """Deterministic representative of the orbit of ``value`` mod ``rs``.
 
-    The supplied centralizer elements act by r -> b r b^-1 + w(b) (and their
-    inverses, with w(b^-1) derived from the action law).  The orbit is
+    The moves of ``action`` act by r -> b r b^-1 + w(b).  The orbit is
     explored within the window, up to ``MAX_ORBIT_STATES`` states; moves
     that leave it, or a search cut at that bound, mark the result incomplete
     instead of failing, so representatives of window-infinite orbits are
-    still canonical for the explored region.  ``solver``, when
-    given, is the solver already built for ``rs``.
+    still canonical for the explored region.  States are residues of the
+    one reduction ``rs.solver``.
     """
-    whisker = dict(whisker or {})
-    solver = solver or QuotientSolver(rs)
-    if s_class is not None:
-        for b in centralizer:
-            if mul(mul(s_class, b), inv(s_class)) != b:
-                raise SceneError(
-                    f"orbit element {render_word(b)} is not in the centralizer"
-                    f" of {render_word(s_class)}")
-
-    moves: list[tuple[Word, RingElem]] = []
-    seen_moves = set()
-    for b in centralizer:
-        w_b = R.gr_bar_reduce(whisker.get(b, R.zero(rs.spec)))
-        bi = inv(b)
-        w_bi = whisker.get(bi)
-        if w_bi is None:
-            # action law: w(b^-1) = -b^-1 w(b) b
-            w_bi = R.gr_neg(R.gr_conj(bi, w_b))
-        else:
-            w_bi = R.gr_bar_reduce(w_bi)
-        for move in ((b, w_b), (bi, w_bi)):
-            if move[0] not in seen_moves:
-                seen_moves.add(move[0])
-                moves.append(move)
+    solver = rs.solver
 
     def state(elem: RingElem) -> tuple[tuple[int, int], ...]:
         # the residue's (index, coefficient) pairs: the least state is the
@@ -509,7 +512,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
             break
         vec = queue.popleft()
         r = solver.elem(vec)
-        for b, w_b in moves:
+        for b, w_b in action.moves:
             moved = R.gr_add(R.gr_conj(b, r), w_b)
             if any(w not in solver.index for w in moved.support()):
                 complete = False

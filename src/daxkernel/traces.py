@@ -16,7 +16,7 @@ from .groups import Word, inv, word_key
 from . import ring as R
 from .ring import RingElem
 from . import snf
-from .quotient import OrbitAction, QuotientSolver, RelationSet, centralizer_orbit_reduce
+from .quotient import OrbitAction, RelationSet, centralizer_orbit_reduce
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,16 @@ class KnotDax:
 
 
 def dax_of_knot(k: KnotRecord, rs: RelationSet,
-                action: OrbitAction | None = None,
-                solver: QuotientSolver | None = None) -> KnotDax:
+                action: OrbitAction | None = None) -> KnotDax:
     """Coordinates of the knot's Dax class in the windowed quotient.
 
     With orbit action data (circles, dimension three) the value is first
     moved to its canonical orbit representative.
     """
-    solver = solver or QuotientSolver(rs)
+    solver = rs.solver
     value = eval_dax_trace(k.trace, rs.spec)
     if action is not None and action.centralizer:
-        orbit = centralizer_orbit_reduce(value, rs, action.centralizer,
-                                         dict(action.whisker), action.s_class,
-                                         solver=solver)
+        orbit = centralizer_orbit_reduce(value, rs, action)
         residue, complete, size = orbit.representative, orbit.complete, orbit.size
     else:
         residue, complete, size = solver.canonical_residue(value), True, 1
@@ -119,14 +116,19 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
                          rs: RelationSet, action: OrbitAction | None = None):
     """Solve v(K) = v(base) + w(Dax(K)) for an integer-linear w.
 
-    ``values`` maps knot names to integer vectors.  Returns
-    (w_map, base_value) on success, where w_map gives the value of w on each
-    window generator; returns a Witness when no such w exists.
+    ``values`` maps the knots' names, which must be distinct, to integer
+    vectors.  Returns (w_map, base_value) on success, where w_map gives the
+    value of w on each window generator; returns a Witness when no such w
+    exists.
     """
     if not knots:
         raise SceneError("universality check needs at least one knot")
     dim = None
+    names = set()
     for k in knots:
+        if k.name in names:
+            raise SceneError(f"knot name {k.name!r} is repeated")
+        names.add(k.name)
         if k.name not in values:
             raise SceneError(f"no value supplied for knot {k.name!r}")
         v = values[k.name]
@@ -135,8 +137,8 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
         elif len(v) != dim:
             raise SceneError("all values must have the same length")
 
-    solver = QuotientSolver(rs)
-    data = [dax_of_knot(k, rs, action, solver) for k in knots]
+    solver = rs.solver
+    data = [dax_of_knot(k, rs, action) for k in knots]
     q = len(data[0].free_coords)
     # unknowns: w on the free quotient coordinates, plus the base value;
     # torsion coordinates force w = 0 there (values are torsion free), so a

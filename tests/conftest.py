@@ -395,7 +395,7 @@ def dense_orbit(value, rs, centralizer, whisker):
 
 # -- relation assembly: the reference that classifies RingElems ------------------------
 
-def reference_assemble(ctx, window, circles, whisker, class_prov, use_embedded_formula):
+def reference_assemble(ctx, window, circles, whisker, embedded):
     """``quotient._assemble`` as it was before values were classified by
     generator index: every value is a ``RingElem`` sorted by ``word_key``,
     kept when its support lies in the window and not seen before as a
@@ -431,7 +431,8 @@ def reference_assemble(ctx, window, circles, whisker, class_prov, use_embedded_f
 
     classes = ctx.table.classes
     lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
-    dax = dax_u_embedded if use_embedded_formula else dax_u_general
+    dax = dax_u_embedded if embedded else dax_u_general
+    class_prov = Q.PROV_SPHERE_3MFD if embedded else Q.PROV_DAX_IMAGE
     for g in enum:
         for a, lam_a in zip(classes, lam):
             classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)

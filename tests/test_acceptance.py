@@ -588,13 +588,11 @@ def test_acceptance_7_concordance_reduction():
 def test_acceptance_8_centralizer_orbits():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 1})
     rs, action = build_rel_3mfd(sc.context(), 4, circles=True)
-    solver = QuotientSolver(rs)
     for text in ("t^2", "t + t^-1", "2*t^3 - t", "0"):
         value = parse_ring(text, Z)
-        res = centralizer_orbit_reduce(value, rs, action.centralizer,
-                                       dict(action.whisker), action.s_class)
+        res = centralizer_orbit_reduce(value, rs, action)
         assert res.complete and res.size == 1
-        assert res.representative == solver.canonical_residue(value)
+        assert res.representative == rs.solver.canonical_residue(value)
 
     prod = parse_group_spec("F<x,y> x Z<t>")
     s = parse_word("x", prod)

@@ -472,13 +472,13 @@ def window_relation_sets(draw):
 @given(window_relation_sets())
 @settings(max_examples=200, deadline=None)
 def test_window_torsion_matches_restriction(rs):
-    solver = QuotientSolver(rs)
+    solver = rs.solver
     for w in (rs.window - 2, rs.window - 1, rs.window):
         small = restrict_relationset(rs, w)
         index = {g: i for i, g in enumerate(small.generators)}
         cols = [{index[g]: c for g, c in rel.items()} for rel in small.relations]
         assert list(solver.window_torsion[w]) == sympy_torsion(cols, len(index))
-    assert quotient_structure(rs, solver) == reference_structure(rs)
+    assert quotient_structure(rs) == reference_structure(rs)
 
 
 # -- one sparse pivot reduction: Hermite bases, residues and coordinates -----------

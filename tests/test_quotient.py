@@ -15,6 +15,7 @@ from daxkernel.quotient import (
     PROV_CONCORDANCE,
     PROV_DAX_IMAGE,
     PROV_WHISKER,
+    OrbitAction,
     QuotientSolver,
     RelationSet,
     build_rel_3mfd,
@@ -337,20 +338,18 @@ def test_orbit_abelian_is_singleton_coset():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 2})
     ctx = sc.context()
     rs, action = build_rel_3mfd(ctx, 4, circles=True)
-    solver = QuotientSolver(rs)
     value = parse_ring("t + 2*t^-1", Z)
-    res = centralizer_orbit_reduce(value, rs, action.centralizer,
-                                   dict(action.whisker), action.s_class)
+    res = centralizer_orbit_reduce(value, rs, action)
     assert res.complete and res.size == 1
-    assert res.representative == solver.canonical_residue(value)
+    assert res.representative == rs.solver.canonical_residue(value)
 
 
 def test_orbit_powers_of_s_fix_values():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 1})
     rs, action = build_rel_3mfd(sc.context(), 4, circles=True)
     value = parse_ring("t^2", Z)
-    res = centralizer_orbit_reduce(value, rs, (parse_word("t^2", Z),), {},
-                                   parse_word("t", Z))
+    action = OrbitAction(parse_word("t", Z), (parse_word("t^2", Z),), ())
+    res = centralizer_orbit_reduce(value, rs, action)
     assert res.complete and res.size == 1
 
 
@@ -358,10 +357,10 @@ def test_orbit_free_group_matches_brute_force():
     # circle class trivial: relations are the fold, action is conjugation
     ctx = circles_context(table_for(F2, [], d=3), F2.identity())
     rs, _ = build_rel_3mfd(ctx, 3, circles=True)
-    solver = QuotientSolver(rs)
+    solver = rs.solver
     x, y = parse_word("x", F2), parse_word("y", F2)
-    res = centralizer_orbit_reduce(parse_ring("y", F2), rs, (x,), {},
-                                   F2.identity())
+    res = centralizer_orbit_reduce(parse_ring("y", F2), rs,
+                                   OrbitAction(F2.identity(), (x,), ()))
     # brute force: conjugates of y by powers of x that stay inside the window
     gens_set = set(rs.generators)
 
@@ -384,20 +383,82 @@ def test_orbit_free_group_matches_brute_force():
 
 
 def test_orbit_requires_centralizing_elements():
-    ctx = prod_circles_ctx()
-    rs, _ = build_rel_3mfd(ctx, 2, circles=True)
-    with pytest.raises(SceneError):
-        centralizer_orbit_reduce(parse_ring("y", PROD), rs,
-                                 (parse_word("y", PROD),), {},
-                                 parse_word("x", PROD))
+    # the action is checked when it is built, before any orbit search
+    x, y = parse_word("x", PROD), parse_word("y", PROD)
+    with pytest.raises(SceneError, match="not in the centralizer"):
+        OrbitAction(x, (x, y), ())
+    OrbitAction(x, (x, parse_word("x^2*t", PROD)), ())
+
+
+def test_orbit_action_derives_inverse_moves_from_the_action_law():
+    """w(b^-1) missing from the table is -b^-1 w(b) b; a tabled w(b^-1) is
+    used as given, bar-reduced.  Each group element moves once, in order."""
+    x, b, b2 = (parse_word(w, PROD) for w in ("x", "x*t", "t^2"))
+    w_b = parse_ring("y + x*y^-1 - 1", PROD)
+    action = OrbitAction(x, (b, inv(b), b2), ((b, w_b),))
+    w_b = gr_bar_reduce(w_b)
+    law = R.gr_neg(R.gr_conj(inv(b), w_b))
+    assert law != R.gr_neg(w_b)  # b does not commute with w(b)
+    assert action.moves == ((b, w_b), (inv(b), law),
+                            (b2, R.zero(PROD)), (inv(b2), R.zero(PROD)))
+    tabled = OrbitAction(x, (b,), ((b, w_b), (inv(b), parse_ring("y + 1", PROD))))
+    assert tabled.moves == ((b, w_b), (inv(b), parse_ring("y", PROD)))
+    # moves are derived data: they take no part in equality
+    assert action == OrbitAction(action.s_class, action.centralizer, action.whisker)
 
 
 def test_orbit_value_outside_window():
     ctx = circles_context(table_for(Z, [], d=3), parse_word("t", Z))
     rs, action = build_rel_3mfd(ctx, 2, circles=True)
     with pytest.raises(WindowOverflowError):
-        centralizer_orbit_reduce(parse_ring("t^9", Z), rs, action.centralizer,
-                                 {}, action.s_class)
+        centralizer_orbit_reduce(parse_ring("t^9", Z), rs, action)
+
+
+# -- one reduction per relation set ------------------------------------------------
+
+def test_relation_set_reduces_once(monkeypatch):
+    """Structure, knots with and without an orbit action, orbits and
+    universality all read the one solver of the relation set."""
+    from daxkernel.traces import (HomotopyTrace, KnotRecord, dax_of_knot,
+                                  universality_witness)
+
+    builds = []
+    init = QuotientSolver.__init__
+
+    def counting_init(self, rs):
+        builds.append(rs)
+        init(self, rs)
+
+    monkeypatch.setattr(QuotientSolver, "__init__", counting_init)
+    ctx = circles_context(table_for(F2, [], d=3), parse_word("x", F2))
+    rs, action = build_rel_3mfd(ctx, 3, circles=True)
+    assert action.centralizer
+    knots = [KnotRecord(name, HomotopyTrace(((1, parse_word(w, F2)),)))
+             for name, w in (("a", "y"), ("b", "x*y"))]
+    quotient_structure(rs)
+    for k in knots:
+        dax_of_knot(k, rs)
+        dax_of_knot(k, rs, action)
+    centralizer_orbit_reduce(parse_ring("y", F2), rs, action)
+    universality_witness(knots, {"a": (0,), "b": (1,)}, rs, action)
+    assert len(builds) == 1 and builds[0] is rs
+    assert rs.solver is rs.solver
+
+
+def test_solver_is_freed_with_its_relation_set():
+    """The solver keeps no reference to its relation set, so reference
+    counting alone frees it with the relation set."""
+    import gc
+    import weakref
+
+    rs = build_rel_arcs(arcs_context(table_for(Z, [])), 3)
+    ref = weakref.ref(rs.solver)
+    gc.disable()
+    try:
+        del rs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- coordinates ----------------------------------------------------------------
@@ -486,8 +547,8 @@ PRESET_CASES = [
 def test_structure_matches_three_eliminations_on_presets(preset, params):
     sc = preset_expand(preset, params)
     for rs in sweep_relation_sets(sc, cli.DEFAULT_SWEEP):
-        solver = QuotientSolver(rs)
-        assert quotient_structure(rs, solver) == reference_structure(rs)
+        solver = rs.solver
+        assert quotient_structure(rs) == reference_structure(rs)
         for w in (rs.window - 2, rs.window - 1):
             small = restrict_relationset(rs, w)
             assert solver.window_torsion[w] == reference_structure(small).torsion
@@ -513,8 +574,8 @@ def bench_scenes():
 def test_structure_matches_three_eliminations_on_bench_scenes(op):
     sc = loads_scene(op.scene_text)
     for rs in sweep_relation_sets(sc, default_windows(sc, op)):
-        solver = QuotientSolver(rs)
-        assert quotient_structure(rs, solver) == reference_structure(rs)
+        solver = rs.solver
+        assert quotient_structure(rs) == reference_structure(rs)
         for w in (rs.window - 2, rs.window - 1):
             small = restrict_relationset(rs, w)
             assert solver.window_torsion[w] == reference_structure(small).torsion
@@ -552,8 +613,7 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
                 assert solver.canonical_residue(value) == solver.elem(enumerate(residue))
         if action is not None and action.centralizer:
             for value in values:
-                orbit = centralizer_orbit_reduce(value, rs, action.centralizer,
-                                                 dict(action.whisker))
+                orbit = centralizer_orbit_reduce(value, rs, action)
                 assert ((orbit.representative, orbit.complete, orbit.size)
                         == dense_orbit(value, rs, action.centralizer,
                                        dict(action.whisker)))

@@ -395,6 +395,28 @@ def test_cli_default_sweep_without_answer_exit_code(capsys):
     assert "base relation" in capsys.readouterr().err
 
 
+def test_cli_param_without_preset_exit_code(tmp_path, capsys):
+    # a scene file fixes its own parameters: d=7 would otherwise be ignored
+    path = tmp_path / "scene.toml"
+    path.write_text(dumps_scene(preset_expand("solid_torus_circles", {"d": 5, "k0": 2})))
+    assert main(["target", "--scene", str(path), "--window", "3"]) == 0
+    capsys.readouterr()
+    assert main(["target", "--scene", str(path), "--param", "d=7"]) == 2
+    assert "--param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["target", "eval", "concordance"])
+def test_cli_value_outside_orbit_exit_code(capsys, command):
+    argv = [command, "--preset", "s1_x_sphere", "--param", "w0=3", "--window", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--value", "t^2"]) == 2
+    assert "--value" in capsys.readouterr().err
+    sc = preset_expand("s1_x_sphere", {"w0": 3})
+    with pytest.raises(DaxKernelError, match="orbit"):
+        run_scene(sc, command, 4, extra_value="t^2")
+
+
 def test_cli_bad_scene_file_exit_code(tmp_path):
     path = tmp_path / "broken.toml"
     path.write_text("dimension = 5\nmode = \"arcs\"\ngroup = \"Q<v>\"\n")

@@ -1,11 +1,11 @@
 import pytest
 
-from daxkernel.errors import WindowOverflowError
+from daxkernel.errors import SceneError, WindowOverflowError
 from daxkernel.groups import inv, parse_group_spec, parse_word, word_key
 from daxkernel import ring as R
 from daxkernel.ring import gr_add, monomial, parse_ring
 from daxkernel.calculus import arcs_context, circles_context
-from daxkernel.quotient import QuotientSolver, build_rel_3mfd
+from daxkernel.quotient import OrbitAction, QuotientSolver, build_rel_3mfd
 from daxkernel.traces import (
     HomotopyTrace,
     KnotRecord,
@@ -143,12 +143,10 @@ def test_orbit_reduction_applies_for_circles():
     # fold relations make y and y^-1 equal already; conjugation by x moves y
     k = KnotRecord("k", trace(F2, (1, "x*y*x^-1")))
     plain = dax_of_knot(k, rs)
-    from daxkernel.quotient import OrbitAction
     act = OrbitAction(F2.identity(), (parse_word("x", F2),), ())
     reduced = dax_of_knot(k, rs, act)
     assert plain.residue != reduced.residue
-    assert reduced.residue == QuotientSolver(rs).canonical_residue(
-        parse_ring("y", F2))
+    assert reduced.residue == rs.solver.canonical_residue(parse_ring("y", F2))
 
 
 # -- universality ----------------------------------------------------------------------
@@ -255,3 +253,17 @@ def test_universality_detects_planted_failure():
     else:
         assert all(v % result.modulus == 0 for v in coord_sum)
         assert any(v % result.modulus != 0 for v in value_sum)
+
+
+def test_universality_rejects_repeated_knot_names():
+    """Values and witness combinations are keyed by knot name: two knots
+    named k (traces x*x and x, so coordinates 2 and 1) would be read as one,
+    and the witness {base: 1, k: -2} does not annihilate the coordinates of
+    the three knots."""
+    rs = irreducible_ctx(window=2)
+    x = parse_word("x", F2)
+    knots = [KnotRecord("base", HomotopyTrace(())),
+             KnotRecord("k", HomotopyTrace(((1, x), (1, x)))),
+             KnotRecord("k", HomotopyTrace(((1, x),)))]
+    with pytest.raises(SceneError, match="repeated"):
+        universality_witness(knots, {"base": (0,), "k": (1,)}, rs)
