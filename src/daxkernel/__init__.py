@@ -16,6 +16,7 @@ from .errors import (
     SpecMismatchError,
     UnknownGeneratorError,
     UnsupportedClassError,
+    UsageError,
     WindowOverflowError,
 )
 from .groups import (

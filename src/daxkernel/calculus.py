@@ -16,7 +16,7 @@ the dictionary itself and classifies each term by its generator index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ModeError, SpecMismatchError
@@ -37,11 +37,19 @@ CIRCLES = "circles"
 
 @dataclass(frozen=True)
 class DaxContext:
-    """A pairing table together with the scene mode and circle class."""
+    """A pairing table together with the scene mode and circle class.
+
+    The constants that the formula bodies read for every translate are
+    computed once, at construction: the identity, the inverse ``s_inv`` of
+    the circle class and the sign ``flip`` = (-1)^(d-1) of ``lambda_flip``.
+    """
 
     table: PairingTable
     s_class: Word
     mode: str
+    identity: Word = field(init=False, repr=False, compare=False)
+    s_inv: Word = field(init=False, repr=False, compare=False)
+    flip: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (ARCS, CIRCLES):
@@ -50,6 +58,9 @@ class DaxContext:
             raise SpecMismatchError("circle class over a different spec")
         if self.mode == ARCS and not self.s_class.is_identity:
             raise ModeError("arcs mode carries no circle class")
+        object.__setattr__(self, "identity", self.table.spec.identity())
+        object.__setattr__(self, "s_inv", inv(self.s_class))
+        object.__setattr__(self, "flip", flip_sign(self.table.dimension))
 
     @property
     def d(self) -> int:
@@ -86,13 +97,13 @@ def _add(acc: dict[Word, int], terms, scale: int = 1) -> None:
 
 def _reduced(ctx: DaxContext, acc: dict[Word, int]) -> dict[Word, int]:
     """red(sum of acc), still a term dict: the identity term dropped."""
-    acc.pop(ctx.spec.identity(), None)
+    acc.pop(ctx.identity, None)
     return acc
 
 
-def _flipped(terms, d: int) -> list[tuple[Word, int]]:
+def _flipped(terms, ctx: DaxContext) -> list[tuple[Word, int]]:
     """Terms of lambda_flip: (-1)^(d-1) * bar(sum of c*w)."""
-    sign = flip_sign(d)
+    sign = ctx.flip
     return [(inv(w), sign * c) for w, c in terms]
 
 
@@ -106,7 +117,7 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     acc: dict[Word, int] = {}
     _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
     _add(acc, lam, -1)
-    _add(acc, _flipped(lam, ctx.d))
+    _add(acc, _flipped(lam, ctx))
     return R.from_terms(ctx.spec, _reduced(ctx, acc))
 
 
@@ -140,7 +151,7 @@ def _dax_u_general(g, a, ctx, lam=None) -> dict[Word, int]:
     # independent of dax_u_embedded, which cross-checks it
     _add(acc, lam_g, -1)
     _add(acc, lam_u_gi, -1)
-    _add(acc, _flipped(lam_g, ctx.d))
+    _add(acc, _flipped(lam_g, ctx))
     return _reduced(ctx, acc)
 
 
@@ -166,7 +177,7 @@ def _dax_u_embedded(g, a, ctx, lam=None) -> dict[Word, int]:
     acc: dict[Word, int] = {}
     _add(acc, ((mul(g, w), c) for w, c in a.lambda_u.terms))
     _add(acc, lam_g, -1)
-    _add(acc, _flipped(lam_g, ctx.d))
+    _add(acc, _flipped(lam_g, ctx))
     return _reduced(ctx, acc)
 
 
@@ -184,8 +195,8 @@ def _dax_boundary_sphere(g, ctx) -> dict[Word, int]:
     """``dax_boundary_sphere`` as a reduced term dict."""
     if ctx.mode != CIRCLES:
         raise ModeError("the boundary sphere exists only in circles mode")
-    acc = {inv(g): flip_sign(ctx.d)}
-    _add(acc, [(mul(g, inv(ctx.s_class)), -1)])
+    acc = {inv(g): ctx.flip}
+    _add(acc, [(mul(g, ctx.s_inv), -1)])
     return _reduced(ctx, acc)
 
 

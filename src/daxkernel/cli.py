@@ -4,7 +4,7 @@
         (--scene FILE | --preset NAME [--param k=v ...])
         [--window W] [--json]
 
-Exit codes: 0 success, 2 scene error, 3 window overflow.
+Exit codes: 0 success, 2 usage or scene error, 3 window overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import BallOverflowError, DaxKernelError, WindowOverflowError
+from .errors import BallOverflowError, DaxKernelError, UsageError, WindowOverflowError
 from .groups import render_word
 from .ring import parse_ring
 from .calculus import CIRCLES
@@ -192,7 +192,7 @@ def run_scene(scene: ManifoldScene, command: str, window: int | None = None,
               extra_value: str | None = None) -> dict:
     """Deterministic report for one scene and command."""
     if extra_value is not None and command != "orbit":
-        raise DaxKernelError(f"--value applies to the orbit command only, not {command}")
+        raise UsageError(f"--value applies to the orbit command only, not {command}")
     if command == "target":
         if window is not None:
             windows = [window]
@@ -288,25 +288,28 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.scene and args.preset:
-            raise DaxKernelError("give either --scene or --preset, not both")
+            raise UsageError("give either --scene or --preset, not both")
         if args.param and not args.preset:
-            raise DaxKernelError("--param applies to --preset only")
+            raise UsageError("--param applies to --preset only")
         if args.scene:
             scene = load_scene_file(args.scene)
         elif args.preset:
             params = {}
             for item in args.param:
                 if "=" not in item:
-                    raise DaxKernelError(f"--param expects K=V, got {item!r}")
+                    raise UsageError(f"--param expects K=V, got {item!r}")
                 k, _, v = item.partition("=")
                 params[k.strip()] = coerce_param(k.strip(), v.strip())
             scene = preset_expand(args.preset, params)
         else:
-            raise DaxKernelError("a scene is required: --scene FILE or --preset NAME")
+            raise UsageError("a scene is required: --scene FILE or --preset NAME")
         report = run_scene(scene, args.command, args.window, args.value)
     except WindowOverflowError as exc:
         print(f"window overflow: {exc}", file=sys.stderr)
         return 3
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except DaxKernelError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,11 @@ class ModeError(DaxKernelError):
     """Operation called in the wrong scene mode (arcs vs circles)."""
 
 
+class UsageError(DaxKernelError):
+    """Command-line flags that contradict each other or that the command
+    would ignore.  CLI exit code 2, printed as a usage error."""
+
+
 class SceneError(DaxKernelError):
     """Invalid or inconsistent scene data.  CLI exit code 2."""
 

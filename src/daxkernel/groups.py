@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import comb
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
@@ -351,33 +353,143 @@ def word_key(w: Word):
 def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
     """All elements of word length <= radius, identity first, in word_key order.
 
-    Breadth-first over generator steps; deterministic.  ``limit`` guards
-    against exponentially large balls in free groups: a larger ball raises
-    ``BallOverflowError``.
+    A normal form is its factor blocks concatenated, and ``word_key``
+    concatenates per-letter keys, so each factor's spheres are built on their
+    own, letter tuples and keys together (``_factor_spheres``), and the ball
+    is their products up to the radius, sorted once on the built keys.  No
+    ``mul``, ``normalize`` or ``word_key`` call is made.
+
+    ``limit`` guards against exponentially large balls in free groups: the
+    exact size is counted from the factors' sphere sizes first
+    (``_ball_size``), so a larger ball raises ``BallOverflowError`` before
+    any element is built.
     """
     if radius < 0:
         return []
-    steps: list[Word] = []
-    for name in spec.generators:
-        steps.append(spec.word([(name, 1)]))
-        steps.append(spec.word([(name, -1)]))
-    seen = {spec.identity()}
-    frontier = [spec.identity()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for s in steps:
-                v = mul(w, s)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > limit:
-                        raise BallOverflowError(
-                            f"ball of radius {radius} exceeds {limit} elements;"
-                            " use a smaller window"
-                        )
-        frontier = nxt
-    return sorted(seen, key=word_key)
+    if _ball_size(spec.factors, radius, limit) > limit:
+        raise BallOverflowError(
+            f"ball of radius {radius} exceeds {limit} elements;"
+            " use a smaller window"
+        )
+    spheres = [[((), ())]]  # the trivial group's one sphere: the identity
+    first = 0  # global index of the factor's first generator
+    for fac in spec.factors:
+        fac_spheres = _factor_spheres(fac, first, radius)
+        # the first factor's spheres are already the product's
+        spheres = _product(spheres, fac_spheres, radius) if first else fac_spheres
+        first += len(fac.gens)
+    out = []
+    for sphere in spheres:
+        sphere.sort(key=itemgetter(1))
+        out += [Word(spec, letters) for letters, _ in sphere]
+    return out
+
+
+# Sphere lists, of sizes or of elements, stop at their last nonempty sphere:
+# a sphere of length n is nonempty for every n up to that one, in a factor
+# and in a product alike, so every pair that ``_pairs`` yields is nonempty.
+
+def _pairs(a: list, b: list, n: int) -> range:
+    """The k with spheres a[k] and b[n - k] in the lists a and b."""
+    return range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
+
+
+def _product(a: list, b: list, radius: int) -> list:
+    """The spheres up to radius of a direct product, from its two sides'."""
+    out = []
+    for n in range(min(radius, len(a) + len(b) - 2) + 1):
+        out.append([(x + y, kx + ky) for k in _pairs(a, b, n)
+                    for x, kx in a[k] for y, ky in b[n - k]])
+    return out
+
+
+def _ball_size(factors, radius: int, limit: int) -> int:
+    """The ball's size, counted sphere by sphere from the factors' sphere
+    sizes (a growth series); the count stops once it passes ``limit``."""
+    # prods[i]: the sphere sizes of the product of the first i factors
+    prods = [[1] for _ in range(len(factors) + 1)]
+    facs = [[1] for _ in factors]
+    total = 1
+    for n in range(1, radius + 1):
+        for i, fac in enumerate(factors):
+            size = _sphere_size(fac, n)
+            if size:
+                facs[i].append(size)
+            a, b = prods[i], facs[i]
+            size = sum(a[k] * b[n - k] for k in _pairs(a, b, n))
+            if size:
+                prods[i + 1].append(size)
+        if len(prods[-1]) <= n:
+            break  # a finite group: every further sphere is empty
+        total += prods[-1][n]
+        if total > limit:
+            break
+    return total
+
+
+def _sphere_size(fac: Factor, n: int) -> int:
+    """The number of elements of word length n >= 1 in one factor."""
+    k = len(fac.gens)
+    if fac.kind == FREE:
+        return 2 * k * (2 * k - 1) ** (n - 1)
+    if fac.kind == FREE_ABELIAN:
+        # a vector of l1 norm n with j nonzero entries chooses them, their
+        # signs, and a composition of n into j positive parts
+        return sum(comb(k, j) * comb(n - 1, j - 1) * 2 ** j for j in range(1, k + 1))
+    m = fac.order  # Z/m: the exponents n and m - n, one at the tie n = m/2
+    return 0 if 2 * n > m else 1 if 2 * n == m else 2
+
+
+def _factor_spheres(fac: Factor, first: int, radius: int) -> list[list[tuple]]:
+    """The nonempty spheres of radius 0..radius in one factor, each a list
+    of (letters, key) pairs: the normal form's letters and its ``word_key``
+    letter keys, with generator indices counted from ``first``."""
+    gens = [(name, first + i) for i, name in enumerate(fac.gens)]
+    spheres = [[((), ())]]
+    if fac.kind == FREE:
+        # a word of length n is one of length n-1 with a new syllable
+        # appended, or with its last syllable grown away from zero
+        for _ in range(radius):
+            nxt = []
+            for letters, key in spheres[-1]:
+                last = None
+                if letters:
+                    last, e = letters[-1]
+                    g, size, neg = key[-1]
+                    nxt.append((letters[:-1] + ((last, e - 1 if neg else e + 1),),
+                                key[:-1] + ((g, size + 1, neg),)))
+                for name, g in gens:
+                    if name != last:
+                        nxt.append((letters + ((name, 1),), key + ((g, 1, 0),)))
+                        nxt.append((letters + ((name, -1),), key + ((g, 1, 1),)))
+            spheres.append(nxt)
+    elif fac.kind == FREE_ABELIAN:
+        # exponent vectors of l1 norm n, generators in declaration order
+        for n in range(1, radius + 1):
+            sphere = [((), ())]
+            for i, (name, g) in enumerate(gens):
+                nxt = []
+                for letters, key in sphere:
+                    left = n - sum(size for _, size, _ in key)
+                    sizes = [left] if i == len(gens) - 1 else range(left + 1)
+                    for size in sizes:  # the last generator takes what is left
+                        if size:
+                            nxt.append((letters + ((name, size),), key + ((g, size, 0),)))
+                            nxt.append((letters + ((name, -size),), key + ((g, size, 1),)))
+                        else:
+                            nxt.append((letters, key))
+                sphere = nxt
+            spheres.append(sphere)
+    else:
+        # Z/m: the shortest signed exponents; at n = m/2 the tie is positive
+        (name, g), = gens
+        m = fac.order
+        for n in range(1, min(radius, m // 2) + 1):
+            sphere = [(((name, n),), ((g, n, 0),))]
+            if 2 * n < m:
+                sphere.append((((name, m - n),), ((g, n, 1),)))
+            spheres.append(sphere)
+    return spheres
 
 
 # ---------------------------------------------------------------------------

@@ -182,27 +182,37 @@ def lambda_on_ball(table: PairingTable, a: SphereClass,
     it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
     letter's generator, signed like its shortest exponent, so p is one
     shorter and already done:  lambda(a, g) = lambda(a, p) + lambda(a, s) p^-1.
+    The parent p is read off g's letters, not multiplied out: its last
+    letter is g's stepped one toward zero (modulo the order in a finite
+    cyclic factor), and dropped when that reaches zero.
     """
     spec = table.spec
     index = spec._index
-    steps: dict[tuple[str, int], tuple[Word, tuple]] = {}
+    steps: dict[tuple[str, int], tuple] = {}
     values: dict[Word, dict[Word, int]] = {}
+    # letters -> [the element, its value, its inverse once it is a parent]
+    done: dict[tuple, list] = {}
     for g in elements:
-        if not g.letters:
+        letters = g.letters
+        if not letters:
             values[g] = {}
+            done[letters] = [g, {}, g]
             continue
-        name, exp = g.letters[-1]
+        name, exp = letters[-1]
         order = index[name][2]
         sign = -1 if exp < 0 or (order and exp > order - exp) else 1
-        step = steps.get((name, sign))
-        if step is None:
-            s = spec.word([(name, sign)])
-            step = steps[name, sign] = (inv(s), _lambda_letter(spec, a, name, sign).terms)
-        s_inv, lam_s = step
-        p = mul(g, s_inv)
-        val = dict(values[p])
+        lam_s = steps.get((name, sign))
+        if lam_s is None:
+            lam_s = steps[name, sign] = _lambda_letter(spec, a, name, sign).terms
+        exp -= sign
+        if order:
+            exp %= order
+        parent = done[letters[:-1] + ((name, exp),) if exp else letters[:-1]]
+        val = dict(parent[1])
         if lam_s:
-            p_inv = inv(p)
+            p_inv = parent[2]
+            if p_inv is None:
+                p_inv = parent[2] = inv(parent[0])
             for w, c in lam_s:
                 v = mul(w, p_inv)
                 c += val.get(v, 0)
@@ -211,6 +221,7 @@ def lambda_on_ball(table: PairingTable, a: SphereClass,
                 else:
                     del val[v]
         values[g] = val
+        done[letters] = [g, val, None]
     return values
 
 

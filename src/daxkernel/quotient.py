@@ -42,14 +42,22 @@ MAX_ORBIT_STATES = 4096
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Relations supported on a generator window of the reduced group ring."""
+    """Relations supported on a generator window of the reduced group ring.
+
+    ``dropped_terms`` holds the values that left the window, each as its
+    provenance and an unsorted term dict (word -> coefficient, zeros
+    allowed), as relation assembly produced it.  Only a report shows them,
+    so they are sorted into ``RingElem`` values when ``dropped`` is first
+    read, and at most once.  Equality ignores them.
+    """
 
     spec: GroupSpec
     window: int
     generators: tuple[Word, ...]
     relations: tuple[RingElem, ...]
     provenance: tuple[str, ...]
-    dropped: tuple[tuple[str, RingElem], ...] = ()  # (provenance, relation)
+    dropped_terms: tuple[tuple[str, dict[Word, int]], ...] = field(
+        default=(), repr=False, compare=False)
 
     def __post_init__(self):
         gens = set(self.generators)
@@ -58,6 +66,12 @@ class RelationSet:
                 if w not in gens:
                     raise WindowOverflowError(
                         f"relation {rel} not supported on the window", str(rel))
+
+    @functools.cached_property
+    def dropped(self) -> tuple[tuple[str, RingElem], ...]:
+        """(provenance, value) of each dropped value, sorted on first read."""
+        return tuple((p, R.from_terms(self.spec, terms))
+                     for p, terms in self.dropped_terms)
 
     @functools.cached_property
     def solver(self) -> QuotientSolver:
@@ -141,9 +155,10 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     pairs sorted as integers: the window is the ball in ``word_key`` order,
     so this is the order ``from_terms`` would give, without a ``word_key``
     per term.  Duplicates are caught on those pairs, and a kept relation
-    shares the ball's Words.  Only a value that leaves the window is sorted
-    into a ``RingElem``: it is dropped, or, for a base relation (the identity
-    translate and the whiskers), reported in a ``WindowOverflowError``.
+    shares the ball's Words.  A value that leaves the window is dropped as
+    its term dict, which ``RelationSet.dropped`` sorts only when read; a base
+    relation (the identity translate and the whiskers) that leaves it is
+    sorted into the message of a ``WindowOverflowError``.
     """
     if window < 1:
         raise SceneError("window must be >= 1")
@@ -154,7 +169,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
 
     kept: list[tuple[tuple[int, int], ...]] = []  # sorted (index, coefficient)
     prov: list[str] = []
-    dropped: list[tuple[str, RingElem]] = []
+    dropped: list[tuple[str, dict[Word, int]]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
 
     def classify(acc: dict[Word, int], provenance: str, from_identity: bool):
@@ -164,12 +179,12 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
                 continue
             i = index.get(w)
             if i is None:
-                val = R.from_terms(spec, acc)
                 if from_identity:
+                    val = R.from_terms(spec, acc)
                     raise WindowOverflowError(
                         f"base relation {val} exceeds the generator window;"
                         " increase the window", str(val))
-                dropped.append((provenance, val))
+                dropped.append((provenance, acc))
                 return
             pairs.append((i, c))
         if pairs:
@@ -205,8 +220,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
 
     relations = tuple(RingElem(spec, tuple((gens[i], c) for i, c in key))
                       for key in kept)
-    return RelationSet(spec, window, gens, relations, tuple(prov),
-                       tuple(dropped))
+    return RelationSet(spec, window, gens, relations, tuple(prov), tuple(dropped))
 
 
 def build_rel_arcs(ctx: DaxContext, window: int) -> RelationSet:
@@ -435,13 +449,13 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
     """
     gens = tuple(w for w in rs.generators if word_length(w) <= window)
     gens_set = set(gens)
-    kept, prov, dropped = [], [], list(rs.dropped)
+    kept, prov, dropped = [], [], list(rs.dropped_terms)
     for rel, p in zip(rs.relations, rs.provenance):
         if all(w in gens_set for w in rel.support()):
             kept.append(rel)
             prov.append(p)
         else:
-            dropped.append((p, rel))
+            dropped.append((p, dict(rel.terms)))
     return RelationSet(rs.spec, window, gens, tuple(kept), tuple(prov),
                        tuple(dropped))
 
@@ -477,7 +491,7 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
         kept.append(val)
         prov.append(PROV_CONCORDANCE)
     return RelationSet(rs.spec, rs.window, rs.generators, tuple(kept),
-                       tuple(prov), rs.dropped)
+                       tuple(prov), rs.dropped_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,9 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     """Solve v(K) = v(base) + w(Dax(K)) for an integer-linear w.
 
     ``values`` maps the knots' names, which must be distinct, to integer
-    vectors.  Returns (w_map, base_value) on success, where w_map gives the
-    value of w on each window generator; returns a Witness when no such w
-    exists.
+    vectors, and names no other key.  Returns (w_map, base_value) on
+    success, where w_map gives the value of w on each window generator;
+    returns a Witness when no such w exists.
     """
     if not knots:
         raise SceneError("universality check needs at least one knot")
@@ -136,6 +136,9 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
             dim = len(v)
         elif len(v) != dim:
             raise SceneError("all values must have the same length")
+    for name in values:
+        if name not in names:
+            raise SceneError(f"value supplied for unknown knot {name!r}")
 
     solver = rs.solver
     data = [dax_of_knot(k, rs, action) for k in knots]

@@ -109,6 +109,40 @@ def random_circles_context(rng, spec, d=None):
     return circles_context(table_for(spec, classes, d=d), s)
 
 
+# -- the breadth-first ball: the reference for groups.ball ----------------------------
+
+def reference_ball(spec, radius, limit=200_000):
+    """``groups.ball`` as it was before balls were built by extension:
+    breadth-first over generator steps with ``mul``, raising once more than
+    ``limit`` elements are seen, then sorted by ``word_key``."""
+    from daxkernel.errors import BallOverflowError
+    from daxkernel.groups import mul, word_key
+
+    if radius < 0:
+        return []
+    steps = []
+    for name in spec.generators:
+        steps.append(spec.word([(name, 1)]))
+        steps.append(spec.word([(name, -1)]))
+    seen = {spec.identity()}
+    frontier = [spec.identity()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for s in steps:
+                v = mul(w, s)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                    if len(seen) > limit:
+                        raise BallOverflowError(
+                            f"ball of radius {radius} exceeds {limit} elements;"
+                            " use a smaller window"
+                        )
+        frontier = nxt
+    return sorted(seen, key=word_key)
+
+
 # -- the unit-pivot elimination: the reference for rank and torsion --------------------
 
 class Elimination(NamedTuple):
@@ -427,7 +461,7 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
             raise WindowOverflowError(
                 f"base relation {val} exceeds the generator window; increase the"
                 " window", str(val))
-        dropped.append((provenance, val))
+        dropped.append((provenance, dict(val.terms)))
 
     classes = ctx.table.classes
     lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from daxkernel.errors import (
+    BallOverflowError,
     GroupParseError,
     SpecMismatchError,
     UnknownGeneratorError,
@@ -256,6 +257,21 @@ def test_ball_sizes():
     cyc = parse_group_spec("Z/3<u>")
     assert len(ball(cyc, 1)) == 3
     assert len(ball(cyc, 5)) == 3
+
+
+def test_ball_limit_is_its_exact_size():
+    # 1 + 4 + 12 elements: a limit of 17 holds the ball, 16 does not
+    free = parse_group_spec("F<x,y>")
+    assert len(ball(free, 2, limit=17)) == 17
+    with pytest.raises(BallOverflowError,
+                       match="ball of radius 2 exceeds 16 elements; use a smaller window"):
+        ball(free, 2, limit=16)
+
+
+def test_ball_past_the_limit_raises_before_building():
+    # 4 * 3^39 elements: only a size counted before enumeration returns
+    with pytest.raises(BallOverflowError, match="ball of radius 40 exceeds 200000"):
+        ball(parse_group_spec("F<x,y>"), 40)
 
 
 def test_ball_deterministic_and_sorted():

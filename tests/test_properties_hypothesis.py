@@ -15,9 +15,13 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
 )
-from daxkernel.errors import ModeError, UnknownGeneratorError
+from daxkernel.errors import BallOverflowError, ModeError, UnknownGeneratorError
 from daxkernel.groups import (
     FINITE_CYCLIC,
+    FREE,
+    FREE_ABELIAN,
+    Factor,
+    GroupSpec,
     Word,
     ball,
     inv,
@@ -73,6 +77,7 @@ from conftest import (
     random_class,
     random_whisker,
     random_word,
+    reference_ball,
     reference_elimination,
     reference_structure,
     sparse,
@@ -284,9 +289,10 @@ def ref_dax_u_embedded(g, a, ctx):
 WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>",
                    "F<x,y> x F<z,v>", "Z/2<u> x F<x>")
 # in a cyclic factor of order m >= 4, u^(m-1) is one letter long but u^(m-2)
-# is not, so a ball step that ignores the shortest signed exponent shows
-# (test_lambda_on_ball)
-BALL_SPEC_TEXTS = WORD_SPEC_TEXTS + ("Z/5<u> x F<x>",)
+# is not, so a ball step that ignores the shortest signed exponent shows; at
+# an even order m the element u^(m/2) is its own tie, stepped down from the
+# positive side (test_lambda_on_ball)
+BALL_SPEC_TEXTS = WORD_SPEC_TEXTS + ("Z/5<u> x F<x>", "Z/4<u> x F<x>", "Z<t> x Z/6<u>")
 WORD_SPECS = {text: parse_group_spec(text) for text in BALL_SPEC_TEXTS}
 
 
@@ -392,6 +398,44 @@ def test_lambda_on_ball(text, data):
             assert general == dax_u_general(g, a, ctx)
             if a.embedded:
                 assert dax_u_embedded(g, a, ctx, lam.items()) == general
+
+
+@st.composite
+def factor_products(draw):
+    """Direct products of one to three free, free abelian and finite cyclic
+    factors; cyclic orders run from 1 to 6, so both parities and the tie of
+    an even order at m/2 occur."""
+    factors = []
+    names = iter("abcdefgh")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from((FREE, FREE_ABELIAN, FINITE_CYCLIC)))
+        if kind == FINITE_CYCLIC:
+            factors.append(Factor(kind, (next(names),),
+                                  draw(st.integers(min_value=1, max_value=6))))
+        else:
+            rank = draw(st.integers(min_value=1, max_value=2))
+            factors.append(Factor(kind, tuple(next(names) for _ in range(rank))))
+    return GroupSpec(tuple(factors))
+
+
+@given(factor_products(), st.integers(min_value=0, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_ball_matches_breadth_first_reference(spec, radius):
+    # same elements, letters and order as the breadth-first walk; a ball
+    # past the limit raises the same error in both
+    limit = 2000
+    try:
+        want = [w.letters for w in reference_ball(spec, radius, limit)]
+    except BallOverflowError as exc:
+        with pytest.raises(BallOverflowError) as got:
+            ball(spec, radius, limit)
+        assert str(got.value) == str(exc)
+        return
+    assert [w.letters for w in ball(spec, radius, limit)] == want
+    # the size is counted exactly: a limit one below it raises
+    if len(want) > 1:
+        with pytest.raises(BallOverflowError):
+            ball(spec, radius, len(want) - 1)
 
 
 # -- prefix torsions of one shell-ordered reduction -----------------------------

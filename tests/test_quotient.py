@@ -185,6 +185,27 @@ def test_translated_overflow_is_dropped_and_reported():
     assert all(any(w not in gens for w in val.support()) for _, val in rs.dropped)
 
 
+def test_eval_sorts_no_dropped_value(monkeypatch):
+    # a dropped value stays a term dict until a report reads it: an eval
+    # build sorts none of them, and the first read sorts them once
+    sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 2})
+    built = []
+    from_terms = R.from_terms
+
+    def counting(spec, terms):
+        built.append(from_terms(spec, terms))
+        return built[-1]
+
+    monkeypatch.setattr(R, "from_terms", counting)
+    cli.run_scene(sc, "eval", 4)
+    monkeypatch.undo()
+    rs = build_rel_circles(sc.context(), {}, 4)
+    dropped = rs.dropped
+    assert dropped and rs.dropped is dropped
+    values = {val for _, val in dropped}
+    assert [elem for elem in built if elem in values] == []
+
+
 def test_restrict_relationset_drops_wide_relations():
     sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
     rs = build_rel_circles(sc.context(), {}, 6)

@@ -384,6 +384,42 @@ def test_cli_default_sweep_stops_at_ball_cap(capsys):
     assert "  free-rank profile: 648*W - 2432 (linear=True)" in lines
 
 
+def _enumerated_radii(monkeypatch):
+    """The radii at which ``groups.ball`` builds factor spheres."""
+    from daxkernel import groups
+    radii = []
+    spheres = groups._factor_spheres
+
+    def recording(fac, first, radius):
+        radii.append(radius)
+        return spheres(fac, first, radius)
+
+    monkeypatch.setattr(groups, "_factor_spheres", recording)
+    return radii
+
+
+def test_cli_sweep_truncates_without_enumerating(capsys, monkeypatch):
+    # the sweep answers W=4 and W=6 and stops at W=8, whose ball is counted
+    # past the cap but never built
+    radii = _enumerated_radii(monkeypatch)
+    argv = ["target", "--preset", "aspherical", "--param", "group=F<x,y>"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if "truncated" in ln] == [
+        "  sweep truncated at W=8: its ball exceeds 6000 elements"]
+    assert radii == [4, 6]
+
+
+def test_cli_window_past_cap_exits_without_enumerating(capsys, monkeypatch):
+    radii = _enumerated_radii(monkeypatch)
+    assert main(["target", "--preset", "aspherical", "--param", "group=F<x,y>",
+                 "--window", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "window overflow: ball of radius 12 exceeds 6000 elements;"
+        " use a smaller window\n")
+    assert radii == []
+
+
 def test_cli_default_sweep_without_answer_exit_code(capsys):
     # a ball cap at the sweep's first window leaves no smaller answer
     assert main(["target", "--preset", "aspherical",
@@ -393,6 +429,31 @@ def test_cli_default_sweep_without_answer_exit_code(capsys):
     assert main(["target", "--preset", "solid_torus_circles",
                  "--param", "d=5", "--param", "k0=9"]) == 3
     assert "base relation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["target"], "a scene is required: --scene FILE or --preset NAME"),
+    (["target", "--param", "d=5"], "--param applies to --preset only"),
+    (["target", "--scene", "scene.toml", "--preset", "disk_d"],
+     "give either --scene or --preset, not both"),
+    (["target", "--preset", "disk_d", "--param", "d5"], "--param expects K=V, got 'd5'"),
+    (["eval", "--preset", "s1_x_sphere", "--param", "w0=3", "--window", "4",
+      "--value", "t^2"],
+     "--value applies to the orbit command only, not eval"),
+])
+def test_cli_flag_errors_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {flag}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["target", "--preset", "nope"],
+    ["target", "--preset", "s1_x_sphere", "--param", "w0=oops"],
+    ["orbit", "--preset", "s1_x_sphere", "--param", "w0=3", "--window", "4"],
+])
+def test_cli_scene_errors_keep_their_label(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("scene error: ")
 
 
 def test_cli_param_without_preset_exit_code(tmp_path, capsys):

@@ -267,3 +267,16 @@ def test_universality_rejects_repeated_knot_names():
              KnotRecord("k", HomotopyTrace(((1, x),)))]
     with pytest.raises(SceneError, match="repeated"):
         universality_witness(knots, {"base": (0,), "k": (1,)}, rs)
+
+
+def test_universality_rejects_values_of_unknown_knots():
+    """A value keyed by a name that no knot has would be ignored, and the
+    solution returned as if it were absent."""
+    rs = irreducible_ctx(window=2)
+    x = parse_word("x", F2)
+    knots = [KnotRecord("base", HomotopyTrace(())),
+             KnotRecord("k", HomotopyTrace(((1, x),)))]
+    assert not isinstance(universality_witness(knots, {"base": (0,), "k": (1,)}, rs),
+                          Witness)
+    with pytest.raises(SceneError, match="'kk'"):
+        universality_witness(knots, {"base": (0,), "k": (1,), "kk": (7,)}, rs)
