@@ -9,9 +9,13 @@ word to the identity, so this equals reducing every piece separately.
 
 The formulas behind relation assembly each have one private body that
 returns that reduced dictionary, word -> coefficient (zero coefficients
-included).  The public ``dax_u_general``, ``dax_u_embedded`` and
-``dax_boundary_sphere`` sort it into a ``RingElem``; relation assembly reads
-the dictionary itself and classifies each term by its generator index.
+included).  The bodies of the two translate formulas sum their other terms
+into the twist T_a(g) = -lambda(g a, g) + lambda(g, g a) that both contain:
+relation assembly carries it along the ball (``pairing.twists_on_ball``),
+and the public functions build it from lambda(a, g) with the same helper,
+``pairing.add_twist``.  The public ``dax_u_general``, ``dax_u_embedded`` and
+``dax_boundary_sphere`` sort the dictionary into a ``RingElem``; relation
+assembly reads it itself and classifies each term by its generator index.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ModeError, SpecMismatchError
-from .groups import Word, inv, mul, render_word
+from .groups import Word, inv, mul
 from . import ring as R
 from .ring import RingElem
 from .pairing import (
     PairingTable,
     SphereClass,
+    add_twist,
     flip_sign,
     lambda_word,
     rebase_table,
@@ -101,10 +106,13 @@ def _reduced(ctx: DaxContext, acc: dict[Word, int]) -> dict[Word, int]:
     return acc
 
 
-def _flipped(terms, ctx: DaxContext) -> list[tuple[Word, int]]:
-    """Terms of lambda_flip: (-1)^(d-1) * bar(sum of c*w)."""
-    sign = ctx.flip
-    return [(inv(w), sign * c) for w, c in terms]
+def _twist(g: Word, a: SphereClass, ctx: DaxContext,
+           lam: Iterable[tuple[Word, int]] | None = None) -> dict[Word, int]:
+    """The twist T_a(g) = -lambda(g a, g) + lambda(g, g a) as a fresh term
+    dict, from the terms ``lam`` of lambda(a, g), derived when not given."""
+    if lam is None:
+        lam = lambda_word(ctx.table, a, g).terms
+    return add_twist({}, g, lam, ctx.flip)
 
 
 def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -113,11 +121,8 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax(g a) = g dax(a) g^-1 - red(lambda(g a, g)) + red(lambda(g, g a))
     """
     gi = inv(g)
-    lam = [(mul(g, w), c) for w, c in lambda_word(ctx.table, a, g).terms]  # lambda(g a, g)
-    acc: dict[Word, int] = {}
+    acc = _twist(g, a, ctx)
     _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
-    _add(acc, lam, -1)
-    _add(acc, _flipped(lam, ctx))
     return R.from_terms(ctx.spec, _reduced(ctx, acc))
 
 
@@ -130,28 +135,32 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
 
     ``lam``, when given, holds the (word, coefficient) terms of lambda(a, g).
     """
-    return R.from_terms(ctx.spec, _dax_u_general(g, a, ctx, lam))
+    return R.from_terms(ctx.spec, _dax_u_general(g, a, ctx, _twist(g, a, ctx, lam)))
 
 
-def _dax_u_general(g, a, ctx, lam=None) -> dict[Word, int]:
-    """``dax_u_general`` as a reduced term dict."""
-    gi = inv(g)
-    if lam is None:
-        lam = lambda_word(ctx.table, a, g).terms
-    lam_g = [(mul(g, w), c) for w, c in lam]                                 # lambda(g a, g)
+def _dax_u_general(g, a, ctx, twist: dict[Word, int]) -> dict[Word, int]:
+    """``dax_u_general`` as a reduced term dict, summed into the twist
+    T_a(g)."""
+    acc = twist
     lam_u = [(mul(g, w), c) for w, c in a.lambda_u.terms]                    # lambda(g a, u)
-    lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                           # g lambda(a, u) g^-1
-    acc: dict[Word, int] = {}
+    central = ctx.spec._central
+    if central and central.issuperset(name for name, _ in g.letters):
+        # g is central, so conjugating by it is the identity
+        conj_base = a.base_dax.terms
+        lam_u_gi = a.lambda_u.terms
+    else:
+        gi = inv(g)
+        conj_base = [(mul(mul(g, w), gi), c) for w, c in a.base_dax.terms]
+        lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                       # g lambda(a, u) g^-1
     # g dax_u(a) g^-1, where dax_u(a) = base dax + red(lambda(a, u)) as in dax_rebase
-    _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
+    _add(acc, conj_base)
     _add(acc, lam_u_gi)
     _add(acc, lam_u)
-    # lambda(g a, g u) = lambda(g a, g) + lambda(g a, u) g^-1; lam_u_gi enters
-    # twice with opposite signs, and both stay so that this formula remains
-    # independent of dax_u_embedded, which cross-checks it
-    _add(acc, lam_g, -1)
+    # lambda(g a, g u) = lambda(g a, g) + lambda(g a, u) g^-1, whose first
+    # part is in the twist; lam_u_gi enters twice with opposite signs, and
+    # both stay so that this formula remains independent of dax_u_embedded,
+    # which cross-checks it
     _add(acc, lam_u_gi, -1)
-    _add(acc, _flipped(lam_g, ctx))
     return _reduced(ctx, acc)
 
 
@@ -164,20 +173,16 @@ def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
     Used as an independent cross-check of ``dax_u_general``.  ``lam``, when
     given, holds the (word, coefficient) terms of lambda(a, g).
     """
-    return R.from_terms(ctx.spec, _dax_u_embedded(g, a, ctx, lam))
-
-
-def _dax_u_embedded(g, a, ctx, lam=None) -> dict[Word, int]:
-    """``dax_u_embedded`` as a reduced term dict."""
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    if lam is None:
-        lam = lambda_word(ctx.table, a, g).terms
-    lam_g = [(mul(g, w), c) for w, c in lam]
-    acc: dict[Word, int] = {}
+    return R.from_terms(ctx.spec, _dax_u_embedded(g, a, ctx, _twist(g, a, ctx, lam)))
+
+
+def _dax_u_embedded(g, a, ctx, twist: dict[Word, int]) -> dict[Word, int]:
+    """``dax_u_embedded`` as a reduced term dict, summed into the twist
+    T_a(g); the class must be embedded."""
+    acc = twist
     _add(acc, ((mul(g, w), c) for w, c in a.lambda_u.terms))
-    _add(acc, lam_g, -1)
-    _add(acc, _flipped(lam_g, ctx))
     return _reduced(ctx, acc)
 
 
@@ -224,19 +229,3 @@ def dax_image(ctx: DaxContext, enumeration) -> list[RingElem]:
         for g in enumeration:
             push(dax_boundary_sphere(g, ctx))
     return out
-
-
-def translated_class(ctx: DaxContext, h: Word, a: SphereClass) -> SphereClass:
-    """The class h*a as a derived SphereClass with shifted rows.
-
-    base dax via the translation formula; pairing rows pick up a left factor.
-    """
-    rows = tuple((gen, R.left_mul(h, row)) for gen, row in a.lambda_gen)
-    name = a.name if h.is_identity else f"({render_word(h)})*{a.name}"
-    return SphereClass(
-        name=name,
-        embedded=a.embedded and h.is_identity,
-        base_dax=dax_translate(h, a, ctx),
-        lambda_u=R.left_mul(h, a.lambda_u),
-        lambda_gen=rows,
-    )

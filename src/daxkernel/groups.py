@@ -64,6 +64,9 @@ class GroupSpec:
     # name -> (factor index, global index, cyclic order or 0): the one
     # lookup per letter of the word functions below
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    # the generators of free-abelian and finite-cyclic factors, which
+    # commute with every generator: a word of these alone is central
+    _central: frozenset = field(init=False, repr=False, compare=False, hash=False)
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -77,6 +80,8 @@ class GroupSpec:
                 index[name] = (fi, g, order)
                 g += 1
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_central", frozenset(
+            name for fac in self.factors if fac.abelian for name in fac.gens))
         object.__setattr__(self, "_hash", hash(self.factors))
 
     @property

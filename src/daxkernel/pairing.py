@@ -16,13 +16,15 @@ rows must vanish on the group's defining relators (commutators of commuting
 generators, and g^m for finite cyclic generators).  That consistency is
 checked when a table is built; geometric pairings always satisfy it.
 
-Two evaluations follow.  ``lambda_word`` derives lambda(a, k) for one word,
-letter by letter.  ``lambda_on_ball`` derives it for every element of a ball
-at once: each element is its parent times one generator step, so its value
-is the parent's value plus one shifted copy of the step's value (a Fox
-derivative, R. H. Fox, Ann. of Math. 57, 1953).  Relation assembly uses the
-second; both give the same element, because lambda is well defined on the
-group.
+``lambda_word`` derives lambda(a, k) for one word, letter by letter.
+Relation assembly needs, for every translate g of a ball, the twist
+T_a(g) = -lambda(g a, g) + lambda(g, g a) that both dax formulas contain
+(``add_twist``).  ``twists_on_ball`` walks the ball once and derives each
+element's twist from its parent's: across a central generator step it adds
+the twist of the step's own value, and across any other step it derives
+lambda(a, g) from the parent's value first (a Fox derivative, R. H. Fox,
+Ann. of Math. 57, 1953).  Both give the same element, because lambda is
+well defined on the group.
 """
 
 from __future__ import annotations
@@ -174,55 +176,122 @@ def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     return lambda_letters(table.spec, a, k.letters)
 
 
-def lambda_on_ball(table: PairingTable, a: SphereClass,
-                   elements) -> dict[Word, dict[Word, int]]:
-    """lambda(a, g) as a term dict, for every g of ``elements``.
+def add_twist(acc: dict[Word, int], g: Word, lam, eps: int) -> dict[Word, int]:
+    """acc += -g*lam + eps * bar(g*lam) for the (word, coefficient) terms
+    ``lam``, with eps = (-1)^(d-1); returns acc.
+
+    With lam = lambda(a, g) the sum is the twist
+
+        T_a(g) = -lambda(g a, g) + lambda(g, g a)
+
+    that both dax formulas of a translate contain: lambda(g a, g) is
+    g * lambda(a, g), and exchanging the slots gives eps * bar of it.  The
+    twist is linear in lam, so the terms of a sum may be added in parts.  A
+    coefficient that reaches zero is removed, so a dict carried from parent
+    to child stays the size of its value.
+    """
+    for w, c in lam:
+        v = mul(g, w)
+        e = acc.get(v, 0) - c
+        if e:
+            acc[v] = e
+        else:
+            acc.pop(v, None)
+        v = inv(v)
+        e = acc.get(v, 0) + eps * c
+        if e:
+            acc[v] = e
+        else:
+            acc.pop(v, None)
+    return acc
+
+
+def twists_on_ball(table: PairingTable, elements):
+    """Yield (g, twists) for every g of ``elements``, where ``twists`` holds
+    the twist T_a(g) of ``add_twist`` for each class a of the table, in
+    order, as a term dict without zero coefficients (the identity term may
+    occur).  The dicts are the caller's to change: the walk keeps its own
+    copy of what later elements read.
 
     ``elements`` is a ball listed by word length, as ``groups.ball`` returns
     it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
     letter's generator, signed like its shortest exponent, so p is one
-    shorter and already done:  lambda(a, g) = lambda(a, p) + lambda(a, s) p^-1.
-    The parent p is read off g's letters, not multiplied out: its last
-    letter is g's stepped one toward zero (modulo the order in a finite
-    cyclic factor), and dropped when that reaches zero.
+    shorter and already done.  The parent p is read off g's letters, not
+    multiplied out: its last letter is g's stepped one toward zero (modulo
+    the order in a finite cyclic factor), and dropped when that reaches
+    zero.  Then
+
+    - when s is central (a generator of a free-abelian or finite-cyclic
+      factor), s*p = p*s and lambda(a, s*p) = lambda(a, s) + lambda(a, p) s^-1
+      give g lambda(a, g) = g lambda(a, s) + p lambda(a, p), so
+      T_a(g) = T_a(p) + twist(g, lambda(a, s)): O(|lambda(a, s)|) products;
+    - otherwise lambda(a, g) = lambda(a, p) + lambda(a, s) p^-1 (a Fox
+      derivative, R. H. Fox, Ann. of Math. 57, 1953), and T_a(g) is built
+      from it: O(|lambda(a, g)|) products.
+
+    An element is a parent only of steps in its last letter's factor or a
+    later one, so it keeps its lambda values only when such a factor is free
+    and its twists only when such a factor is abelian.  Over an abelian
+    group no lambda value is derived at all.
     """
-    spec = table.spec
-    index = spec._index
-    steps: dict[tuple[str, int], tuple] = {}
-    values: dict[Word, dict[Word, int]] = {}
-    # letters -> [the element, its value, its inverse once it is a parent]
+    spec, classes = table.spec, table.classes
+    index, central = spec._index, spec._central
+    eps = flip_sign(table.dimension)
+    factors = spec.factors
+    keep_lam = [any(not f.abelian for f in factors[fi:]) for fi in range(len(factors))]
+    keep_tw = [any(f.abelian for f in factors[fi:]) for fi in range(len(factors))]
+    steps: dict[tuple[str, int], list] = {}  # lambda(a, s) terms of each class
+    # letters -> [the element, its lambda values, its twists, its inverse
+    # once it is a parent]; values that no child reads are None
     done: dict[tuple, list] = {}
     for g in elements:
         letters = g.letters
         if not letters:
-            values[g] = {}
-            done[letters] = [g, {}, g]
+            empty = [{} for _ in classes]
+            done[letters] = [g, empty, empty, g]
+            yield g, [{} for _ in classes]
             continue
         name, exp = letters[-1]
-        order = index[name][2]
+        fi, _, order = index[name]
         sign = -1 if exp < 0 or (order and exp > order - exp) else 1
         lam_s = steps.get((name, sign))
         if lam_s is None:
-            lam_s = steps[name, sign] = _lambda_letter(spec, a, name, sign).terms
+            lam_s = steps[name, sign] = [_lambda_letter(spec, a, name, sign).terms
+                                         for a in classes]
         exp -= sign
         if order:
             exp %= order
         parent = done[letters[:-1] + ((name, exp),) if exp else letters[:-1]]
-        val = dict(parent[1])
-        if lam_s:
-            p_inv = parent[2]
-            if p_inv is None:
-                p_inv = parent[2] = inv(parent[0])
-            for w, c in lam_s:
-                v = mul(w, p_inv)
-                c += val.get(v, 0)
-                if c:
-                    val[v] = c
-                else:
-                    del val[v]
-        values[g] = val
-        done[letters] = [g, val, None]
-    return values
+        lams = None
+        if name in central:
+            twists = [add_twist(dict(t), g, ls, eps) for t, ls in zip(parent[2], lam_s)]
+            if keep_lam[fi]:
+                lams = [_fox_step(parent, lp, ls) for lp, ls in zip(parent[1], lam_s)]
+        else:
+            lams = [_fox_step(parent, lp, ls) for lp, ls in zip(parent[1], lam_s)]
+            twists = [add_twist({}, g, lam.items(), eps) for lam in lams]
+        done[letters] = [g, lams, [dict(t) for t in twists] if keep_tw[fi] else None,
+                         None]
+        yield g, twists
+
+
+def _fox_step(parent: list, lam_p: dict[Word, int], lam_s) -> dict[Word, int]:
+    """lambda(a, p*s) = lambda(a, p) + lambda(a, s) p^-1 as a term dict
+    without zeros, from the ``done`` entry of p, its value and the terms of
+    lambda(a, s)."""
+    val = dict(lam_p)
+    if lam_s:
+        p_inv = parent[3]
+        if p_inv is None:
+            p_inv = parent[3] = inv(parent[0])
+        for w, c in lam_s:
+            v = mul(w, p_inv)
+            c += val.get(v, 0)
+            if c:
+                val[v] = c
+            else:
+                del val[v]
+    return val
 
 
 def lambda_arc(table: PairingTable, a: SphereClass, g: Word, use_u: bool) -> RingElem:

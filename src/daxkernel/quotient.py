@@ -28,7 +28,7 @@ from .calculus import (
     _dax_u_embedded,
     _dax_u_general,
 )
-from .pairing import lambda_on_ball
+from .pairing import twists_on_ball
 
 PROV_DAX_IMAGE = "dax_image"
 PROV_WHISKER = "whisker"
@@ -148,6 +148,11 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     ``embedded`` selects the 3-manifold formula and provenance over the
     general dax-image ones.
 
+    The dax formula of a translate g*a starts from its twist T_a(g), which
+    ``pairing.twists_on_ball`` carries from g's parent in the ball: across a
+    central generator step at the cost of the step's own pairing value, not
+    of g's.
+
     Values are classified in generator-index space.  The formula bodies give
     each value as a reduced term dict, and each term is looked up once in
     ``index``, which maps a generator to its position in the window.  A
@@ -196,13 +201,12 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
                 prov.append(provenance)
 
     classes = ctx.table.classes
-    # lambda(a, g) for every class and translate, each from its parent's value
-    lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
     dax = _dax_u_embedded if embedded else _dax_u_general
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
-    for g in enum:
-        for a, lam_a in zip(classes, lam):
-            classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
+    if classes:  # the twist of every class and translate, each from its parent's
+        for g, twists in twists_on_ball(ctx.table, enum):
+            for a, twist in zip(classes, twists):
+                classify(dax(g, a, ctx, twist), class_prov, g.is_identity)
     if circles:
         for g in enum:
             classify(_dax_boundary_sphere(g, ctx), PROV_BOUNDARY, g.is_identity)

@@ -37,10 +37,6 @@ class KnotRecord:
     trace: HomotopyTrace
 
 
-def concat_traces(t1: HomotopyTrace, t2: HomotopyTrace) -> HomotopyTrace:
-    return HomotopyTrace(t1.events + t2.events)
-
-
 def eval_dax_trace(t: HomotopyTrace, spec) -> RingElem:
     """Signed sum of the double-point loops, identity loops discarded."""
     acc: dict[Word, int] = {}

@@ -6,10 +6,11 @@ from typing import NamedTuple
 
 import pytest
 
-from daxkernel.groups import GroupSpec, inv, normalize, parse_group_spec
+from daxkernel.groups import GroupSpec, inv, mul, normalize, parse_group_spec, render_word
 from daxkernel import ring as R
-from daxkernel.pairing import PairingTable, SphereClass, sphere_class
-from daxkernel.calculus import arcs_context, circles_context
+from daxkernel.pairing import PairingTable, SphereClass, _lambda_letter, sphere_class
+from daxkernel.calculus import arcs_context, circles_context, dax_translate
+from daxkernel.traces import HomotopyTrace
 
 GROUP_TEXTS = [
     "1",
@@ -427,6 +428,81 @@ def dense_orbit(value, rs, centralizer, whisker):
     return elem(rep), complete, len(visited)
 
 
+# -- helpers that only the tests call ------------------------------------------------
+
+def concat_traces(t1, t2):
+    """The trace of t1 followed by t2."""
+    return HomotopyTrace(t1.events + t2.events)
+
+
+def translated_class(ctx, h, a):
+    """The class h*a as a derived SphereClass with shifted rows.
+
+    base dax via the translation formula; pairing rows pick up a left factor.
+    """
+    rows = tuple((gen, R.left_mul(h, row)) for gen, row in a.lambda_gen)
+    name = a.name if h.is_identity else f"({render_word(h)})*{a.name}"
+    return SphereClass(
+        name=name,
+        embedded=a.embedded and h.is_identity,
+        base_dax=dax_translate(h, a, ctx),
+        lambda_u=R.left_mul(h, a.lambda_u),
+        lambda_gen=rows,
+    )
+
+
+def lambda_on_ball(table, a, elements):
+    """lambda(a, g) as a term dict without zeros, for every g of ``elements``:
+    the walk that relation assembly made before it carried twists, kept as
+    its reference.
+
+    ``elements`` is a ball listed by word length, as ``groups.ball`` returns
+    it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
+    letter's generator, signed like its shortest exponent, so p is one
+    shorter and already done:  lambda(a, g) = lambda(a, p) + lambda(a, s) p^-1.
+    The parent p is read off g's letters: its last letter is g's stepped one
+    toward zero (modulo the order in a finite cyclic factor), and dropped
+    when that reaches zero.
+    """
+    spec = table.spec
+    index = spec._index
+    steps = {}
+    values = {}
+    # letters -> [the element, its value, its inverse once it is a parent]
+    done = {}
+    for g in elements:
+        letters = g.letters
+        if not letters:
+            values[g] = {}
+            done[letters] = [g, {}, g]
+            continue
+        name, exp = letters[-1]
+        order = index[name][2]
+        sign = -1 if exp < 0 or (order and exp > order - exp) else 1
+        lam_s = steps.get((name, sign))
+        if lam_s is None:
+            lam_s = steps[name, sign] = _lambda_letter(spec, a, name, sign).terms
+        exp -= sign
+        if order:
+            exp %= order
+        parent = done[letters[:-1] + ((name, exp),) if exp else letters[:-1]]
+        val = dict(parent[1])
+        if lam_s:
+            p_inv = parent[2]
+            if p_inv is None:
+                p_inv = parent[2] = inv(parent[0])
+            for w, c in lam_s:
+                v = mul(w, p_inv)
+                c += val.get(v, 0)
+                if c:
+                    val[v] = c
+                else:
+                    del val[v]
+        values[g] = val
+        done[letters] = [g, val, None]
+    return values
+
+
 # -- relation assembly: the reference that classifies RingElems ------------------------
 
 def reference_assemble(ctx, window, circles, whisker, embedded):
@@ -438,7 +514,6 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
     from daxkernel.calculus import dax_boundary_sphere, dax_u_embedded, dax_u_general
     from daxkernel.errors import SceneError, WindowOverflowError
     from daxkernel.groups import word_key
-    from daxkernel.pairing import lambda_on_ball
 
     if window < 1:
         raise SceneError("window must be >= 1")

@@ -41,7 +41,6 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
     rebase_context,
-    translated_class,
 )
 from daxkernel.errors import SceneError
 from daxkernel.quotient import (
@@ -59,7 +58,6 @@ from daxkernel.traces import (
     HomotopyTrace,
     KnotRecord,
     Witness,
-    concat_traces,
     eval_dax_trace,
     mu2_reduce,
     universality_witness,
@@ -69,12 +67,14 @@ from daxkernel.cli import run_target
 
 from conftest import (
     GROUP_TEXTS,
+    concat_traces,
     phi_class,
     random_class,
     random_word,
     rng_for,
     sparse,
     table_for,
+    translated_class,
 )
 
 Z = parse_group_spec("Z<t>")

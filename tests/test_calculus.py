@@ -15,7 +15,6 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
     rebase_context,
-    translated_class,
 )
 
 from conftest import (
@@ -25,6 +24,7 @@ from conftest import (
     random_word,
     rng_for,
     table_for,
+    translated_class,
 )
 
 Z = parse_group_spec("Z<t>")

@@ -43,9 +43,9 @@ from daxkernel.ring import (
 from daxkernel.pairing import (
     PairingTable,
     lambda_flip,
-    lambda_on_ball,
     lambda_word,
     sphere_class,
+    twists_on_ball,
 )
 from daxkernel.quotient import (
     PROV_DAX_IMAGE,
@@ -71,6 +71,7 @@ from conftest import (
     dense_coords,
     dense_hermite_row_basis,
     dense_reduce_mod_rows,
+    lambda_on_ball,
     phi_class,
     random_arcs_context,
     random_circles_context,
@@ -341,10 +342,14 @@ def test_word_layer_matches_reference(data):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
-@st.composite
-def consistent_tables(draw, texts=WORD_SPEC_TEXTS):
-    """A table of one or two classes with principal rows r*(1 - g^-1)."""
-    spec = WORD_SPECS[draw(st.sampled_from(texts))]
+def draw_table(draw, spec, max_d=6):
+    """A table of one or two classes with principal rows r*(1 - g^-1), in a
+    dimension from 3 to ``max_d``.  Over ``F<...>`` or ``Z<t>`` no relator
+    constrains the rows, so each row also gets an arbitrary part: then
+    lambda(a, g) grows with g, as for the sphere of ``S^1 x S^(d-1)``."""
+    fac = spec.factors[0] if len(spec.factors) == 1 else None
+    unconstrained = fac is not None and (fac.kind == FREE or
+                                         fac.kind == FREE_ABELIAN and len(fac.gens) == 1)
 
     def elem():
         terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
@@ -355,14 +360,22 @@ def consistent_tables(draw, texts=WORD_SPEC_TEXTS):
     classes = []
     for i in range(draw(st.integers(min_value=1, max_value=2))):
         r = elem()
-        rows = {g: R.gr_mul(r, R.gr_add(R.one(spec), R.gr_neg(
-                    R.monomial(inv(spec.word([(g, 1)]))))))
+        rows = {g: R.gr_add(R.gr_mul(r, R.gr_add(R.one(spec), R.gr_neg(
+                    R.monomial(inv(spec.word([(g, 1)])))))),
+                            elem() if unconstrained else R.zero(spec))
                 for g in spec.generators}
         embedded = draw(st.booleans())
         base = R.zero(spec) if embedded else R.gr_bar_reduce(elem())
         classes.append(sphere_class(spec, f"a{i}", embedded, base, elem(), rows))
-    d = draw(st.integers(min_value=3, max_value=6))
-    table = PairingTable(spec, d, tuple(classes), spec.identity())
+    d = draw(st.integers(min_value=3, max_value=max_d))
+    return PairingTable(spec, d, tuple(classes), spec.identity())
+
+
+@st.composite
+def consistent_tables(draw, texts=WORD_SPEC_TEXTS):
+    """A table of ``draw_table`` over one of the word-layer specs, and a word."""
+    spec = WORD_SPECS[draw(st.sampled_from(texts))]
+    table = draw_table(draw, spec)
     g = normalize(draw(raw_letters(spec, 4, 3)), spec)
     return DaxContext(table, spec.identity(), "arcs"), g
 
@@ -436,6 +449,42 @@ def test_ball_matches_breadth_first_reference(spec, radius):
     if len(want) > 1:
         with pytest.raises(BallOverflowError):
             ball(spec, radius, len(want) - 1)
+
+
+# the walk's edge cases beside the random products: a rank-1 free factor,
+# which is not flagged central, a factor Z/1 (which the parser folds away),
+# the tie u^2 of Z/4 on either side of a free factor, and central steps
+# before non-central ones
+WALK_SPECS = [parse_group_spec(text) for text in (
+    "F<x>", "Z<t>", "Z/4<u> x F<x>", "F<x,y> x Z/4<u>", "Z<t> x F<x,y>",
+    "Z/2<u> x Z<t> x F<x,y>")] + [
+    GroupSpec((Factor(FINITE_CYCLIC, ("u",), 1),)),
+    GroupSpec((Factor(FINITE_CYCLIC, ("u",), 1), Factor(FREE, ("x",))))]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_twists_on_ball_match_direct_twist(data):
+    # the twist carried along the ball equals -g*lambda(a, g) + eps*bar(...)
+    # built from lambda_word, unreduced, on every element of the ball
+    spec = data.draw(st.one_of(st.sampled_from(WALK_SPECS), factor_products()))
+    table = draw_table(data.draw, spec, max_d=4)
+    radius = data.draw(st.integers(min_value=0, max_value=6))
+    while True:
+        try:
+            elements = ball(spec, radius, limit=200)
+            break
+        except BallOverflowError:
+            radius -= 1
+    walked = list(twists_on_ball(table, elements))
+    assert [g for g, _ in walked] == elements
+    for g, twists in walked:
+        assert len(twists) == len(table.classes)
+        for a, twist in zip(table.classes, twists):
+            lam_g = R.left_mul(g, lambda_word(table, a, g))
+            direct = gr_add(R.gr_neg(lam_g), lambda_flip(lam_g, table.dimension))
+            assert 0 not in twist.values()
+            assert R.from_terms(spec, twist) == direct
 
 
 # -- prefix torsions of one shell-ordered reduction -----------------------------

@@ -582,11 +582,16 @@ def default_windows(sc, op=None):
     return [sc.window] if sc.window else cli.DEFAULT_SWEEP
 
 
-def bench_scenes():
+def bench_corpus():
     bench = Path(__file__).resolve().parents[1] / "bench"
     if str(bench) not in sys.path:
         sys.path.insert(0, str(bench))
     import corpus
+    return corpus
+
+
+def bench_scenes():
+    corpus = bench_corpus()
     return [pytest.param(op, id=f"{workload}/{op.op_id}")
             for workload in corpus.WORKLOADS for op in corpus.build(workload, 0)]
 
@@ -674,3 +679,33 @@ def test_assembly_keeps_values_whose_cancelled_terms_leave_the_window():
         lambda: build_rel_arcs(ctx, 2))
     assert parse_ring("x*y", F2) in relations
     assert dropped
+
+
+def test_abelian_window_word_products_grow_linearly(monkeypatch):
+    """Building the seed-0 ``s1_x_sphere`` eval scene at W=160 takes at most
+    2.2 times the word products and inverses of W=80 in the pairing and the
+    dax formulas.  Over Z<t> every generator step is central, so each
+    translate's twist is its parent's plus the twist of lambda(a, t^(+-1)):
+    a few products per translate, not |g| of them."""
+    from daxkernel import calculus, pairing
+
+    op = next(op for op in bench_corpus().build("eval_knots", 0)
+              if op.op_id == "s1_x_sphere.W30.eval")
+    sc = loads_scene(op.scene_text)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (pairing, calculus):
+        monkeypatch.setattr(module, "mul", counted(module.mul))
+        monkeypatch.setattr(module, "inv", counted(module.inv))
+    counts = []
+    for window in (80, 160):
+        calls[0] = 0
+        cli.build_relations(sc, window)
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts

@@ -10,14 +10,13 @@ from daxkernel.traces import (
     HomotopyTrace,
     KnotRecord,
     Witness,
-    concat_traces,
     dax_of_knot,
     eval_dax_trace,
     mu2_reduce,
     universality_witness,
 )
 
-from conftest import random_word, rng_for, table_for
+from conftest import concat_traces, random_word, rng_for, table_for
 
 Z = parse_group_spec("Z<t>")
 F2 = parse_group_spec("F<x,y>")
