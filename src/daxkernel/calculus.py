@@ -142,18 +142,11 @@ def _dax_u_general(g, a, ctx, twist: dict[Word, int]) -> dict[Word, int]:
     """``dax_u_general`` as a reduced term dict, summed into the twist
     T_a(g)."""
     acc = twist
+    gi = inv(g)
     lam_u = [(mul(g, w), c) for w, c in a.lambda_u.terms]                    # lambda(g a, u)
-    central = ctx.spec._central
-    if central and central.issuperset(name for name, _ in g.letters):
-        # g is central, so conjugating by it is the identity
-        conj_base = a.base_dax.terms
-        lam_u_gi = a.lambda_u.terms
-    else:
-        gi = inv(g)
-        conj_base = [(mul(mul(g, w), gi), c) for w, c in a.base_dax.terms]
-        lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                       # g lambda(a, u) g^-1
+    lam_u_gi = [(mul(w, gi), c) for w, c in lam_u]                           # g lambda(a, u) g^-1
     # g dax_u(a) g^-1, where dax_u(a) = base dax + red(lambda(a, u)) as in dax_rebase
-    _add(acc, conj_base)
+    _add(acc, ((mul(mul(g, w), gi), c) for w, c in a.base_dax.terms))
     _add(acc, lam_u_gi)
     _add(acc, lam_u)
     # lambda(g a, g u) = lambda(g a, g) + lambda(g a, u) g^-1, whose first

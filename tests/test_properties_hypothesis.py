@@ -344,12 +344,27 @@ def test_word_layer_matches_reference(data):
 
 def draw_table(draw, spec, max_d=6):
     """A table of one or two classes with principal rows r*(1 - g^-1), in a
-    dimension from 3 to ``max_d``.  Over ``F<...>`` or ``Z<t>`` no relator
-    constrains the rows, so each row also gets an arbitrary part: then
-    lambda(a, g) grows with g, as for the sphere of ``S^1 x S^(d-1)``."""
-    fac = spec.factors[0] if len(spec.factors) == 1 else None
-    unconstrained = fac is not None and (fac.kind == FREE or
-                                         fac.kind == FREE_ABELIAN and len(fac.gens) == 1)
+    dimension from 3 to ``max_d``, plus a consistent non-principal part in
+    two cases; in both, lambda(a, g) grows with g, as for the sphere of
+    ``S^1 x S^(d-1)``.  Over ``F<...>`` or ``Z<t>`` no relator constrains the
+    rows, so each row gets an arbitrary part.  Over one free factor times
+    finite cyclic ones, each free generator's row gets c*N, where N is the
+    product of the norm elements 1 + u + ... + u^(m-1) of the cyclic
+    factors: N*(1 - u^-1) = 0 and N is central, so every relator still
+    holds, while the cyclic rows keep only their principal part."""
+    kinds = [fac.kind for fac in spec.factors]
+    norm, loose = R.one(spec), ()
+    if len(kinds) == 1 and (kinds[0] == FREE or
+                            kinds[0] == FREE_ABELIAN and len(spec.generators) == 1):
+        loose = spec.generators
+    elif kinds.count(FREE) == 1 and FINITE_CYCLIC in kinds and FREE_ABELIAN not in kinds:
+        for fac in spec.factors:
+            if fac.kind == FREE:
+                loose = fac.gens
+            else:
+                (u,) = fac.gens
+                norm = R.gr_mul(norm, R.from_terms(
+                    spec, [(spec.word([(u, k)]), 1) for k in range(fac.order)]))
 
     def elem():
         terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
@@ -362,7 +377,7 @@ def draw_table(draw, spec, max_d=6):
         r = elem()
         rows = {g: R.gr_add(R.gr_mul(r, R.gr_add(R.one(spec), R.gr_neg(
                     R.monomial(inv(spec.word([(g, 1)])))))),
-                            elem() if unconstrained else R.zero(spec))
+                            R.gr_mul(elem(), norm) if g in loose else R.zero(spec))
                 for g in spec.generators}
         embedded = draw(st.booleans())
         base = R.zero(spec) if embedded else R.gr_bar_reduce(elem())

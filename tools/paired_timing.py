@@ -41,12 +41,17 @@ def load_root(root: Path, tag: str, tmp: Path):
     if str(tmp) not in sys.path:
         sys.path.insert(0, str(tmp))
     pkg = importlib.import_module(tag)
-    for sub in ("cli", "scene", "traces"):
-        importlib.import_module(f"{tag}.{sub}")
+    # every module of the copy is loaded under its private name, so that
+    # ``from daxkernel import X`` in the bench modules finds the attribute
+    # and never imports a module of the package anew
+    for path in sorted((tmp / tag).glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{tag}.{path.stem}")
     # the bench modules import ``daxkernel`` and each other by plain name:
     # bind those names to this root for as long as its modules load
     saved = {name: sys.modules.pop(name, None)
              for name in ("daxkernel",) + BENCH_MODULES}
+    loaded = set(sys.modules)
     sys.modules["daxkernel"] = pkg
     sys.path.insert(0, str(root / "bench"))
     try:
@@ -54,6 +59,10 @@ def load_root(root: Path, tag: str, tmp: Path):
         harness = importlib.import_module("harness")
     finally:
         sys.path.remove(str(root / "bench"))
+        # a ``daxkernel.X`` entry would hand this root's module to the next
+        for name in [n for n in sys.modules
+                     if n.startswith("daxkernel.") and n not in loaded]:
+            del sys.modules[name]
         for name, module in saved.items():
             sys.modules.pop(name, None)
             if module is not None:
