@@ -134,7 +134,7 @@ class Word:
 
     The hash is computed once, at construction; a Word is immutable.  It has
     slots and no per-instance dict, because relation sets and pairing tables
-    keep many Words alive at once.  Every product and inverse builds one, so
+    keep many Words alive at once.  Every ``mul`` and ``inv`` builds one, so
     the constructor is written by hand: it stores the three slots through
     their member descriptors, past the frozen ``__setattr__``, and takes the
     letters as given (``normalize`` makes a normal form of raw letters).
@@ -276,13 +276,53 @@ def _inverse(fac: Factor, block: tuple) -> list:
     return [(name, -e) for name, e in block]
 
 
-def mul(g: Word, h: Word) -> Word:
-    """The product g*h.
+def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
+    """The letters of the product of the normal forms with letters a and b.
 
-    Both arguments must be normal forms (every ``Word`` built by this module
-    is one).  Their letters are combined where the two words meet, factor
-    block by factor block; nothing is renormalized.
+    Their letters are combined where the two words meet, factor block by
+    factor block; nothing is renormalized.  No ``Word`` is built: relation
+    assembly multiplies letter tuples in its inner loops, and ``mul`` wraps
+    this for Words.
     """
+    if not b:
+        return a
+    if not a:
+        return b
+    factors = spec.factors
+    if len(factors) == 1:
+        return _join(factors[0], a, b)
+    index = spec._index
+    if index[a[-1][0]][0] < index[b[0][0]][0]:
+        return a + b
+    left, right = _blocks(a, index), _blocks(b, index)
+    out: list[tuple[str, int]] = []
+    for fi, fac in enumerate(factors):
+        x, y = left.get(fi, ()), right.get(fi, ())
+        out += _join(fac, x, y) if x and y else x + y
+    return tuple(out)
+
+
+def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
+    """The letters of the inverse of the normal form with letters a.
+
+    Free blocks are reversed with negated exponents, free-abelian exponents
+    negated and a cyclic exponent e becomes ``order - e``; nothing is
+    renormalized, and no ``Word`` is built (``inv`` wraps this for Words).
+    """
+    if not a:
+        return a
+    factors = spec.factors
+    if len(factors) == 1:
+        return tuple(_inverse(factors[0], a))
+    out: list[tuple[str, int]] = []
+    for fi, block in _blocks(a, spec._index).items():
+        out += _inverse(factors[fi], block)
+    return tuple(out)
+
+
+def mul(g: Word, h: Word) -> Word:
+    """The product g*h of two normal forms (every ``Word`` is one), by
+    ``mul_letters``."""
     spec = g.spec
     if spec is not h.spec and spec != h.spec:
         raise SpecMismatchError("cannot multiply words over different group specs")
@@ -291,38 +331,15 @@ def mul(g: Word, h: Word) -> Word:
         return g
     if not a:
         return h if h.spec is spec else Word(spec, b)
-    factors = spec.factors
-    if len(factors) == 1:
-        return Word(spec, _join(factors[0], a, b))
-    index = spec._index
-    if index[a[-1][0]][0] < index[b[0][0]][0]:
-        return Word(spec, a + b)
-    left, right = _blocks(a, index), _blocks(b, index)
-    out: list[tuple[str, int]] = []
-    for fi, fac in enumerate(factors):
-        x, y = left.get(fi, ()), right.get(fi, ())
-        out += _join(fac, x, y) if x and y else x + y
-    return Word(spec, tuple(out))
+    return Word(spec, mul_letters(spec, a, b))
 
 
 def inv(g: Word) -> Word:
-    """The inverse of g, which must be a normal form (as every ``Word`` is).
-
-    Free blocks are reversed with negated exponents, free-abelian exponents
-    negated and a cyclic exponent e becomes ``order - e``; nothing is
-    renormalized.
-    """
-    a = g.letters
-    if not a:
+    """The inverse of g, a normal form (as every ``Word`` is), by
+    ``inv_letters``."""
+    if not g.letters:
         return g
-    spec = g.spec
-    factors = spec.factors
-    if len(factors) == 1:
-        return Word(spec, tuple(_inverse(factors[0], a)))
-    out: list[tuple[str, int]] = []
-    for fi, block in _blocks(a, spec._index).items():
-        out += _inverse(factors[fi], block)
-    return Word(spec, tuple(out))
+    return Word(g.spec, inv_letters(g.spec, g.letters))
 
 
 def word_length(w: Word) -> int:
@@ -557,8 +574,8 @@ def parse_group_spec(text: str) -> GroupSpec:
             p = skip_ws(p)
             if p >= n or text[p] != ">":
                 fail("expected '>'", p)
-            if order == 1:
-                return None, p + 1  # Z/1 is trivial
+            # Z/1 is trivial, but kept as a factor: its generator names the
+            # identity, and every word of it normalizes away
             return Factor(FINITE_CYCLIC, tuple(names), order), p + 1
         if text[p] in "ZF":
             kind = FREE_ABELIAN if text[p] == "Z" else FREE

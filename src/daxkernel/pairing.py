@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PairingDataError, SpecMismatchError
-from .groups import GroupSpec, Word, inv, mul
+from .groups import GroupSpec, Word, inv, inv_letters, mul, mul_letters
 from . import ring as R
 from .ring import RingElem
 
@@ -176,9 +176,11 @@ def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     return lambda_letters(table.spec, a, k.letters)
 
 
-def add_twist(acc: dict[Word, int], g: Word, lam, eps: int) -> dict[Word, int]:
-    """acc += -g*lam + eps * bar(g*lam) for the (word, coefficient) terms
-    ``lam``, with eps = (-1)^(d-1); returns acc.
+def add_twist(spec: GroupSpec, acc: dict[tuple, int], g: tuple, lam,
+              eps: int) -> dict[tuple, int]:
+    """acc += -g*lam + eps * bar(g*lam) for the (letters, coefficient) terms
+    ``lam``, with eps = (-1)^(d-1); returns acc.  Group elements are normal
+    form letter tuples over ``spec``: g, the keys of acc and those of lam.
 
     With lam = lambda(a, g) the sum is the twist
 
@@ -191,13 +193,13 @@ def add_twist(acc: dict[Word, int], g: Word, lam, eps: int) -> dict[Word, int]:
     to child stays the size of its value.
     """
     for w, c in lam:
-        v = mul(g, w)
+        v = mul_letters(spec, g, w)
         e = acc.get(v, 0) - c
         if e:
             acc[v] = e
         else:
             acc.pop(v, None)
-        v = inv(v)
+        v = inv_letters(spec, v)
         e = acc.get(v, 0) + eps * c
         if e:
             acc[v] = e
@@ -209,9 +211,11 @@ def add_twist(acc: dict[Word, int], g: Word, lam, eps: int) -> dict[Word, int]:
 def twists_on_ball(table: PairingTable, elements):
     """Yield (g, twists) for every g of ``elements``, where ``twists`` holds
     the twist T_a(g) of ``add_twist`` for each class a of the table, in
-    order, as a term dict without zero coefficients (the identity term may
-    occur).  The dicts are the caller's to change: the walk keeps its own
-    copy of what later elements read.
+    order, as a term dict keyed by normal form letter tuples, without zero
+    coefficients (the identity term ``()`` may occur).  The dicts are the
+    caller's to change: the walk keeps its own copy of what later elements
+    read.  The walk builds no ``Word`` per element: it multiplies and
+    inverts letters (``mul_letters``, ``inv_letters``).
 
     ``elements`` is a ball listed by word length, as ``groups.ball`` returns
     it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
@@ -241,14 +245,14 @@ def twists_on_ball(table: PairingTable, elements):
     keep_lam = [any(not f.abelian for f in factors[fi:]) for fi in range(len(factors))]
     keep_tw = [any(f.abelian for f in factors[fi:]) for fi in range(len(factors))]
     steps: dict[tuple[str, int], list] = {}  # lambda(a, s) terms of each class
-    # letters -> [the element, its lambda values, its twists, its inverse
-    # once it is a parent]; values that no child reads are None
+    # letters -> [its lambda values, its twists, its inverse once it is a
+    # parent]; values that no child reads are None
     done: dict[tuple, list] = {}
     for g in elements:
         letters = g.letters
         if not letters:
             empty = [{} for _ in classes]
-            done[letters] = [g, empty, empty, g]
+            done[letters] = [empty, empty, letters]
             yield g, [{} for _ in classes]
             continue
         name, exp = letters[-1]
@@ -256,36 +260,40 @@ def twists_on_ball(table: PairingTable, elements):
         sign = -1 if exp < 0 or (order and exp > order - exp) else 1
         lam_s = steps.get((name, sign))
         if lam_s is None:
-            lam_s = steps[name, sign] = [_lambda_letter(spec, a, name, sign).terms
-                                         for a in classes]
+            lam_s = steps[name, sign] = [
+                [(w.letters, c) for w, c in _lambda_letter(spec, a, name, sign).terms]
+                for a in classes]
         exp -= sign
         if order:
             exp %= order
-        parent = done[letters[:-1] + ((name, exp),) if exp else letters[:-1]]
+        p = letters[:-1] + ((name, exp),) if exp else letters[:-1]
+        parent = done[p]
         lams = None
         if name in central:
-            twists = [add_twist(dict(t), g, ls, eps) for t, ls in zip(parent[2], lam_s)]
+            twists = [add_twist(spec, dict(t), letters, ls, eps)
+                      for t, ls in zip(parent[1], lam_s)]
             if keep_lam[fi]:
-                lams = [_fox_step(parent, lp, ls) for lp, ls in zip(parent[1], lam_s)]
+                lams = [_fox_step(spec, p, parent, lp, ls)
+                        for lp, ls in zip(parent[0], lam_s)]
         else:
-            lams = [_fox_step(parent, lp, ls) for lp, ls in zip(parent[1], lam_s)]
-            twists = [add_twist({}, g, lam.items(), eps) for lam in lams]
-        done[letters] = [g, lams, [dict(t) for t in twists] if keep_tw[fi] else None,
-                         None]
+            lams = [_fox_step(spec, p, parent, lp, ls) for lp, ls in zip(parent[0], lam_s)]
+            twists = [add_twist(spec, {}, letters, lam.items(), eps) for lam in lams]
+        done[letters] = [lams, [dict(t) for t in twists] if keep_tw[fi] else None, None]
         yield g, twists
 
 
-def _fox_step(parent: list, lam_p: dict[Word, int], lam_s) -> dict[Word, int]:
-    """lambda(a, p*s) = lambda(a, p) + lambda(a, s) p^-1 as a term dict
-    without zeros, from the ``done`` entry of p, its value and the terms of
-    lambda(a, s)."""
+def _fox_step(spec: GroupSpec, p: tuple, parent: list, lam_p: dict[tuple, int],
+              lam_s) -> dict[tuple, int]:
+    """lambda(a, p*s) = lambda(a, p) + lambda(a, s) p^-1 as a letter-keyed
+    term dict without zeros, from the letters p of the parent, its ``done``
+    entry, its value and the terms of lambda(a, s)."""
     val = dict(lam_p)
     if lam_s:
-        p_inv = parent[3]
+        p_inv = parent[2]
         if p_inv is None:
-            p_inv = parent[3] = inv(parent[0])
+            p_inv = parent[2] = inv_letters(spec, p)
         for w, c in lam_s:
-            v = mul(w, p_inv)
+            v = mul_letters(spec, w, p_inv)
             c += val.get(v, 0)
             if c:
                 val[v] = c

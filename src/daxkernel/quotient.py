@@ -45,10 +45,16 @@ class RelationSet:
     """Relations supported on a generator window of the reduced group ring.
 
     ``dropped_terms`` holds the values that left the window, each as its
-    provenance and an unsorted term dict (word -> coefficient, zeros
-    allowed), as relation assembly produced it.  Only a report shows them,
-    so they are sorted into ``RingElem`` values when ``dropped`` is first
-    read, and at most once.  Equality ignores them.
+    provenance and an unsorted term dict keyed by normal form letter tuples
+    (letters -> coefficient, zeros allowed), as relation assembly produced
+    it.  Only a report shows them, so they become ``Word`` terms sorted
+    into ``RingElem`` values when ``dropped`` is first read, and at most
+    once.  Equality ignores them.
+
+    Construction checks that every relation is supported on the window, and
+    on the way builds ``index`` (generator -> position) and each relation's
+    ``columns`` entry, its (position, coefficient) pairs in term order: the
+    solver reads both.
     """
 
     spec: GroupSpec
@@ -56,21 +62,28 @@ class RelationSet:
     generators: tuple[Word, ...]
     relations: tuple[RingElem, ...]
     provenance: tuple[str, ...]
-    dropped_terms: tuple[tuple[str, dict[Word, int]], ...] = field(
+    dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = field(
         default=(), repr=False, compare=False)
+    index: dict[Word, int] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = set(self.generators)
+        index = {w: i for i, w in enumerate(self.generators)}
+        columns = []
         for rel in self.relations:
-            for w in rel.support():
-                if w not in gens:
-                    raise WindowOverflowError(
-                        f"relation {rel} not supported on the window", str(rel))
+            try:
+                columns.append(tuple((index[w], c) for w, c in rel.terms))
+            except KeyError:
+                raise WindowOverflowError(
+                    f"relation {rel} not supported on the window", str(rel)) from None
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "columns", tuple(columns))
 
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
         """(provenance, value) of each dropped value, sorted on first read."""
-        return tuple((p, R.from_terms(self.spec, terms))
+        return tuple((p, R.from_letters(self.spec, terms))
                      for p, terms in self.dropped_terms)
 
     @functools.cached_property
@@ -148,36 +161,41 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     ``embedded`` selects the 3-manifold formula and provenance over the
     general dax-image ones.
 
-    The dax formula of a translate g*a starts from its twist T_a(g), which
-    ``pairing.twists_on_ball`` carries from g's parent in the ball: across a
-    central generator step at the cost of the step's own pairing value, not
-    of g's.
+    Assembly runs on normal form letter tuples: the ball's Words are built
+    once, by ``window_generators``, and every product, inverse and lookup
+    after that joins, inverts and hashes their letters
+    (``groups.mul_letters``, ``groups.inv_letters``), so no ``Word`` is
+    built per translate.  The dax formula of a translate g*a starts from its
+    twist T_a(g), which ``pairing.twists_on_ball`` carries from g's parent
+    in the ball: across a central generator step at the cost of the step's
+    own pairing value, not of g's.
 
     Values are classified in generator-index space.  The formula bodies give
-    each value as a reduced term dict, and each term is looked up once in
-    ``index``, which maps a generator to its position in the window.  A
-    value supported on the window becomes its nonzero (index, coefficient)
-    pairs sorted as integers: the window is the ball in ``word_key`` order,
-    so this is the order ``from_terms`` would give, without a ``word_key``
-    per term.  Duplicates are caught on those pairs, and a kept relation
-    shares the ball's Words.  A value that leaves the window is dropped as
-    its term dict, which ``RelationSet.dropped`` sorts only when read; a base
-    relation (the identity translate and the whiskers) that leaves it is
-    sorted into the message of a ``WindowOverflowError``.
+    each value as a reduced letter-keyed term dict, and each term is looked
+    up once in ``index``, which maps a generator's letters to its position
+    in the window.  A value supported on the window becomes its nonzero
+    (index, coefficient) pairs sorted as integers: the window is the ball in
+    ``word_key`` order, so this is the order ``from_terms`` would give,
+    without a ``word_key`` per term.  Duplicates are caught on those pairs,
+    and a kept relation shares the ball's Words.  A value that leaves the
+    window is dropped as its term dict, which ``RelationSet.dropped`` turns
+    into Words and sorts only when read; a base relation (the identity
+    translate and the whiskers) that leaves it is sorted into the message of
+    a ``WindowOverflowError``.
     """
     if window < 1:
         raise SceneError("window must be >= 1")
     spec = ctx.spec
     gens = window_generators(spec, window)
-    index = {w: i for i, w in enumerate(gens)}
+    index = {w.letters: i for i, w in enumerate(gens)}
     enum = (spec.identity(),) + gens  # the ball, identity first
 
     kept: list[tuple[tuple[int, int], ...]] = []  # sorted (index, coefficient)
     prov: list[str] = []
-    dropped: list[tuple[str, dict[Word, int]]] = []
+    dropped: list[tuple[str, dict[tuple, int]]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
 
-    def classify(acc: dict[Word, int], provenance: str, from_identity: bool):
+    def classify(acc: dict[tuple, int], provenance: str, from_identity: bool):
         pairs = []
         for w, c in acc.items():
             if not c:
@@ -185,7 +203,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
             i = index.get(w)
             if i is None:
                 if from_identity:
-                    val = R.from_terms(spec, acc)
+                    val = R.from_letters(spec, acc)
                     raise WindowOverflowError(
                         f"base relation {val} exceeds the generator window;"
                         " increase the window", str(val))
@@ -205,11 +223,12 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
     if classes:  # the twist of every class and translate, each from its parent's
         for g, twists in twists_on_ball(ctx.table, enum):
+            letters = g.letters
             for a, twist in zip(classes, twists):
-                classify(dax(g, a, ctx, twist), class_prov, g.is_identity)
+                classify(dax(letters, a, ctx, twist), class_prov, not letters)
     if circles:
         for g in enum:
-            classify(_dax_boundary_sphere(g, ctx), PROV_BOUNDARY, g.is_identity)
+            classify(_dax_boundary_sphere(g.letters, ctx), PROV_BOUNDARY, g.is_identity)
         for val in whisker.values():
             if val.spec != spec:
                 raise SceneError("whisker value over a different group spec")
@@ -220,7 +239,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
             # whisker values themselves are the data under scrutiny
             _validate_whisker_action(ctx, whisker, index, kept)
         for b in sorted(whisker, key=word_key):
-            classify(dict(whisker[b].items()), PROV_WHISKER, True)
+            classify({w.letters: c for w, c in whisker[b].items()}, PROV_WHISKER, True)
 
     relations = tuple(RingElem(spec, tuple((gens[i], c) for i, c in key))
                       for key in kept)
@@ -300,7 +319,7 @@ def _is_power_of(b: Word, s: Word) -> bool:
 
 
 def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
-                             index: dict[Word, int],
+                             index: dict[tuple, int],
                              base: list[tuple[tuple[int, int], ...]]):
     """Reject whisker tables that cannot come from a centralizer action.
 
@@ -308,7 +327,8 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
     vanish identically.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1 + w(b1)
     is checked on key pairs whose product is again a key, modulo the sphere
     and boundary relations ``base`` (as (index, coefficient) pairs of the
-    window ``index``; the action lives on that quotient).
+    window ``index``, which maps a generator's letters to its position; the
+    action lives on that quotient).
     """
     for b, val in whisker.items():
         if _is_power_of(b, ctx.s_class) and not val.is_zero:
@@ -322,11 +342,12 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
         nonlocal basis
         if val.is_zero:
             return True
-        if any(w not in index for w in val.support()):
+        if any(w.letters not in index for w in val.support()):
             return False
         if basis is None:  # most tables have no nonzero law value to check
             basis = snf.hermite_row_basis([dict(rel) for rel in base])
-        return not snf.reduce_mod_rows(column(index, val), basis)
+        return not snf.reduce_mod_rows({index[w.letters]: c for w, c in val.items()},
+                                       basis)
 
     keys = list(whisker)
     for b1 in keys:
@@ -374,23 +395,21 @@ class QuotientSolver:
     def __init__(self, rs: RelationSet):
         self.spec = rs.spec
         self.generators = rs.generators
-        self.index = {w: i for i, w in enumerate(rs.generators)}
+        self.index = rs.index
         n = len(rs.generators)
         # one column per relation up to sign, each with its shell: the length
         # of its longest word, which is its last term (terms are in word_key
         # order, graded by length)
         seen = set()
         shelled = []
-        for rel in rs.relations:
-            col = column(self.index, rel)
-            key = tuple(col.items())
+        for key in rs.columns:
             if key and key[0][1] < 0:
                 key = tuple((i, -c) for i, c in key)
             if key in seen:
                 continue
             seen.add(key)
-            shell = word_length(rel.terms[-1][0]) if col else 0
-            shelled.append((shell, col))
+            shell = word_length(rs.generators[key[-1][0]]) if key else 0
+            shelled.append((shell, dict(key)))
         # stably sorted by shell, the columns of a smaller window W' are a
         # prefix: exactly the relations supported on the ball of radius W'
         shelled.sort(key=lambda sc: sc[0])
@@ -459,7 +478,7 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
             kept.append(rel)
             prov.append(p)
         else:
-            dropped.append((p, dict(rel.terms)))
+            dropped.append((p, {w.letters: c for w, c in rel.terms}))
     return RelationSet(rs.spec, window, gens, tuple(kept), tuple(prov),
                        tuple(dropped))
 

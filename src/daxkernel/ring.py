@@ -74,6 +74,12 @@ def from_terms(spec: GroupSpec, terms: Mapping[Word, int] | Iterable[tuple[Word,
     return RingElem(spec, cleaned)
 
 
+def from_letters(spec: GroupSpec, terms: Mapping[tuple, int]) -> RingElem:
+    """``from_terms`` of a term dict keyed by normal form letter tuples, as
+    relation assembly builds them."""
+    return from_terms(spec, {Word(spec, w): c for w, c in terms.items()})
+
+
 def zero(spec: GroupSpec) -> RingElem:
     return RingElem(spec, ())
 

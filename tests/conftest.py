@@ -536,7 +536,7 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
             raise WindowOverflowError(
                 f"base relation {val} exceeds the generator window; increase the"
                 " window", str(val))
-        dropped.append((provenance, dict(val.terms)))
+        dropped.append((provenance, {w.letters: c for w, c in val.terms}))
 
     classes = ctx.table.classes
     lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
@@ -554,9 +554,10 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
         whisker = {b: R.gr_bar_reduce(v) for b, v in whisker.items()}
         Q._validate_whisker_keys(ctx, whisker)
         if whisker:
-            index = {w: i for i, w in enumerate(gens)}
+            index = {w.letters: i for i, w in enumerate(gens)}
             Q._validate_whisker_action(
-                ctx, whisker, index, [tuple(Q.column(index, r).items()) for r in kept])
+                ctx, whisker, index,
+                [tuple((index[w.letters], c) for w, c in r.terms) for r in kept])
         for b in sorted(whisker, key=word_key):
             classify(whisker[b], Q.PROV_WHISKER, True)
     return Q.RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped))

@@ -69,6 +69,17 @@ def test_parse_trivial_and_z1():
     assert parse_group_spec("1 x 1").is_trivial
 
 
+def test_z1_generator_is_the_identity():
+    # the Z/1 factor stays in the spec, so its generator parses, as the identity
+    spec = parse_group_spec("F<x,y> x Z/1<u>")
+    assert spec.generators == ("x", "y", "u")
+    assert render_group_spec(spec) == "F<x,y> x Z/1<u>"
+    assert parse_word("u", spec).is_identity
+    assert parse_word("u^-2*x*u*y*u^5", spec) == parse_word("x*y", spec)
+    assert [w.letters for w in ball(spec, 1)] == [(), (("x", 1),), (("x", -1),),
+                                                 (("y", 1),), (("y", -1),)]
+
+
 def test_parse_round_trip():
     for text in GROUP_TEXTS:
         spec = parse_group_spec(text)

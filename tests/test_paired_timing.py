@@ -23,10 +23,14 @@ def test_paired_timing_of_a_checkout_against_itself():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert re.fullmatch(r"workload eval_knots seed 0: 7 ops, \d+ rounds", lines[0])
-    assert len(lines) == 2 + 7 + 1
+    assert len(lines) == 2 + 7 + 2
     ratio = re.fullmatch(r"paired median pass-time ratio root 1 / root 2: (\S+)"
-                         r" \(quartiles \S+-\S+\)", lines[-1])
+                         r" \(quartiles \S+-\S+\)", lines[-2])
     assert ratio and 0.75 < float(ratio.group(1)) < 1.33
+    rounds = int(re.search(r"(\d+) rounds$", lines[0]).group(1))
+    wins = re.fullmatch(r"root 2 faster in (\d+) of (\d+) rounds", lines[-1])
+    assert wins and int(wins.group(2)) == rounds
+    assert 0 <= int(wins.group(1)) <= rounds
 
 
 def test_paired_timing_fails_when_outputs_differ(tmp_path):
@@ -39,3 +43,20 @@ def test_paired_timing_fails_when_outputs_differ(tmp_path):
     result = paired(tmp_path, 0)
     assert result.returncode == 1
     assert result.stdout.count("output differs: ") == 7
+
+
+def test_paired_timing_counts_the_rounds_the_second_root_wins(tmp_path):
+    # the second root renders every report 20 ms late, with the same output:
+    # it is faster in none of the rounds
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "runs"))
+    cli = tmp_path / "src" / "daxkernel" / "cli.py"
+    cli.write_text(cli.read_text() + "\n\n_render = render_report\n\n\n"
+                   "def render_report(report):\n    import time\n"
+                   "    time.sleep(0.02)\n    return _render(report)\n")
+    result = paired(tmp_path, 1)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    rounds = int(re.search(r"(\d+) rounds$", lines[0]).group(1))
+    assert lines[-1] == f"root 2 faster in 0 of {rounds} rounds"

@@ -684,9 +684,10 @@ def test_assembly_keeps_values_whose_cancelled_terms_leave_the_window():
 def test_abelian_window_word_products_grow_linearly(monkeypatch):
     """Building the seed-0 ``s1_x_sphere`` eval scene at W=160 takes at most
     2.2 times the word products and inverses of W=80 in the pairing and the
-    dax formulas.  Over Z<t> every generator step is central, so each
-    translate's twist is its parent's plus the twist of lambda(a, t^(+-1)):
-    a few products per translate, not |g| of them."""
+    dax formulas, of Words and of letter tuples alike.  Over Z<t> every
+    generator step is central, so each translate's twist is its parent's
+    plus the twist of lambda(a, t^(+-1)): a few products per translate, not
+    |g| of them."""
     from daxkernel import calculus, pairing
 
     op = next(op for op in bench_corpus().build("eval_knots", 0)
@@ -701,11 +702,68 @@ def test_abelian_window_word_products_grow_linearly(monkeypatch):
         return wrapper
 
     for module in (pairing, calculus):
-        monkeypatch.setattr(module, "mul", counted(module.mul))
-        monkeypatch.setattr(module, "inv", counted(module.inv))
+        for name in ("mul", "inv", "mul_letters", "inv_letters"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     counts = []
     for window in (80, 160):
         calls[0] = 0
         cli.build_relations(sc, window)
         counts.append(calls[0])
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+@pytest.mark.parametrize("op_id", ["embedded.F2_x_F2.W3.orbit",
+                                   "three_mfd.F2.circle.W4.orbit"])
+def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
+    """Past the ball's own Words, building the relations of a seed-0 orbit
+    scene makes as many Words at W=4 as at W=3: assembly joins, inverts and
+    looks up letter tuples, so no Word is built per translate."""
+    from daxkernel.groups import Word, ball
+
+    op = next(op for op in bench_corpus().build("orbit_3mfd", 0) if op.op_id == op_id)
+    sc = loads_scene(op.scene_text)
+    sizes = {window: len(ball(sc.group, window)) for window in (3, 4)}
+    made = [0]
+    init = Word.__init__
+
+    def counting(self, spec, letters):
+        made[0] += 1
+        init(self, spec, letters)
+
+    monkeypatch.setattr(Word, "__init__", counting)
+    extra = {}
+    for window in (3, 4):
+        made[0] = 0
+        cli.build_relations(sc, window)
+        extra[window] = made[0] - sizes[window]
+    assert extra[3] == extra[4], (extra, sizes)
+
+
+def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
+    """Every relation set builds its generator index and its relations'
+    (index, coefficient) columns when it checks their support: assembled,
+    restricted, folded or built by the reference assembly.  The solver takes
+    them over and calls ``column`` for none of its relations."""
+    import daxkernel.quotient as Q
+    from conftest import reference_assemble
+
+    sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
+    ctx = sc.context()
+    rs = build_rel_circles(ctx, {}, 6)
+    sets = [rs, restrict_relationset(rs, 4), concordance_quotient(rs),
+            reference_assemble(ctx, 5, circles=True, whisker={}, embedded=False)]
+    for r in sets:
+        assert r.index == {w: i for i, w in enumerate(r.generators)}
+        assert r.columns == tuple(tuple(column(r.index, rel).items())
+                                  for rel in r.relations)
+
+    def no_column(index, elem):
+        raise AssertionError("column called while the solver was built")
+
+    monkeypatch.setattr(Q, "column", no_column)
+    for r in sets:
+        assert r.solver.index is r.index
+    monkeypatch.undo()
+    for r in sets:
+        assert quotient_structure(r) == reference_structure(r)

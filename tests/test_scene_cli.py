@@ -293,6 +293,17 @@ def test_eval_report():
     assert by_name["k"]["residue"] != "0"
 
 
+def test_z1_generator_in_a_knot_trace():
+    # u names the identity of Z/1<u>: a knot that uses it is the one without
+    x_y = [{"name": "k", "trace": [["+", "x*y"], ["-", "y^-1*x"]]}]
+    x_u_y = [{"name": "k", "trace": [["+", "x*u*y"], ["-", "u^2*y^-1*x*u^-1"]]}]
+    reports = [run_scene(make_scene(3, "arcs", group, knots=knots), "eval", window=3)
+               for group, knots in (("F<x,y>", x_y), ("F<x,y> x Z/1<u>", x_u_y))]
+    assert reports[1]["knots"] == reports[0]["knots"]
+    assert reports[1]["knots"][0]["value"] == "x*y - y^-1*x"
+    assert reports[1]["structure"] == reports[0]["structure"]
+
+
 def test_concordance_report():
     sc = make_scene(3, "arcs", "Z<t>",
                     knots=[{"name": "k", "trace": [["+", "t^-1"], ["+", "t"]]}])

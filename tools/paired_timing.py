@@ -10,9 +10,10 @@ roots run the ops of one ``bench/corpus.py`` workload and seed: one
 warm-up pass each, whose outputs must agree, then rounds of one whole pass
 per root, the order swapped every round, until ``--seconds`` have gone by.
 
-Printed: each op's median time per root, and the median over rounds of the
-ratio of the first root's pass time to the second's, with its quartiles.
-A ratio above 1 means the second root is faster.  Separate benchmark runs
+Printed: each op's median time per root, the median over rounds of the
+ratio of the first root's pass time to the second's, with its quartiles,
+and in how many rounds the second root's pass was the faster one.  A ratio
+above 1 means the second root is faster.  Separate benchmark runs
 drift with the machine's speed; the two passes of a round run back to back,
 so their ratio cancels most of that drift.  The exit status is 1 when the
 roots' outputs differ on some op, 0 otherwise.  Nothing under ``bench`` is
@@ -132,6 +133,7 @@ def main(argv=None) -> int:
     q1, median, q3 = quartiles(ratios)
     print(f"paired median pass-time ratio root 1 / root 2: {median:.3f}"
           f" (quartiles {q1:.3f}-{q3:.3f})")
+    print(f"root 2 faster in {sum(r > 1 for r in ratios)} of {rounds} rounds")
     return 1 if differ else 0
 
 
