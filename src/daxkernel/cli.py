@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from .errors import BallOverflowError, DaxKernelError, UsageError, WindowOverflowError
-from .groups import render_word
-from .ring import parse_ring
+from .groups import render_letters, render_word
+from .ring import parse_ring, render_terms
 from .calculus import CIRCLES
 from . import quotient as Q
 from .traces import dax_of_knot, eval_dax_trace, mu2_reduce
@@ -47,18 +47,34 @@ def _structure_dict(st: Q.AbelianStructure) -> dict:
             "window": st.window, "stable": st.stable}
 
 
-def _relation_entries(rs: Q.RelationSet) -> list[dict]:
-    return [{"value": str(rel), "provenance": prov}
-            for rel, prov in zip(rs.relations, rs.provenance)]
+def _presentation(rs: Q.RelationSet) -> dict:
+    """The report's generators, relations and dropped values, rendered from
+    window positions and letters: each generator's name is rendered once,
+    and no Word or RingElem is built."""
+    names = [render_word(g) for g in rs.generators]
+    relations = [{"value": render_terms([(names[i], c) for i, c in col]),
+                  "provenance": prov}
+                 for col, prov in zip(rs.columns, rs.provenance)]
+    dropped = []
+    for prov, terms in rs.dropped_terms:
+        inside, outside = Q.order_dropped(rs.spec, rs.letter_index, terms)
+        value = render_terms([(names[i], c) for i, c in inside]
+                             + [(render_letters(w), c) for w, c in outside])
+        dropped.append({"provenance": prov, "value": value})
+    return {"generators": names, "relations": relations,
+            "dropped_relations": dropped}
 
 
 def _fit_profile(windows, free_ranks) -> dict:
+    """The line through the first and last window's free rank, and whether
+    every window lies on it: ``null`` for two windows, which always do, and
+    ``true`` for one."""
     if len(windows) < 2:
         return {"slope": None, "intercept": None, "linear": len(windows) == 1}
     slope = Fraction(free_ranks[-1] - free_ranks[0], windows[-1] - windows[0])
     intercept = Fraction(free_ranks[0]) - slope * windows[0]
-    linear = all(Fraction(fr) == slope * w + intercept
-                 for w, fr in zip(windows, free_ranks))
+    linear = None if len(windows) == 2 else all(
+        Fraction(fr) == slope * w + intercept for w, fr in zip(windows, free_ranks))
     return {"slope": str(slope), "intercept": str(intercept), "linear": linear}
 
 
@@ -89,10 +105,7 @@ def run_target(scene: ManifoldScene, windows) -> dict:
         "command": "target",
         "scene": scene_to_dict(scene),
         "window": final_rs.window,
-        "generators": [render_word(g) for g in final_rs.generators],
-        "relations": _relation_entries(final_rs),
-        "dropped_relations": [{"provenance": p, "value": str(v)}
-                              for p, v in final_rs.dropped],
+        **_presentation(final_rs),
         "structure": _structure_dict(final_structure),
         "sweep": sweep,
         "profile": _fit_profile(sweep["windows"], sweep["free_ranks"]),

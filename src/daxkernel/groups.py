@@ -353,11 +353,17 @@ def word_key(w: Word):
     Each letter keys as (global generator index, |e|, 0 if e > 0 else 1),
     where e is the shortest signed representative of its exponent.
     """
-    index = w.spec._index
+    return key_letters(w.spec, w.letters)
+
+
+def key_letters(spec: GroupSpec, a: tuple):
+    """``word_key`` of the normal form with letters a; no ``Word`` is built
+    (``word_key`` wraps this for Words)."""
+    index = spec._index
     total = 0
     letters = []
     try:
-        for name, exp in w.letters:
+        for name, exp in a:
             _, g, order = index[name]
             if order and exp > order - exp:
                 exp -= order
@@ -651,9 +657,12 @@ def parse_word(text: str, spec: GroupSpec) -> Word:
 
 
 def render_word(w: Word) -> str:
-    if w.is_identity:
+    return render_letters(w.letters)
+
+
+def render_letters(a: tuple) -> str:
+    """The text of the normal form with letters a, ``1`` for the identity;
+    no ``Word`` is built (``render_word`` wraps this for Words)."""
+    if not a:
         return "1"
-    parts = []
-    for name, exp in w.letters:
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    return "*".join([name if exp == 1 else f"{name}^{exp}" for name, exp in a])

@@ -17,7 +17,17 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ModeError, SceneError, WindowOverflowError
-from .groups import GroupSpec, Word, ball, inv, mul, render_word, word_key, word_length
+from .groups import (
+    GroupSpec,
+    Word,
+    ball,
+    inv,
+    key_letters,
+    mul,
+    render_word,
+    word_key,
+    word_length,
+)
 from . import ring as R
 from .ring import RingElem
 from . import snf
@@ -47,14 +57,18 @@ class RelationSet:
     ``dropped_terms`` holds the values that left the window, each as its
     provenance and an unsorted term dict keyed by normal form letter tuples
     (letters -> coefficient, zeros allowed), as relation assembly produced
-    it.  Only a report shows them, so they become ``Word`` terms sorted
-    into ``RingElem`` values when ``dropped`` is first read, and at most
-    once.  Equality ignores them.
+    it.  Equality ignores them.  ``order_dropped`` puts the terms of one in
+    ``word_key`` order, with window positions standing for the terms inside
+    the window: the ``target`` report renders them from there, and
+    ``dropped``, read by tests and the benchmark's counters, turns them into
+    ``RingElem`` values on first read, sharing the window's Words.
 
-    Construction checks that every relation is supported on the window, and
-    on the way builds ``index`` (generator -> position) and each relation's
-    ``columns`` entry, its (position, coefficient) pairs in term order: the
-    solver reads both.
+    ``letter_index`` maps a generator's letters to its position; relation
+    assembly hands over the map it classified with, and any other
+    construction builds it.  Construction checks that every relation is
+    supported on the window, and on the way builds ``index`` (generator ->
+    position) and each relation's ``columns`` entry, its (position,
+    coefficient) pairs in term order: the solver reads both.
     """
 
     spec: GroupSpec
@@ -64,6 +78,8 @@ class RelationSet:
     provenance: tuple[str, ...]
     dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = field(
         default=(), repr=False, compare=False)
+    letter_index: dict[tuple, int] | None = field(
+        default=None, repr=False, compare=False)
     index: dict[Word, int] = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False)
@@ -79,12 +95,21 @@ class RelationSet:
                     f"relation {rel} not supported on the window", str(rel)) from None
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "columns", tuple(columns))
+        if self.letter_index is None:
+            object.__setattr__(self, "letter_index",
+                               {w.letters: i for i, w in enumerate(self.generators)})
 
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
-        """(provenance, value) of each dropped value, sorted on first read."""
-        return tuple((p, R.from_letters(self.spec, terms))
-                     for p, terms in self.dropped_terms)
+        """(provenance, value) of each dropped value, sorted on first read;
+        only the terms outside the window get a new ``Word``."""
+        spec, gens, out = self.spec, self.generators, []
+        for p, terms in self.dropped_terms:
+            inside, outside = order_dropped(spec, self.letter_index, terms)
+            out.append((p, RingElem(spec, tuple(
+                [(gens[i], c) for i, c in inside]
+                + [(Word(spec, w), c) for w, c in outside]))))
+        return tuple(out)
 
     @functools.cached_property
     def solver(self) -> QuotientSolver:
@@ -145,6 +170,33 @@ class OrbitResult:
     size: int
 
 
+def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
+                  terms: dict[tuple, int]):
+    """The nonzero terms of a dropped value in ``word_key`` order, as two
+    lists: the terms inside the window as (position, coefficient) pairs
+    sorted by position, then the terms outside it as (letters, coefficient)
+    pairs sorted by ``word_key`` of their letters, which is computed only
+    when two or more are outside.
+
+    This is the order of ``RingElem`` terms: the window is the ball of
+    radius W less the identity, in ``word_key`` order, and a dropped value
+    is reduced, so every term outside the window is longer than W and sorts
+    after every term inside.
+    """
+    inside, outside = [], []
+    for w, c in terms.items():
+        if c:
+            i = letter_index.get(w)
+            if i is None:
+                outside.append((w, c))
+            else:
+                inside.append((i, c))
+    inside.sort()
+    if len(outside) > 1:
+        outside.sort(key=lambda term: key_letters(spec, term[0]))
+    return inside, outside
+
+
 # ---------------------------------------------------------------------------
 # building relation sets
 # ---------------------------------------------------------------------------
@@ -178,10 +230,11 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     ``word_key`` order, so this is the order ``from_terms`` would give,
     without a ``word_key`` per term.  Duplicates are caught on those pairs,
     and a kept relation shares the ball's Words.  A value that leaves the
-    window is dropped as its term dict, which ``RelationSet.dropped`` turns
-    into Words and sorts only when read; a base relation (the identity
-    translate and the whiskers) that leaves it is sorted into the message of
-    a ``WindowOverflowError``.
+    window is dropped as its term dict, and ``index`` goes to the relation
+    set as its ``letter_index``: ``order_dropped`` sorts a dropped value only
+    when a report or ``RelationSet.dropped`` reads it.  A base relation (the
+    identity translate and the whiskers) that leaves the window is sorted
+    into the message of a ``WindowOverflowError``.
     """
     if window < 1:
         raise SceneError("window must be >= 1")
@@ -243,7 +296,8 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
 
     relations = tuple(RingElem(spec, tuple((gens[i], c) for i, c in key))
                       for key in kept)
-    return RelationSet(spec, window, gens, relations, tuple(prov), tuple(dropped))
+    return RelationSet(spec, window, gens, relations, tuple(prov), tuple(dropped),
+                       index)
 
 
 def build_rel_arcs(ctx: DaxContext, window: int) -> RelationSet:
@@ -514,7 +568,7 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
         kept.append(val)
         prov.append(PROV_CONCORDANCE)
     return RelationSet(rs.spec, rs.window, rs.generators, tuple(kept),
-                       tuple(prov), rs.dropped_terms)
+                       tuple(prov), rs.dropped_terms, rs.letter_index)
 
 
 # ---------------------------------------------------------------------------

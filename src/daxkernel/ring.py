@@ -159,22 +159,24 @@ _INT_RE = re.compile(r"[+-]?\d+$")
 
 
 def render_ring(r: RingElem) -> str:
-    if r.is_zero:
-        return "0"
+    return render_terms([(render_word(w), c) for w, c in r.terms])
+
+
+def render_terms(terms: Iterable[tuple[str, int]]) -> str:
+    """The text of a sum from its (word text, nonzero coefficient) terms,
+    in the order given; the identity, whose text is ``1``, shows as its
+    coefficient alone, and no terms as ``0``.  ``render_ring`` and the
+    ``target`` report, which renders from window positions and letters,
+    both call this."""
     parts = []
-    for i, (w, c) in enumerate(r.terms):
+    for text, c in terms:
         mag = abs(c)
-        if w.is_identity:
-            body = str(mag)
-        elif mag == 1:
-            body = render_word(w)
-        else:
-            body = f"{mag}*{render_word(w)}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
+        body = text if mag == 1 else str(mag) if text == "1" else f"{mag}*{text}"
+        if parts:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 def _split_ring_terms(text: str):

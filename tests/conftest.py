@@ -563,6 +563,23 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
     return Q.RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped))
 
 
+def reference_dropped(rs):
+    """``RelationSet.dropped`` by its earlier body: each dropped term dict
+    turned into Words and sorted into a ``RingElem`` by ``ring.from_letters``."""
+    return tuple((p, R.from_letters(rs.spec, terms)) for p, terms in rs.dropped_terms)
+
+
+def assert_report_matches_reference(report, rs):
+    """The generators, relations and dropped values of a ``target`` report
+    are ``str`` of the Words and RingElems of ``rs``, its dropped values
+    built by ``reference_dropped``."""
+    assert report["generators"] == [str(g) for g in rs.generators]
+    assert report["relations"] == [{"value": str(rel), "provenance": p}
+                                   for rel, p in zip(rs.relations, rs.provenance)]
+    assert report["dropped_relations"] == [{"provenance": p, "value": str(val)}
+                                           for p, val in reference_dropped(rs)]
+
+
 def assembled(build):
     """(generators, relations, provenance, dropped) of the relation set that
     ``build()`` returns, or the type and text of the error it raises.  Every
@@ -579,6 +596,7 @@ def assembled(build):
     for rel in rs.relations:
         keys = [word_key(w) for w, _ in rel.terms]
         assert all(a < b for a, b in zip(keys, keys[1:])), str(rel)
+    assert rs.dropped == reference_dropped(rs)
     return rs.generators, rs.relations, rs.provenance, rs.dropped
 
 

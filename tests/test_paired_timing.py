@@ -11,6 +11,18 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "paired_timing.py"
 
 
+OP_LINE = re.compile(r"(\S+) +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d{3})")
+
+
+def op_ratios(lines):
+    """op id -> the median of its own per-round time ratio, from the op
+    table between the header lines and the two summary lines."""
+    assert lines[1].split() == ["op", "root", "1", "ms", "root", "2", "ms", "ratio"]
+    rows = [OP_LINE.fullmatch(line) for line in lines[2:-2]]
+    assert all(rows), lines
+    return {row.group(1): float(row.group(4)) for row in rows}
+
+
 def paired(other, seconds):
     return subprocess.run([sys.executable, str(TOOL), "--root", str(ROOT),
                            "--root", str(other), "--workload", "eval_knots",
@@ -24,6 +36,8 @@ def test_paired_timing_of_a_checkout_against_itself():
     lines = result.stdout.splitlines()
     assert re.fullmatch(r"workload eval_knots seed 0: 7 ops, \d+ rounds", lines[0])
     assert len(lines) == 2 + 7 + 2
+    ratios = op_ratios(lines)
+    assert len(ratios) == 7 and all(0.33 < r < 3 for r in ratios.values()), ratios
     ratio = re.fullmatch(r"paired median pass-time ratio root 1 / root 2: (\S+)"
                          r" \(quartiles \S+-\S+\)", lines[-2])
     assert ratio and 0.75 < float(ratio.group(1)) < 1.33
@@ -60,3 +74,6 @@ def test_paired_timing_counts_the_rounds_the_second_root_wins(tmp_path):
     lines = result.stdout.splitlines()
     rounds = int(re.search(r"(\d+) rounds$", lines[0]).group(1))
     assert lines[-1] == f"root 2 faster in 0 of {rounds} rounds"
+    # each op is slower by the 20 ms, so each op's own ratio is below 1
+    ratios = op_ratios(lines)
+    assert len(ratios) == 7 and all(r < 1 for r in ratios.values()), ratios

@@ -68,6 +68,7 @@ from conftest import (
     dense,
     GROUP_TEXTS,
     assert_assembly_matches_reference,
+    assert_report_matches_reference,
     dense_coords,
     dense_hermite_row_basis,
     dense_reduce_mod_rows,
@@ -674,11 +675,12 @@ def test_answers_depend_on_the_lattice_alone(data):
 # -- relation assembly in generator-index space ------------------------------------
 
 @st.composite
-def relation_builds(draw):
-    """A relation build over a random context from conftest: arcs, circles
-    (whiskers included) or a 3-manifold (embedded classes in dimension 3,
-    arcs or circles with a boundary sphere and whiskers)."""
-    spec = parse_group_spec(draw(st.sampled_from(GROUP_TEXTS)))
+def relation_builds(draw, texts=GROUP_TEXTS):
+    """A relation build over a random context from conftest, over one of the
+    groups ``texts``: arcs, circles (whiskers included) or a 3-manifold
+    (embedded classes in dimension 3, arcs or circles with a boundary sphere
+    and whiskers)."""
+    spec = parse_group_spec(draw(st.sampled_from(texts)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     window = draw(st.integers(min_value=1, max_value=3))
     kind = draw(st.sampled_from(("arcs", "circles", "3mfd")))
@@ -705,3 +707,32 @@ def relation_builds(draw):
 @settings(max_examples=150, deadline=None)
 def test_assembly_matches_reference(build):
     assert_assembly_matches_reference(build)
+
+
+def test_target_report_renders_as_the_reference():
+    """Over ``F<x,y> x Z/3<u>`` and ``Z<t> x Z/2<u>``, the report's relations
+    and dropped values are ``str`` of the reference RingElems, and some
+    dropped values have two or more terms outside the window, whose order
+    is the one that needs ``word_key``."""
+    from daxkernel import cli
+    from daxkernel.errors import DaxKernelError
+    from daxkernel.quotient import order_dropped
+
+    outside = [0]
+
+    @given(relation_builds(("F<x,y> x Z/3<u>", "Z<t> x Z/2<u>")))
+    @settings(max_examples=100, deadline=None)
+    def check(build):
+        try:
+            rs = build()
+        except DaxKernelError:
+            return
+        if isinstance(rs, tuple):
+            rs = rs[0]
+        assert_report_matches_reference(cli._presentation(rs), rs)
+        for _, terms in rs.dropped_terms:
+            far = len(order_dropped(rs.spec, rs.letter_index, terms)[1])
+            outside[0] = max(outside[0], far)
+
+    check()
+    assert outside[0] >= 2

@@ -32,6 +32,7 @@ from daxkernel.scene import loads_scene, preset_expand
 
 from conftest import (
     assert_assembly_matches_reference,
+    assert_report_matches_reference,
     dense,
     dense_coords,
     dense_hermite_row_basis,
@@ -648,13 +649,16 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
 # -- relation assembly in generator-index space ------------------------------------
 
 
-@pytest.mark.parametrize("preset,params", PRESET_CASES + [
+ALL_PRESET_CASES = PRESET_CASES + [
     ("aspherical", {"group": "F<x,y>"}),
     ("three_mfd", {"group": "Z<a,b>", "mode": "circles", "s": "a*b", "u": "a*b",
                    "phi": "circle", "whisker": {"b": "a*b^2 - a^-1"}}),
     ("three_mfd", {"group": "F<x,y>", "mode": "circles", "s": "x", "u": "x",
                    "phi": "boundary_arc", "whisker": {"x^2": "0"}}),
-])
+]
+
+
+@pytest.mark.parametrize("preset,params", ALL_PRESET_CASES)
 def test_assembly_matches_reference_on_presets(preset, params):
     sc = preset_expand(preset, params)
     for w in default_windows(sc):
@@ -711,6 +715,65 @@ def test_abelian_window_word_products_grow_linearly(monkeypatch):
         cli.build_relations(sc, window)
         counts.append(calls[0])
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+# -- the target report, rendered from window positions and letters -----------------
+
+@pytest.mark.parametrize("preset,params", ALL_PRESET_CASES)
+def test_target_report_renders_as_the_reference_on_presets(preset, params):
+    """At its default windows, a preset's report gives every generator,
+    relation and dropped value as ``str`` of the reference Words and
+    RingElems of its last window."""
+    sc = preset_expand(preset, params)
+    report = cli.run_scene(sc, "target")
+    assert_report_matches_reference(report, cli.build_relations(sc, report["window"])[0])
+
+
+def bench_target_ops():
+    corpus = bench_corpus()
+    return [pytest.param(op, id=f"{seed}/{op.op_id}")
+            for workload in corpus.WORKLOADS for seed in (0, 1, 2)
+            for op in corpus.build(workload, seed) if op.command == "target"]
+
+
+@pytest.mark.parametrize("op", bench_target_ops())
+def test_target_report_renders_as_the_reference_on_bench_ops(op):
+    sc = loads_scene(op.scene_text)
+    report = cli.run_scene(sc, "target", op.window)
+    assert_report_matches_reference(report, cli.build_relations(sc, report["window"])[0])
+
+
+def test_target_report_makes_no_word_once_relations_are_built(monkeypatch):
+    """Once the relations of the seed-0 ``aspherical.F2.W6`` op are built,
+    its target report, JSON and text, builds no Word and never calls
+    ``ring.from_letters``: generator names are rendered once and indexed by
+    window position, and the terms outside the window from their letters."""
+    import json
+    from daxkernel.groups import Word
+
+    op = next(op for op in bench_corpus().build("target_sweep", 0)
+              if op.op_id == "aspherical.F2.W6")
+    sc = loads_scene(op.scene_text)
+    built = cli.build_relations(sc, op.window)
+    monkeypatch.setattr(cli, "build_relations", lambda scene, window: built)
+    made, sorted_values = [0], [0]
+    init, from_letters = Word.__init__, R.from_letters
+
+    def counting(self, spec, letters):
+        made[0] += 1
+        init(self, spec, letters)
+
+    def counting_from_letters(spec, terms):
+        sorted_values[0] += 1
+        return from_letters(spec, terms)
+
+    monkeypatch.setattr(Word, "__init__", counting)
+    monkeypatch.setattr(R, "from_letters", counting_from_letters)
+    report = cli.run_scene(sc, "target", op.window)
+    json.dumps(report, indent=2, sort_keys=True)
+    cli.render_report(report)
+    assert len(report["dropped_relations"]) == len(built[0].dropped_terms) > 900
+    assert (made[0], sorted_values[0]) == (0, 0)
 
 
 @pytest.mark.parametrize("op_id", ["embedded.F2_x_F2.W3.orbit",

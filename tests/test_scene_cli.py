@@ -388,11 +388,13 @@ def test_cli_default_sweep_stops_at_ball_cap(capsys):
     assert report["window"] == 6
     assert report["sweep"]["windows"] == [4, 6]
     assert report["sweep"]["truncated"] == 8
+    # two windows always lie on a line: the fit cannot tell
+    assert report["profile"]["linear"] is None
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if "truncated" in ln] == [
         "  sweep truncated at W=8: its ball exceeds 6000 elements"]
-    assert "  free-rank profile: 648*W - 2432 (linear=True)" in lines
+    assert "  free-rank profile: 648*W - 2432 (linear=None)" in lines
 
 
 def _enumerated_radii(monkeypatch):

@@ -10,10 +10,12 @@ roots run the ops of one ``bench/corpus.py`` workload and seed: one
 warm-up pass each, whose outputs must agree, then rounds of one whole pass
 per root, the order swapped every round, until ``--seconds`` have gone by.
 
-Printed: each op's median time per root, the median over rounds of the
-ratio of the first root's pass time to the second's, with its quartiles,
-and in how many rounds the second root's pass was the faster one.  A ratio
-above 1 means the second root is faster.  Separate benchmark runs
+Printed: each op's median time per root and the median over rounds of
+that op's own ratio of the first root's time to the second's, which shows
+the ops that gained; then the median over rounds of the ratio of the first
+root's pass time to the second's, with its quartiles, and in how many
+rounds the second root's pass was the faster one.  A ratio above 1 means
+the second root is faster.  Separate benchmark runs
 drift with the machine's speed; the two passes of a round run back to back,
 so their ratio cancels most of that drift.  The exit status is 1 when the
 roots' outputs differ on some op, 0 otherwise.  Nothing under ``bench`` is
@@ -125,10 +127,11 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload} seed {args.seed}: {len(ops[0])} ops,"
           f" {rounds} rounds")
-    print(f"{'op':40s} {'root 1 ms':>10s} {'root 2 ms':>10s}")
+    print(f"{'op':40s} {'root 1 ms':>10s} {'root 2 ms':>10s} {'ratio':>7s}")
     for k, op in enumerate(ops[0]):
         medians = [statistics.median(p[k] for p in passes[i]) * 1e3 for i in (0, 1)]
-        print(f"{op.op_id:40s} {medians[0]:10.2f} {medians[1]:10.2f}")
+        ratio = statistics.median(a[k] / b[k] for a, b in zip(*passes))
+        print(f"{op.op_id:40s} {medians[0]:10.2f} {medians[1]:10.2f} {ratio:7.3f}")
     ratios = [sum(a) / sum(b) for a, b in zip(*passes)]
     q1, median, q3 = quartiles(ratios)
     print(f"paired median pass-time ratio root 1 / root 2: {median:.3f}"
