@@ -22,8 +22,10 @@ from .groups import (
     Word,
     ball,
     inv,
+    inv_letters,
     key_letters,
     mul,
+    mul_letters,
     render_word,
     word_key,
     word_length,
@@ -54,6 +56,21 @@ MAX_ORBIT_STATES = 4096
 class RelationSet:
     """Relations supported on a generator window of the reduced group ring.
 
+    The generators are the window: the ball of radius ``window`` less the
+    identity, in ``word_key`` order, so graded by length.  ``letter_index``
+    maps a generator's letters to its position; relation assembly hands over
+    the map it classified with, and any other construction builds it.
+
+    What a relation set stores is its ``columns``: each relation as its
+    (position, coefficient) pairs, sorted by position, which is the
+    ``word_key`` order of its terms.  The solver, the concordance fold, the
+    orbit search and the ``target`` report read them.  ``relations`` (one
+    ``RingElem`` per column, sharing the window's Words) and ``index``
+    (generator -> position) are derived on first read.  The constructor
+    takes columns as given; ``from_relations`` is the one entry point that
+    takes ``RingElem`` relations, and checks that they are supported on the
+    window.
+
     ``dropped_terms`` holds the values that left the window, each as its
     provenance and an unsorted term dict keyed by normal form letter tuples
     (letters -> coefficient, zeros allowed), as relation assembly produced
@@ -62,42 +79,53 @@ class RelationSet:
     the window: the ``target`` report renders them from there, and
     ``dropped``, read by tests and the benchmark's counters, turns them into
     ``RingElem`` values on first read, sharing the window's Words.
-
-    ``letter_index`` maps a generator's letters to its position; relation
-    assembly hands over the map it classified with, and any other
-    construction builds it.  Construction checks that every relation is
-    supported on the window, and on the way builds ``index`` (generator ->
-    position) and each relation's ``columns`` entry, its (position,
-    coefficient) pairs in term order: the solver reads both.
     """
 
     spec: GroupSpec
     window: int
     generators: tuple[Word, ...]
-    relations: tuple[RingElem, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
     provenance: tuple[str, ...]
     dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = field(
         default=(), repr=False, compare=False)
     letter_index: dict[tuple, int] | None = field(
         default=None, repr=False, compare=False)
-    index: dict[Word, int] = field(init=False, repr=False, compare=False)
-    columns: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {w: i for i, w in enumerate(self.generators)}
+        if self.letter_index is None:
+            object.__setattr__(self, "letter_index",
+                               {w.letters: i for i, w in enumerate(self.generators)})
+
+    @classmethod
+    def from_relations(cls, spec: GroupSpec, window: int, generators: tuple[Word, ...],
+                       relations, provenance, dropped_terms=()) -> RelationSet:
+        """The relation set of ``RingElem`` relations over the window
+        ``generators``; each relation's column lists its terms' positions in
+        term order.  A relation with a term outside the window raises
+        ``WindowOverflowError``."""
+        index = {w: i for i, w in enumerate(generators)}
         columns = []
-        for rel in self.relations:
+        for rel in relations:
             try:
                 columns.append(tuple((index[w], c) for w, c in rel.terms))
             except KeyError:
                 raise WindowOverflowError(
                     f"relation {rel} not supported on the window", str(rel)) from None
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "columns", tuple(columns))
-        if self.letter_index is None:
-            object.__setattr__(self, "letter_index",
-                               {w.letters: i for i, w in enumerate(self.generators)})
+        return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
+                   tuple(dropped_terms))
+
+    @functools.cached_property
+    def relations(self) -> tuple[RingElem, ...]:
+        """The relations as ring elements, built from the columns on first
+        read; they share the window's Words."""
+        spec, gens = self.spec, self.generators
+        return tuple(RingElem(spec, tuple([(gens[i], c) for i, c in col]))
+                     for col in self.columns)
+
+    @functools.cached_property
+    def index(self) -> dict[Word, int]:
+        """Generator -> position, built on first read."""
+        return {w: i for i, w in enumerate(self.generators)}
 
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
@@ -165,9 +193,13 @@ class OrbitAction:
 
 @dataclass
 class OrbitResult:
+    """The orbit search's answer; ``state`` is the representative as the
+    (position, coefficient) pairs of its canonical residue."""
+
     representative: RingElem
     complete: bool
     size: int
+    state: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
 
 def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
@@ -229,8 +261,8 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
     (index, coefficient) pairs sorted as integers: the window is the ball in
     ``word_key`` order, so this is the order ``from_terms`` would give,
     without a ``word_key`` per term.  Duplicates are caught on those pairs,
-    and a kept relation shares the ball's Words.  A value that leaves the
-    window is dropped as its term dict, and ``index`` goes to the relation
+    and a kept relation is stored as them, its column.  A value that leaves
+    the window is dropped as its term dict, and ``index`` goes to the relation
     set as its ``letter_index``: ``order_dropped`` sorts a dropped value only
     when a report or ``RelationSet.dropped`` reads it.  A base relation (the
     identity translate and the whiskers) that leaves the window is sorted
@@ -294,9 +326,7 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
         for b in sorted(whisker, key=word_key):
             classify({w.letters: c for w, c in whisker[b].items()}, PROV_WHISKER, True)
 
-    relations = tuple(RingElem(spec, tuple((gens[i], c) for i, c in key))
-                      for key in kept)
-    return RelationSet(spec, window, gens, relations, tuple(prov), tuple(dropped),
+    return RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped),
                        index)
 
 
@@ -420,14 +450,15 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
 # quotient structure
 # ---------------------------------------------------------------------------
 
-def column(index: dict[Word, int], elem: RingElem) -> dict[int, int]:
-    """elem as a sparse vector: generator index -> coefficient."""
+def column(letter_index: dict[tuple, int], elem: RingElem) -> dict[int, int]:
+    """elem as a sparse vector: generator position -> coefficient, the
+    position looked up by letters in a relation set's ``letter_index``."""
     col = {}
     for w, c in elem.items():
         if w.is_identity:
             raise SceneError("values must be reduced (no identity term)")
         try:
-            col[index[w]] = c
+            col[letter_index[w.letters]] = c
         except KeyError:
             raise WindowOverflowError(
                 f"value {elem} not supported on the window", str(elem)) from None
@@ -448,12 +479,16 @@ class QuotientSolver:
 
     def __init__(self, rs: RelationSet):
         self.spec = rs.spec
-        self.generators = rs.generators
-        self.index = rs.index
-        n = len(rs.generators)
+        self.generators = gens = rs.generators
+        self.letter_index = rs.letter_index
+        n = len(gens)
+        # the window is graded by length: its generators of length <= k are
+        # the first ends[k - 1]
+        top = word_length(gens[-1]) if gens else 0
+        ends = [bisect.bisect_right(gens, k, key=word_length) for k in range(1, top + 1)]
         # one column per relation up to sign, each with its shell: the length
         # of its longest word, which is its last term (terms are in word_key
-        # order, graded by length)
+        # order)
         seen = set()
         shelled = []
         for key in rs.columns:
@@ -462,7 +497,7 @@ class QuotientSolver:
             if key in seen:
                 continue
             seen.add(key)
-            shell = word_length(rs.generators[key[-1][0]]) if key else 0
+            shell = bisect.bisect_right(ends, key[-1][0]) + 1 if key else 0
             shelled.append((shell, dict(key)))
         # stably sorted by shell, the columns of a smaller window W' are a
         # prefix: exactly the relations supported on the ball of radius W'
@@ -478,18 +513,31 @@ class QuotientSolver:
         self.window_torsion = dict(zip(smaller, map(tuple, self._elim.prefix_torsion)))
         self.window_torsion[rs.window] = self.torsion
 
-    def _residue(self, elem: RingElem) -> dict[int, int]:
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """The canonical residue of the sparse vector ``vec`` (position ->
+        coefficient), without zero entries."""
+        return snf.reduce_mod_rows(vec, self._elim.basis)
+
+    def residue(self, elem: RingElem) -> dict[int, int]:
         """The canonical residue of elem, as a sparse vector."""
-        return snf.reduce_mod_rows(column(self.index, elem), self._elim.basis)
+        return self.reduce(column(self.letter_index, elem))
 
     def elem(self, pairs) -> RingElem:
         """The ring element with coefficient c at generator i, for each
-        (i, c) of ``pairs``."""
+        (i, c) of ``pairs`` (positions distinct, zeros skipped).  Terms in
+        position order are terms in ``word_key`` order, since the window is
+        the ball in that order: the pairs are sorted as integers, and no
+        ``word_key`` is computed."""
         gens = self.generators
-        return R.from_terms(self.spec, [(gens[i], c) for i, c in pairs])
+        return RingElem(self.spec, tuple([(gens[i], c) for i, c in sorted(pairs) if c]))
 
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free coordinates, torsion coordinates) of the class of elem.
+        """(free coordinates, torsion coordinates) of the class of elem."""
+        return self.residue_coords(self.residue(elem))
+
+    def residue_coords(self, v: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(free coordinates, torsion coordinates) of the class whose
+        canonical residue is the sparse vector ``v``.
 
         The canonical residue is zero at the unit pivots of the Hermite
         basis.  The free coordinates list its entries at the generators that
@@ -498,7 +546,6 @@ class QuotientSolver:
         reduced into [0, d).
         """
         elim = self._elim
-        v = self._residue(elem)
         free = [v.get(i, 0) for i in elim.free_rows]
         tors = []
         block = [v.get(i, 0) for i in elim.residual_rows]
@@ -515,25 +562,26 @@ class QuotientSolver:
         return tuple(free), tuple(tors)
 
     def canonical_residue(self, elem: RingElem) -> RingElem:
-        return self.elem(self._residue(elem).items())
+        return self.elem(self.residue(elem).items())
 
 
 def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
     """The same relation data truncated to a smaller window.
 
-    Keeps exactly the relations supported on the smaller ball; everything
-    else moves to the dropped list.
+    The smaller ball's generators are a prefix of the window, which is
+    graded by length, so a relation keeps its column when all its positions
+    lie in that prefix; everything else moves to the dropped list.
     """
-    gens = tuple(w for w in rs.generators if word_length(w) <= window)
-    gens_set = set(gens)
+    gens = rs.generators
+    n = bisect.bisect_right(gens, window, key=word_length)
     kept, prov, dropped = [], [], list(rs.dropped_terms)
-    for rel, p in zip(rs.relations, rs.provenance):
-        if all(w in gens_set for w in rel.support()):
-            kept.append(rel)
+    for col, p in zip(rs.columns, rs.provenance):
+        if all(i < n for i, _ in col):
+            kept.append(col)
             prov.append(p)
         else:
-            dropped.append((p, {w.letters: c for w, c in rel.terms}))
-    return RelationSet(rs.spec, window, gens, tuple(kept), tuple(prov),
+            dropped.append((p, {gens[i].letters: c for i, c in col}))
+    return RelationSet(rs.spec, window, gens[:n], tuple(kept), tuple(prov),
                        tuple(dropped))
 
 
@@ -554,21 +602,39 @@ def quotient_structure(rs: RelationSet) -> AbelianStructure:
 
 
 def concordance_quotient(rs: RelationSet) -> RelationSet:
-    """Append the sheet-ambiguity relations g^-1 - g, one per inverse pair."""
-    kept = list(rs.relations)
+    """Append the sheet-ambiguity relations g^-1 - g, one per inverse pair.
+
+    Each is the column ((i, -1), (j, 1)) of the positions i of g and j of
+    g^-1, which ``letter_index`` gives from g's inverted letters.  Positions
+    are in ``word_key`` order, so a pair is added from its earlier member
+    (j > i), an element that is its own inverse adds nothing (j == i), and
+    a column already among the relations is not added again.  A partner
+    outside the window raises ``WindowOverflowError`` unless it sorts
+    first, when the pair is not g's to add.
+    """
+    spec, index = rs.spec, rs.letter_index
+    columns = list(rs.columns)
     prov = list(rs.provenance)
-    seen = set(kept)
-    for g in rs.generators:
-        if word_key(inv(g)) < word_key(g):
+    seen = set(columns)
+    for i, g in enumerate(rs.generators):
+        j = index.get(inv_letters(spec, g.letters))
+        if j is None:
+            gi = inv(g)
+            if word_key(gi) < word_key(g):
+                continue
+            val = R.gr_add(R.monomial(gi), R.monomial(g, -1))
+            raise WindowOverflowError(
+                f"relation {val} not supported on the window", str(val))
+        if j <= i:
             continue  # the partner generator contributes the same relation
-        val = R.gr_add(R.monomial(inv(g)), R.monomial(g, -1))
-        if val.is_zero or val in seen:
+        col = ((i, -1), (j, 1))
+        if col in seen:
             continue
-        seen.add(val)
-        kept.append(val)
+        seen.add(col)
+        columns.append(col)
         prov.append(PROV_CONCORDANCE)
-    return RelationSet(rs.spec, rs.window, rs.generators, tuple(kept),
-                       tuple(prov), rs.dropped_terms, rs.letter_index)
+    return RelationSet(spec, rs.window, rs.generators, tuple(columns),
+                       tuple(prov), rs.dropped_terms, index)
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +649,39 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     explored within the window, up to ``MAX_ORBIT_STATES`` states; moves
     that leave it, or a search cut at that bound, mark the result incomplete
     instead of failing, so representatives of window-infinite orbits are
-    still canonical for the explored region.  States are residues of the
-    one reduction ``rs.solver``.
+    still canonical for the explored region.
+
+    States are the canonical residues of the one reduction ``rs.solver``,
+    as sorted (position, coefficient) pairs; the least one is the
+    representative.  A move maps each position to the position of
+    b g b^-1, joined from letters (``groups.mul_letters``) and looked up in
+    ``letter_index`` once per position and move in this call, and adds
+    w(b), split once into its positions and the letters of its terms
+    outside the window.  The move leaves the window when the sum of the
+    conjugated terms and w(b) has a nonzero term outside it: a conjugated
+    term outside the window can cancel against a term of w(b).
     """
     solver = rs.solver
+    spec, index, gens = rs.spec, rs.letter_index, rs.generators
 
-    def state(elem: RingElem) -> tuple[tuple[int, int], ...]:
-        # the residue's (index, coefficient) pairs: the least state is the
-        # earliest-supported, smallest-coefficient one, and zero comes first
-        return tuple(sorted(solver._residue(elem).items()))
+    def state(vec: dict[int, int]) -> tuple[tuple[int, int], ...]:
+        # the least state is the earliest-supported, smallest-coefficient
+        # one, and zero comes first
+        return tuple(sorted(solver.reduce(vec).items()))
 
-    start = state(value)
+    moves = []
+    for b, w_b in action.moves:
+        inside, outside = {}, {}
+        for w, c in w_b.items():
+            i = index.get(w.letters)
+            if i is None:
+                outside[w.letters] = c
+            else:
+                inside[i] = c
+        # position -> position of b g b^-1, or its letters outside the window
+        moves.append((b.letters, inv_letters(spec, b.letters), {}, inside, outside))
+
+    start = state(column(index, value))
     visited = {start}
     queue = deque([start])
     complete = True
@@ -601,11 +689,19 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
         if len(visited) > MAX_ORBIT_STATES:
             complete = False
             break
-        vec = queue.popleft()
-        r = solver.elem(vec)
-        for b, w_b in action.moves:
-            moved = R.gr_add(R.gr_conj(b, r), w_b)
-            if any(w not in solver.index for w in moved.support()):
+        r = queue.popleft()
+        for b, bi, conj, inside, outside in moves:
+            moved, left = dict(inside), dict(outside)
+            for i, c in r:
+                j = conj.get(i)
+                if j is None:
+                    letters = mul_letters(spec, mul_letters(spec, b, gens[i].letters), bi)
+                    j = conj[i] = index.get(letters, letters)
+                if j.__class__ is int:
+                    moved[j] = moved.get(j, 0) + c
+                else:
+                    left[j] = left.get(j, 0) + c
+            if any(left.values()):
                 complete = False
                 continue
             key = state(moved)
@@ -613,4 +709,5 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
                 visited.add(key)
                 queue.append(key)
 
-    return OrbitResult(solver.elem(min(visited)), complete, len(visited))
+    rep = min(visited)
+    return OrbitResult(solver.elem(rep), complete, len(visited), rep)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SceneError
-from .groups import Word, inv, word_key
+from .groups import Word, inv, render_word, word_key
 from . import ring as R
 from .ring import RingElem
 from . import snf
@@ -77,16 +77,20 @@ def dax_of_knot(k: KnotRecord, rs: RelationSet,
     """Coordinates of the knot's Dax class in the windowed quotient.
 
     With orbit action data (circles, dimension three) the value is first
-    moved to its canonical orbit representative.
+    moved to its canonical orbit representative.  The value is reduced once
+    by ``rs.solver``: the residue and the coordinates are both read from
+    that one canonical residue vector (the orbit search's least state).
     """
     solver = rs.solver
     value = eval_dax_trace(k.trace, rs.spec)
     if action is not None and action.centralizer:
         orbit = centralizer_orbit_reduce(value, rs, action)
         residue, complete, size = orbit.representative, orbit.complete, orbit.size
+        vec = dict(orbit.state)
     else:
-        residue, complete, size = solver.canonical_residue(value), True, 1
-    free, tors = solver.coords(residue)
+        vec = solver.residue(value)
+        residue, complete, size = solver.elem(vec.items()), True, 1
+    free, tors = solver.residue_coords(vec)
     return KnotDax(k.name, value, residue, free, tors, complete, size)
 
 
@@ -115,7 +119,9 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     ``values`` maps the knots' names, which must be distinct, to integer
     vectors, and names no other key.  Returns (w_map, base_value) on
     success, where w_map gives the value of w on each window generator;
-    returns a Witness when no such w exists.
+    returns a Witness when no such w exists.  Each generator's
+    coordinates are read from the residue of its unit vector, and its
+    w_map key is its rendered word, which is the text of its monomial.
     """
     if not knots:
         raise SceneError("universality check needs at least one knot")
@@ -159,8 +165,8 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     # the target is torsion free, so w vanishes on torsion coordinates and is
     # determined by the free part of each generator's class
     w_map = {}
-    for g in solver.generators:
-        gen_free, _ = solver.coords(R.monomial(g))
-        w_map[str(R.monomial(g))] = tuple(
+    for i, g in enumerate(solver.generators):
+        gen_free, _ = solver.residue_coords(solver.reduce({i: 1}))
+        w_map[render_word(g)] = tuple(
             sum(sol[j] * gen_free[j] for j in range(q)) for sol in solutions)
     return w_map, base_value

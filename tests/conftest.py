@@ -386,7 +386,7 @@ def dense_orbit(value, rs, centralizer, whisker):
 
     from daxkernel.quotient import column
 
-    index = {w: i for i, w in enumerate(rs.generators)}
+    index = {w.letters: i for i, w in enumerate(rs.generators)}
     n = len(rs.generators)
     basis = dense_hermite_row_basis([dense(column(index, r), n) for r in rs.relations])
 
@@ -417,7 +417,7 @@ def dense_orbit(value, rs, centralizer, whisker):
         r = elem(queue.popleft())
         for b, w_b in moves:
             moved = R.gr_add(R.gr_conj(b, r), w_b)
-            if any(w not in index for w in moved.support()):
+            if any(w.letters not in index for w in moved.support()):
                 complete = False
                 continue
             key = state(moved)
@@ -426,6 +426,69 @@ def dense_orbit(value, rs, centralizer, whisker):
                 queue.append(key)
     rep = min(visited, key=lambda vec: tuple((i, c) for i, c in enumerate(vec) if c))
     return elem(rep), complete, len(visited)
+
+
+# -- the concordance fold and the orbit search on Words and RingElems -------------------
+
+def reference_concordance_quotient(rs):
+    """``quotient.concordance_quotient`` as it was before it worked on window
+    positions: each g^-1 - g built as a ``RingElem`` and kept unless its
+    inverse sorts first, it is zero or it is already a relation; the relation
+    set is built from RingElems, so a partner outside the window raises."""
+    from daxkernel import quotient as Q
+    from daxkernel.groups import word_key
+
+    kept = list(rs.relations)
+    prov = list(rs.provenance)
+    seen = set(kept)
+    for g in rs.generators:
+        if word_key(inv(g)) < word_key(g):
+            continue
+        val = R.gr_add(R.monomial(inv(g)), R.monomial(g, -1))
+        if val.is_zero or val in seen:
+            continue
+        seen.add(val)
+        kept.append(val)
+        prov.append(Q.PROV_CONCORDANCE)
+    return Q.RelationSet.from_relations(rs.spec, rs.window, rs.generators, tuple(kept),
+                                        tuple(prov), rs.dropped_terms)
+
+
+def reference_orbit(value, rs, action):
+    """(representative, complete, size) of ``quotient.centralizer_orbit_reduce``
+    as it was before it worked on window positions: every state is turned
+    back into a ``RingElem`` and conjugated Word by Word, and a move leaves
+    the window when the sum has a term outside it."""
+    from collections import deque
+
+    from daxkernel import quotient as Q
+
+    solver = rs.solver
+    index = rs.index
+
+    def state(elem):
+        return tuple(sorted(solver.residue(elem).items()))
+
+    def elem(vec):
+        return R.from_terms(rs.spec, [(rs.generators[i], c) for i, c in vec])
+
+    start = state(value)
+    visited, queue, complete = {start}, deque([start]), True
+    while queue:
+        if len(visited) > Q.MAX_ORBIT_STATES:
+            complete = False
+            break
+        r = elem(queue.popleft())
+        for b, w_b in action.moves:
+            moved = R.gr_add(R.gr_conj(b, r), w_b)
+            if any(w not in index for w in moved.support()):
+                complete = False
+                continue
+            key = state(moved)
+            if key not in visited:
+                visited.add(key)
+                queue.append(key)
+    return elem(min(visited)), complete, len(visited)
 
 
 # -- helpers that only the tests call ------------------------------------------------
@@ -560,7 +623,8 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
                 [tuple((index[w.letters], c) for w, c in r.terms) for r in kept])
         for b in sorted(whisker, key=word_key):
             classify(whisker[b], Q.PROV_WHISKER, True)
-    return Q.RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped))
+    return Q.RelationSet.from_relations(spec, window, gens, tuple(kept), tuple(prov),
+                                        tuple(dropped))
 
 
 def reference_dropped(rs):

@@ -240,8 +240,9 @@ def test_acceptance_1b_bg_torsion_parity_as_stated():
             tag = f"(d={d},w0={w0},W={window})"
             first, folding = displayed_bg_family(d, w0, window)
             full_rs = build_rel_circles(scene.context(), {}, window)
-            fold_rs = RelationSet(Z, window, window_generators(Z, window),
-                                  tuple(folding), ("folding",) * len(folding))
+            fold_rs = RelationSet.from_relations(
+                Z, window, window_generators(Z, window), tuple(folding),
+                ("folding",) * len(folding))
             # (a) quoted parity on the folding relations, (b) exact parity on
             # the full relation set
             for part, rs, rows, expected in (
@@ -572,8 +573,8 @@ def test_acceptance_7_concordance_reduction():
         if not val.is_zero and val not in seen and gr_neg(val) not in seen:
             seen.add(val)
             direct_rels.append(val)
-    direct = RelationSet(F2, 3, gens, tuple(direct_rels),
-                         ("concordance",) * len(direct_rels))
+    direct = RelationSet.from_relations(F2, 3, gens, tuple(direct_rels),
+                                        ("concordance",) * len(direct_rels))
     st_direct = quotient_structure(direct)
     assert (st.free_rank, st.torsion) == (st_direct.free_rank, st_direct.torsion)
     solver_a, solver_b = QuotientSolver(folded), QuotientSolver(direct)

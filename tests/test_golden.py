@@ -92,7 +92,7 @@ def test_aspherical_circles_matches_direct_boundary_family(group, s, d, window):
     assert set(rs.relations) == direct
 
     st = quotient_structure(rs)
-    free, torsion = sympy_structure([dense(column(solver.index, r),
+    free, torsion = sympy_structure([dense(column(solver.letter_index, r),
                                            len(solver.generators))
                                      for r in direct],
                                     len(rs.generators))

@@ -45,3 +45,17 @@ def test_output_digest_lists_and_compares(tmp_path):
     result = digest_tool("--compare", str(old_listing))
     assert result.returncode == 1
     assert result.stdout.splitlines() == [" ".join(ops[0][:3] + ["differs"])]
+
+
+def test_seed_0_outputs_match_the_recorded_listing():
+    """Every seed-0 op of every workload gives the output recorded in
+    ``tests/data/output_digest_seed0.txt``, coordinates and ``w_map``
+    included.  A change that alters an output on purpose records the
+    listing again (``python3 tools/output_digest.py --seeds 0``) and says
+    so."""
+    listing = Path(__file__).resolve().parent / "data" / "output_digest_seed0.txt"
+    result = subprocess.run([sys.executable, str(TOOL), "--seeds", "0",
+                             "--compare", str(listing)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "21 ops run, 0 differ" in result.stderr

@@ -28,6 +28,7 @@ from daxkernel.groups import (
     mul,
     normalize,
     parse_group_spec,
+    parse_word,
     word_key,
     word_length,
 )
@@ -49,6 +50,7 @@ from daxkernel.pairing import (
 )
 from daxkernel.quotient import (
     PROV_DAX_IMAGE,
+    OrbitAction,
     QuotientSolver,
     RelationSet,
     build_rel_3mfd,
@@ -81,6 +83,7 @@ from conftest import (
     random_word,
     reference_ball,
     reference_elimination,
+    reference_orbit,
     reference_structure,
     sparse,
     table_for,
@@ -573,7 +576,8 @@ def window_relation_sets(draw):
                                         st.integers(min_value=-6, max_value=6)),
                               max_size=3))
         rels.append(R.from_terms(spec, terms))
-    return RelationSet(spec, window, gens, tuple(rels), (PROV_DAX_IMAGE,) * len(rels))
+    return RelationSet.from_relations(spec, window, gens, tuple(rels),
+                                      (PROV_DAX_IMAGE,) * len(rels))
 
 
 @given(window_relation_sets())
@@ -616,8 +620,8 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
     # the rows as relations over Z<t>: residues and coordinates of the solver
     gens = Z_WINDOW[:m]
     rels = tuple(R.from_terms(Z_WINDOW[0].spec, zip(gens, r)) for r in rows)
-    solver = QuotientSolver(RelationSet(Z_WINDOW[0].spec, 4, gens, rels,
-                                        (PROV_DAX_IMAGE,) * len(rels)))
+    solver = QuotientSolver(RelationSet.from_relations(Z_WINDOW[0].spec, 4, gens, rels,
+                                                       (PROV_DAX_IMAGE,) * len(rels)))
     for v in vectors:
         residue = dense_reduce_mod_rows(v, reference)
         assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
@@ -636,8 +640,8 @@ def relation_sets_and_variants(draw):
     if rels:
         rels += draw(st.lists(st.sampled_from(rels), max_size=3))
     rels = draw(st.permutations(rels))
-    variant = RelationSet(rs.spec, rs.window, rs.generators, tuple(rels),
-                          (PROV_DAX_IMAGE,) * len(rels))
+    variant = RelationSet.from_relations(rs.spec, rs.window, rs.generators, tuple(rels),
+                                         (PROV_DAX_IMAGE,) * len(rels))
     n = len(rs.generators)
     vectors = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                             min_size=2, max_size=4))
@@ -670,6 +674,91 @@ def test_answers_depend_on_the_lattice_alone(data):
         free, tors = solver.coords(R.gr_add(a, b))
         assert free == tuple(x + y for x, y in zip(ca[0], cb[0]))
         assert tors == tuple((x + y) % d for x, y, d in zip(ca[1], cb[1], torsion))
+
+
+@given(window_relation_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solver_elem_matches_from_terms(rs, data):
+    """``QuotientSolver.elem`` of distinct positions, in any order and with
+    zero coefficients, is ``from_terms`` of their generators."""
+    gens = rs.generators
+    positions = data.draw(st.lists(st.integers(min_value=0, max_value=len(gens) - 1),
+                                   unique=True, max_size=6))
+    pairs = [(i, data.draw(ENTRY)) for i in positions]
+    assert rs.solver.elem(pairs) == R.from_terms(rs.spec, [(gens[i], c) for i, c in pairs])
+
+
+# -- the orbit search on window positions against the Word-level search --------------
+
+@st.composite
+def orbit_cases(draw):
+    """A relation set from ``window_relation_sets``, a value on its window
+    and an action of one or two short words b whose whisker values w(b) have
+    terms on the ball of radius W+2; some w(b) cancel b g b^-1 for every
+    term g of the value."""
+    rs = draw(window_relation_sets())
+    spec, gens = rs.spec, rs.generators
+    value = R.from_terms(spec, draw(st.lists(
+        st.tuples(st.sampled_from(gens), st.integers(min_value=-3, max_value=3)),
+        max_size=3)))
+    near = ball(spec, rs.window + 2)[1:]
+    centralizer = draw(st.lists(st.sampled_from(ball(spec, 1)[1:]), min_size=1,
+                                max_size=2, unique=True))
+    whisker = []
+    for b in centralizer:
+        terms = draw(st.lists(st.tuples(st.sampled_from(near),
+                                        st.integers(min_value=-2, max_value=2)),
+                              max_size=2))
+        if draw(st.booleans()):
+            terms += [(mul(mul(b, g), inv(b)), -c) for g, c in value.terms]
+        whisker.append((b, R.from_terms(spec, terms)))
+    return rs, value, OrbitAction(spec.identity(), tuple(centralizer), tuple(whisker))
+
+
+F2_W1 = window_generators(SPECS["F<x,y>"], 1)
+Z_W1 = window_generators(SPECS["Z<t>"], 1)
+
+
+def test_orbits_match_reference_on_drawn_whisker_tables(monkeypatch):
+    """The orbit search on positions gives the representative, completeness
+    and size of the Word-level search, the state bound lowered to 32.  The
+    cases include orbits of size > 1, complete ones among them, and a move
+    that stays in the window only because a term of w(b) outside it cancels
+    a conjugated term."""
+    from daxkernel import quotient as Q
+
+    monkeypatch.setattr(Q, "MAX_ORBIT_STATES", 32)
+    F, Zt = SPECS["F<x,y>"], SPECS["Z<t>"]
+    seen = {"larger": 0, "complete larger": 0, "cancelled": 0}
+
+    @given(orbit_cases())
+    @settings(max_examples=200, deadline=None)
+    # over F<x,y>, the move by x takes y to x*y*x^-1 - x*y*x^-1 + x = x
+    @example((RelationSet(F, 1, F2_W1, (), ()), parse_ring("y", F),
+              OrbitAction(F.identity(), (parse_word("x", F),),
+                          ((parse_word("x", F), parse_ring("x - x*y*x^-1", F)),))))
+    # over Z<t> modulo 2t, t and 0 are one orbit of w(t) = t
+    @example((RelationSet.from_relations(Zt, 1, Z_W1, (parse_ring("2*t", Zt),),
+                                         (PROV_DAX_IMAGE,)),
+              R.zero(Zt), OrbitAction(Zt.identity(), (parse_word("t", Zt),),
+                                      ((parse_word("t", Zt), parse_ring("t", Zt)),))))
+    def check(case):
+        rs, value, action = case
+        orbit = Q.centralizer_orbit_reduce(value, rs, action)
+        got = (orbit.representative, orbit.complete, orbit.size)
+        assert got == reference_orbit(value, rs, action)
+        seen["larger"] += orbit.size > 1
+        seen["complete larger"] += orbit.size > 1 and orbit.complete
+        start = rs.solver.canonical_residue(value)
+        for b, w_b in action.moves:
+            conj = R.gr_conj(b, start)
+            moved = R.gr_add(conj, w_b)
+            far = {w for w in conj.support() if w not in rs.index}
+            if far & set(w_b.support()) and all(w in rs.index for w in moved.support()):
+                seen["cancelled"] += 1
+
+    check()
+    assert all(seen.values()), seen
 
 
 # -- relation assembly in generator-index space ------------------------------------

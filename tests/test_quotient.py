@@ -38,6 +38,8 @@ from conftest import (
     dense_hermite_row_basis,
     dense_orbit,
     dense_reduce_mod_rows,
+    reference_concordance_quotient,
+    reference_orbit,
     reference_structure,
     rng_for,
     table_for,
@@ -63,7 +65,7 @@ def sympy_structure(rows, n_gens):
 
 def structure_via_oracle(rs):
     solver = QuotientSolver(rs)
-    rows = [dense(column(solver.index, rel), len(rs.generators))
+    rows = [dense(column(solver.letter_index, rel), len(rs.generators))
             for rel in rs.relations]
     return sympy_structure(rows, len(rs.generators))
 
@@ -136,7 +138,7 @@ def test_quotient_invariance_under_row_permutation_negation_and_span():
     gens = window_generators(Z, 4)
     rels = [parse_ring("t - t^-1", Z), parse_ring("t^2 + t^-2 - 2*t", Z),
             parse_ring("3*t^3", Z)]
-    base = RelationSet(Z, 4, gens, tuple(rels), ("dax_image",) * 3)
+    base = RelationSet.from_relations(Z, 4, gens, tuple(rels), ("dax_image",) * 3)
     st0 = quotient_structure(base)
     for _ in range(10):
         shuffled = rels[:]
@@ -144,15 +146,16 @@ def test_quotient_invariance_under_row_permutation_negation_and_span():
         k = rng.randrange(3)
         shuffled[k] = R.gr_neg(shuffled[k])
         combo = R.gr_add(shuffled[0], R.gr_scale(rng.randint(-2, 2), shuffled[1]))
-        variant = RelationSet(Z, 4, gens, tuple(shuffled + [combo]),
-                              ("dax_image",) * 4)
+        variant = RelationSet.from_relations(Z, 4, gens, tuple(shuffled + [combo]),
+                                             ("dax_image",) * 4)
         st = quotient_structure(variant)
         assert (st.free_rank, st.torsion) == (st0.free_rank, st0.torsion)
 
 
 def test_generator_rank_one_row():
     gens = window_generators(Z, 1)
-    rs = RelationSet(Z, 1, gens, (parse_ring("t - t^-1", Z),), ("dax_image",))
+    rs = RelationSet.from_relations(Z, 1, gens, (parse_ring("t - t^-1", Z),),
+                                    ("dax_image",))
     st = quotient_structure(rs)
     assert st.free_rank == 1 and st.torsion == ()
 
@@ -160,7 +163,8 @@ def test_generator_rank_one_row():
 def test_relation_support_validated():
     gens = window_generators(Z, 1)
     with pytest.raises(WindowOverflowError):
-        RelationSet(Z, 1, gens, (parse_ring("t^5", Z),), ("dax_image",))
+        RelationSet.from_relations(Z, 1, gens, (parse_ring("t^5", Z),),
+                                   ("dax_image",))
 
 
 def test_base_relation_overflow_is_hard_error():
@@ -387,7 +391,7 @@ def test_orbit_free_group_matches_brute_force():
     gens_set = set(rs.generators)
 
     def vector(elem):
-        return dense(column(solver.index, elem), len(rs.generators))
+        return dense(column(solver.letter_index, elem), len(rs.generators))
 
     reps = set()
     for n in range(-3, 4):
@@ -500,8 +504,8 @@ def test_coords_on_random_relation_sets():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         rels = tuple(R.from_terms(Z, [(g, c) for g, c in zip(gens, row) if c])
                      for row in rows)
-        solver = QuotientSolver(RelationSet(Z, window, gens, rels,
-                                            (PROV_DAX_IMAGE,) * m))
+        solver = QuotientSolver(RelationSet.from_relations(Z, window, gens, rels,
+                                                           (PROV_DAX_IMAGE,) * m))
         blocks += bool(solver._elim.residual_rows)
         torsion_blocks += bool(solver.torsion)
         hnf = dense_hermite_row_basis(rows)
@@ -630,13 +634,13 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
             solver = QuotientSolver(rel_set)
             n = len(rel_set.generators)
             reference = dense_hermite_row_basis(
-                [dense(column(solver.index, r), n) for r in rel_set.relations])
+                [dense(column(solver.letter_index, r), n) for r in rel_set.relations])
             assert [dense(row, n) for row in solver._elim.basis.values()] == reference
             for value in values:
-                if any(g not in solver.index for g in value.support()):
+                if any(g.letters not in solver.letter_index for g in value.support()):
                     continue
                 residue = dense_reduce_mod_rows(
-                    dense(column(solver.index, value), n), reference)
+                    dense(column(solver.letter_index, value), n), reference)
                 assert solver.canonical_residue(value) == solver.elem(enumerate(residue))
         if action is not None and action.centralizer:
             for value in values:
@@ -729,14 +733,15 @@ def test_target_report_renders_as_the_reference_on_presets(preset, params):
     assert_report_matches_reference(report, cli.build_relations(sc, report["window"])[0])
 
 
-def bench_target_ops():
+def bench_ops(keep):
+    """The ops of bench seeds 0-2 for which ``keep(workload, op)`` holds."""
     corpus = bench_corpus()
     return [pytest.param(op, id=f"{seed}/{op.op_id}")
             for workload in corpus.WORKLOADS for seed in (0, 1, 2)
-            for op in corpus.build(workload, seed) if op.command == "target"]
+            for op in corpus.build(workload, seed) if keep(workload, op)]
 
 
-@pytest.mark.parametrize("op", bench_target_ops())
+@pytest.mark.parametrize("op", bench_ops(lambda workload, op: op.command == "target"))
 def test_target_report_renders_as_the_reference_on_bench_ops(op):
     sc = loads_scene(op.scene_text)
     report = cli.run_scene(sc, "target", op.window)
@@ -804,10 +809,11 @@ def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
 
 
 def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
-    """Every relation set builds its generator index and its relations'
-    (index, coefficient) columns when it checks their support: assembled,
-    restricted, folded or built by the reference assembly.  The solver takes
-    them over and calls ``column`` for none of its relations."""
+    """Every relation set, assembled, restricted, folded or built from
+    RingElems by the reference assembly, holds its relations' (position,
+    coefficient) columns and derives its generator index and its RingElems
+    from them.  The solver takes over the columns and the letter index and
+    calls ``column`` for none of its relations."""
     import daxkernel.quotient as Q
     from conftest import reference_assemble
 
@@ -818,7 +824,7 @@ def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
             reference_assemble(ctx, 5, circles=True, whisker={}, embedded=False)]
     for r in sets:
         assert r.index == {w: i for i, w in enumerate(r.generators)}
-        assert r.columns == tuple(tuple(column(r.index, rel).items())
+        assert r.columns == tuple(tuple(column(r.letter_index, rel).items())
                                   for rel in r.relations)
 
     def no_column(index, elem):
@@ -826,7 +832,82 @@ def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
 
     monkeypatch.setattr(Q, "column", no_column)
     for r in sets:
-        assert r.solver.index is r.index
+        assert r.solver.letter_index is r.letter_index
     monkeypatch.undo()
     for r in sets:
         assert quotient_structure(r) == reference_structure(r)
+
+
+# -- the concordance fold and the orbit search on window positions -----------------
+
+def assert_fold_matches_reference(rs):
+    folded, want = concordance_quotient(rs), reference_concordance_quotient(rs)
+    assert (folded.columns, folded.provenance) == (want.columns, want.provenance)
+
+
+@pytest.mark.parametrize("preset,params", ALL_PRESET_CASES)
+def test_concordance_fold_matches_reference_on_presets(preset, params):
+    sc = preset_expand(preset, params)
+    for rs in sweep_relation_sets(sc, default_windows(sc)):
+        assert_fold_matches_reference(rs)
+
+
+@pytest.mark.parametrize("op", bench_ops(lambda workload, op: op.command == "concordance"))
+def test_concordance_fold_matches_reference_on_bench_ops(op):
+    sc = loads_scene(op.scene_text)
+    assert_fold_matches_reference(cli.build_relations(sc, op.window)[0])
+
+
+def test_concordance_fold_partner_outside_the_window():
+    """Over generators that are not closed under inversion, a pair whose
+    missing partner sorts first is skipped and one whose partner sorts last
+    raises the reference's error."""
+    t, ti = parse_word("t", Z), parse_word("t^-1", Z)
+    skipped = RelationSet(Z, 1, (ti,), (), ())
+    assert_fold_matches_reference(skipped)
+    assert concordance_quotient(skipped).columns == ()
+    with pytest.raises(WindowOverflowError) as want:
+        reference_concordance_quotient(RelationSet(Z, 1, (t,), (), ()))
+    with pytest.raises(WindowOverflowError) as got:
+        concordance_quotient(RelationSet(Z, 1, (t,), (), ()))
+    assert (str(got.value), got.value.args) == (str(want.value), want.value.args)
+
+
+@pytest.mark.parametrize("op", bench_ops(lambda workload, op: workload == "orbit_3mfd"))
+def test_orbits_match_reference_on_bench_ops(op):
+    """Every knot value and extra value of an ``orbit_3mfd`` op has the
+    orbit representative, completeness and size of the Word-level search."""
+    from daxkernel.traces import eval_dax_trace
+    sc = loads_scene(op.scene_text)
+    rs, action = cli.build_relations(sc, op.window)
+    if action is None or not action.centralizer:
+        pytest.skip("no centralizer action")
+    values = [eval_dax_trace(k.trace, sc.group) for k in sc.knots]
+    if op.extra_value is not None:
+        values.append(parse_ring(op.extra_value, sc.group))
+    for value in values:
+        orbit = centralizer_orbit_reduce(value, rs, action)
+        assert (orbit.representative, orbit.complete, orbit.size) == \
+            reference_orbit(value, rs, action)
+        assert orbit.state == tuple(column(rs.letter_index, orbit.representative).items())
+
+
+@pytest.mark.parametrize("op", [p for p in bench_scenes() if p.values[0].command != "target"])
+def test_answers_build_no_relation_ring_elements(monkeypatch, op):
+    """A seed-0 eval, concordance, orbit or universality op reads every
+    relation set it builds, the concordance fold's included, from its
+    columns: none builds its relations as RingElems or its Word index."""
+    import harness
+
+    built = []
+    post_init = RelationSet.__post_init__
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RelationSet, "__post_init__", recording)
+    harness.run_op(op)
+    assert built
+    for rs in built:
+        assert "relations" not in vars(rs) and "index" not in vars(rs)
