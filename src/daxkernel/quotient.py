@@ -65,8 +65,8 @@ class RelationSet:
     (position, coefficient) pairs, sorted by position, which is the
     ``word_key`` order of its terms.  The solver, the concordance fold, the
     orbit search and the ``target`` report read them.  ``relations`` (one
-    ``RingElem`` per column, sharing the window's Words) and ``index``
-    (generator -> position) are derived on first read.  The constructor
+    ``RingElem`` per column, sharing the window's Words) is derived on first
+    read.  The constructor
     takes columns as given; ``from_relations`` is the one entry point that
     takes ``RingElem`` relations, and checks that they are supported on the
     window.
@@ -121,11 +121,6 @@ class RelationSet:
         spec, gens = self.spec, self.generators
         return tuple(RingElem(spec, tuple([(gens[i], c) for i, c in col]))
                      for col in self.columns)
-
-    @functools.cached_property
-    def index(self) -> dict[Word, int]:
-        """Generator -> position, built on first read."""
-        return {w: i for i, w in enumerate(self.generators)}
 
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
@@ -655,7 +650,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     as sorted (position, coefficient) pairs; the least one is the
     representative.  A move maps each position to the position of
     b g b^-1, joined from letters (``groups.mul_letters``) and looked up in
-    ``letter_index`` once per position and move in this call, and adds
+    ``letter_index``, and adds
     w(b), split once into its positions and the letters of its terms
     outside the window.  The move leaves the window when the sum of the
     conjugated terms and w(b) has a nonzero term outside it: a conjugated
@@ -678,8 +673,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
                 outside[w.letters] = c
             else:
                 inside[i] = c
-        # position -> position of b g b^-1, or its letters outside the window
-        moves.append((b.letters, inv_letters(spec, b.letters), {}, inside, outside))
+        moves.append((b.letters, inv_letters(spec, b.letters), inside, outside))
 
     start = state(column(index, value))
     visited = {start}
@@ -690,17 +684,15 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
             complete = False
             break
         r = queue.popleft()
-        for b, bi, conj, inside, outside in moves:
+        for b, bi, inside, outside in moves:
             moved, left = dict(inside), dict(outside)
             for i, c in r:
-                j = conj.get(i)
+                letters = mul_letters(spec, mul_letters(spec, b, gens[i].letters), bi)
+                j = index.get(letters)
                 if j is None:
-                    letters = mul_letters(spec, mul_letters(spec, b, gens[i].letters), bi)
-                    j = conj[i] = index.get(letters, letters)
-                if j.__class__ is int:
-                    moved[j] = moved.get(j, 0) + c
+                    left[letters] = left.get(letters, 0) + c
                 else:
-                    left[j] = left.get(j, 0) + c
+                    moved[j] = moved.get(j, 0) + c
             if any(left.values()):
                 complete = False
                 continue

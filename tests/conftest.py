@@ -464,7 +464,7 @@ def reference_orbit(value, rs, action):
     from daxkernel import quotient as Q
 
     solver = rs.solver
-    index = rs.index
+    index = {w: i for i, w in enumerate(rs.generators)}
 
     def state(elem):
         return tuple(sorted(solver.residue(elem).items()))

@@ -753,8 +753,9 @@ def test_orbits_match_reference_on_drawn_whisker_tables(monkeypatch):
         for b, w_b in action.moves:
             conj = R.gr_conj(b, start)
             moved = R.gr_add(conj, w_b)
-            far = {w for w in conj.support() if w not in rs.index}
-            if far & set(w_b.support()) and all(w in rs.index for w in moved.support()):
+            index = rs.letter_index
+            far = {w for w in conj.support() if w.letters not in index}
+            if far & set(w_b.support()) and all(w.letters in index for w in moved.support()):
                 seen["cancelled"] += 1
 
     check()

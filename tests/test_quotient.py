@@ -811,8 +811,7 @@ def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
 def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
     """Every relation set, assembled, restricted, folded or built from
     RingElems by the reference assembly, holds its relations' (position,
-    coefficient) columns and derives its generator index and its RingElems
-    from them.  The solver takes over the columns and the letter index and
+    coefficient) columns and derives its RingElems from them.  The solver takes over the columns and the letter index and
     calls ``column`` for none of its relations."""
     import daxkernel.quotient as Q
     from conftest import reference_assemble
@@ -823,7 +822,6 @@ def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
     sets = [rs, restrict_relationset(rs, 4), concordance_quotient(rs),
             reference_assemble(ctx, 5, circles=True, whisker={}, embedded=False)]
     for r in sets:
-        assert r.index == {w: i for i, w in enumerate(r.generators)}
         assert r.columns == tuple(tuple(column(r.letter_index, rel).items())
                                   for rel in r.relations)
 
@@ -896,7 +894,7 @@ def test_orbits_match_reference_on_bench_ops(op):
 def test_answers_build_no_relation_ring_elements(monkeypatch, op):
     """A seed-0 eval, concordance, orbit or universality op reads every
     relation set it builds, the concordance fold's included, from its
-    columns: none builds its relations as RingElems or its Word index."""
+    columns: none builds its relations as RingElems."""
     import harness
 
     built = []
@@ -910,4 +908,4 @@ def test_answers_build_no_relation_ring_elements(monkeypatch, op):
     harness.run_op(op)
     assert built
     for rs in built:
-        assert "relations" not in vars(rs) and "index" not in vars(rs)
+        assert "relations" not in vars(rs)
