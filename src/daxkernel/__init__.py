@@ -28,7 +28,6 @@ from .groups import (
     normalize,
     parse_group_spec,
     parse_word,
-    render_group_spec,
     render_word,
 )
 from .ring import (
@@ -37,22 +36,17 @@ from .ring import (
     gr_bar_reduce,
     gr_conj,
     gr_involute,
-    gr_mul,
     monomial,
     parse_ring,
     render_ring,
 )
 from .pairing import (
-    PairingTable,
-    SphereClass,
     lambda_arc,
     lambda_flip,
     lambda_word,
     lambdabar_conj_shift,
-    sphere_class,
 )
 from .calculus import (
-    DaxContext,
     arcs_context,
     circles_context,
     dax_boundary_sphere,
@@ -81,7 +75,7 @@ from .traces import (
     mu2_reduce,
     universality_witness,
 )
-from .scene import ManifoldScene, dumps_scene, loads_scene, make_scene, preset_expand
+from .scene import ManifoldScene, make_scene, preset_expand
 
 __version__ = "0.1.0"
 

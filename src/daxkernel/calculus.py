@@ -10,15 +10,16 @@ word to the identity, so this equals reducing every piece separately.
 The formulas behind relation assembly each have one private body that
 works on normal form letter tuples (``groups.mul_letters``,
 ``groups.inv_letters``) and returns that reduced dictionary, letters ->
-coefficient (zero coefficients included), building no ``Word``.  The
-bodies of the two translate formulas sum their other terms into the twist
-T_a(g) = -lambda(g a, g) + lambda(g, g a) that both contain: relation
+coefficient (zero coefficients included), building no ``Word``: ``_dax_u``
+for a translated class, whichever of ``dax_u_general`` and
+``dax_u_embedded`` names it, and ``_dax_boundary_sphere``.  The translate
+formulas sum their other terms into the twist
+T_a(g) = -lambda(g a, g) + lambda(g, g a) that they contain: relation
 assembly carries it along the ball (``pairing.twists_on_ball``), and the
 public functions build it from lambda(a, g) with the same helper,
-``pairing.add_twist``.  The public ``dax_u_general``, ``dax_u_embedded``,
-``dax_boundary_sphere`` and ``dax_translate`` call those bodies and sort
-the dictionary into a ``RingElem`` at the end; relation assembly reads it
-itself and classifies each term by its generator index.
+``pairing.add_twist``.  The public functions sort the dictionary into a
+``RingElem`` at the end; relation assembly reads it itself and classifies
+each term by its generator index.
 """
 
 from __future__ import annotations
@@ -96,10 +97,10 @@ def dax_rebase(a: SphereClass, ctx: DaxContext) -> RingElem:
     return R.gr_add(a.base_dax, R.gr_bar_reduce(a.lambda_u))
 
 
-def _add(acc: dict[tuple, int], terms, scale: int = 1) -> None:
-    """acc += scale * (sum of c*w over the (w, c) terms)."""
+def _add(acc: dict[tuple, int], terms) -> None:
+    """acc += sum of c*w over the (w, c) terms."""
     for w, c in terms:
-        acc[w] = acc.get(w, 0) + scale * c
+        acc[w] = acc.get(w, 0) + c
 
 
 def _reduced(acc: dict[tuple, int]) -> dict[tuple, int]:
@@ -108,9 +109,9 @@ def _reduced(acc: dict[tuple, int]) -> dict[tuple, int]:
     return acc
 
 
-def _conj(spec, g: tuple, terms, gi: tuple):
-    """The terms g w g^-1 of the (Word, coefficient) terms, as letters;
-    gi holds the letters of g^-1."""
+def _conj(spec, g: tuple, terms):
+    """The terms g w g^-1 of the (Word, coefficient) terms, as letters."""
+    gi = inv_letters(spec, g)
     return ((mul_letters(spec, mul_letters(spec, g, w.letters), gi), c)
             for w, c in terms)
 
@@ -134,8 +135,7 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax(g a) = g dax(a) g^-1 - red(lambda(g a, g)) + red(lambda(g, g a))
     """
     acc = _twist(g, a, ctx)
-    gi = inv_letters(ctx.spec, g.letters)
-    _add(acc, _conj(ctx.spec, g.letters, a.base_dax.terms, gi))
+    _add(acc, _conj(ctx.spec, g.letters, a.base_dax.terms))
     return R.from_letters(ctx.spec, _reduced(acc))
 
 
@@ -148,29 +148,7 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
 
     ``lam``, when given, holds the (word, coefficient) terms of lambda(a, g).
     """
-    twist = _twist(g, a, ctx, lam)
-    return R.from_letters(ctx.spec, _dax_u_general(g.letters, a, ctx, twist))
-
-
-def _dax_u_general(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
-    """``dax_u_general`` of the translate with letters g as a reduced
-    letter-keyed term dict, summed into the twist T_a(g)."""
-    spec = ctx.spec
-    acc = twist
-    gi = inv_letters(spec, g)
-    # lambda(g a, u), and g lambda(a, u) g^-1
-    lam_u = [(mul_letters(spec, g, w.letters), c) for w, c in a.lambda_u.terms]
-    lam_u_gi = [(mul_letters(spec, w, gi), c) for w, c in lam_u]
-    # g dax_u(a) g^-1, where dax_u(a) = base dax + red(lambda(a, u)) as in dax_rebase
-    _add(acc, _conj(spec, g, a.base_dax.terms, gi))
-    _add(acc, lam_u_gi)
-    _add(acc, lam_u)
-    # lambda(g a, g u) = lambda(g a, g) + lambda(g a, u) g^-1, whose first
-    # part is in the twist; lam_u_gi enters twice with opposite signs, and
-    # both stay so that this formula remains independent of dax_u_embedded,
-    # which cross-checks it
-    _add(acc, lam_u_gi, -1)
-    return _reduced(acc)
+    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx, lam)))
 
 
 def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
@@ -179,20 +157,31 @@ def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
 
         dax_u(g a) = red(lambda(g a, u)) - red(lambda(g a, g)) + red(lambda(g, g a))
 
-    Used as an independent cross-check of ``dax_u_general``.  ``lam``, when
-    given, holds the (word, coefficient) terms of lambda(a, g).
+    It is ``dax_u_general`` where dax(a) = 0, and runs the same body; a
+    class without an embedded representative raises ``ModeError``.  ``lam``,
+    when given, holds the (word, coefficient) terms of lambda(a, g).
     """
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    twist = _twist(g, a, ctx, lam)
-    return R.from_letters(ctx.spec, _dax_u_embedded(g.letters, a, ctx, twist))
+    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx, lam)))
 
 
-def _dax_u_embedded(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
-    """``dax_u_embedded`` of the translate with letters g as a reduced
-    letter-keyed term dict, summed into the twist T_a(g); the class must be
-    embedded."""
+def _dax_u(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
+    """dax_u of the translate with letters g as a reduced letter-keyed term
+    dict, summed into the twist T_a(g).
+
+    With dax_u(a) = dax(a) + red(lambda(a, u)) as in ``dax_rebase``,
+    lambda(g a, u) = g lambda(a, u) and lambda(g a, g u) = lambda(g a, g)
+    + lambda(g a, u) g^-1, the formula of ``dax_u_general`` is
+
+        dax_u(g a) = T_a(g) + g dax(a) g^-1 + g lambda(a, u)
+
+    and the conjugation is skipped when dax(a) is zero, as it is for an
+    embedded class.
+    """
     spec = ctx.spec
+    if not a.base_dax.is_zero:
+        _add(twist, _conj(spec, g, a.base_dax.terms))
     _add(twist, ((mul_letters(spec, g, w.letters), c) for w, c in a.lambda_u.terms))
     return _reduced(twist)
 

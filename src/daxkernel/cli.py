@@ -35,8 +35,7 @@ def build_relations(scene: ManifoldScene, window: int):
     """Relation set and orbit-action data (3-manifold circles only)."""
     ctx = scene.context()
     if scene.dimension == 3:
-        return Q.build_rel_3mfd(ctx, window, circles=(scene.mode == CIRCLES),
-                                whisker=scene.whisker_map())
+        return Q.build_rel_3mfd(ctx, window, whisker=scene.whisker_map())
     if scene.mode == CIRCLES:
         return Q.build_rel_circles(ctx, scene.whisker_map(), window), None
     return Q.build_rel_arcs(ctx, window), None

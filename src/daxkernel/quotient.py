@@ -33,13 +33,7 @@ from .groups import (
 from . import ring as R
 from .ring import RingElem
 from . import snf
-from .calculus import (
-    CIRCLES,
-    DaxContext,
-    _dax_boundary_sphere,
-    _dax_u_embedded,
-    _dax_u_general,
-)
+from .calculus import CIRCLES, DaxContext, _dax_boundary_sphere, _dax_u
 from .pairing import twists_on_ball
 
 PROV_DAX_IMAGE = "dax_image"
@@ -103,16 +97,16 @@ class RelationSet:
         ``generators``; each relation's column lists its terms' positions in
         term order.  A relation with a term outside the window raises
         ``WindowOverflowError``."""
-        index = {w: i for i, w in enumerate(generators)}
+        index = {w.letters: i for i, w in enumerate(generators)}
         columns = []
         for rel in relations:
-            try:
-                columns.append(tuple((index[w], c) for w, c in rel.terms))
-            except KeyError:
+            col, outside = _place(index, _letter_terms(rel))
+            if outside:
                 raise WindowOverflowError(
-                    f"relation {rel} not supported on the window", str(rel)) from None
+                    f"relation {rel} not supported on the window", str(rel))
+            columns.append(tuple(col.items()))
         return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
-                   tuple(dropped_terms))
+                   tuple(dropped_terms), index)
 
     @functools.cached_property
     def relations(self) -> tuple[RingElem, ...]:
@@ -161,8 +155,9 @@ class OrbitAction:
 
     Construction checks that each centralizer element b centralizes
     ``s_class`` and derives the ``moves`` (b, w(b)) and (b^-1, w(b^-1)),
-    each group element once; a w(b^-1) missing from ``whisker`` follows
-    from the action law w(b^-1) = -b^-1 w(b) b.
+    each group element once.  An entry missing from ``whisker`` follows
+    from the action law: w(b^-1) = -b^-1 w(b) b, and w(b) = -b w(b^-1) b^-1
+    when only w(b^-1) is tabled; with neither, w(b) = 0.
     """
 
     s_class: Word
@@ -178,11 +173,12 @@ class OrbitAction:
                 raise SceneError(
                     f"orbit element {render_word(b)} is not in the centralizer"
                     f" of {render_word(s)}")
-            w_b = R.gr_bar_reduce(table.get(b, R.zero(s.spec)))
             bi = inv(b)
+            w_b, w_bi = (R.gr_bar_reduce(table[k]) if k in table else None for k in (b, bi))
+            if w_b is None:
+                w_b = R.zero(s.spec) if w_bi is None else R.gr_neg(R.gr_conj(b, w_bi))
             moves.setdefault(b, w_b)
-            moves.setdefault(bi, R.gr_bar_reduce(table[bi]) if bi in table
-                             else R.gr_neg(R.gr_conj(bi, w_b)))
+            moves.setdefault(bi, R.gr_neg(R.gr_conj(bi, w_b)) if w_bi is None else w_bi)
         object.__setattr__(self, "moves", tuple(moves.items()))
 
 
@@ -210,18 +206,34 @@ def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
     is reduced, so every term outside the window is longer than W and sorts
     after every term inside.
     """
-    inside, outside = [], []
-    for w, c in terms.items():
-        if c:
-            i = letter_index.get(w)
-            if i is None:
-                outside.append((w, c))
-            else:
-                inside.append((i, c))
-    inside.sort()
+    inside, outside = _place(letter_index, terms.items())
+    inside, outside = sorted(inside.items()), list(outside.items())
     if len(outside) > 1:
         outside.sort(key=lambda term: key_letters(spec, term[0]))
     return inside, outside
+
+
+def _place(letter_index: dict[tuple, int], terms):
+    """The nonzero (letters, coefficient) terms split by the window: a dict
+    position -> coefficient of those inside it, and a dict letters ->
+    coefficient of those outside it, each in the order of ``terms``.  A
+    letter tuple is looked up once, in ``letter_index``; an identity term
+    is outside."""
+    inside, outside = {}, {}
+    get = letter_index.get
+    for w, c in terms:
+        if c:
+            i = get(w)
+            if i is None:
+                outside[w] = c
+            else:
+                inside[i] = c
+    return inside, outside
+
+
+def _letter_terms(elem: RingElem):
+    """The terms of elem as (letters, coefficient) pairs."""
+    return [(w.letters, c) for w, c in elem.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +245,13 @@ def window_generators(spec, window: int) -> tuple[Word, ...]:
     return tuple(w for w in elements if not w.is_identity)
 
 
-def _assemble(ctx: DaxContext, window: int, circles: bool,
-              whisker: dict[Word, RingElem], embedded: bool) -> RelationSet:
+def _assemble(ctx: DaxContext, window: int, whisker: dict[Word, RingElem],
+              embedded: bool) -> RelationSet:
     """The relation set of one window: the dax value of every translate in
     the ball (and, in circles mode, the boundary spheres and whiskers).
-    ``embedded`` selects the 3-manifold formula and provenance over the
-    general dax-image ones.
+    Every translated class takes the one formula body ``calculus._dax_u``;
+    ``embedded`` labels those values with the 3-manifold provenance rather
+    than the dax-image one.
 
     Assembly runs on normal form letter tuples: the ball's Words are built
     once, by ``window_generators``, and every product, inverse and lookup
@@ -299,14 +312,13 @@ def _assemble(ctx: DaxContext, window: int, circles: bool,
                 prov.append(provenance)
 
     classes = ctx.table.classes
-    dax = _dax_u_embedded if embedded else _dax_u_general
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
     if classes:  # the twist of every class and translate, each from its parent's
         for g, twists in twists_on_ball(ctx.table, enum):
             letters = g.letters
             for a, twist in zip(classes, twists):
-                classify(dax(letters, a, ctx, twist), class_prov, not letters)
-    if circles:
+                classify(_dax_u(letters, a, ctx, twist), class_prov, not letters)
+    if ctx.mode == CIRCLES:
         for g in enum:
             classify(_dax_boundary_sphere(g.letters, ctx), PROV_BOUNDARY, g.is_identity)
         for val in whisker.values():
@@ -329,7 +341,7 @@ def build_rel_arcs(ctx: DaxContext, window: int) -> RelationSet:
     """Dax-image relations for arcs: the kernel presentation denominator."""
     if ctx.mode != "arcs":
         raise ModeError("build_rel_arcs requires arcs mode")
-    return _assemble(ctx, window, circles=False, whisker={}, embedded=False)
+    return _assemble(ctx, window, whisker={}, embedded=False)
 
 
 def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
@@ -337,17 +349,16 @@ def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
     """Arc relations plus boundary-sphere values plus whisker classes."""
     if ctx.mode != CIRCLES:
         raise ModeError("build_rel_circles requires circles mode")
-    return _assemble(ctx, window, circles=True, whisker=dict(whisker or {}),
-                     embedded=False)
+    return _assemble(ctx, window, whisker=dict(whisker or {}), embedded=False)
 
 
-def build_rel_3mfd(ctx: DaxContext, window: int, circles: bool,
+def build_rel_3mfd(ctx: DaxContext, window: int,
                    whisker: dict[Word, RingElem] | None = None):
     """Relation set for a 3-manifold scene, plus the centralizer action data.
 
-    Sphere classes must be disjointly embedded generators, so the embedded
-    shortcut formula applies; in circles mode the boundary-sphere family and
-    whisker values join the relations.
+    Sphere classes must be disjointly embedded generators, so their base dax
+    values vanish; in circles mode (``ctx.mode``) the boundary-sphere family
+    and whisker values join the relations.
     """
     if ctx.d != 3:
         raise ModeError("build_rel_3mfd requires ambient dimension 3")
@@ -356,9 +367,9 @@ def build_rel_3mfd(ctx: DaxContext, window: int, circles: bool,
             raise SceneError(
                 f"3-manifold sphere generators must be embedded: {a.name!r}")
     whisker = dict(whisker or {})
-    rs = _assemble(ctx, window, circles=circles, whisker=whisker, embedded=True)
+    rs = _assemble(ctx, window, whisker=whisker, embedded=True)
     cent = sorted(set(whisker), key=word_key)
-    if circles and not ctx.s_class.is_identity and ctx.s_class not in cent:
+    if not ctx.s_class.is_identity and ctx.s_class not in cent:
         cent.append(ctx.s_class)
     action = OrbitAction(ctx.s_class, tuple(cent),
                          tuple(sorted(whisker.items(), key=lambda kv: word_key(kv[0]))))
@@ -407,7 +418,8 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
     is checked on key pairs whose product is again a key, modulo the sphere
     and boundary relations ``base`` (as (index, coefficient) pairs of the
     window ``index``, which maps a generator's letters to its position; the
-    action lives on that quotient).
+    action lives on that quotient).  A law difference with a term outside
+    the window cannot be checked there and raises ``WindowOverflowError``.
     """
     for b, val in whisker.items():
         if _is_power_of(b, ctx.s_class) and not val.is_zero:
@@ -416,18 +428,6 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
                 " of the circle class")
 
     basis = None
-
-    def is_trivial(val: RingElem) -> bool:
-        nonlocal basis
-        if val.is_zero:
-            return True
-        if any(w.letters not in index for w in val.support()):
-            return False
-        if basis is None:  # most tables have no nonzero law value to check
-            basis = snf.hermite_row_basis([dict(rel) for rel in base])
-        return not snf.reduce_mod_rows({index[w.letters]: c for w, c in val.items()},
-                                       basis)
-
     keys = list(whisker)
     for b1 in keys:
         for b2 in keys:
@@ -435,10 +435,19 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
             if prod not in whisker:
                 continue
             expected = R.gr_add(R.gr_conj(b1, whisker[b2]), whisker[b1])
-            if not is_trivial(R.gr_add(whisker[prod], R.gr_neg(expected))):
-                raise SceneError(
-                    "whisker table violates the action law on"
-                    f" ({render_word(b1)}, {render_word(b2)})")
+            diff = R.gr_add(whisker[prod], R.gr_neg(expected))
+            vec, outside = _place(index, _letter_terms(diff))
+            pair = f"({render_word(b1)}, {render_word(b2)})"
+            if outside:
+                raise WindowOverflowError(
+                    f"whisker action law on {pair} leaves the generator window;"
+                    " increase the window", str(diff))
+            if not vec:
+                continue
+            if basis is None:  # most tables have no nonzero law value to check
+                basis = snf.hermite_row_basis([dict(rel) for rel in base])
+            if snf.reduce_mod_rows(vec, basis):
+                raise SceneError(f"whisker table violates the action law on {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +457,11 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
 def column(letter_index: dict[tuple, int], elem: RingElem) -> dict[int, int]:
     """elem as a sparse vector: generator position -> coefficient, the
     position looked up by letters in a relation set's ``letter_index``."""
-    col = {}
-    for w, c in elem.items():
-        if w.is_identity:
+    col, outside = _place(letter_index, _letter_terms(elem))
+    if outside:
+        if () in outside:
             raise SceneError("values must be reduced (no identity term)")
-        try:
-            col[letter_index[w.letters]] = c
-        except KeyError:
-            raise WindowOverflowError(
-                f"value {elem} not supported on the window", str(elem)) from None
+        raise WindowOverflowError(f"value {elem} not supported on the window", str(elem))
     return col
 
 
@@ -664,16 +669,8 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
         # one, and zero comes first
         return tuple(sorted(solver.reduce(vec).items()))
 
-    moves = []
-    for b, w_b in action.moves:
-        inside, outside = {}, {}
-        for w, c in w_b.items():
-            i = index.get(w.letters)
-            if i is None:
-                outside[w.letters] = c
-            else:
-                inside[i] = c
-        moves.append((b.letters, inv_letters(spec, b.letters), inside, outside))
+    moves = [(b.letters, inv_letters(spec, b.letters), *_place(index, _letter_terms(w_b)))
+             for b, w_b in action.moves]
 
     start = state(column(index, value))
     visited = {start}

@@ -568,13 +568,14 @@ def lambda_on_ball(table, a, elements):
 
 # -- relation assembly: the reference that classifies RingElems ------------------------
 
-def reference_assemble(ctx, window, circles, whisker, embedded):
+def reference_assemble(ctx, window, whisker, embedded):
     """``quotient._assemble`` as it was before values were classified by
     generator index: every value is a ``RingElem`` sorted by ``word_key``,
     kept when its support lies in the window and not seen before as a
     ``RingElem``, dropped otherwise (a base relation raises instead)."""
     from daxkernel import quotient as Q
-    from daxkernel.calculus import dax_boundary_sphere, dax_u_embedded, dax_u_general
+    from daxkernel.calculus import (CIRCLES, dax_boundary_sphere, dax_u_embedded,
+                                    dax_u_general)
     from daxkernel.errors import SceneError, WindowOverflowError
     from daxkernel.groups import word_key
 
@@ -608,7 +609,7 @@ def reference_assemble(ctx, window, circles, whisker, embedded):
     for g in enum:
         for a, lam_a in zip(classes, lam):
             classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
-    if circles:
+    if ctx.mode == CIRCLES:
         for g in enum:
             classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)
         for val in whisker.values():

@@ -486,7 +486,7 @@ def test_acceptance_5_formula_identities():
 def test_acceptance_6_type_one_universality():
     rng = rng_for("acceptance-universality")
     ctx = arcs_context(table_for(F2, [], d=3))
-    rs, _ = build_rel_3mfd(ctx, 3, circles=False)
+    rs, _ = build_rel_3mfd(ctx, 3)
     gens_set = set(rs.generators)
     solver = QuotientSolver(rs)
 
@@ -561,7 +561,7 @@ def test_acceptance_7_concordance_reduction():
     # sheet-ambiguity target
     sc = preset_expand("three_mfd",
                        {"group": "F<x,y>", "mode": "arcs", "phi": "boundary_arc"})
-    rs, _ = build_rel_3mfd(sc.context(), 3, circles=False)
+    rs, _ = build_rel_3mfd(sc.context(), 3)
     folded = concordance_quotient(rs)
     st = quotient_structure(folded)
 
@@ -588,7 +588,7 @@ def test_acceptance_7_concordance_reduction():
 
 def test_acceptance_8_centralizer_orbits():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 1})
-    rs, action = build_rel_3mfd(sc.context(), 4, circles=True)
+    rs, action = build_rel_3mfd(sc.context(), 4)
     for text in ("t^2", "t + t^-1", "2*t^3 - t", "0"):
         value = parse_ring(text, Z)
         res = centralizer_orbit_reduce(value, rs, action)
@@ -599,16 +599,14 @@ def test_acceptance_8_centralizer_orbits():
     s = parse_word("x", prod)
     ctx = circles_context(table_for(prod, [], d=3), s)
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=True,
-                       whisker={parse_word("y", prod): R.zero(prod)})
+        build_rel_3mfd(ctx, 2, whisker={parse_word("y", prod): R.zero(prod)})
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=True,
-                       whisker={parse_word("x^2", prod): parse_ring("y", prod)})
+        build_rel_3mfd(ctx, 2, whisker={parse_word("x^2", prod): parse_ring("y", prod)})
     bad = {parse_word("t", prod): parse_ring("y", prod),
            parse_word("t^2", prod): R.zero(prod)}
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 3, circles=True, whisker=bad)
+        build_rel_3mfd(ctx, 3, whisker=bad)
     good = {parse_word("t", prod): parse_ring("y", prod),
             parse_word("t^2", prod): parse_ring("2*y", prod)}
-    build_rel_3mfd(ctx, 3, circles=True, whisker=good)
+    build_rel_3mfd(ctx, 3, whisker=good)
     announce("8 [centralizer orbits and whisker validation]", True)

@@ -790,7 +790,7 @@ def relation_builds(draw, texts=GROUP_TEXTS):
     table = table_for(spec, classes, d=3)
     ctx = circles_context(table, s) if circles else arcs_context(table)
     whisker = random_whisker(rng, ctx) if circles else {}
-    return lambda: build_rel_3mfd(ctx, window, circles, whisker)
+    return lambda: build_rel_3mfd(ctx, window, whisker)
 
 
 @given(relation_builds())

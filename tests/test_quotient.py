@@ -228,7 +228,7 @@ def test_restrict_relationset_drops_wide_relations():
 
 def test_3mfd_irreducible_no_relations():
     ctx = arcs_context(table_for(F2, [], d=3))
-    rs, action = build_rel_3mfd(ctx, 2, circles=False)
+    rs, action = build_rel_3mfd(ctx, 2)
     assert rs.relations == ()
     assert action.centralizer == ()
     st = quotient_structure(rs)
@@ -239,7 +239,7 @@ def test_3mfd_punctured_scene_boundary_relations():
     # removing a ball: the boundary sphere forces g^-1 - g*s^-1
     s = parse_word("x", F2)
     ctx = circles_context(table_for(F2, [], d=3), s)
-    rs, action = build_rel_3mfd(ctx, 2, circles=True)
+    rs, action = build_rel_3mfd(ctx, 2)
     g = parse_word("y", F2)
     val = gr_bar_reduce(R.gr_add(monomial(inv(g)),
                                  monomial(mul(g, inv(s)), -1)))
@@ -252,7 +252,7 @@ def test_3mfd_boundary_parallel_arc_rows_fold():
     # with a vanishing arc row, sphere relations reduce to the symmetric fold
     sc = preset_expand("three_mfd",
                        {"group": "F<x,y>", "mode": "arcs", "phi": "boundary_arc"})
-    rs, _ = build_rel_3mfd(sc.context(), 2, circles=False)
+    rs, _ = build_rel_3mfd(sc.context(), 2)
     for rel in rs.relations:
         terms = rel.items()
         assert len(terms) == 2
@@ -263,14 +263,14 @@ def test_3mfd_boundary_parallel_arc_rows_fold():
 def test_3mfd_requires_dimension_three():
     ctx = arcs_context(table_for(F2, [], d=4))
     with pytest.raises(Exception):
-        build_rel_3mfd(ctx, 2, circles=False)
+        build_rel_3mfd(ctx, 2)
 
 
 def test_3mfd_requires_embedded_classes():
     a = sphere_class(F2, "a", False, parse_ring("x", F2), R.zero(F2), {})
     ctx = arcs_context(table_for(F2, [a], d=3))
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=False)
+        build_rel_3mfd(ctx, 2)
 
 
 # -- whisker validation -------------------------------------------------------------
@@ -287,14 +287,14 @@ def test_whisker_key_must_centralize():
     ctx = prod_circles_ctx()
     whisker = {parse_word("y", PROD): R.zero(PROD)}
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=True, whisker=whisker)
+        build_rel_3mfd(ctx, 2, whisker=whisker)
 
 
 def test_whisker_power_of_s_must_vanish():
     ctx = prod_circles_ctx()
     whisker = {parse_word("x^2", PROD): parse_ring("y", PROD)}
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=True, whisker=whisker)
+        build_rel_3mfd(ctx, 2, whisker=whisker)
 
 
 def test_whisker_action_law_enforced():
@@ -303,7 +303,7 @@ def test_whisker_action_law_enforced():
     bad = {parse_word("t", PROD): y,
            parse_word("t^2", PROD): R.zero(PROD)}
     with pytest.raises(SceneError) as info:
-        build_rel_3mfd(ctx, 3, circles=True, whisker=bad)
+        build_rel_3mfd(ctx, 3, whisker=bad)
     assert "action law" in str(info.value)
 
 
@@ -312,17 +312,30 @@ def test_whisker_consistent_table_accepted():
     y = parse_ring("y", PROD)
     good = {parse_word("t", PROD): y,
             parse_word("t^2", PROD): R.gr_scale(2, y)}
-    rs, action = build_rel_3mfd(ctx, 3, circles=True, whisker=good)
+    rs, action = build_rel_3mfd(ctx, 3, whisker=good)
     assert y in rs.relations
     assert PROV_WHISKER in rs.provenance
     assert parse_word("t", PROD) in action.centralizer
 
 
+def test_whisker_action_law_outside_the_window_asks_for_a_larger_window():
+    """On (t, t) the law difference of this table is y^-1 - y*x^-1.  At
+    W = 1 it has a term outside the window, so the law cannot be checked
+    there; at W = 2 it is the boundary relation of y, a nonzero difference
+    that reduces to zero, and the table is accepted."""
+    ctx = prod_circles_ctx()
+    diff = parse_ring("y^-1 - y*x^-1", PROD)
+    table = {parse_word("t", PROD): R.zero(PROD), parse_word("t^2", PROD): diff}
+    with pytest.raises(WindowOverflowError, match=r"\(t, t\).*increase the window"):
+        build_rel_3mfd(ctx, 1, whisker=table)
+    rs, _ = build_rel_3mfd(ctx, 2, whisker=table)
+    assert diff in rs.relations
+
+
 def test_whisker_trivial_circle_class_must_vanish():
     ctx = circles_context(table_for(PROD, [], d=3), PROD.identity())
     with pytest.raises(SceneError):
-        build_rel_3mfd(ctx, 2, circles=True,
-                       whisker={parse_word("t", PROD): parse_ring("y", PROD)})
+        build_rel_3mfd(ctx, 2, whisker={parse_word("t", PROD): parse_ring("y", PROD)})
 
 
 # -- concordance fold ------------------------------------------------------------------
@@ -363,7 +376,7 @@ def test_concordance_idempotent_on_symmetric_sets():
 def test_orbit_abelian_is_singleton_coset():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 2})
     ctx = sc.context()
-    rs, action = build_rel_3mfd(ctx, 4, circles=True)
+    rs, action = build_rel_3mfd(ctx, 4)
     value = parse_ring("t + 2*t^-1", Z)
     res = centralizer_orbit_reduce(value, rs, action)
     assert res.complete and res.size == 1
@@ -372,7 +385,7 @@ def test_orbit_abelian_is_singleton_coset():
 
 def test_orbit_powers_of_s_fix_values():
     sc = preset_expand("solid_torus_circles", {"d": 3, "k0": 1})
-    rs, action = build_rel_3mfd(sc.context(), 4, circles=True)
+    rs, action = build_rel_3mfd(sc.context(), 4)
     value = parse_ring("t^2", Z)
     action = OrbitAction(parse_word("t", Z), (parse_word("t^2", Z),), ())
     res = centralizer_orbit_reduce(value, rs, action)
@@ -382,7 +395,7 @@ def test_orbit_powers_of_s_fix_values():
 def test_orbit_free_group_matches_brute_force():
     # circle class trivial: relations are the fold, action is conjugation
     ctx = circles_context(table_for(F2, [], d=3), F2.identity())
-    rs, _ = build_rel_3mfd(ctx, 3, circles=True)
+    rs, _ = build_rel_3mfd(ctx, 3)
     solver = rs.solver
     x, y = parse_word("x", F2), parse_word("y", F2)
     res = centralizer_orbit_reduce(parse_ring("y", F2), rs,
@@ -433,9 +446,20 @@ def test_orbit_action_derives_inverse_moves_from_the_action_law():
     assert action == OrbitAction(action.s_class, action.centralizer, action.whisker)
 
 
+def test_orbit_action_derives_a_move_from_its_tabled_inverse():
+    """With only w(b^-1) tabled, w(b) = -b w(b^-1) b^-1: the moves are the
+    same whichever of b and b^-1 the centralizer lists."""
+    spec = parse_group_spec("F<x> x Z<t>")
+    x, t = parse_word("x", spec), parse_word("t", spec)
+    table = ((inv(t), parse_ring("x*t", spec)),)
+    want = {t: parse_ring("-x*t", spec), inv(t): parse_ring("x*t", spec)}
+    assert dict(OrbitAction(x, (t,), table).moves) == want
+    assert dict(OrbitAction(x, (inv(t),), table).moves) == want
+
+
 def test_orbit_value_outside_window():
     ctx = circles_context(table_for(Z, [], d=3), parse_word("t", Z))
-    rs, action = build_rel_3mfd(ctx, 2, circles=True)
+    rs, action = build_rel_3mfd(ctx, 2)
     with pytest.raises(WindowOverflowError):
         centralizer_orbit_reduce(parse_ring("t^9", Z), rs, action)
 
@@ -457,7 +481,7 @@ def test_relation_set_reduces_once(monkeypatch):
 
     monkeypatch.setattr(QuotientSolver, "__init__", counting_init)
     ctx = circles_context(table_for(F2, [], d=3), parse_word("x", F2))
-    rs, action = build_rel_3mfd(ctx, 3, circles=True)
+    rs, action = build_rel_3mfd(ctx, 3)
     assert action.centralizer
     knots = [KnotRecord(name, HomotopyTrace(((1, parse_word(w, F2)),)))
              for name, w in (("a", "y"), ("b", "x*y"))]
@@ -820,7 +844,7 @@ def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
     ctx = sc.context()
     rs = build_rel_circles(ctx, {}, 6)
     sets = [rs, restrict_relationset(rs, 4), concordance_quotient(rs),
-            reference_assemble(ctx, 5, circles=True, whisker={}, embedded=False)]
+            reference_assemble(ctx, 5, whisker={}, embedded=False)]
     for r in sets:
         assert r.columns == tuple(tuple(column(r.letter_index, rel).items())
                                   for rel in r.relations)

@@ -1,0 +1,20 @@
+"""Every ```python block of README.md runs as written, so a change to a
+signature it uses cannot leave the README stale."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(block, capsys):
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -88,7 +88,7 @@ def test_mu2_sheet_swap_invariance():
 
 def irreducible_ctx(window=3):
     ctx = arcs_context(table_for(F2, [], d=3))
-    rs, _ = build_rel_3mfd(ctx, window, circles=False)
+    rs, _ = build_rel_3mfd(ctx, window)
     return rs
 
 
@@ -111,7 +111,7 @@ def test_knots_differing_by_relations_agree():
     rng = rng_for("relation-insensitive")
     s = parse_word("x", F2)
     ctx = circles_context(table_for(F2, [], d=3), s)
-    rs, _ = build_rel_3mfd(ctx, 3, circles=True)
+    rs, _ = build_rel_3mfd(ctx, 3)
     for _ in range(40):
         base = random_trace(rng, F2, max_events=3)
         if any(w not in set(rs.generators) and not w.is_identity
@@ -138,7 +138,7 @@ def test_knot_trace_outside_window():
 
 def test_orbit_reduction_applies_for_circles():
     ctx = circles_context(table_for(F2, [], d=3), F2.identity())
-    rs, action = build_rel_3mfd(ctx, 3, circles=True)
+    rs, action = build_rel_3mfd(ctx, 3)
     # fold relations make y and y^-1 equal already; conjugation by x moves y
     k = KnotRecord("k", trace(F2, (1, "x*y*x^-1")))
     plain = dax_of_knot(k, rs)
