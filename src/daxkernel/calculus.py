@@ -16,17 +16,17 @@ for a translated class, whichever of ``dax_u_general`` and
 formulas sum their other terms into the twist
 T_a(g) = -lambda(g a, g) + lambda(g, g a) that they contain: relation
 assembly carries it along the ball (``pairing.twists_on_ball``), and the
-public functions build it from lambda(a, g) with the same helper,
-``pairing.add_twist``.  The public functions sort the dictionary into a
-``RingElem`` at the end; relation assembly reads it itself and classifies
-each term by its generator index.
+public functions build it with the same helper, ``pairing.add_twist``,
+from the letter-keyed terms of lambda(a, g) that ``pairing.lambda_terms``
+derives with the walk's Fox step, so neither builds a ``Word`` series.
+The public functions sort the dictionary into a ``RingElem`` at the end;
+relation assembly reads it itself and classifies each term by its
+generator index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 from .errors import ModeError, SpecMismatchError
 from .groups import Word, inv, inv_letters, mul_letters
 from . import ring as R
@@ -36,7 +36,7 @@ from .pairing import (
     SphereClass,
     add_twist,
     flip_sign,
-    lambda_word,
+    lambda_terms,
     rebase_table,
 )
 
@@ -116,17 +116,13 @@ def _conj(spec, g: tuple, terms):
             for w, c in terms)
 
 
-def _twist(g: Word, a: SphereClass, ctx: DaxContext,
-           lam: Iterable[tuple[Word, int]] | None = None) -> dict[tuple, int]:
+def _twist(g: Word, a: SphereClass, ctx: DaxContext) -> dict[tuple, int]:
     """The twist T_a(g) = -lambda(g a, g) + lambda(g, g a) as a fresh
-    letter-keyed term dict, from the terms ``lam`` of lambda(a, g), derived
-    when not given."""
+    letter-keyed term dict."""
     if g.spec != ctx.spec:
         raise SpecMismatchError("translate over a different spec")
-    if lam is None:
-        lam = lambda_word(ctx.table, a, g).terms
-    return add_twist(ctx.spec, {}, g.letters, [(w.letters, c) for w, c in lam],
-                     ctx.flip)
+    spec = ctx.spec
+    return add_twist(spec, {}, g.letters, lambda_terms(spec, a, g.letters).items(), ctx.flip)
 
 
 def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -139,31 +135,26 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     return R.from_letters(ctx.spec, _reduced(acc))
 
 
-def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext,
-                  lam: Iterable[tuple[Word, int]] | None = None) -> RingElem:
+def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     """Dax value over the arc for a translated class, valid for any class:
 
         dax_u(g a) = g dax_u(a) g^-1 + red(lambda(g a, u))
                      - red(lambda(g a, g u)) + red(lambda(g, g a))
-
-    ``lam``, when given, holds the (word, coefficient) terms of lambda(a, g).
     """
-    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx, lam)))
+    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx)))
 
 
-def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext,
-                   lam: Iterable[tuple[Word, int]] | None = None) -> RingElem:
+def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     """Shortcut for classes with an embedded representative:
 
         dax_u(g a) = red(lambda(g a, u)) - red(lambda(g a, g)) + red(lambda(g, g a))
 
     It is ``dax_u_general`` where dax(a) = 0, and runs the same body; a
-    class without an embedded representative raises ``ModeError``.  ``lam``,
-    when given, holds the (word, coefficient) terms of lambda(a, g).
+    class without an embedded representative raises ``ModeError``.
     """
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx, lam)))
+    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx)))
 
 
 def _dax_u(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:

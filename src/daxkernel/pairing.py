@@ -16,15 +16,23 @@ rows must vanish on the group's defining relators (commutators of commuting
 generators, and g^m for finite cyclic generators).  That consistency is
 checked when a table is built; geometric pairings always satisfy it.
 
-``lambda_word`` derives lambda(a, k) for one word, letter by letter.
-Relation assembly needs, for every translate g of a ball, the twist
+One step derives every value: with s = x^(+-1) a generator or its
+inverse, lambda(a, x) is the stored row, lambda(a, x^-1) = -row * x
+(``_unit_step``), and the derivation rule gives
+
+    lambda(a, p*s) = lambda(a, p) + lambda(a, s) * p^-1
+
+(a Fox derivative, R. H. Fox, Ann. of Math. 57, 1953), which ``_fox_step``
+adds into a term dict keyed by normal form letter tuples.  ``lambda_terms``
+folds it over the unit letters of one letter sequence; ``lambda_word`` and
+``lambda_letters`` sort that dict into a ``RingElem``.  Relation assembly
+needs, for every translate g of a ball, the twist
 T_a(g) = -lambda(g a, g) + lambda(g, g a) that both dax formulas contain
 (``add_twist``).  ``twists_on_ball`` walks the ball once and derives each
 element's twist from its parent's: across a central generator step it adds
-the twist of the step's own value, and across any other step it derives
-lambda(a, g) from the parent's value first (a Fox derivative, R. H. Fox,
-Ann. of Math. 57, 1953).  Both give the same element, because lambda is
-well defined on the group.
+the twist of the step's own value, and across any other step it takes one
+Fox step from the parent's value first.  Both give the same element,
+because lambda is well defined on the group.
 """
 
 from __future__ import annotations
@@ -126,54 +134,64 @@ def _relators(spec: GroupSpec) -> list[tuple[str, list[tuple[str, int]]]]:
 
 def _check_row_consistency(spec: GroupSpec, a: SphereClass):
     for label, letters in _relators(spec):
-        val = lambda_letters(spec, a, letters)
-        if not val.is_zero:
+        val = lambda_terms(spec, a, letters)
+        if val:
             raise PairingDataError(
                 f"class {a.name!r}: pairing rows violate the derivation rule on"
-                f" relator {label} (value {val})")
+                f" relator {label} (value {R.from_letters(spec, val)})")
 
 
-def _lambda_letter(spec: GroupSpec, a: SphereClass, gen: str, exp: int) -> RingElem:
-    """lambda(a, gen^exp) from the stored row via the derivation rule."""
+def _unit_step(spec: GroupSpec, a: SphereClass, gen: str, sign: int):
+    """The letters of s = x^sign for the generator x named ``gen``, and the
+    (letters, coefficient) terms of lambda(a, s): the row lambda(a, x) for
+    sign 1, and lambda(a, x^-1) = -row * x for sign -1."""
     row = a.lambda_of(gen)
-    if exp == 0 or row.is_zero:
-        return R.zero(spec)
-    g = spec.word([(gen, 1)])
-    gbar = inv(g)
-    if exp > 0:
-        # lambda(a, g^n) = lambda(a, g) * (1 + gbar + ... + gbar^(n-1))
-        acc = {}
-        w = spec.identity()
-        for _ in range(exp):
-            acc[w] = acc.get(w, 0) + 1
-            w = mul(w, gbar)
-        return R.gr_mul(row, R.from_terms(spec, acc))
-    pos = _lambda_letter(spec, a, gen, -exp)
-    power = spec.word([(gen, -exp)])
-    return R.gr_neg(R.right_mul(pos, power))
+    x = spec.word([(gen, 1)]).letters
+    if sign > 0:
+        return x, [(w.letters, c) for w, c in row.terms]
+    return inv_letters(spec, x), [(mul_letters(spec, w.letters, x), -c) for w, c in row.terms]
+
+
+def _fox_step(spec: GroupSpec, val: dict[tuple, int], lam_s, p_inv: tuple) -> dict[tuple, int]:
+    """val += lambda(a, s) p^-1 in place, for the terms ``lam_s`` of
+    lambda(a, s) and the letters ``p_inv`` of p^-1; with val = lambda(a, p)
+    it becomes lambda(a, p*s).  A coefficient that reaches zero is removed.
+    Returns val."""
+    for w, c in lam_s:
+        v = mul_letters(spec, w, p_inv)
+        c += val.get(v, 0)
+        if c:
+            val[v] = c
+        else:
+            del val[v]
+    return val
+
+
+def lambda_terms(spec: GroupSpec, a: SphereClass, letters) -> dict[tuple, int]:
+    """lambda(a, k) for a raw letter sequence k (need not be reduced) as a
+    term dict keyed by normal form letter tuples, without zeros: one Fox
+    step per unit letter x^(+-1) of each (generator, exponent) pair."""
+    val: dict[tuple, int] = {}
+    p_inv = ()
+    for gen, exp in letters:
+        s, lam_s = _unit_step(spec, a, gen, 1 if exp > 0 else -1)
+        s_inv = inv_letters(spec, s)
+        for _ in range(abs(exp)):
+            _fox_step(spec, val, lam_s, p_inv)
+            p_inv = mul_letters(spec, s_inv, p_inv)
+    return val
 
 
 def lambda_letters(spec: GroupSpec, a: SphereClass, letters) -> RingElem:
     """Derivation-rule evaluation on a raw letter sequence (need not be reduced)."""
-    # lambda(a, l1 l2 ... ln) = sum_i lambda(a, li) * bar(l1 ... l(i-1))
-    acc: dict = {}
-    prefix = spec.identity()
-    for gen, exp in letters:
-        piece = _lambda_letter(spec, a, gen, exp)
-        if not piece.is_zero:
-            prefix_bar = inv(prefix)
-            for w, c in piece.terms:
-                v = mul(w, prefix_bar)
-                acc[v] = acc.get(v, 0) + c
-        prefix = mul(prefix, spec.word([(gen, exp)]))
-    return R.from_terms(spec, acc)
+    return R.from_letters(spec, lambda_terms(spec, a, letters))
 
 
 def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     """lambda(a, k) for a group element k, derived from the stored rows."""
     if k.spec != table.spec:
         raise SpecMismatchError("word over a different spec")
-    return lambda_letters(table.spec, a, k.letters)
+    return R.from_letters(table.spec, lambda_terms(table.spec, a, k.letters))
 
 
 def add_twist(spec: GroupSpec, acc: dict[tuple, int], g: tuple, lam,
@@ -260,46 +278,25 @@ def twists_on_ball(table: PairingTable, elements):
         sign = -1 if exp < 0 or (order and exp > order - exp) else 1
         lam_s = steps.get((name, sign))
         if lam_s is None:
-            lam_s = steps[name, sign] = [
-                [(w.letters, c) for w, c in _lambda_letter(spec, a, name, sign).terms]
-                for a in classes]
+            lam_s = steps[name, sign] = [_unit_step(spec, a, name, sign)[1] for a in classes]
         exp -= sign
         if order:
             exp %= order
         p = letters[:-1] + ((name, exp),) if exp else letters[:-1]
         parent = done[p]
         lams = None
+        if name not in central or keep_lam[fi]:
+            if parent[2] is None and any(lam_s):
+                parent[2] = inv_letters(spec, p)
+            lams = [_fox_step(spec, dict(lp), ls, parent[2])
+                    for lp, ls in zip(parent[0], lam_s)]
         if name in central:
             twists = [add_twist(spec, dict(t), letters, ls, eps)
                       for t, ls in zip(parent[1], lam_s)]
-            if keep_lam[fi]:
-                lams = [_fox_step(spec, p, parent, lp, ls)
-                        for lp, ls in zip(parent[0], lam_s)]
         else:
-            lams = [_fox_step(spec, p, parent, lp, ls) for lp, ls in zip(parent[0], lam_s)]
             twists = [add_twist(spec, {}, letters, lam.items(), eps) for lam in lams]
         done[letters] = [lams, [dict(t) for t in twists] if keep_tw[fi] else None, None]
         yield g, twists
-
-
-def _fox_step(spec: GroupSpec, p: tuple, parent: list, lam_p: dict[tuple, int],
-              lam_s) -> dict[tuple, int]:
-    """lambda(a, p*s) = lambda(a, p) + lambda(a, s) p^-1 as a letter-keyed
-    term dict without zeros, from the letters p of the parent, its ``done``
-    entry, its value and the terms of lambda(a, s)."""
-    val = dict(lam_p)
-    if lam_s:
-        p_inv = parent[2]
-        if p_inv is None:
-            p_inv = parent[2] = inv_letters(spec, p)
-        for w, c in lam_s:
-            v = mul_letters(spec, w, p_inv)
-            c += val.get(v, 0)
-            if c:
-                val[v] = c
-            else:
-                del val[v]
-    return val
 
 
 def lambda_arc(table: PairingTable, a: SphereClass, g: Word, use_u: bool) -> RingElem:

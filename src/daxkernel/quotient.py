@@ -358,7 +358,8 @@ def build_rel_3mfd(ctx: DaxContext, window: int,
 
     Sphere classes must be disjointly embedded generators, so their base dax
     values vanish; in circles mode (``ctx.mode``) the boundary-sphere family
-    and whisker values join the relations.
+    and whisker values join the relations.  A whisker table outside circles
+    mode raises ``ModeError``.
     """
     if ctx.d != 3:
         raise ModeError("build_rel_3mfd requires ambient dimension 3")
@@ -367,6 +368,8 @@ def build_rel_3mfd(ctx: DaxContext, window: int,
             raise SceneError(
                 f"3-manifold sphere generators must be embedded: {a.name!r}")
     whisker = dict(whisker or {})
+    if whisker and ctx.mode != CIRCLES:
+        raise ModeError("whisker tables only make sense in circles mode")
     rs = _assemble(ctx, window, whisker=whisker, embedded=True)
     cent = sorted(set(whisker), key=word_key)
     if not ctx.s_class.is_identity and ctx.s_class not in cent:
@@ -415,11 +418,13 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
 
     Powers of the circle class drag a point around itself, so their values
     vanish identically.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1 + w(b1)
-    is checked on key pairs whose product is again a key, modulo the sphere
-    and boundary relations ``base`` (as (index, coefficient) pairs of the
-    window ``index``, which maps a generator's letters to its position; the
-    action lives on that quotient).  A law difference with a term outside
-    the window cannot be checked there and raises ``WindowOverflowError``.
+    is checked on key pairs whose product is again a key or the identity
+    (w(1) = 0 when 1 is not a key, so an inverse pair is checked too),
+    modulo the sphere and boundary relations ``base`` (as (index,
+    coefficient) pairs of the window ``index``, which maps a generator's
+    letters to its position; the action lives on that quotient).  A law
+    difference with a term outside the window cannot be checked there and
+    raises ``WindowOverflowError``.
     """
     for b, val in whisker.items():
         if _is_power_of(b, ctx.s_class) and not val.is_zero:
@@ -432,10 +437,11 @@ def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
     for b1 in keys:
         for b2 in keys:
             prod = mul(b1, b2)
-            if prod not in whisker:
+            w_prod = whisker.get(prod, R.zero(ctx.spec) if prod.is_identity else None)
+            if w_prod is None:
                 continue
             expected = R.gr_add(R.gr_conj(b1, whisker[b2]), whisker[b1])
-            diff = R.gr_add(whisker[prod], R.gr_neg(expected))
+            diff = R.gr_add(w_prod, R.gr_neg(expected))
             vec, outside = _place(index, _letter_terms(diff))
             pair = f"({render_word(b1)}, {render_word(b2)})"
             if outside:
@@ -560,9 +566,6 @@ class QuotientSolver:
             else:
                 tors.append(y % d)
         return tuple(free), tuple(tors)
-
-    def canonical_residue(self, elem: RingElem) -> RingElem:
-        return self.elem(self.residue(elem).items())
 
 
 def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:

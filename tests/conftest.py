@@ -8,7 +8,7 @@ import pytest
 
 from daxkernel.groups import GroupSpec, inv, mul, normalize, parse_group_spec, render_word
 from daxkernel import ring as R
-from daxkernel.pairing import PairingTable, SphereClass, _lambda_letter, sphere_class
+from daxkernel.pairing import PairingTable, SphereClass, sphere_class
 from daxkernel.calculus import arcs_context, circles_context, dax_translate
 from daxkernel.traces import HomotopyTrace
 
@@ -514,6 +514,45 @@ def translated_class(ctx, h, a):
     )
 
 
+def reference_lambda_letter(spec, a, gen, exp):
+    """lambda(a, gen^exp) from the stored row as a ``RingElem``, by the power
+    series the package used before every value came from one Fox step:
+    lambda(a, g^n) = lambda(a, g) * (1 + bar(g) + ... + bar(g)^(n-1)) and
+    lambda(a, g^-n) = -lambda(a, g^n) * g^n."""
+    row = a.lambda_of(gen)
+    if exp == 0 or row.is_zero:
+        return R.zero(spec)
+    g = spec.word([(gen, 1)])
+    gbar = inv(g)
+    if exp > 0:
+        acc = {}
+        w = spec.identity()
+        for _ in range(exp):
+            acc[w] = acc.get(w, 0) + 1
+            w = mul(w, gbar)
+        return R.gr_mul(row, R.from_terms(spec, acc))
+    pos = reference_lambda_letter(spec, a, gen, -exp)
+    power = spec.word([(gen, -exp)])
+    return R.gr_neg(R.right_mul(pos, power))
+
+
+def reference_lambda_letters(spec, a, letters):
+    """``pairing.lambda_letters`` by its earlier body: one power series per
+    (generator, exponent) pair of a raw letter sequence, joined with Word
+    products, lambda(a, l1 ... ln) = sum_i lambda(a, li) * bar(l1 ... l(i-1))."""
+    acc = {}
+    prefix = spec.identity()
+    for gen, exp in letters:
+        piece = reference_lambda_letter(spec, a, gen, exp)
+        if not piece.is_zero:
+            prefix_bar = inv(prefix)
+            for w, c in piece.terms:
+                v = mul(w, prefix_bar)
+                acc[v] = acc.get(v, 0) + c
+        prefix = mul(prefix, spec.word([(gen, exp)]))
+    return R.from_terms(spec, acc)
+
+
 def lambda_on_ball(table, a, elements):
     """lambda(a, g) as a term dict without zeros, for every g of ``elements``:
     the walk that relation assembly made before it carried twists, kept as
@@ -544,7 +583,7 @@ def lambda_on_ball(table, a, elements):
         sign = -1 if exp < 0 or (order and exp > order - exp) else 1
         lam_s = steps.get((name, sign))
         if lam_s is None:
-            lam_s = steps[name, sign] = _lambda_letter(spec, a, name, sign).terms
+            lam_s = steps[name, sign] = reference_lambda_letter(spec, a, name, sign).terms
         exp -= sign
         if order:
             exp %= order
@@ -602,13 +641,11 @@ def reference_assemble(ctx, window, whisker, embedded):
                 " window", str(val))
         dropped.append((provenance, {w.letters: c for w, c in val.terms}))
 
-    classes = ctx.table.classes
-    lam = [lambda_on_ball(ctx.table, a, enum) for a in classes]
     dax = dax_u_embedded if embedded else dax_u_general
     class_prov = Q.PROV_SPHERE_3MFD if embedded else Q.PROV_DAX_IMAGE
     for g in enum:
-        for a, lam_a in zip(classes, lam):
-            classify(dax(g, a, ctx, lam_a[g].items()), class_prov, g.is_identity)
+        for a in ctx.table.classes:
+            classify(dax(g, a, ctx), class_prov, g.is_identity)
     if ctx.mode == CIRCLES:
         for g in enum:
             classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)

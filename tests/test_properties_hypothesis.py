@@ -15,7 +15,8 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
 )
-from daxkernel.errors import BallOverflowError, ModeError, UnknownGeneratorError
+from daxkernel.errors import (BallOverflowError, ModeError, PairingDataError,
+                              UnknownGeneratorError)
 from daxkernel.groups import (
     FINITE_CYCLIC,
     FREE,
@@ -44,6 +45,7 @@ from daxkernel.ring import (
 from daxkernel.pairing import (
     PairingTable,
     lambda_flip,
+    lambda_letters,
     lambda_word,
     sphere_class,
     twists_on_ball,
@@ -83,6 +85,7 @@ from conftest import (
     random_word,
     reference_ball,
     reference_elimination,
+    reference_lambda_letters,
     reference_orbit,
     reference_structure,
     sparse,
@@ -346,6 +349,14 @@ def test_word_layer_matches_reference(data):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
+def draw_elem(draw, spec):
+    """A group ring element of up to three terms over short words."""
+    terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
+                                    st.integers(min_value=-3, max_value=3)),
+                          max_size=3))
+    return R.from_terms(spec, [(normalize(w, spec), c) for w, c in terms])
+
+
 def draw_table(draw, spec, max_d=6):
     """A table of one or two classes with principal rows r*(1 - g^-1), in a
     dimension from 3 to ``max_d``, plus a consistent non-principal part in
@@ -370,22 +381,16 @@ def draw_table(draw, spec, max_d=6):
                 norm = R.gr_mul(norm, R.from_terms(
                     spec, [(spec.word([(u, k)]), 1) for k in range(fac.order)]))
 
-    def elem():
-        terms = draw(st.lists(st.tuples(raw_letters(spec, 3, 3),
-                                        st.integers(min_value=-3, max_value=3)),
-                              max_size=3))
-        return R.from_terms(spec, [(normalize(w, spec), c) for w, c in terms])
-
     classes = []
     for i in range(draw(st.integers(min_value=1, max_value=2))):
-        r = elem()
+        r = draw_elem(draw, spec)
         rows = {g: R.gr_add(R.gr_mul(r, R.gr_add(R.one(spec), R.gr_neg(
                     R.monomial(inv(spec.word([(g, 1)])))))),
-                            R.gr_mul(elem(), norm) if g in loose else R.zero(spec))
+                            R.gr_mul(draw_elem(draw, spec), norm) if g in loose else R.zero(spec))
                 for g in spec.generators}
         embedded = draw(st.booleans())
-        base = R.zero(spec) if embedded else R.gr_bar_reduce(elem())
-        classes.append(sphere_class(spec, f"a{i}", embedded, base, elem(), rows))
+        base = R.zero(spec) if embedded else R.gr_bar_reduce(draw_elem(draw, spec))
+        classes.append(sphere_class(spec, f"a{i}", embedded, base, draw_elem(draw, spec), rows))
     d = draw(st.integers(min_value=3, max_value=max_d))
     return PairingTable(spec, d, tuple(classes), spec.identity())
 
@@ -414,8 +419,8 @@ def test_dax_formulas_match_reference(data):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_lambda_on_ball(text, data):
-    # the table built along the ball equals lambda_word on every element, and
-    # the dax formulas fed from it equal the ones that derive lambda per word
+    # the table built along the ball with the reference power series equals
+    # lambda_word on every element
     ctx, _ = data.draw(consistent_tables((text,)))
     table, spec = ctx.table, ctx.spec
     elements = ball(spec, 6 if text == "Z<t>" else 3)
@@ -426,10 +431,31 @@ def test_lambda_on_ball(text, data):
             lam = values[g]
             assert 0 not in lam.values()
             assert R.from_terms(spec, lam) == lambda_word(table, a, g)
-            general = dax_u_general(g, a, ctx, lam.items())
-            assert general == dax_u_general(g, a, ctx)
-            if a.embedded:
-                assert dax_u_embedded(g, a, ctx, lam.items()) == general
+
+
+# Z/1<u> keeps u as a letter of raw sequences although it is the identity
+LAMBDA_SPECS = {text: parse_group_spec(text)
+                for text in BALL_SPEC_TEXTS + ("Z/1<u>", "Z/1<u> x F<x>")}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_lambda_letters_matches_power_series(data):
+    # one Fox step per unit letter equals the earlier power series per
+    # (generator, exponent) pair on raw letter sequences: zero exponents,
+    # repeats and cyclic wrap-around.  The rows need not satisfy the
+    # relators: both evaluate the free derivative of the same letters.
+    spec = LAMBDA_SPECS[data.draw(st.sampled_from(sorted(LAMBDA_SPECS)))]
+    a = sphere_class(spec, "a", False, R.zero(spec), R.zero(spec),
+                     {g: draw_elem(data.draw, spec) for g in spec.generators})
+    letters = data.draw(raw_letters(spec))
+    assert lambda_letters(spec, a, letters) == reference_lambda_letters(spec, a, letters)
+    unknown = letters + [("nope", data.draw(st.integers(min_value=-2, max_value=2)))]
+    with pytest.raises(PairingDataError) as got:
+        lambda_letters(spec, a, unknown)
+    with pytest.raises(PairingDataError) as want:
+        reference_lambda_letters(spec, a, unknown)
+    assert str(got.value) == str(want.value)
 
 
 @st.composite
@@ -626,7 +652,7 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
         residue = dense_reduce_mod_rows(v, reference)
         assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
         elem = solver.elem(enumerate(v))
-        assert solver.canonical_residue(elem) == solver.elem(enumerate(residue))
+        assert solver.elem(solver.residue(elem).items()) == solver.elem(enumerate(residue))
         assert solver.coords(elem) == dense_coords(rows, v)
 
 
@@ -666,10 +692,11 @@ def test_answers_depend_on_the_lattice_alone(data):
     elems = [solver.elem(enumerate(v)) for v in vectors]
     coords = [solver.coords(e) for e in elems]
     for elem, c in zip(elems, coords):
-        assert other.canonical_residue(elem) == solver.canonical_residue(elem)
+        assert other.elem(other.residue(elem).items()) == solver.elem(solver.residue(elem).items())
         assert other.coords(elem) == c
     for (a, ca), (b, cb) in zip(zip(elems, coords), zip(elems[1:], coords[1:])):
-        same_class = solver.canonical_residue(a) == solver.canonical_residue(b)
+        same_class = (solver.elem(solver.residue(a).items())
+                      == solver.elem(solver.residue(b).items()))
         assert (ca == cb) == same_class
         free, tors = solver.coords(R.gr_add(a, b))
         assert free == tuple(x + y for x, y in zip(ca[0], cb[0]))
@@ -749,7 +776,7 @@ def test_orbits_match_reference_on_drawn_whisker_tables(monkeypatch):
         assert got == reference_orbit(value, rs, action)
         seen["larger"] += orbit.size > 1
         seen["complete larger"] += orbit.size > 1 and orbit.complete
-        start = rs.solver.canonical_residue(value)
+        start = rs.solver.elem(rs.solver.residue(value).items())
         for b, w_b in action.moves:
             conj = R.gr_conj(b, start)
             moved = R.gr_add(conj, w_b)

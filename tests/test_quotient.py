@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from daxkernel import cli
-from daxkernel.errors import BallOverflowError, SceneError, WindowOverflowError
+from daxkernel.errors import BallOverflowError, ModeError, SceneError, WindowOverflowError
 from daxkernel.groups import inv, mul, parse_group_spec, parse_word, word_length
 from daxkernel import ring as R
 from daxkernel.ring import gr_bar_reduce, monomial, parse_ring
@@ -266,6 +266,18 @@ def test_3mfd_requires_dimension_three():
         build_rel_3mfd(ctx, 2)
 
 
+def test_3mfd_whisker_table_requires_circles_mode():
+    # in arcs mode no whisker joins the relations, so a table would reach
+    # the orbit search unchecked
+    spec = parse_group_spec("Z<t> x F<x>")
+    ctx = arcs_context(table_for(spec, [], d=3))
+    whisker = {parse_word("t", spec): parse_ring("x", spec)}
+    with pytest.raises(ModeError, match="circles mode"):
+        build_rel_3mfd(ctx, 2, whisker=whisker)
+    rs, action = build_rel_3mfd(ctx, 2, whisker={})
+    assert action.whisker == ()
+
+
 def test_3mfd_requires_embedded_classes():
     a = sphere_class(F2, "a", False, parse_ring("x", F2), R.zero(F2), {})
     ctx = arcs_context(table_for(F2, [a], d=3))
@@ -305,6 +317,18 @@ def test_whisker_action_law_enforced():
     with pytest.raises(SceneError) as info:
         build_rel_3mfd(ctx, 3, whisker=bad)
     assert "action law" in str(info.value)
+
+
+def test_whisker_action_law_checked_on_inverse_pairs():
+    # w(1) = 0 on the pair (t, t^-1): t w(t^-1) t^-1 + w(t) must vanish, so
+    # with t central w(t^-1) = -w(t)
+    ctx = prod_circles_ctx()
+    y = parse_ring("y", PROD)
+    t, t_inv = parse_word("t", PROD), parse_word("t^-1", PROD)
+    with pytest.raises(SceneError, match=r"action law on \(t, t\^-1\)"):
+        build_rel_3mfd(ctx, 2, whisker={t: y, t_inv: y})
+    rs, action = build_rel_3mfd(ctx, 2, whisker={t: y, t_inv: R.gr_neg(y)})
+    assert dict(action.moves)[t_inv] == R.gr_neg(y)
 
 
 def test_whisker_consistent_table_accepted():
@@ -380,7 +404,7 @@ def test_orbit_abelian_is_singleton_coset():
     value = parse_ring("t + 2*t^-1", Z)
     res = centralizer_orbit_reduce(value, rs, action)
     assert res.complete and res.size == 1
-    assert res.representative == rs.solver.canonical_residue(value)
+    assert res.representative == rs.solver.elem(rs.solver.residue(value).items())
 
 
 def test_orbit_powers_of_s_fix_values():
@@ -411,7 +435,7 @@ def test_orbit_free_group_matches_brute_force():
         w = mul(mul(parse_word(f"x^{n}", F2) if n else F2.identity(), y),
                 inv(parse_word(f"x^{n}", F2) if n else F2.identity()))
         if w in gens_set:
-            reps.add(tuple(vector(solver.canonical_residue(monomial(w)))))
+            reps.add(tuple(vector(solver.elem(solver.residue(monomial(w)).items()))))
     assert not res.complete  # the true orbit leaves any finite window
     assert res.size == len(reps)
 
@@ -665,7 +689,8 @@ def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
                     continue
                 residue = dense_reduce_mod_rows(
                     dense(column(solver.letter_index, value), n), reference)
-                assert solver.canonical_residue(value) == solver.elem(enumerate(residue))
+                assert (solver.elem(solver.residue(value).items())
+                        == solver.elem(enumerate(residue)))
         if action is not None and action.centralizer:
             for value in values:
                 orbit = centralizer_orbit_reduce(value, rs, action)

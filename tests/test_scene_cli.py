@@ -459,6 +459,14 @@ def test_cli_flag_errors_are_usage_errors(capsys, argv, flag):
     assert capsys.readouterr().err == f"usage error: {flag}\n"
 
 
+def test_cli_orbit_rejects_whisker_breaking_the_law_on_an_inverse_pair(capsys):
+    argv = ["orbit", "--preset", "three_mfd", "--param", "group=Z<t> x F<x,y>",
+            "--param", "mode=circles", "--param", "s=x", "--window", "2"]
+    assert main(argv + ["--param", 'whisker={"t":"y","t^-1":"y"}']) == 2
+    assert "violates the action law on (t, t^-1)" in capsys.readouterr().err
+    assert main(argv + ["--param", 'whisker={"t":"y","t^-1":"-y"}']) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["target", "--preset", "nope"],
     ["target", "--preset", "s1_x_sphere", "--param", "w0=oops"],
