@@ -248,24 +248,18 @@ def _abelian_sum(fac: Factor, letters) -> tuple:
     return tuple(out)
 
 
-def _blocks(letters: tuple, index: dict) -> dict[int, tuple]:
-    """Split a normal form into its factor blocks: factor index -> letters."""
-    blocks = {}
-    start = 0
-    fi = index[letters[0][0]][0]
-    for k in range(1, len(letters)):
-        f = index[letters[k][0]][0]
-        if f != fi:
-            blocks[fi] = letters[start:k]
-            fi, start = f, k
-    blocks[fi] = letters[start:]
-    return blocks
-
-
 def _join(fac: Factor, left: tuple, right: tuple) -> tuple:
+    """Product of two nonempty normal-form blocks of the factor ``fac``."""
     if fac.kind == FREE:
         return _free_join(left, right)
-    return _abelian_sum(fac, left + right)
+    if len(fac.gens) > 1:
+        return _abelian_sum(fac, left + right)
+    # Z<t> or Z/m<u>: one letter each side, whose exponents add
+    (name, e), = left
+    e += right[0][1]
+    if fac.order:
+        e %= fac.order
+    return ((name, e),) if e else ()
 
 
 def _inverse(fac: Factor, block: tuple) -> list:
@@ -276,13 +270,38 @@ def _inverse(fac: Factor, block: tuple) -> list:
     return [(name, -e) for name, e in block]
 
 
+def _around(letters: tuple, index: dict, fi: int) -> tuple[int, int]:
+    """The positions i <= j of a normal form's letters with letters[:i] in
+    factors before ``fi``, letters[i:j] in ``fi`` and letters[j:] after it."""
+    n = len(letters)
+    i = 0
+    while i < n and index[letters[i][0]][0] < fi:
+        i += 1
+    j = i
+    while j < n and index[letters[j][0]][0] == fi:
+        j += 1
+    return i, j
+
+
 def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
     """The letters of the product of the normal forms with letters a and b.
 
-    Their letters are combined where the two words meet, factor block by
-    factor block; nothing is renormalized.  No ``Word`` is built: relation
-    assembly multiplies letter tuples in its inner loops, and ``mul`` wraps
-    this for Words.
+    Letters come in factor order, so each operand's first and last letter
+    bound its factors, and blocks of different factors commute:
+
+    - a's last factor before b's first: ``a + b``;
+    - b's last factor before a's first: ``b + a``;
+    - both in one factor: that factor's join of the two;
+    - one operand in one factor f: the other's letters before f, the join
+      of the two f-blocks, then the other's letters after f;
+    - otherwise one merge over the two operands' factor runs, joining the
+      runs of a factor that both have.
+
+    A free join cancels where the two blocks meet, a one-generator abelian
+    join adds the two exponents (modulo m in ``Z/m``) and drops a zero, and
+    a wider free-abelian join sums per generator.  Nothing is renormalized.
+    No ``Word`` is built: relation assembly multiplies letter tuples in its
+    inner loops, and ``mul`` wraps this for Words.
     """
     if not b:
         return a
@@ -292,21 +311,50 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
     if len(factors) == 1:
         return _join(factors[0], a, b)
     index = spec._index
-    if index[a[-1][0]][0] < index[b[0][0]][0]:
+    a0, a1 = index[a[0][0]][0], index[a[-1][0]][0]
+    b0, b1 = index[b[0][0]][0], index[b[-1][0]][0]
+    if a1 < b0:
         return a + b
-    left, right = _blocks(a, index), _blocks(b, index)
+    if b1 < a0:
+        return b + a
+    if a0 == a1:
+        if b0 == b1:
+            return _join(factors[a0], a, b)
+        i, j = _around(b, index, a0)
+        return b[:i] + (_join(factors[a0], a, b[i:j]) if i < j else a) + b[j:]
+    if b0 == b1:
+        i, j = _around(a, index, b0)
+        return a[:i] + (_join(factors[b0], a[i:j], b) if i < j else b) + a[j:]
     out: list[tuple[str, int]] = []
-    for fi, fac in enumerate(factors):
-        x, y = left.get(fi, ()), right.get(fi, ())
-        out += _join(fac, x, y) if x and y else x + y
-    return tuple(out)
+    i = j = 0
+    m, n = len(a), len(b)
+    while i < m and j < n:
+        fa, fb = index[a[i][0]][0], index[b[j][0]][0]
+        if fa < fb:
+            out.append(a[i])
+            i += 1
+        elif fb < fa:
+            out.append(b[j])
+            j += 1
+        else:
+            k, l = i + 1, j + 1
+            while k < m and index[a[k][0]][0] == fa:
+                k += 1
+            while l < n and index[b[l][0]][0] == fa:
+                l += 1
+            out += _join(factors[fa], a[i:k], b[j:l])
+            i, j = k, l
+    return tuple(out) + a[i:] + b[j:]
 
 
 def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
     """The letters of the inverse of the normal form with letters a.
 
     Free blocks are reversed with negated exponents, free-abelian exponents
-    negated and a cyclic exponent e becomes ``order - e``; nothing is
+    negated and a cyclic exponent e becomes ``order - e``.  A word whose
+    first and last letters lie in one factor is that factor's inverse; a
+    word over several factors is inverted run by run, each run in its
+    place, since blocks of different factors commute.  Nothing is
     renormalized, and no ``Word`` is built (``inv`` wraps this for Words).
     """
     if not a:
@@ -314,9 +362,18 @@ def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
     factors = spec.factors
     if len(factors) == 1:
         return tuple(_inverse(factors[0], a))
+    index = spec._index
+    fi = index[a[0][0]][0]
+    if fi == index[a[-1][0]][0]:
+        return tuple(_inverse(factors[fi], a))
     out: list[tuple[str, int]] = []
-    for fi, block in _blocks(a, spec._index).items():
-        out += _inverse(factors[fi], block)
+    start = 0
+    for k in range(1, len(a)):
+        f = index[a[k][0]][0]
+        if f != fi:
+            out += _inverse(factors[fi], a[start:k])
+            fi, start = f, k
+    out += _inverse(factors[fi], a[start:])
     return tuple(out)
 
 

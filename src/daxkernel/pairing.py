@@ -254,9 +254,14 @@ def twists_on_ball(table: PairingTable, elements):
     An element is a parent only of steps in its last letter's factor or a
     later one, so it keeps its lambda values only when such a factor is free
     and its twists only when such a factor is abelian.  Over an abelian
-    group no lambda value is derived at all.
+    group no lambda value is derived at all, and when every stored row
+    vanishes, lambda(a, -) = 0 and every twist is zero: no element is walked.
     """
     spec, classes = table.spec, table.classes
+    if all(row.is_zero for a in classes for _, row in a.lambda_gen):
+        for g in elements:
+            yield g, [{} for _ in classes]
+        return
     index, central = spec._index, spec._central
     eps = flip_sign(table.dimension)
     factors = spec.factors

@@ -204,6 +204,34 @@ def test_inv_examples():
                               ("s", 1), ("t", -4))
 
 
+def test_every_product_case_matches_renormalizing():
+    # one named example per case of mul_letters, each operand and product
+    # inverted too; the reference renormalizes the concatenated letters
+    spec = parse_group_spec("F<x,y> x Z<t> x Z/3<u>")
+    cases = {
+        "one factor on the left": ("t^2", "x*y*t*u"),
+        "one factor on the left, wrapping in Z/m": ("u^2", "x*u"),
+        "one factor on the right": ("x*y*t^-1*u", "y^-1"),
+        "one factor between the other's": ("x*u", "t"),
+        "disjoint, in order": ("x*y", "t*u"),
+        "disjoint, reversed": ("u^2", "x*t"),
+        "same factor": ("x*y", "y^-1*x"),
+        "mixed x mixed": ("x*t*u", "x^-1*y*t^-1*u"),
+        "mixed x mixed, seams cancel": ("y*x*t^2*u", "x^-1*y^-1*t^-2*u^2"),
+        "Z/m wraps to the identity": ("u", "u^2"),
+        "Z wraps to the identity": ("t^3", "t^-3"),
+    }
+    for name, (left, right) in cases.items():
+        g, h = parse_word(left, spec), parse_word(right, spec)
+        gh = mul(g, h)
+        assert gh == normalize(g.letters + h.letters, spec), name
+        for w in (g, h, gh):
+            want = normalize([(n, -e) for n, e in reversed(w.letters)], spec)
+            assert inv(w) == want, name
+    assert mul(parse_word("t^3", spec), parse_word("t^-3", spec)).is_identity
+    assert mul(parse_word("x*u", spec), parse_word("u^2", spec)) == parse_word("x", spec)
+
+
 def test_spec_mismatch():
     with pytest.raises(SpecMismatchError):
         mul(parse_word("t", parse_group_spec("Z<t>")),

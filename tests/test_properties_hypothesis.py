@@ -295,7 +295,8 @@ def ref_dax_u_embedded(g, a, ctx):
 
 
 WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>",
-                   "F<x,y> x F<z,v>", "Z/2<u> x F<x>")
+                   "F<x,y> x F<z,v>", "Z/2<u> x F<x>", "F<x,y> x Z<a,b> x Z/4<c>",
+                   "Z<a,b>", "Z/1<u> x F<x,y>")
 # in a cyclic factor of order m >= 4, u^(m-1) is one letter long but u^(m-2)
 # is not, so a ball step that ignores the shortest signed exponent shows; at
 # an even order m the element u^(m/2) is its own tie, stepped down from the
@@ -511,6 +512,12 @@ def test_twists_on_ball_match_direct_twist(data):
     # built from lambda_word, unreduced, on every element of the ball
     spec = data.draw(st.one_of(st.sampled_from(WALK_SPECS), factor_products()))
     table = draw_table(data.draw, spec, max_d=4)
+    if data.draw(st.sampled_from((False, False, False, True))):
+        # every stored row zero, as in a product with a disk factor: the walk
+        # is skipped, and each element still gets one fresh dict per class
+        table = PairingTable(spec, table.dimension, tuple(
+            sphere_class(spec, a.name, a.embedded, a.base_dax, a.lambda_u, {})
+            for a in table.classes), table.u_class)
     radius = data.draw(st.integers(min_value=0, max_value=6))
     while True:
         try:
@@ -518,7 +525,11 @@ def test_twists_on_ball_match_direct_twist(data):
             break
         except BallOverflowError:
             radius -= 1
-    walked = list(twists_on_ball(table, elements))
+    walked = []
+    for g, twists in twists_on_ball(table, elements):
+        walked.append((g, [dict(t) for t in twists]))
+        for twist in twists:  # the dicts are the caller's to change
+            twist[()] = 1
     assert [g for g, _ in walked] == elements
     for g, twists in walked:
         assert len(twists) == len(table.classes)

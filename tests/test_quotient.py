@@ -663,6 +663,32 @@ def test_structure_matches_three_eliminations_on_bench_scenes(op):
             assert quotient_structure(folded) == reference_structure(folded)
 
 
+def test_smaller_windows_hold_the_direct_builds_relations():
+    """The windows W-2 and W-1 that ``stable`` compares are the W build's
+    relations supported on the smaller ball: they hold every relation of
+    the direct build there, and can hold more.  On the bench ops of seeds
+    0-2 the torsion agrees all the same."""
+    corpus, strict = bench_corpus(), {}
+    for workload in corpus.WORKLOADS:
+        for seed in (0, 1, 2):
+            for op in corpus.build(workload, seed):
+                sc = loads_scene(op.scene_text)
+                for rs in sweep_relation_sets(sc, default_windows(sc, op)):
+                    for w in (rs.window - 2, rs.window - 1):
+                        small = restrict_relationset(rs, w)
+                        try:
+                            direct = cli.build_relations(sc, w)[0]
+                        except WindowOverflowError:
+                            continue
+                        assert direct.generators == small.generators
+                        assert set(direct.columns) <= set(small.columns)
+                        assert rs.solver.window_torsion[w] == direct.solver.torsion
+                        if seed == 0 and len(small.columns) > len(direct.columns):
+                            strict[op.op_id, w] = len(small.columns), len(direct.columns)
+    assert strict["embedded.Z2.W5.eval", 3] == (32, 29)
+    assert strict["embedded.Z2.W5.eval", 4] == (58, 54)
+
+
 @pytest.mark.parametrize("op", bench_scenes())
 def test_residues_and_orbits_match_dense_reference_on_bench_scenes(op):
     """The sparse Hermite basis, the canonical residues of the knot values
