@@ -46,6 +46,16 @@ def _structure_dict(st: Q.AbelianStructure) -> dict:
             "window": st.window, "stable": st.stable}
 
 
+def _report(command: str, scene: ManifoldScene, rs: Q.RelationSet,
+            structure: Q.AbelianStructure | None = None, **fields) -> dict:
+    """The report of ``command``: the scene, the window of ``rs`` and its
+    structure (computed unless given), then ``fields``, then the scene's
+    notes."""
+    return {"command": command, "scene": scene_to_dict(scene), "window": rs.window,
+            "structure": _structure_dict(structure or Q.quotient_structure(rs)),
+            **fields, "notes": list(scene.notes)}
+
+
 def _presentation(rs: Q.RelationSet) -> dict:
     """The report's generators, relations and dropped values, rendered from
     window positions and letters: each generator's name is rendered once,
@@ -100,17 +110,8 @@ def run_target(scene: ManifoldScene, windows) -> dict:
         sweep["torsion"].append(list(st.torsion))
         sweep["stable"].append(st.stable)
         final_rs, final_structure = rs, st
-    report = {
-        "command": "target",
-        "scene": scene_to_dict(scene),
-        "window": final_rs.window,
-        **_presentation(final_rs),
-        "structure": _structure_dict(final_structure),
-        "sweep": sweep,
-        "profile": _fit_profile(sweep["windows"], sweep["free_ranks"]),
-        "notes": list(scene.notes),
-    }
-    return report
+    return _report("target", scene, final_rs, final_structure, **_presentation(final_rs),
+                   sweep=sweep, profile=_fit_profile(sweep["windows"], sweep["free_ranks"]))
 
 
 def run_eval(scene: ManifoldScene, window: int) -> dict:
@@ -127,14 +128,7 @@ def run_eval(scene: ManifoldScene, window: int) -> dict:
             "orbit_complete": data.orbit_complete,
             "orbit_size": data.orbit_size,
         })
-    return {
-        "command": "eval",
-        "scene": scene_to_dict(scene),
-        "window": window,
-        "structure": _structure_dict(Q.quotient_structure(rs)),
-        "knots": knots,
-        "notes": list(scene.notes),
-    }
+    return _report("eval", scene, rs, knots=knots)
 
 
 def run_concordance(scene: ManifoldScene, window: int) -> dict:
@@ -152,17 +146,10 @@ def run_concordance(scene: ManifoldScene, window: int) -> dict:
             "free_coords": list(free),
             "torsion_coords": list(tors),
         })
-    return {
-        "command": "concordance",
-        "scene": scene_to_dict(scene),
-        "window": window,
-        "structure": _structure_dict(Q.quotient_structure(rs)),
-        "structure_folded": _structure_dict(Q.quotient_structure(folded)),
-        "added_relations": sum(1 for p in folded.provenance
-                               if p == Q.PROV_CONCORDANCE),
-        "knots": knots,
-        "notes": list(scene.notes),
-    }
+    return _report("concordance", scene, rs,
+                   structure_folded=_structure_dict(Q.quotient_structure(folded)),
+                   added_relations=folded.provenance.count(Q.PROV_CONCORDANCE),
+                   knots=knots)
 
 
 def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dict:
@@ -185,19 +172,11 @@ def run_orbit(scene: ManifoldScene, window: int, extra_value: str | None) -> dic
         reduce_value(k.name, eval_dax_trace(k.trace, rs.spec))
     if extra_value is not None:
         reduce_value("value", parse_ring(extra_value, scene.group))
-    return {
-        "command": "orbit",
-        "scene": scene_to_dict(scene),
-        "window": window,
-        "action": {
-            "s": render_word(action.s_class),
-            "centralizer": [render_word(b) for b in action.centralizer],
-            "whisker": {render_word(b): str(v) for b, v in action.whisker},
-        },
-        "structure": _structure_dict(Q.quotient_structure(rs)),
-        "orbits": items,
-        "notes": list(scene.notes),
-    }
+    return _report("orbit", scene, rs, orbits=items, action={
+        "s": render_word(action.s_class),
+        "centralizer": [render_word(b) for b in action.centralizer],
+        "whisker": {render_word(b): str(v) for b, v in action.whisker},
+    })
 
 
 def run_scene(scene: ManifoldScene, command: str, window: int | None = None,

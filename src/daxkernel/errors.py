@@ -50,13 +50,8 @@ class WindowOverflowError(DaxKernelError):
     """A relation or value cannot be supported on the generator window, or
     the window's ball exceeds its element cap.
 
-    CLI exit code 3.  ``offender`` holds a printable description of the
-    relation that did not fit.
+    CLI exit code 3.
     """
-
-    def __init__(self, message, offender=None):
-        super().__init__(message)
-        self.offender = offender
 
 
 class BallOverflowError(WindowOverflowError):

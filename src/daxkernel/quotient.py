@@ -102,8 +102,7 @@ class RelationSet:
         for rel in relations:
             col, outside = _place(index, _letter_terms(rel))
             if outside:
-                raise WindowOverflowError(
-                    f"relation {rel} not supported on the window", str(rel))
+                raise WindowOverflowError(f"relation {rel} not supported on the window")
             columns.append(tuple(col.items()))
         return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
                    tuple(dropped_terms), index)
@@ -245,13 +244,12 @@ def window_generators(spec, window: int) -> tuple[Word, ...]:
     return tuple(w for w in elements if not w.is_identity)
 
 
-def _assemble(ctx: DaxContext, window: int, whisker: dict[Word, RingElem],
-              embedded: bool) -> RelationSet:
+def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     """The relation set of one window: the dax value of every translate in
-    the ball (and, in circles mode, the boundary spheres and whiskers).
-    Every translated class takes the one formula body ``calculus._dax_u``;
-    ``embedded`` labels those values with the 3-manifold provenance rather
-    than the dax-image one.
+    the ball and, in circles mode, the boundary spheres.  Every translated
+    class takes the one formula body ``calculus._dax_u``; ``embedded``
+    labels those values with the 3-manifold provenance rather than the
+    dax-image one.  Whisker values join later, through ``_add_whiskers``.
 
     Assembly runs on normal form letter tuples: the ball's Words are built
     once, by ``window_generators``, and every product, inverse and lookup
@@ -272,9 +270,9 @@ def _assemble(ctx: DaxContext, window: int, whisker: dict[Word, RingElem],
     and a kept relation is stored as them, its column.  A value that leaves
     the window is dropped as its term dict, and ``index`` goes to the relation
     set as its ``letter_index``: ``order_dropped`` sorts a dropped value only
-    when a report or ``RelationSet.dropped`` reads it.  A base relation (the
-    identity translate and the whiskers) that leaves the window is sorted
-    into the message of a ``WindowOverflowError``.
+    when a report or ``RelationSet.dropped`` reads it.  A base relation (one
+    of the identity translate) that leaves the window is sorted into the
+    message of a ``WindowOverflowError``.
     """
     if window < 1:
         raise SceneError("window must be >= 1")
@@ -296,10 +294,7 @@ def _assemble(ctx: DaxContext, window: int, whisker: dict[Word, RingElem],
             i = index.get(w)
             if i is None:
                 if from_identity:
-                    val = R.from_letters(spec, acc)
-                    raise WindowOverflowError(
-                        f"base relation {val} exceeds the generator window;"
-                        " increase the window", str(val))
+                    raise _base_overflow(R.from_letters(spec, acc))
                 dropped.append((provenance, acc))
                 return
             pairs.append((i, c))
@@ -321,27 +316,37 @@ def _assemble(ctx: DaxContext, window: int, whisker: dict[Word, RingElem],
     if ctx.mode == CIRCLES:
         for g in enum:
             classify(_dax_boundary_sphere(g.letters, ctx), PROV_BOUNDARY, g.is_identity)
-        for val in whisker.values():
-            if val.spec != spec:
-                raise SceneError("whisker value over a different group spec")
-        whisker = {b: R.gr_bar_reduce(v) for b, v in whisker.items()}
-        _validate_whisker_keys(ctx, whisker)
-        if whisker:
-            # validate against the sphere and boundary relations only: the
-            # whisker values themselves are the data under scrutiny
-            _validate_whisker_action(ctx, whisker, index, kept)
-        for b in sorted(whisker, key=word_key):
-            classify({w.letters: c for w, c in whisker[b].items()}, PROV_WHISKER, True)
 
     return RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped),
                        index)
+
+
+def _base_overflow(val: RingElem) -> WindowOverflowError:
+    """The error for a base relation ``val`` that leaves the window."""
+    return WindowOverflowError(
+        f"base relation {val} exceeds the generator window; increase the window")
+
+
+def _append(rs: RelationSet, columns, provenance: str) -> RelationSet:
+    """rs with each of ``columns`` that is not among its columns yet
+    appended, labelled ``provenance``; the dropped values and the window
+    stay."""
+    kept, prov = list(rs.columns), list(rs.provenance)
+    seen = set(kept)
+    for col in columns:
+        if col not in seen:
+            seen.add(col)
+            kept.append(col)
+            prov.append(provenance)
+    return RelationSet(rs.spec, rs.window, rs.generators, tuple(kept), tuple(prov),
+                       rs.dropped_terms, rs.letter_index)
 
 
 def build_rel_arcs(ctx: DaxContext, window: int) -> RelationSet:
     """Dax-image relations for arcs: the kernel presentation denominator."""
     if ctx.mode != "arcs":
         raise ModeError("build_rel_arcs requires arcs mode")
-    return _assemble(ctx, window, whisker={}, embedded=False)
+    return _assemble(ctx, window, embedded=False)
 
 
 def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
@@ -349,7 +354,8 @@ def build_rel_circles(ctx: DaxContext, whisker: dict[Word, RingElem] | None,
     """Arc relations plus boundary-sphere values plus whisker classes."""
     if ctx.mode != CIRCLES:
         raise ModeError("build_rel_circles requires circles mode")
-    return _assemble(ctx, window, whisker=dict(whisker or {}), embedded=False)
+    rs = _assemble(ctx, window, embedded=False)
+    return _add_whiskers(ctx, rs, whisker)[0] if whisker else rs
 
 
 def build_rel_3mfd(ctx: DaxContext, window: int,
@@ -359,7 +365,7 @@ def build_rel_3mfd(ctx: DaxContext, window: int,
     Sphere classes must be disjointly embedded generators, so their base dax
     values vanish; in circles mode (``ctx.mode``) the boundary-sphere family
     and whisker values join the relations.  A whisker table outside circles
-    mode raises ``ModeError``.
+    mode raises ``ModeError``.  The action is ``_add_whiskers``'s.
     """
     if ctx.d != 3:
         raise ModeError("build_rel_3mfd requires ambient dimension 3")
@@ -367,38 +373,81 @@ def build_rel_3mfd(ctx: DaxContext, window: int,
         if not a.embedded:
             raise SceneError(
                 f"3-manifold sphere generators must be embedded: {a.name!r}")
-    whisker = dict(whisker or {})
     if whisker and ctx.mode != CIRCLES:
         raise ModeError("whisker tables only make sense in circles mode")
-    rs = _assemble(ctx, window, whisker=whisker, embedded=True)
-    cent = sorted(set(whisker), key=word_key)
-    if not ctx.s_class.is_identity and ctx.s_class not in cent:
-        cent.append(ctx.s_class)
-    action = OrbitAction(ctx.s_class, tuple(cent),
-                         tuple(sorted(whisker.items(), key=lambda kv: word_key(kv[0]))))
-    return rs, action
+    return _add_whiskers(ctx, _assemble(ctx, window, embedded=True), whisker or {})
 
 
-def _validate_whisker_keys(ctx: DaxContext, whisker: dict[Word, RingElem]):
-    s = ctx.s_class
-    for b in whisker:
-        if b.spec != ctx.spec:
-            raise SceneError("whisker key over a different group spec")
-        if mul(mul(s, b), inv(s)) != b:
-            raise SceneError(
-                f"whisker key {render_word(b)} is not in the centralizer of"
-                f" {render_word(s)}")
-    if s.is_identity:
-        for b, val in whisker.items():
-            if not val.is_zero:
-                raise SceneError(
-                    "whisker classes vanish when the circle class is trivial;"
-                    f" nonzero value supplied for {render_word(b)}")
+def _add_whiskers(ctx: DaxContext, rs: RelationSet, whisker: dict[Word, RingElem]):
+    """The assembled relation set ``rs`` with the whisker table's values
+    appended, and the centralizer action of the table.
+
+    Keys and values must be over the scene's spec.  The action
+    (``OrbitAction``) checks that every key centralizes the circle class and
+    bar-reduces the values.  A nonzero value must not sit on a power of the
+    circle class, which drags a point around itself, nor on any key when
+    the circle class is trivial.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1
+    + w(b1) is checked on key pairs whose product is again a key or the
+    identity (w(1) = 0 when 1 is not a key, so an inverse pair is checked
+    too), modulo the assembled relations: the action lives on that
+    quotient.  A law difference with a term outside the window cannot be
+    checked there and raises ``WindowOverflowError``, as does a value
+    outside it.  The values join as ``PROV_WHISKER`` columns in ``word_key``
+    order of their keys.  An empty table returns ``rs`` itself.
+    """
+    spec, s = ctx.spec, ctx.s_class
+    if any(val.spec != spec for val in whisker.values()):
+        raise SceneError("whisker value over a different group spec")
+    if any(b.spec != spec for b in whisker):
+        raise SceneError("whisker key over a different group spec")
+    keys = sorted(whisker, key=word_key)
+    cent = keys if s.is_identity or s in whisker else keys + [s]
+    action = OrbitAction(s, tuple(cent), tuple((b, whisker[b]) for b in keys))
+    if not whisker:
+        return rs, action
+    moves = dict(action.moves)  # a key moves by its own value, bar-reduced
+    table = {b: moves[b] for b in whisker}
+    for b, val in table.items():
+        if val.is_zero:
+            continue
+        if s.is_identity:
+            raise SceneError("whisker classes vanish when the circle class is trivial;"
+                             f" nonzero value supplied for {render_word(b)}")
+        if _is_power_of(b, s):
+            raise SceneError(f"whisker value of {render_word(b)} must vanish: it is a"
+                             " power of the circle class")
+
+    index, basis = rs.letter_index, None
+    for b1 in table:
+        for b2 in table:
+            prod = mul(b1, b2)
+            w_prod = table.get(prod, R.zero(spec) if prod.is_identity else None)
+            if w_prod is None:
+                continue
+            diff = R.gr_add(w_prod, R.gr_neg(R.gr_add(R.gr_conj(b1, table[b2]), table[b1])))
+            vec, outside = _place(index, _letter_terms(diff))
+            pair = f"({render_word(b1)}, {render_word(b2)})"
+            if outside:
+                raise WindowOverflowError(f"whisker action law on {pair} leaves the"
+                                          " generator window; increase the window")
+            if not vec:
+                continue
+            if basis is None:  # most tables have no nonzero law value to check
+                basis = snf.hermite_row_basis([dict(col) for col in rs.columns])
+            if snf.reduce_mod_rows(vec, basis):
+                raise SceneError(f"whisker table violates the action law on {pair}")
+
+    columns = []
+    for b in keys:
+        col, outside = _place(index, _letter_terms(table[b]))
+        if outside:
+            raise _base_overflow(table[b])
+        if col:
+            columns.append(tuple(col.items()))
+    return _append(rs, columns, PROV_WHISKER), action
 
 
 def _is_power_of(b: Word, s: Word) -> bool:
-    if s.is_identity:
-        return b.is_identity
     limit = word_length(b) + word_length(s)
     for step in (s, inv(s)):
         acc = s.spec.identity()
@@ -409,51 +458,6 @@ def _is_power_of(b: Word, s: Word) -> bool:
             seen.add(acc)
             acc = mul(acc, step)
     return False
-
-
-def _validate_whisker_action(ctx: DaxContext, whisker: dict[Word, RingElem],
-                             index: dict[tuple, int],
-                             base: list[tuple[tuple[int, int], ...]]):
-    """Reject whisker tables that cannot come from a centralizer action.
-
-    Powers of the circle class drag a point around itself, so their values
-    vanish identically.  The cocycle law w(b1 b2) = b1 w(b2) b1^-1 + w(b1)
-    is checked on key pairs whose product is again a key or the identity
-    (w(1) = 0 when 1 is not a key, so an inverse pair is checked too),
-    modulo the sphere and boundary relations ``base`` (as (index,
-    coefficient) pairs of the window ``index``, which maps a generator's
-    letters to its position; the action lives on that quotient).  A law
-    difference with a term outside the window cannot be checked there and
-    raises ``WindowOverflowError``.
-    """
-    for b, val in whisker.items():
-        if _is_power_of(b, ctx.s_class) and not val.is_zero:
-            raise SceneError(
-                f"whisker value of {render_word(b)} must vanish: it is a power"
-                " of the circle class")
-
-    basis = None
-    keys = list(whisker)
-    for b1 in keys:
-        for b2 in keys:
-            prod = mul(b1, b2)
-            w_prod = whisker.get(prod, R.zero(ctx.spec) if prod.is_identity else None)
-            if w_prod is None:
-                continue
-            expected = R.gr_add(R.gr_conj(b1, whisker[b2]), whisker[b1])
-            diff = R.gr_add(w_prod, R.gr_neg(expected))
-            vec, outside = _place(index, _letter_terms(diff))
-            pair = f"({render_word(b1)}, {render_word(b2)})"
-            if outside:
-                raise WindowOverflowError(
-                    f"whisker action law on {pair} leaves the generator window;"
-                    " increase the window", str(diff))
-            if not vec:
-                continue
-            if basis is None:  # most tables have no nonzero law value to check
-                basis = snf.hermite_row_basis([dict(rel) for rel in base])
-            if snf.reduce_mod_rows(vec, basis):
-                raise SceneError(f"whisker table violates the action law on {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +471,7 @@ def column(letter_index: dict[tuple, int], elem: RingElem) -> dict[int, int]:
     if outside:
         if () in outside:
             raise SceneError("values must be reduced (no identity term)")
-        raise WindowOverflowError(f"value {elem} not supported on the window", str(elem))
+        raise WindowOverflowError(f"value {elem} not supported on the window")
     return col
 
 
@@ -623,28 +627,20 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
     first, when the pair is not g's to add.
     """
     spec, index = rs.spec, rs.letter_index
-    columns = list(rs.columns)
-    prov = list(rs.provenance)
-    seen = set(columns)
-    for i, g in enumerate(rs.generators):
-        j = index.get(inv_letters(spec, g.letters))
-        if j is None:
-            gi = inv(g)
-            if word_key(gi) < word_key(g):
-                continue
-            val = R.gr_add(R.monomial(gi), R.monomial(g, -1))
-            raise WindowOverflowError(
-                f"relation {val} not supported on the window", str(val))
-        if j <= i:
-            continue  # the partner generator contributes the same relation
-        col = ((i, -1), (j, 1))
-        if col in seen:
-            continue
-        seen.add(col)
-        columns.append(col)
-        prov.append(PROV_CONCORDANCE)
-    return RelationSet(spec, rs.window, rs.generators, tuple(columns),
-                       tuple(prov), rs.dropped_terms, index)
+
+    def fold():
+        for i, g in enumerate(rs.generators):
+            j = index.get(inv_letters(spec, g.letters))
+            if j is None:
+                gi = inv(g)
+                if word_key(gi) < word_key(g):
+                    continue
+                val = R.gr_add(R.monomial(gi), R.monomial(g, -1))
+                raise WindowOverflowError(f"relation {val} not supported on the window")
+            if j > i:  # else the partner generator contributes the same relation
+                yield (i, -1), (j, 1)
+
+    return _append(rs, fold(), PROV_CONCORDANCE)
 
 
 # ---------------------------------------------------------------------------

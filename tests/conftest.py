@@ -607,16 +607,16 @@ def lambda_on_ball(table, a, elements):
 
 # -- relation assembly: the reference that classifies RingElems ------------------------
 
-def reference_assemble(ctx, window, whisker, embedded):
+def reference_assemble(ctx, window, embedded):
     """``quotient._assemble`` as it was before values were classified by
     generator index: every value is a ``RingElem`` sorted by ``word_key``,
     kept when its support lies in the window and not seen before as a
-    ``RingElem``, dropped otherwise (a base relation raises instead)."""
+    ``RingElem``, dropped otherwise (a base relation raises instead).
+    Whisker values join after assembly, in both."""
     from daxkernel import quotient as Q
     from daxkernel.calculus import (CIRCLES, dax_boundary_sphere, dax_u_embedded,
                                     dax_u_general)
     from daxkernel.errors import SceneError, WindowOverflowError
-    from daxkernel.groups import word_key
 
     if window < 1:
         raise SceneError("window must be >= 1")
@@ -638,7 +638,7 @@ def reference_assemble(ctx, window, whisker, embedded):
         if from_identity:
             raise WindowOverflowError(
                 f"base relation {val} exceeds the generator window; increase the"
-                " window", str(val))
+                " window")
         dropped.append((provenance, {w.letters: c for w, c in val.terms}))
 
     dax = dax_u_embedded if embedded else dax_u_general
@@ -649,18 +649,6 @@ def reference_assemble(ctx, window, whisker, embedded):
     if ctx.mode == CIRCLES:
         for g in enum:
             classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)
-        for val in whisker.values():
-            if val.spec != spec:
-                raise SceneError("whisker value over a different group spec")
-        whisker = {b: R.gr_bar_reduce(v) for b, v in whisker.items()}
-        Q._validate_whisker_keys(ctx, whisker)
-        if whisker:
-            index = {w.letters: i for i, w in enumerate(gens)}
-            Q._validate_whisker_action(
-                ctx, whisker, index,
-                [tuple((index[w.letters], c) for w, c in r.terms) for r in kept])
-        for b in sorted(whisker, key=word_key):
-            classify(whisker[b], Q.PROV_WHISKER, True)
     return Q.RelationSet.from_relations(spec, window, gens, tuple(kept), tuple(prov),
                                         tuple(dropped))
 

@@ -6,6 +6,7 @@ from daxkernel import ring as R
 from daxkernel.ring import gr_add, gr_bar_reduce, gr_neg, parse_ring
 from daxkernel.pairing import (
     PairingTable,
+    _unbalanced_coset,
     lambda_arc,
     lambda_flip,
     lambda_linear,
@@ -187,8 +188,18 @@ def test_inconsistent_cyclic_row_rejected():
     spec = parse_group_spec("Z/3<u>")
     a = sphere_class(spec, "bad", False, R.zero(spec), R.zero(spec),
                      {"u": parse_ring("1", spec)})
-    with pytest.raises(PairingDataError):
+    with pytest.raises(PairingDataError, match=r"relator u\^3 \(the row of u sums to 1"
+                                               r" on the coset <u>\)"):
         table_for(spec, [a])
+
+
+def test_unbalanced_coset_is_the_first_in_term_order():
+    """Cosets of <u> are named by their element without a u letter, in the
+    order of the row's terms; a balanced row has none."""
+    spec = parse_group_spec("F<x> x Z/5<u>")
+    row = parse_ring("x*u - x*u^3 + 2*x^-1 + x^-1*u^4 - 2*u", spec)
+    assert _unbalanced_coset(row, "u") == ((("x", -1),), 3)
+    assert _unbalanced_coset(parse_ring("x*u - x*u^3 + 2*u - 2", spec), "u") is None
 
 
 def test_principal_rows_accepted_everywhere():

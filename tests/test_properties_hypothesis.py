@@ -44,8 +44,10 @@ from daxkernel.ring import (
 )
 from daxkernel.pairing import (
     PairingTable,
+    _unbalanced_coset,
     lambda_flip,
     lambda_letters,
+    lambda_terms,
     lambda_word,
     sphere_class,
     twists_on_ball,
@@ -457,6 +459,28 @@ def test_lambda_letters_matches_power_series(data):
     with pytest.raises(PairingDataError) as want:
         reference_lambda_letters(spec, a, unknown)
     assert str(got.value) == str(want.value)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cyclic_relator_coset_rule_matches_the_fox_walk(data):
+    """A row of the cyclic generator u of order m <= 12 passes the coset
+    rule exactly when the Fox walk of the relator u^m gives zero, over
+    ``Z/m<u>`` and ``F<x> x Z/m<u>``.  A row is drawn as it comes, or as a
+    sum of pairs c*w - c*w*u^k, which balances every coset, with or
+    without one more term."""
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    spec = parse_group_spec(data.draw(st.sampled_from((f"Z/{m}<u>", f"F<x> x Z/{m}<u>"))))
+    terms = list(draw_elem(data.draw, spec).terms)
+    shape = data.draw(st.sampled_from(("drawn", "balanced", "one more")))
+    if shape != "drawn":
+        terms += [(mul(w, spec.word([("u", data.draw(st.integers(0, m - 1)))])), -c)
+                  for w, c in terms]
+    if shape == "one more":
+        terms += draw_elem(data.draw, spec).terms[:1]
+    row = R.from_terms(spec, terms)
+    a = sphere_class(spec, "a", False, R.zero(spec), R.zero(spec), {"u": row})
+    assert (_unbalanced_coset(row, "u") is None) == (not lambda_terms(spec, a, [("u", m)]))
 
 
 @st.composite

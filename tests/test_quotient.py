@@ -5,7 +5,7 @@ import pytest
 
 from daxkernel import cli
 from daxkernel.errors import BallOverflowError, ModeError, SceneError, WindowOverflowError
-from daxkernel.groups import inv, mul, parse_group_spec, parse_word, word_length
+from daxkernel.groups import inv, mul, parse_group_spec, parse_word, word_key, word_length
 from daxkernel import ring as R
 from daxkernel.ring import gr_bar_reduce, monomial, parse_ring
 from daxkernel.pairing import sphere_class
@@ -895,7 +895,7 @@ def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
     ctx = sc.context()
     rs = build_rel_circles(ctx, {}, 6)
     sets = [rs, restrict_relationset(rs, 4), concordance_quotient(rs),
-            reference_assemble(ctx, 5, whisker={}, embedded=False)]
+            reference_assemble(ctx, 5, embedded=False)]
     for r in sets:
         assert r.columns == tuple(tuple(column(r.letter_index, rel).items())
                                   for rel in r.relations)
@@ -963,6 +963,28 @@ def test_orbits_match_reference_on_bench_ops(op):
         assert (orbit.representative, orbit.complete, orbit.size) == \
             reference_orbit(value, rs, action)
         assert orbit.state == tuple(column(rs.letter_index, orbit.representative).items())
+
+
+@pytest.mark.parametrize("op", bench_ops(lambda workload, op: workload == "orbit_3mfd"
+                                         and "[whisker]" in op.scene_text))
+def test_whisker_table_only_appends_whisker_columns_on_bench_ops(op):
+    """The relation set of an ``orbit_3mfd`` op with a whisker table holds
+    the columns, provenance and dropped values of the whisker-free assembly,
+    followed only by whisker columns; without the table the assembled set
+    itself comes back."""
+    import daxkernel.quotient as Q
+
+    sc = loads_scene(op.scene_text)
+    ctx = sc.context()
+    assert sc.whisker
+    rs, action = build_rel_3mfd(ctx, op.window, sc.whisker_map())
+    bare = Q._assemble(ctx, op.window, embedded=True)
+    n = len(bare.columns)
+    assert (rs.columns[:n], rs.provenance[:n]) == (bare.columns, bare.provenance)
+    assert set(rs.provenance[n:]) <= {PROV_WHISKER}
+    assert rs.dropped_terms == bare.dropped_terms
+    assert action.whisker == tuple(sorted(sc.whisker, key=lambda kv: word_key(kv[0])))
+    assert Q._add_whiskers(ctx, bare, {})[0] is bare
 
 
 @pytest.mark.parametrize("op", [p for p in bench_scenes() if p.values[0].command != "target"])

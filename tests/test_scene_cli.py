@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tomllib
 from dataclasses import replace
 from pathlib import Path
@@ -465,6 +466,37 @@ def test_cli_orbit_rejects_whisker_breaking_the_law_on_an_inverse_pair(capsys):
     assert main(argv + ["--param", 'whisker={"t":"y","t^-1":"y"}']) == 2
     assert "violates the action law on (t, t^-1)" in capsys.readouterr().err
     assert main(argv + ["--param", 'whisker={"t":"y","t^-1":"-y"}']) == 0
+
+
+def cyclic_sphere_argv(order, row):
+    return ["target", "--preset", "three_mfd", "--param", f"group=Z/{order}<u>",
+            "--param", f'spheres=[{{"name":"a","lambda_gen":{{"u":"{row}"}}}}]',
+            "--window", "2"]
+
+
+def test_cli_cyclic_relator_is_checked_without_walking_its_power(capsys):
+    """The relator u^m of a cyclic factor is checked on the cosets of <u>,
+    not by m Fox steps: at m = 10^12 a consistent row answers at once and
+    an inconsistent one names its coset."""
+    start = time.perf_counter()
+    assert main(cyclic_sphere_argv(10**12, "u - u^2")) == 0
+    assert time.perf_counter() - start < 1.0
+    assert main(cyclic_sphere_argv(10**12, "u")) == 2
+    assert capsys.readouterr().err.endswith(
+        f"relator u^{10**12} (the row of u sums to 1 on the coset <u>)\n")
+
+
+def test_cli_base_relation_overflow_comes_before_whisker_errors(capsys):
+    """Relation assembly runs before the whisker table is read: y does not
+    centralize x^3, but the base boundary relation already leaves the
+    window."""
+    argv = ["target", "--preset", "three_mfd", "--param", "group=F<x,y>",
+            "--param", "mode=circles", "--param", "s=x^3",
+            "--param", 'whisker={"y":"0"}', "--window", "2"]
+    assert main(argv) == 3
+    assert "base relation -x^-3 exceeds the generator window" in capsys.readouterr().err
+    assert main(argv[:-1] + ["4"]) == 2
+    assert "y is not in the centralizer of x^3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
