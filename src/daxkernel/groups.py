@@ -29,8 +29,6 @@ FREE = "free"
 FREE_ABELIAN = "free_abelian"
 FINITE_CYCLIC = "finite_cyclic"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -581,91 +579,50 @@ def _factor_spheres(fac: Factor, first: int, radius: int) -> list[list[tuple]]:
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
+# The literal grammars.  Space may come between any two tokens but ``Z/``
+# and its order; numbers are ASCII digits.  A group spec is
+# factors joined by ``x``: ``1``, ``Z<names>``, ``F<names>`` or ``Z/m<g>``
+# with m >= 1.  A word is syllables ``name`` or ``name^exponent`` joined by
+# ``*``, or ``1`` for the identity.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FACTOR_RE = re.compile(rf"""\s*(?:
+    1
+  | Z/(?P<order>0*[1-9][0-9]*)\s*<\s*(?P<gen>{_NAME})\s*>
+  | (?P<kind>[ZF])\s*<\s*(?P<names>{_NAME}(?:\s*,\s*{_NAME})*)\s*>
+)\s*(?P<sep>x|\Z)""", re.VERBOSE)
+_SYLLABLE_RE = re.compile(rf"\s*({_NAME})\s*(?:\^\s*([+-]?[0-9]+)\s*)?")
+
+
 def parse_group_spec(text: str) -> GroupSpec:
-    """Parse ``Z<t>``, ``F<x,y>``, ``Z/3<u>``, ``1`` and x-products thereof."""
+    """Parse ``Z<t>``, ``F<x,y>``, ``Z/3<u>``, ``1`` and x-products thereof.
+
+    A ``GroupParseError`` gives the offset of the first factor that does
+    not parse or is not followed by ``x`` or the end; a presentation with
+    relators (``|`` or ``=``) raises ``UnsupportedClassError``.
+    """
     if "|" in text or "=" in text:
         raise UnsupportedClassError(
             "presentations with relators describe an undecidable class;"
             " supported classes: 1, Z<...>, F<...>, Z/m<g> and their products"
         )
+    factors = []
     pos = 0
-    n = len(text)
-
-    def skip_ws(p):
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    def fail(msg, p):
-        raise GroupParseError(msg, text, p)
-
-    def parse_names(p):
-        names = []
-        while True:
-            p = skip_ws(p)
-            m = _NAME_RE.match(text, p)
-            if not m:
-                fail("expected generator name", p)
-            names.append(m.group(0))
-            p = skip_ws(m.end())
-            if p < n and text[p] == ",":
-                p += 1
-                continue
-            return names, p
-
-    def parse_factor(p):
-        p = skip_ws(p)
-        if p >= n:
-            fail("expected a factor", p)
-        if text[p] == "1":
-            return None, p + 1
-        if text.startswith("Z/", p):
-            p += 2
-            m = re.match(r"\d+", text[p:])
-            if not m:
-                fail("expected cyclic order after Z/", p)
-            order = int(m.group(0))
-            if order < 1:
-                fail("cyclic order must be >= 1", p)
-            p += m.end()
-            p = skip_ws(p)
-            if p >= n or text[p] != "<":
-                fail("expected '<'", p)
-            names, p = parse_names(p + 1)
-            if len(names) != 1:
-                fail("finite cyclic factor takes a single generator", p)
-            p = skip_ws(p)
-            if p >= n or text[p] != ">":
-                fail("expected '>'", p)
+    while True:
+        m = _FACTOR_RE.match(text, pos)
+        if not m:
+            raise GroupParseError("expected a factor 1, Z<names>, F<names> or"
+                                  " Z/m<name>, then 'x' or the end",
+                                  text, len(text) - len(text[pos:].lstrip()))
+        if m["gen"]:
             # Z/1 is trivial, but kept as a factor: its generator names the
             # identity, and every word of it normalizes away
-            return Factor(FINITE_CYCLIC, tuple(names), order), p + 1
-        if text[p] in "ZF":
-            kind = FREE_ABELIAN if text[p] == "Z" else FREE
-            p = skip_ws(p + 1)
-            if p >= n or text[p] != "<":
-                fail("expected '<'", p)
-            names, p = parse_names(p + 1)
-            p = skip_ws(p)
-            if p >= n or text[p] != ">":
-                fail("expected '>'", p)
-            return Factor(kind, tuple(names)), p + 1
-        fail("expected one of '1', 'Z', 'F', 'Z/'", p)
-
-    factors = []
-    while True:
-        fac, pos = parse_factor(pos)
-        if fac is not None:
-            factors.append(fac)
-        pos = skip_ws(pos)
-        if pos < n and text[pos] == "x":
-            pos += 1
-            continue
-        break
-    pos = skip_ws(pos)
-    if pos != n:
-        raise GroupParseError("unexpected trailing input", text, pos)
-    return GroupSpec(tuple(factors))
+            factors.append(Factor(FINITE_CYCLIC, (m["gen"],), int(m["order"])))
+        elif m["kind"]:
+            kind = FREE_ABELIAN if m["kind"] == "Z" else FREE
+            factors.append(Factor(kind, tuple(re.findall(_NAME, m["names"]))))
+        if not m["sep"]:
+            return GroupSpec(tuple(factors))
+        pos = m.end()
 
 
 def render_group_spec(spec: GroupSpec) -> str:
@@ -684,31 +641,23 @@ def render_group_spec(spec: GroupSpec) -> str:
 
 
 def parse_word(text: str, spec: GroupSpec) -> Word:
-    """Parse a word literal: ``t^2*s^-1`` style, ``1`` for the identity."""
-    s = text.strip()
-    if s == "1":
+    """Parse a word literal: ``t^2*s^-1`` style, ``1`` for the identity.
+
+    Syllables are read left to right, each checked for syntax and then for
+    its generator, so the first bad syllable decides the error: a
+    ``GroupParseError`` at its offset or an ``UnknownGeneratorError``.
+    """
+    if text.strip() == "1":
         return spec.identity()
-    if not s:
-        raise GroupParseError("empty word literal", text, 0)
     letters = []
     pos = 0
-    for part in s.split("*"):
-        chunk = part.strip()
-        m = _NAME_RE.match(chunk)
+    for part in text.split("*"):
+        m = _SYLLABLE_RE.fullmatch(part)
         if not m:
-            raise GroupParseError("expected generator name", text, pos)
-        name = m.group(0)
-        rest = chunk[m.end():].strip()
-        exp = 1
-        if rest:
-            if not rest.startswith("^"):
-                raise GroupParseError("expected '^' or '*'", text, pos + m.end())
-            try:
-                exp = int(rest[1:])
-            except ValueError:
-                raise GroupParseError("bad exponent", text, pos + m.end()) from None
+            raise GroupParseError("expected a syllable name or name^exponent", text, pos)
+        name, exp = m.groups()
         spec.factor_of(name)  # raises UnknownGeneratorError
-        letters.append((name, exp))
+        letters.append((name, int(exp or 1)))
         pos += len(part) + 1
     return normalize(letters, spec)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .groups import (
     key_letters,
     mul,
     mul_letters,
+    render_letters,
     render_word,
     word_key,
     word_length,
@@ -102,7 +104,8 @@ class RelationSet:
         for rel in relations:
             col, outside = _place(index, _letter_terms(rel))
             if outside:
-                raise WindowOverflowError(f"relation {rel} not supported on the window")
+                raise WindowOverflowError(f"relation {_value_text(spec, _letter_terms(rel))}"
+                                          " not supported on the window")
             columns.append(tuple(col.items()))
         return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
                    tuple(dropped_terms), index)
@@ -294,7 +297,7 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
             i = index.get(w)
             if i is None:
                 if from_identity:
-                    raise _base_overflow(R.from_letters(spec, acc))
+                    raise _base_overflow(spec, acc.items())
                 dropped.append((provenance, acc))
                 return
             pairs.append((i, c))
@@ -321,10 +324,27 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
                        index)
 
 
-def _base_overflow(val: RingElem) -> WindowOverflowError:
-    """The error for a base relation ``val`` that leaves the window."""
-    return WindowOverflowError(
-        f"base relation {val} exceeds the generator window; increase the window")
+def _value_text(spec: GroupSpec, terms) -> str:
+    """The text of a value in an overflow message, from its (letters,
+    coefficient) terms with distinct letters: the whole value up to 8
+    nonzero terms, else its first and last three terms in ``word_key``
+    order and its term count.  The terms are picked by ``heapq``, so a long
+    value costs no ``Word`` per term and no full sort."""
+    terms = [(w, c) for w, c in terms if c]
+    key = lambda term: key_letters(spec, term[0])
+    text = lambda part: R.render_terms([(render_letters(w), c) for w, c in part])
+    if len(terms) <= 8:
+        return text(sorted(terms, key=key))
+    head = heapq.nsmallest(3, terms, key=key)
+    tail = heapq.nlargest(3, terms, key=key)[::-1]
+    return f"{text(head)} ... {text(tail)} ({len(terms)} terms)"
+
+
+def _base_overflow(spec: GroupSpec, terms) -> WindowOverflowError:
+    """The error for a base relation with (letters, coefficient) ``terms``
+    that leaves the window."""
+    return WindowOverflowError(f"base relation {_value_text(spec, terms)} exceeds the"
+                               " generator window; increase the window")
 
 
 def _append(rs: RelationSet, columns, provenance: str) -> RelationSet:
@@ -441,7 +461,7 @@ def _add_whiskers(ctx: DaxContext, rs: RelationSet, whisker: dict[Word, RingElem
     for b in keys:
         col, outside = _place(index, _letter_terms(table[b]))
         if outside:
-            raise _base_overflow(table[b])
+            raise _base_overflow(spec, _letter_terms(table[b]))
         if col:
             columns.append(tuple(col.items()))
     return _append(rs, columns, PROV_WHISKER), action
@@ -471,7 +491,8 @@ def column(letter_index: dict[tuple, int], elem: RingElem) -> dict[int, int]:
     if outside:
         if () in outside:
             raise SceneError("values must be reduced (no identity term)")
-        raise WindowOverflowError(f"value {elem} not supported on the window")
+        raise WindowOverflowError(f"value {_value_text(elem.spec, _letter_terms(elem))}"
+                                  " not supported on the window")
     return col
 
 
@@ -630,12 +651,12 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
 
     def fold():
         for i, g in enumerate(rs.generators):
-            j = index.get(inv_letters(spec, g.letters))
+            gi = inv_letters(spec, g.letters)
+            j = index.get(gi)
             if j is None:
-                gi = inv(g)
-                if word_key(gi) < word_key(g):
+                if key_letters(spec, gi) < key_letters(spec, g.letters):
                     continue
-                val = R.gr_add(R.monomial(gi), R.monomial(g, -1))
+                val = _value_text(spec, ((gi, 1), (g.letters, -1)))
                 raise WindowOverflowError(f"relation {val} not supported on the window")
             if j > i:  # else the partner generator contributes the same relation
                 yield (i, -1), (j, 1)

@@ -155,9 +155,6 @@ def is_reduced(r: RingElem) -> bool:
 # text form: "2*t^-1 - t^3 + 1"
 # ---------------------------------------------------------------------------
 
-_INT_RE = re.compile(r"[+-]?\d+$")
-
-
 def render_ring(r: RingElem) -> str:
     return render_terms([(render_word(w), c) for w, c in r.terms])
 
@@ -179,59 +176,35 @@ def render_terms(terms: Iterable[tuple[str, int]]) -> str:
     return " ".join(parts) or "0"
 
 
-def _split_ring_terms(text: str):
-    """Split an additive expression at +/- signs not belonging to an exponent."""
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    cur: list[str] = []
-    prev = ""  # last non-space character seen
-    for ch in text:
-        if ch in "+-" and prev != "^":
-            body = "".join(cur).strip()
-            if body:
-                terms.append((sign, body))
-                cur = []
-                sign = 1 if ch == "+" else -1
-            else:
-                sign *= 1 if ch == "+" else -1
-            prev = ""
-            continue
-        cur.append(ch)
-        if not ch.isspace():
-            prev = ch
-    body = "".join(cur).strip()
-    if body:
-        terms.append((sign, body))
-    elif terms or sign != 1:
-        # trailing sign with no term
-        raise ValueError("dangling sign")
-    return terms
+# A ring literal is terms, each after a run of signs (the first may have
+# none) whose product is its sign.  A sign right after ``^`` (spaces may
+# come between) belongs to the exponent.  A term is a word, a coefficient,
+# or a coefficient, ``*`` and a word; coefficients are ASCII digits.
+_TERM_RE = re.compile(r"""(?P<signs>[\s+-]*)
+    (?P<body>(?:[^\s+\-^] | \^\s*[+-]?) (?:[^+\-^] | \^\s*[+-]?)*)""", re.VERBOSE)
+_COEFF_RE = re.compile(r"\s*([0-9]+)\s*(?:\Z|\*(?=\s*\S))")
 
 
 def parse_ring(text: str, spec: GroupSpec) -> RingElem:
-    """Parse ``2*t^-1 - t^3 + 1`` style literals; ``0`` is the zero element."""
-    s = text.strip()
-    if s == "0":
+    """Parse ``2*t^-1 - t^3 + 1`` style literals; ``0`` is the zero element.
+
+    A sign with no term after it is found before any term is parsed; then
+    terms are parsed left to right, and the first bad one decides the error.
+    """
+    if text.strip() == "0":
         return zero(spec)
-    if not s:
+    terms = list(_TERM_RE.finditer(text))
+    end = terms[-1].end() if terms else 0
+    if text[end:].strip():  # signs are all that is left
+        raise GroupParseError("dangling sign in ring literal", text,
+                              len(text) - len(text[end:].lstrip()))
+    if not terms:
         raise GroupParseError("empty ring literal", text, 0)
     acc: dict[Word, int] = {}
-    try:
-        split = _split_ring_terms(s)
-    except ValueError:
-        raise GroupParseError("dangling sign in ring literal", text, len(s)) from None
-    if not split:
-        raise GroupParseError("empty ring literal", text, 0)
-    for sign, term in split:
-        coeff = sign
-        body = term
-        m = re.match(r"(\d+)\s*(\*\s*)?", term)
-        if m and (m.group(2) or m.end() == len(term)):
-            coeff = sign * int(m.group(1))
-            body = term[m.end():].strip()
-        if body == "" or body == "1":
-            w = spec.identity()
-        else:
-            w = parse_word(body, spec)
+    for m in terms:
+        c = _COEFF_RE.match(m["body"])
+        word = m["body"][c.end():] if c else m["body"]
+        w = parse_word(word, spec) if word else spec.identity()
+        coeff = (int(c[1]) if c else 1) * (-1) ** m["signs"].count("-")
         acc[w] = acc.get(w, 0) + coeff
     return from_terms(spec, acc)

@@ -86,45 +86,41 @@ def _class_from_fields(spec: GroupSpec, u_class: Word, fields: dict) -> SphereCl
     name = fields.get("name")
     if not name:
         raise SceneError("sphere generator needs a name")
-    embedded = bool(fields.get("embedded", False))
     base_dax = parse_ring(fields.get("base_dax", "0"), spec)
     lambda_gen = {g: parse_ring(v, spec)
                   for g, v in (fields.get("lambda_gen") or {}).items()}
     for g in lambda_gen:
         spec.factor_of(g)
-    if "lambda_u" in fields and fields["lambda_u"] is not None:
-        lambda_u = parse_ring(fields["lambda_u"], spec)
-        probe = sphere_class(spec, name, embedded, base_dax, lambda_u, lambda_gen)
-    else:
-        # derive the arc row from the group image of the basepoint arc
-        probe = sphere_class(spec, name, embedded, base_dax, R.zero(spec), lambda_gen)
-        lambda_u = lambda_letters(spec, probe, u_class.letters)
-        probe = SphereClass(name, embedded, base_dax, lambda_u, probe.lambda_gen)
-    return probe
+    lambda_u = fields.get("lambda_u")
+    a = sphere_class(spec, name, bool(fields.get("embedded", False)), base_dax,
+                     parse_ring("0" if lambda_u is None else lambda_u, spec), lambda_gen)
+    if lambda_u is None:
+        # derive the arc row from the group image of the basepoint arc, over
+        # its shortest letters: a cyclic exponent e is taken as e - m when
+        # that is shorter, which the table's check of the relator g^m allows
+        short = []
+        for gen, e in u_class.letters:
+            m = spec.factor_of(gen)[1].order
+            short.append((gen, e - m if m and e > m - e else e))
+        a = replace(a, lambda_u=lambda_letters(spec, a, short))
+    return a
 
 
-def make_scene(dimension: int, mode: str, group: str | GroupSpec,
-               u: str | Word = "1", s: str | Word = "1",
-               sphere_generators: list[dict] | tuple = (),
-               whisker: dict | None = None, window: int | None = None,
-               preset: str | None = None, notes=(), knots=()) -> ManifoldScene:
-    spec = parse_group_spec(group) if isinstance(group, str) else group
-    u_class = parse_word(u, spec) if isinstance(u, str) else u
-    s_class = parse_word(s, spec) if isinstance(s, str) else s
-    classes = tuple(
-        c if isinstance(c, SphereClass) else _class_from_fields(spec, u_class, c)
-        for c in sphere_generators)
-    wh = []
-    for k, v in (whisker or {}).items():
-        kw = parse_word(k, spec) if isinstance(k, str) else k
-        vr = parse_ring(v, spec) if isinstance(v, str) else v
-        wh.append((kw, vr))
-    wh.sort(key=lambda kv: word_key(kv[0]))
+def make_scene(dimension: int, mode: str, group: str, u: str = "1", s: str = "1",
+               sphere_generators=(), whisker: dict | None = None,
+               window: int | None = None, preset: str | None = None, notes=(),
+               knots=()) -> ManifoldScene:
+    """The scene of the fields of a scene table, as a scene file holds them:
+    the group, words and ring elements as text, sphere generators and knots
+    as tables.  ``scene_from_dict`` and every preset build scenes here."""
+    spec = parse_group_spec(group)
+    u_class = parse_word(u, spec)
+    s_class = parse_word(s, spec)
+    classes = tuple(_class_from_fields(spec, u_class, c) for c in sphere_generators)
+    wh = sorted(((parse_word(k, spec), parse_ring(v, spec))
+                 for k, v in (whisker or {}).items()), key=lambda kv: word_key(kv[0]))
     knot_records = []
     for k in knots:
-        if isinstance(k, KnotRecord):
-            knot_records.append(k)
-            continue
         events = []
         for sign, loop in k.get("trace", []):
             sgn = 1 if sign in (1, "+", "+1") else -1 if sign in (-1, "-", "-1") else None
@@ -132,9 +128,8 @@ def make_scene(dimension: int, mode: str, group: str | GroupSpec,
                 raise SceneError(f"bad trace sign {sign!r} in knot {k.get('name')!r}")
             events.append((sgn, parse_word(loop, spec)))
         knot_records.append(KnotRecord(k["name"], HomotopyTrace(tuple(events))))
-    return ManifoldScene(dimension, mode, spec, u_class, s_class, classes,
-                         tuple(wh), window, preset, tuple(notes),
-                         tuple(knot_records))
+    return ManifoldScene(dimension, mode, spec, u_class, s_class, classes, tuple(wh),
+                         window, preset, tuple(notes), tuple(knot_records))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +162,16 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
         return value
 
     def take_group():
+        """The group text, parsed once here so that an error names the
+        parameter."""
         group = take("group")
         if group is None:
             raise SceneError(f"preset {name!r} needs parameter group")
         try:
-            return parse_group_spec(group)
+            parse_group_spec(group)
         except GroupParseError as exc:
             raise SceneError(f"parameter 'group' must be a group spec: {exc}") from None
+        return group
 
     if name == "disk_d":
         d = take_int("d", 5)
@@ -220,7 +218,7 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
         u = take("u", "1")
         scene = make_scene(d, mode, group, u=u, s=s, preset=name)
     elif name == "three_mfd":
-        spec = take_group()
+        group = take_group()
         mode = take("mode", ARCS)
         s = take("s", "1")
         u = take("u", "1")
@@ -230,17 +228,16 @@ def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
         if phi not in ("none", "boundary_arc", "circle"):
             raise SceneError("phi must be one of none, boundary_arc, circle")
         if phi != "none":
-            s_word = parse_word(s, spec)
-            lam_u = ("0" if phi == "boundary_arc"
-                     else render_ring(R.gr_add(R.one(spec),
-                                               R.monomial(inv(s_word), -1))))
+            spec = parse_group_spec(group)
+            lam_u = ("0" if phi == "boundary_arc" else
+                     render_ring(R.one(spec) - R.monomial(inv(parse_word(s, spec)))))
             spheres.append({
                 "name": "phi",
                 "embedded": True,
                 "lambda_gen": _phi_rows(spec),
                 "lambda_u": lam_u,
             })
-        scene = make_scene(3, mode, spec, u=u, s=s, sphere_generators=spheres,
+        scene = make_scene(3, mode, group, u=u, s=s, sphere_generators=spheres,
                            whisker=take("whisker", {}),
                            preset=name)
     elif name == "product_DkY":
@@ -392,19 +389,7 @@ def _check(value, schema, path: str, what: str = "scene key") -> None:
 
 def scene_from_dict(data: dict) -> ManifoldScene:
     _check(data, _SCHEMA, "")
-    return make_scene(
-        dimension=data["dimension"],
-        mode=data["mode"],
-        group=data["group"],
-        u=data.get("u", "1"),
-        s=data.get("s", "1"),
-        sphere_generators=data.get("sphere_generators", ()),
-        whisker=data.get("whisker", {}),
-        window=data.get("window"),
-        preset=data.get("preset"),
-        notes=tuple(data.get("notes", ())),
-        knots=data.get("knots", ()),
-    )
+    return make_scene(**data)
 
 
 def dumps_scene(scene: ManifoldScene) -> str:

@@ -637,8 +637,8 @@ def reference_assemble(ctx, window, embedded):
             return
         if from_identity:
             raise WindowOverflowError(
-                f"base relation {val} exceeds the generator window; increase the"
-                " window")
+                f"base relation {reference_value_text(val)} exceeds the generator"
+                " window; increase the window")
         dropped.append((provenance, {w.letters: c for w, c in val.terms}))
 
     dax = dax_u_embedded if embedded else dax_u_general
@@ -651,6 +651,16 @@ def reference_assemble(ctx, window, embedded):
             classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)
     return Q.RelationSet.from_relations(spec, window, gens, tuple(kept), tuple(prov),
                                         tuple(dropped))
+
+
+def reference_value_text(val):
+    """The text of ``val`` in an overflow message, from its sorted terms: the
+    whole value up to 8 terms, else its first and last three terms and its
+    term count."""
+    if len(val.terms) <= 8:
+        return str(val)
+    head, tail = (R.RingElem(val.spec, part) for part in (val.terms[:3], val.terms[-3:]))
+    return f"{head} ... {tail} ({len(val.terms)} terms)"
 
 
 def reference_dropped(rs):

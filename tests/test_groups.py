@@ -21,6 +21,7 @@ from daxkernel.groups import (
     word_key,
     word_length,
 )
+from daxkernel.ring import parse_ring
 
 from conftest import GROUP_TEXTS, random_word, rng_for
 
@@ -90,6 +91,27 @@ def test_parse_error_reports_position():
     with pytest.raises(GroupParseError) as info:
         parse_group_spec("Z<t> x Q<v>")
     assert info.value.position == 7
+
+
+@pytest.mark.parametrize("text", ["", "Z<t> Z<s>", "Z<t> x", "1 2", "Z/0<u>",
+                                  "Z/3<u,v>", "Z / 3<u>", "F<>", "Z<t,>", "Z<2t>"])
+def test_malformed_group_specs_raise_parse_errors(text):
+    with pytest.raises(GroupParseError):
+        parse_group_spec(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_ring, "2*"),
+    (parse_ring, "1 *"),
+    (parse_word, "t^1_0"),
+    (parse_word, "t^\u0663"),
+    (lambda text, _: parse_group_spec(text), "Z/\u0663<u>"),
+])
+def test_tightened_literals_raise_parse_errors(parse, text):
+    # numbers are ASCII digits, and a coefficient's * must be followed by a
+    # word
+    with pytest.raises(GroupParseError):
+        parse(text, parse_group_spec("Z<t>"))
 
 
 def test_relators_rejected_as_undecidable():

@@ -15,8 +15,8 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
 )
-from daxkernel.errors import (BallOverflowError, ModeError, PairingDataError,
-                              UnknownGeneratorError)
+from daxkernel.errors import (BallOverflowError, DaxKernelError, ModeError,
+                              PairingDataError, UnknownGeneratorError)
 from daxkernel.groups import (
     FINITE_CYCLIC,
     FREE,
@@ -30,6 +30,8 @@ from daxkernel.groups import (
     normalize,
     parse_group_spec,
     parse_word,
+    render_group_spec,
+    render_word,
     word_key,
     word_length,
 )
@@ -64,6 +66,7 @@ from daxkernel.quotient import (
     restrict_relationset,
     window_generators,
 )
+from daxkernel.scene import make_scene
 from daxkernel.snf import (
     hermite_row_basis,
     reduce_mod_rows,
@@ -481,6 +484,56 @@ def test_cyclic_relator_coset_rule_matches_the_fox_walk(data):
     row = R.from_terms(spec, terms)
     a = sphere_class(spec, "a", False, R.zero(spec), R.zero(spec), {"u": row})
     assert (_unbalanced_coset(row, "u") is None) == (not lambda_terms(spec, a, [("u", m)]))
+
+
+# the specs with a cyclic factor, where an omitted lambda_u is derived over
+# u's shortest letters rather than its normal form
+CYCLIC_SPEC_TEXTS = [text for text in BALL_SPEC_TEXTS if "Z/" in text]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_derived_arc_row_matches_the_unit_step_walk(data):
+    """A scene derives an omitted lambda_u over u's letters with each cyclic
+    exponent e taken as e - m when that is shorter; on a consistent table
+    that equals the unit-step walk over u's normal form."""
+    text = data.draw(st.sampled_from(CYCLIC_SPEC_TEXTS))
+    spec = WORD_SPECS[text]
+    table = draw_table(data.draw, spec)
+    u = normalize(data.draw(raw_letters(spec)), spec)
+    fields = [{"name": a.name, "embedded": a.embedded, "base_dax": render_ring(a.base_dax),
+               "lambda_gen": {g: render_ring(row) for g, row in a.lambda_gen}}
+              for a in table.classes]
+    scene = make_scene(3, "arcs", text, u=render_word(u), sphere_generators=fields)
+    for a, derived in zip(table.classes, scene.sphere_generators):
+        assert derived.lambda_u == lambda_letters(spec, a, u.letters)
+
+
+# the literal alphabet, and tokens that make a drawn text parse more often
+LITERAL_ALPHABET = "ZF1x/<>,tuvy _^-+*23 0\t"
+LITERAL_TOKENS = list(LITERAL_ALPHABET) + [
+    "Z<t>", "F<t,u>", "Z/3<v>", " x ", "t^-2", "u^3", "2*", "\u0663", "1_0"]
+LITERAL_SPEC = parse_group_spec("F<t,u> x Z<x> x Z/3<v>")
+LITERAL_PARSERS = {
+    "group": (parse_group_spec, render_group_spec),
+    "word": (lambda text: parse_word(text, LITERAL_SPEC), render_word),
+    "ring": (lambda text: parse_ring(text, LITERAL_SPEC), render_ring),
+}
+
+
+@given(st.sampled_from(sorted(LITERAL_PARSERS)),
+       st.one_of(st.text(alphabet=LITERAL_ALPHABET, max_size=16),
+                 st.lists(st.sampled_from(LITERAL_TOKENS), max_size=8).map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_literal_parsers_return_a_value_or_raise_a_typed_error(kind, text):
+    """Each literal parser returns a value, which parses from its rendering
+    to itself, or raises a ``DaxKernelError``."""
+    parse, render = LITERAL_PARSERS[kind]
+    try:
+        value = parse(text)
+    except DaxKernelError:
+        return
+    assert parse(render(value)) == value
 
 
 @st.composite

@@ -147,6 +147,11 @@ def test_round_trip_everything():
     ("solid_torus_circles", {"d": 5, "k0": 2}),
     ("s1_x_sphere", {"d": 4, "w0": 2}),
     ("aspherical", {"group": "F<x,y>", "d": 5}),
+    ("three_mfd", {"group": "F<x,y> x Z<t>", "mode": "circles", "s": "x", "u": "x*y",
+                   "phi": "circle", "spheres": [{"name": "a", "lambda_gen": {"t": "y"}}],
+                   "whisker": {"t": "y - y^-1", "t^2": "2*y - 2*y^-1"}}),
+    ("product_DkY", {"group": "Z/3<u> x F<x>", "d": 5,
+                     "spheres": {"s1": "u - u^2", "s2": "2*x^-1"}}),
 ])
 def test_round_trip_presets(preset, params):
     sc = preset_expand(preset, params)
@@ -484,6 +489,25 @@ def test_cli_cyclic_relator_is_checked_without_walking_its_power(capsys):
     assert main(cyclic_sphere_argv(10**12, "u")) == 2
     assert capsys.readouterr().err.endswith(
         f"relator u^{10**12} (the row of u sums to 1 on the coset <u>)\n")
+
+
+def test_cli_derived_arc_row_takes_the_shortest_cyclic_exponent(capsys):
+    """u^-1 is u^(m-1) in normal form; its arc row is derived as that of
+    u^-1, one Fox step, not m - 1 of them."""
+    start = time.perf_counter()
+    assert main(cyclic_sphere_argv(10**12, "u - u^2") + ["--param", "u=u^-1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "base relation -u^2 + u^3 exceeds" in capsys.readouterr().err
+
+
+def test_cli_overflow_message_is_bounded(capsys):
+    """A base relation of 99,999 terms is named by its first and last three
+    terms and its term count."""
+    assert main(["target", "--preset", "s1_x_sphere", "--param", "d=4",
+                 "--param", "w0=100000", "--window", "3"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1000
+    assert "t^-1 + t^-2 + t^-3 ... t^-99997 + t^-99998 + t^-99999 (99999 terms)" in err
 
 
 def test_cli_base_relation_overflow_comes_before_whisker_errors(capsys):
