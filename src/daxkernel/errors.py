@@ -13,6 +13,7 @@ class GroupParseError(DaxKernelError):
 
     def __init__(self, message, text, position):
         super().__init__(f"{message} at position {position}: {text!r}")
+        self.reason = message
         self.text = text
         self.position = position
 

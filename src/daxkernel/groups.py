@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import comb
 from operator import itemgetter
 from typing import Iterable
 
@@ -126,9 +125,9 @@ class Word:
     """A group element in canonical normal form.
 
     Letters are (generator, exponent) pairs: freely reduced syllables for free
-    factors, one sorted letter per generator for abelian factors (exponents in
-    ``[1, m)`` for finite cyclic order m), with factor blocks concatenated in
-    declaration order.
+    factors, one letter per generator for abelian factors in declaration
+    order (exponents in ``[1, m)`` for finite cyclic order m), with factor
+    blocks concatenated in declaration order.
 
     The hash is computed once, at construction; a Word is immutable.  It has
     slots and no per-instance dict, because relation sets and pairing tables
@@ -179,28 +178,32 @@ def normalize(letters: Iterable[tuple[str, int]], spec: GroupSpec) -> Word:
     """Canonical form of a raw letter sequence.
 
     Two raw sequences representing the same group element yield equal Words.
-    Products and inverses of Words do not come here: ``mul`` and ``inv``
-    combine normal forms directly.
+    Each raw letter is read as its one-letter normal form (a cyclic exponent
+    taken modulo the order, a zero exponent dropped), and these are joined
+    by the product, ``mul_letters``, halves first, so a literal of n letters
+    costs O(n log n).  Products and inverses of Words do not come here:
+    ``mul`` and ``inv`` combine normal forms directly.
     """
     index = spec._index
-    per_factor: list[list[tuple[str, int]]] = [[] for _ in spec.factors]
+    units = []
     try:
         for name, exp in letters:
-            fi = index[name][0]
-            if exp != 0:
-                per_factor[fi].append((name, exp))
+            order = index[name][2]
+            exp = exp % order if order else exp
+            if exp:
+                units.append(((name, exp),))
     except KeyError as exc:
         raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
+    return Word(spec, _mul_halves(spec, units))
 
-    out: list[tuple[str, int]] = []
-    for fac, chunk in zip(spec.factors, per_factor):
-        if not chunk:
-            continue
-        if fac.kind == FREE:
-            out += _free_reduce(chunk)
-        else:
-            out += _abelian_sum(fac, chunk)
-    return Word(spec, tuple(out))
+
+def _mul_halves(spec: GroupSpec, forms: list) -> tuple:
+    """The product of a list of normal forms' letters, each half's product
+    taken first."""
+    if len(forms) < 2:
+        return forms[0] if forms else ()
+    mid = len(forms) // 2
+    return mul_letters(spec, _mul_halves(spec, forms[:mid]), _mul_halves(spec, forms[mid:]))
 
 
 def _free_join(left: tuple, right: tuple) -> tuple:
@@ -223,41 +226,36 @@ def _free_join(left: tuple, right: tuple) -> tuple:
     return left[:i] + right[j:]
 
 
-def _free_reduce(letters: list) -> tuple:
-    """Free reduction of raw letters (no zero exponents), halves joined."""
-    if len(letters) < 2:
-        return tuple(letters)
-    mid = len(letters) // 2
-    return _free_join(_free_reduce(letters[:mid]), _free_reduce(letters[mid:]))
-
-
-def _abelian_sum(fac: Factor, letters) -> tuple:
-    """Exponent sum per generator of an abelian factor, in ``fac.gens`` order."""
-    totals = dict.fromkeys(fac.gens, 0)
-    for name, exp in letters:
-        totals[name] += exp
-    cyclic = fac.kind == FINITE_CYCLIC
-    out = []
-    for name, e in totals.items():
-        if cyclic:
-            e %= fac.order
-        if e:
-            out.append((name, e))
-    return tuple(out)
-
-
-def _join(fac: Factor, left: tuple, right: tuple) -> tuple:
-    """Product of two nonempty normal-form blocks of the factor ``fac``."""
+def _join(index: dict, fac: Factor, left: tuple, right: tuple) -> tuple:
+    """Product of two nonempty normal-form blocks of the factor ``fac``;
+    ``index`` is the spec's, whose global indices order the generators."""
     if fac.kind == FREE:
         return _free_join(left, right)
-    if len(fac.gens) > 1:
-        return _abelian_sum(fac, left + right)
-    # Z<t> or Z/m<u>: one letter each side, whose exponents add
-    (name, e), = left
-    e += right[0][1]
-    if fac.order:
-        e %= fac.order
-    return ((name, e),) if e else ()
+    if len(fac.gens) == 1:
+        # Z<t> or Z/m<u>: one letter each side, whose exponents add
+        (name, e), = left
+        e += right[0][1]
+        if fac.order:
+            e %= fac.order
+        return ((name, e),) if e else ()
+    # Z<a,b,...>: merge the two runs in declaration order (not by name),
+    # adding the exponents of a generator both hold and dropping a zero
+    out = []
+    i, j, m, n = 0, 0, len(left), len(right)
+    while i < m and j < n:
+        (x, e), (y, f) = left[i], right[j]
+        gx, gy = index[x][1], index[y][1]
+        if gx < gy:
+            out.append(left[i])
+            i += 1
+        elif gy < gx:
+            out.append(right[j])
+            j += 1
+        else:
+            if e + f:
+                out.append((x, e + f))
+            i, j = i + 1, j + 1
+    return tuple(out) + left[i:] + right[j:]
 
 
 def _inverse(fac: Factor, block: tuple) -> list:
@@ -297,7 +295,8 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
 
     A free join cancels where the two blocks meet, a one-generator abelian
     join adds the two exponents (modulo m in ``Z/m``) and drops a zero, and
-    a wider free-abelian join sums per generator.  Nothing is renormalized.
+    a wider free-abelian join merges the two generator-sorted runs, adding
+    the exponents of a shared generator.  Nothing is renormalized.
     No ``Word`` is built: relation assembly multiplies letter tuples in its
     inner loops, and ``mul`` wraps this for Words.
     """
@@ -305,10 +304,9 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
         return a
     if not a:
         return b
-    factors = spec.factors
+    factors, index = spec.factors, spec._index
     if len(factors) == 1:
-        return _join(factors[0], a, b)
-    index = spec._index
+        return _join(index, factors[0], a, b)
     a0, a1 = index[a[0][0]][0], index[a[-1][0]][0]
     b0, b1 = index[b[0][0]][0], index[b[-1][0]][0]
     if a1 < b0:
@@ -317,12 +315,12 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
         return b + a
     if a0 == a1:
         if b0 == b1:
-            return _join(factors[a0], a, b)
+            return _join(index, factors[a0], a, b)
         i, j = _around(b, index, a0)
-        return b[:i] + (_join(factors[a0], a, b[i:j]) if i < j else a) + b[j:]
+        return b[:i] + (_join(index, factors[a0], a, b[i:j]) if i < j else a) + b[j:]
     if b0 == b1:
         i, j = _around(a, index, b0)
-        return a[:i] + (_join(factors[b0], a[i:j], b) if i < j else b) + a[j:]
+        return a[:i] + (_join(index, factors[b0], a[i:j], b) if i < j else b) + a[j:]
     out: list[tuple[str, int]] = []
     i = j = 0
     m, n = len(a), len(b)
@@ -340,7 +338,7 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
                 k += 1
             while l < n and index[b[l][0]][0] == fa:
                 l += 1
-            out += _join(factors[fa], a[i:k], b[j:l])
+            out += _join(index, factors[fa], a[i:k], b[j:l])
             i, j = k, l
     return tuple(out) + a[i:] + b[j:]
 
@@ -406,9 +404,16 @@ def word_key(w: Word):
     """Deterministic total order: graded by word length, then lexicographic.
 
     Each letter keys as (global generator index, |e|, 0 if e > 0 else 1),
-    where e is the shortest signed representative of its exponent.
+    where e is ``shortest_exponent`` of its exponent.
     """
     return key_letters(w.spec, w.letters)
+
+
+def shortest_exponent(exp: int, order: int) -> int:
+    """The shortest signed representative of a normal-form exponent: in a
+    cyclic factor of order m (``order``, 0 otherwise) ``exp - m`` when that is
+    shorter, the tie at m/2 kept positive."""
+    return exp - order if order and exp > order - exp else exp
 
 
 def key_letters(spec: GroupSpec, a: tuple):
@@ -420,8 +425,8 @@ def key_letters(spec: GroupSpec, a: tuple):
     try:
         for name, exp in a:
             _, g, order = index[name]
-            if order and exp > order - exp:
-                exp -= order
+            if order:  # a letter of a free or Z factor is already shortest
+                exp = shortest_exponent(exp, order)
             if exp > 0:
                 letters.append((g, exp, 0))
                 total += exp
@@ -439,26 +444,29 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
     A normal form is its factor blocks concatenated, and ``word_key``
     concatenates per-letter keys, so each factor's spheres are built on their
     own, letter tuples and keys together (``_factor_spheres``), and the ball
-    is their products up to the radius, sorted once on the built keys.  No
-    ``mul``, ``normalize`` or ``word_key`` call is made.
+    is their products up to the radius, sorted once on the built keys.  A
+    free-abelian factor of rank k is read as k factors ``Z<g>`` (``_pieces``):
+    their product has the same normal forms and keys.  No ``mul``,
+    ``normalize`` or ``word_key`` call is made.
 
     ``limit`` guards against exponentially large balls in free groups: the
-    exact size is counted from the factors' sphere sizes first
+    exact size is counted from the pieces' sphere sizes first
     (``_ball_size``), so a larger ball raises ``BallOverflowError`` before
     any element is built.
     """
     if radius < 0:
         return []
-    if _ball_size(spec.factors, radius, limit) > limit:
+    pieces = _pieces(spec)
+    if _ball_size(pieces, radius, limit) > limit:
         raise BallOverflowError(
             f"ball of radius {radius} exceeds {limit} elements;"
             " use a smaller window"
         )
     spheres = [[((), ())]]  # the trivial group's one sphere: the identity
-    first = 0  # global index of the factor's first generator
-    for fac in spec.factors:
+    first = 0  # global index of the piece's first generator
+    for fac in pieces:
         fac_spheres = _factor_spheres(fac, first, radius)
-        # the first factor's spheres are already the product's
+        # the first piece's spheres are already the product's
         spheres = _product(spheres, fac_spheres, radius) if first else fac_spheres
         first += len(fac.gens)
     out = []
@@ -466,6 +474,14 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
         sphere.sort(key=itemgetter(1))
         out += [Word(spec, letters) for letters, _ in sphere]
     return out
+
+
+def _pieces(spec: GroupSpec) -> list[Factor]:
+    """The factors of ``spec``, each free-abelian one of rank k as k factors
+    ``Z<g>``, in declaration order."""
+    return [piece for fac in spec.factors
+            for piece in ([Factor(FREE_ABELIAN, (g,)) for g in fac.gens]
+                          if fac.kind == FREE_ABELIAN else [fac])]
 
 
 # Sphere lists, of sizes or of elements, stop at their last nonempty sphere:
@@ -511,25 +527,23 @@ def _ball_size(factors, radius: int, limit: int) -> int:
 
 
 def _sphere_size(fac: Factor, n: int) -> int:
-    """The number of elements of word length n >= 1 in one factor."""
-    k = len(fac.gens)
+    """The number of elements of word length n >= 1 in a free factor or a
+    one-generator one."""
     if fac.kind == FREE:
+        k = len(fac.gens)
         return 2 * k * (2 * k - 1) ** (n - 1)
-    if fac.kind == FREE_ABELIAN:
-        # a vector of l1 norm n with j nonzero entries chooses them, their
-        # signs, and a composition of n into j positive parts
-        return sum(comb(k, j) * comb(n - 1, j - 1) * 2 ** j for j in range(1, k + 1))
-    m = fac.order  # Z/m: the exponents n and m - n, one at the tie n = m/2
-    return 0 if 2 * n > m else 1 if 2 * n == m else 2
+    m = fac.order  # t^n and t^-n; in Z/m u^n and u^(m-n), one at n = m/2
+    return 0 if m and 2 * n > m else 1 if 2 * n == m else 2
 
 
 def _factor_spheres(fac: Factor, first: int, radius: int) -> list[list[tuple]]:
-    """The nonempty spheres of radius 0..radius in one factor, each a list
-    of (letters, key) pairs: the normal form's letters and its ``word_key``
-    letter keys, with generator indices counted from ``first``."""
-    gens = [(name, first + i) for i, name in enumerate(fac.gens)]
+    """The nonempty spheres of radius 0..radius in a free factor or a
+    one-generator one, each a list of (letters, key) pairs: the normal
+    form's letters and its ``word_key`` letter keys, with generator indices
+    counted from ``first``."""
     spheres = [[((), ())]]
     if fac.kind == FREE:
+        gens = [(name, first + i) for i, name in enumerate(fac.gens)]
         # a word of length n is one of length n-1 with a new syllable
         # appended, or with its last syllable grown away from zero
         for _ in range(radius):
@@ -546,32 +560,16 @@ def _factor_spheres(fac: Factor, first: int, radius: int) -> list[list[tuple]]:
                         nxt.append((letters + ((name, 1),), key + ((g, 1, 0),)))
                         nxt.append((letters + ((name, -1),), key + ((g, 1, 1),)))
             spheres.append(nxt)
-    elif fac.kind == FREE_ABELIAN:
-        # exponent vectors of l1 norm n, generators in declaration order
-        for n in range(1, radius + 1):
-            sphere = [((), ())]
-            for i, (name, g) in enumerate(gens):
-                nxt = []
-                for letters, key in sphere:
-                    left = n - sum(size for _, size, _ in key)
-                    sizes = [left] if i == len(gens) - 1 else range(left + 1)
-                    for size in sizes:  # the last generator takes what is left
-                        if size:
-                            nxt.append((letters + ((name, size),), key + ((g, size, 0),)))
-                            nxt.append((letters + ((name, -size),), key + ((g, size, 1),)))
-                        else:
-                            nxt.append((letters, key))
-                sphere = nxt
-            spheres.append(sphere)
-    else:
-        # Z/m: the shortest signed exponents; at n = m/2 the tie is positive
-        (name, g), = gens
-        m = fac.order
-        for n in range(1, min(radius, m // 2) + 1):
-            sphere = [(((name, n),), ((g, n, 0),))]
-            if 2 * n < m:
-                sphere.append((((name, m - n),), ((g, n, 1),)))
-            spheres.append(sphere)
+        return spheres
+    # Z<t>: t^n and t^-n; Z/m<u>: the shortest exponents n and n - m, the
+    # second written m - n, and at n = m/2 only the positive tie
+    name, = fac.gens
+    m = fac.order
+    for n in range(1, (min(radius, m // 2) if m else radius) + 1):
+        sphere = [(((name, n),), ((first, n, 0),))]
+        if 2 * n != m:
+            sphere.append((((name, m - n),), ((first, n, 1),)))
+        spheres.append(sphere)
     return spheres
 
 

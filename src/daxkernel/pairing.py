@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PairingDataError, SpecMismatchError
-from .groups import GroupSpec, Word, inv, inv_letters, mul, mul_letters, render_letters
+from .groups import (GroupSpec, Word, inv, inv_letters, mul, mul_letters, render_letters,
+                     shortest_exponent)
 from . import ring as R
 from .ring import RingElem
 
@@ -301,7 +302,7 @@ def twists_on_ball(table: PairingTable, elements):
             continue
         name, exp = letters[-1]
         fi, _, order = index[name]
-        sign = -1 if exp < 0 or (order and exp > order - exp) else 1
+        sign = -1 if shortest_exponent(exp, order) < 0 else 1
         lam_s = steps.get((name, sign))
         if lam_s is None:
             lam_s = steps[name, sign] = [_unit_step(spec, a, name, sign)[1] for a in classes]

@@ -190,6 +190,7 @@ def parse_ring(text: str, spec: GroupSpec) -> RingElem:
 
     A sign with no term after it is found before any term is parsed; then
     terms are parsed left to right, and the first bad one decides the error.
+    A bad syllable's ``GroupParseError`` gives its offset in ``text``.
     """
     if text.strip() == "0":
         return zero(spec)
@@ -203,8 +204,12 @@ def parse_ring(text: str, spec: GroupSpec) -> RingElem:
     acc: dict[Word, int] = {}
     for m in terms:
         c = _COEFF_RE.match(m["body"])
-        word = m["body"][c.end():] if c else m["body"]
-        w = parse_word(word, spec) if word else spec.identity()
+        start = c.end() if c else 0
+        word = m["body"][start:]
+        try:
+            w = parse_word(word, spec) if word else spec.identity()
+        except GroupParseError as exc:
+            raise GroupParseError(exc.reason, text, m.start("body") + start + exc.position) from None
         coeff = (int(c[1]) if c else 1) * (-1) ** m["signs"].count("-")
         acc[w] = acc.get(w, 0) + coeff
     return from_terms(spec, acc)

@@ -22,6 +22,7 @@ from .groups import (
     parse_word,
     render_group_spec,
     render_word,
+    shortest_exponent,
     word_key,
 )
 from . import ring as R
@@ -96,12 +97,10 @@ def _class_from_fields(spec: GroupSpec, u_class: Word, fields: dict) -> SphereCl
                      parse_ring("0" if lambda_u is None else lambda_u, spec), lambda_gen)
     if lambda_u is None:
         # derive the arc row from the group image of the basepoint arc, over
-        # its shortest letters: a cyclic exponent e is taken as e - m when
-        # that is shorter, which the table's check of the relator g^m allows
-        short = []
-        for gen, e in u_class.letters:
-            m = spec.factor_of(gen)[1].order
-            short.append((gen, e - m if m and e > m - e else e))
+        # its shortest letters, which the table's check of the relator g^m
+        # allows
+        short = [(gen, shortest_exponent(e, spec.factor_of(gen)[1].order))
+                 for gen, e in u_class.letters]
         a = replace(a, lambda_u=lambda_letters(spec, a, short))
     return a
 

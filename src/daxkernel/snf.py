@@ -1,7 +1,7 @@
 """Exact integer matrix normal forms.
 
 Smith normal form over arbitrary-precision integers with a deterministic
-minimal-pivot strategy (keeps coefficient growth down), optional unimodular
+minimal-pivot strategy (keeps coefficient growth down) and its unimodular
 transforms, the Hermite basis of a sparse lattice with the structure of its
 quotient, and an integer linear solver with infeasibility certificates.
 Sparse vectors are dicts from index to nonzero entry.  An echelon basis is
@@ -36,55 +36,50 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class SmithResult:
     diagonal: list[int]   # d_1 | d_2 | ... then zeros; length min(n, m)
     rank: int
-    left: list[list[int]] | None    # U with U*A*V = D (n x n)
-    right: list[list[int]] | None   # V (m x m)
+    left: list[list[int]]    # U with U*A*V = D (n x n)
+    right: list[list[int]]   # V (m x m)
 
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(rows: list[list[int]], want_left: bool = False,
-                      want_right: bool = False) -> SmithResult:
-    """Diagonalize an integer matrix by unimodular row/column operations."""
+def smith_normal_form(rows: list[list[int]]) -> SmithResult:
+    """Diagonalize an integer matrix by unimodular row/column operations,
+    with both transforms."""
     M = [list(r) for r in rows]
     n = len(M)
     m = len(M[0]) if n else 0
-    U = _identity(n) if want_left else None
-    V = _identity(m) if want_right else None
+    U = _identity(n)
+    V = _identity(m)
 
     def row_sub(i, k, q):  # row_i -= q * row_k
         Mi, Mk = M[i], M[k]
         for j in range(m):
             Mi[j] -= q * Mk[j]
-        if U is not None:
-            Ui, Uk = U[i], U[k]
-            for j in range(n):
-                Ui[j] -= q * Uk[j]
+        Ui, Uk = U[i], U[k]
+        for j in range(n):
+            Ui[j] -= q * Uk[j]
 
     def col_sub(j, k, q):  # col_j -= q * col_k
         for i in range(n):
             M[i][j] -= q * M[i][k]
-        if V is not None:
-            for i in range(m):
-                V[i][j] -= q * V[i][k]
+        for i in range(m):
+            V[i][j] -= q * V[i][k]
 
     def row_swap(i, k):
         M[i], M[k] = M[k], M[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
+        U[i], U[k] = U[k], U[i]
 
     def col_swap(j, k):
         for i in range(n):
             M[i][j], M[i][k] = M[i][k], M[i][j]
-        if V is not None:
-            for i in range(m):
-                V[i][j], V[i][k] = V[i][k], V[i][j]
+        for i in range(m):
+            V[i][j], V[i][k] = V[i][k], V[i][j]
 
     def row_negate(i):
         M[i] = [-x for x in M[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
+        U[i] = [-x for x in U[i]]
 
     def min_pivot(t):
         best = None
@@ -248,7 +243,7 @@ def _hermite(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     return basis
 
 
-def _residual_smith(rows: dict[int, dict[int, int]], want_left: bool):
+def _residual_smith(rows: dict[int, dict[int, int]]):
     """The rows of the residual block of an echelon basis, and the Smith
     form of that block (None when it is empty).
 
@@ -267,7 +262,7 @@ def _residual_smith(rows: dict[int, dict[int, int]], want_left: bool):
     for c, vec in enumerate(block):
         for i, v in vec.items():
             dense[index[i]][c] = v
-    return residual_rows, smith_normal_form(dense, want_left=want_left)
+    return residual_rows, smith_normal_form(dense)
 
 
 def _torsion(res: SmithResult | None) -> list[int]:
@@ -301,11 +296,11 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
         done = stop
         if batch < len(prefixes):
             # a prefix of all the columns takes the record's own torsion below
-            prefix_torsion.append(_torsion(_residual_smith(rows, False)[1])
+            prefix_torsion.append(_torsion(_residual_smith(rows)[1])
                                   if done < len(cols) else None)
 
     basis = _hermite(rows)
-    residual_rows, res = _residual_smith(basis, True)
+    residual_rows, res = _residual_smith(basis)
     in_block = set(residual_rows)
     free_rows = [i for i in range(n) if i not in basis and i not in in_block]
     torsion, diagonal, left = _torsion(res), [], []
@@ -367,7 +362,7 @@ def solve_integer(M: list[list[int]], b: list[int]):
     m = len(M[0]) if n else 0
     if n == 0:
         return [0] * m, None
-    res = smith_normal_form(M, want_left=True, want_right=True)
+    res = smith_normal_form(M)
     ub = [sum(res.left[i][k] * b[k] for k in range(n)) for i in range(n)]
     z = [0] * m
     for i in range(n):

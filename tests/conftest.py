@@ -6,7 +6,9 @@ from typing import NamedTuple
 
 import pytest
 
-from daxkernel.groups import GroupSpec, inv, mul, normalize, parse_group_spec, render_word
+from daxkernel.errors import UnknownGeneratorError
+from daxkernel.groups import (FINITE_CYCLIC, GroupSpec, Word, inv, mul, normalize,
+                              parse_group_spec, render_word)
 from daxkernel import ring as R
 from daxkernel.pairing import PairingTable, SphereClass, sphere_class
 from daxkernel.calculus import arcs_context, circles_context, dax_translate
@@ -108,6 +110,50 @@ def random_circles_context(rng, spec, d=None):
     if rng.random() < 0.5:
         classes.append(random_class(rng, spec, name="b"))
     return circles_context(table_for(spec, classes, d=d), s)
+
+
+# -- raw-letter normal forms: the reference for groups.normalize ----------------------
+
+def ref_factor_of(spec, name):
+    for fi, fac in enumerate(spec.factors):
+        if name in fac.gens:
+            return fi, fac
+    raise UnknownGeneratorError(f"unknown generator {name!r}")
+
+
+def ref_normalize(letters, spec):
+    """``groups.normalize`` as it was before it joined the letters with the
+    product: letters bucketed by factor, free reduction with a stack, and
+    exponent sums per generator of an abelian factor.  It shares no code
+    or table with the word layer under test."""
+    per_factor = [[] for _ in spec.factors]
+    for name, exp in letters:
+        fi, _ = ref_factor_of(spec, name)
+        if exp != 0:
+            per_factor[fi].append((name, exp))
+
+    out = []
+    for fi, fac in enumerate(spec.factors):
+        chunk = per_factor[fi]
+        if fac.abelian:
+            totals = {g: 0 for g in fac.gens}
+            for name, exp in chunk:
+                totals[name] += exp
+            for name in fac.gens:
+                e = totals[name] % fac.order if fac.kind == FINITE_CYCLIC else totals[name]
+                if e:
+                    out.append((name, e))
+        else:
+            stack = []
+            for name, exp in chunk:
+                if stack and stack[-1][0] == name:
+                    stack[-1][1] += exp
+                    if stack[-1][1] == 0:
+                        stack.pop()
+                else:
+                    stack.append([name, exp])
+            out.extend((n, e) for n, e in stack)
+    return Word(spec, tuple(out))
 
 
 # -- the breadth-first ball: the reference for groups.ball ----------------------------
@@ -363,8 +409,7 @@ def dense_coords(rows, vec):
     free = [v[j] for j in range(len(vec)) if j not in pivots and j not in touched]
     tors = []
     if block:
-        res = smith_normal_form([[row[j] for row in block] for j in touched],
-                                want_left=True)
+        res = smith_normal_form([[row[j] for row in block] for j in touched])
         for i, left in enumerate(res.left):
             d = res.diagonal[i] if i < len(res.diagonal) else 0
             if d == 1:

@@ -1,3 +1,4 @@
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -23,7 +24,7 @@ from daxkernel.groups import (
 )
 from daxkernel.ring import parse_ring
 
-from conftest import GROUP_TEXTS, random_word, rng_for
+from conftest import GROUP_TEXTS, random_word, ref_normalize, rng_for
 
 
 def powers(g, n):
@@ -137,17 +138,17 @@ def test_word_is_slotted_and_hashes_once():
     again = normalize([("x", 1), ("y", -1), ("x", 1)], spec)
     assert w == again and hash(w) == hash(again)
     # products and inverses over a product spec equal the normal forms of
-    # their raw letters, hashes included
+    # their raw letters by the reference, hashes included
     spec = parse_group_spec("F<x,y> x Z<t> x Z/3<u>")
     rng = rng_for("word-invariants")
     words = [random_word(rng, spec, max_syllables=5) for _ in range(30)]
     for a in words:
-        ref = normalize([(n, -e) for n, e in reversed(a.letters)], spec)
+        ref = ref_normalize([(n, -e) for n, e in reversed(a.letters)], spec)
         a_inv = inv(a)
         assert a_inv == ref and a_inv.letters == ref.letters
         assert hash(a_inv) == hash(ref) == hash((spec._hash, ref.letters))
         for b in words:
-            ref = normalize(a.letters + b.letters, spec)
+            ref = ref_normalize(a.letters + b.letters, spec)
             prod = mul(a, b)
             assert prod == ref and prod.letters == ref.letters
             assert hash(prod) == hash(ref) == hash((spec._hash, ref.letters))
@@ -229,6 +230,7 @@ def test_inv_examples():
 def test_every_product_case_matches_renormalizing():
     # one named example per case of mul_letters, each operand and product
     # inverted too; the reference renormalizes the concatenated letters
+    # without the product (``normalize`` joins letters with it)
     spec = parse_group_spec("F<x,y> x Z<t> x Z/3<u>")
     cases = {
         "one factor on the left": ("t^2", "x*y*t*u"),
@@ -246,12 +248,24 @@ def test_every_product_case_matches_renormalizing():
     for name, (left, right) in cases.items():
         g, h = parse_word(left, spec), parse_word(right, spec)
         gh = mul(g, h)
-        assert gh == normalize(g.letters + h.letters, spec), name
+        assert gh == ref_normalize(g.letters + h.letters, spec), name
         for w in (g, h, gh):
-            want = normalize([(n, -e) for n, e in reversed(w.letters)], spec)
+            want = ref_normalize([(n, -e) for n, e in reversed(w.letters)], spec)
             assert inv(w) == want, name
     assert mul(parse_word("t^3", spec), parse_word("t^-3", spec)).is_identity
     assert mul(parse_word("x*u", spec), parse_word("u^2", spec)) == parse_word("x", spec)
+
+
+def test_long_raw_word_normalizes_by_halves():
+    # 20,000 raw letters over a free and a free-abelian factor: joined in
+    # halves they take hundredths of a second, and a left fold of the same
+    # products, quadratic in the length, takes seconds
+    spec = parse_group_spec("F<x,y> x Z<a,b>")
+    letters = [("x", 1), ("a", 1), ("y", -1), ("b", 1)] * 5000
+    start = time.perf_counter()
+    w = normalize(letters, spec)
+    assert time.perf_counter() - start < 1.0
+    assert w.letters == (("x", 1), ("y", -1)) * 5000 + (("a", 5000), ("b", 5000))
 
 
 def test_spec_mismatch():

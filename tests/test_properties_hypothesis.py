@@ -15,8 +15,7 @@ from daxkernel.calculus import (
     dax_u_embedded,
     dax_u_general,
 )
-from daxkernel.errors import (BallOverflowError, DaxKernelError, ModeError,
-                              PairingDataError, UnknownGeneratorError)
+from daxkernel.errors import BallOverflowError, DaxKernelError, ModeError, PairingDataError
 from daxkernel.groups import (
     FINITE_CYCLIC,
     FREE,
@@ -93,6 +92,8 @@ from conftest import (
     reference_lambda_letters,
     reference_orbit,
     reference_structure,
+    ref_factor_of,
+    ref_normalize,
     sparse,
     table_for,
 )
@@ -195,23 +196,11 @@ def test_derivation_rule(data, coeff):
 # before the word layer read ``GroupSpec._index`` directly and the formulas
 # summed into one dictionary.  They are copied unchanged, except that the
 # per-letter lookups are recomputed from ``spec.factors`` so that the
-# references share no table with the code under test.
-
-def _ref_factor_of(spec, name):
-    for fi, fac in enumerate(spec.factors):
-        if name in fac.gens:
-            return fi, fac
-    raise UnknownGeneratorError(f"unknown generator {name!r}")
-
+# references share no table with the code under test.  ``ref_normalize``,
+# which other test modules share, is in conftest.py.
 
 def _ref_gen_index(spec, name):
     return spec.generators.index(name)
-
-
-def _ref_canon_exponent(e, fac):
-    if fac.kind == FINITE_CYCLIC:
-        return e % fac.order
-    return e
 
 
 def _ref_signed_exponent(e, fac):
@@ -221,41 +210,10 @@ def _ref_signed_exponent(e, fac):
     return e
 
 
-def ref_normalize(letters, spec):
-    per_factor = [[] for _ in spec.factors]
-    for name, exp in letters:
-        fi, _ = _ref_factor_of(spec, name)
-        if exp != 0:
-            per_factor[fi].append((name, exp))
-
-    out = []
-    for fi, fac in enumerate(spec.factors):
-        chunk = per_factor[fi]
-        if fac.abelian:
-            totals = {g: 0 for g in fac.gens}
-            for name, exp in chunk:
-                totals[name] += exp
-            for name in fac.gens:
-                e = _ref_canon_exponent(totals[name], fac)
-                if e:
-                    out.append((name, e))
-        else:
-            stack = []
-            for name, exp in chunk:
-                if stack and stack[-1][0] == name:
-                    stack[-1][1] += exp
-                    if stack[-1][1] == 0:
-                        stack.pop()
-                else:
-                    stack.append([name, exp])
-            out.extend((n, e) for n, e in stack)
-    return Word(spec, tuple(out))
-
-
 def ref_word_length(w):
     total = 0
     for name, exp in w.letters:
-        _, fac = _ref_factor_of(w.spec, name)
+        _, fac = ref_factor_of(w.spec, name)
         total += abs(_ref_signed_exponent(exp, fac))
     return total
 
@@ -263,7 +221,7 @@ def ref_word_length(w):
 def ref_word_key(w):
     letters = []
     for name, exp in w.letters:
-        _, fac = _ref_factor_of(w.spec, name)
+        _, fac = ref_factor_of(w.spec, name)
         se = _ref_signed_exponent(exp, fac)
         letters.append((_ref_gen_index(w.spec, name), abs(se), 0 if se > 0 else 1))
     return (ref_word_length(w), tuple(letters))
@@ -301,7 +259,9 @@ def ref_dax_u_embedded(g, a, ctx):
 
 WORD_SPEC_TEXTS = ("Z<t>", "F<x,y>", "Z/3<u>", "Z<t> x Z/2<u>", "F<x,y> x Z/3<u>",
                    "F<x,y> x F<z,v>", "Z/2<u> x F<x>", "F<x,y> x Z<a,b> x Z/4<c>",
-                   "Z<a,b>", "Z/1<u> x F<x,y>")
+                   "Z<a,b>", "Z/1<u> x F<x,y>", "Z<c,a,b> x F<x>")
+# in Z<c,a,b> the declaration order of the generators is not their names'
+# order, so a free-abelian join that merges by name shows
 # in a cyclic factor of order m >= 4, u^(m-1) is one letter long but u^(m-2)
 # is not, so a ball step that ignores the shortest signed exponent shows; at
 # an even order m the element u^(m/2) is its own tie, stepped down from the
@@ -540,16 +500,18 @@ def test_literal_parsers_return_a_value_or_raise_a_typed_error(kind, text):
 def factor_products(draw):
     """Direct products of one to three free, free abelian and finite cyclic
     factors; cyclic orders run from 1 to 6, so both parities and the tie of
-    an even order at m/2 occur."""
+    an even order at m/2 occur.  Free ranks run to 2 and free abelian ranks
+    to 3; the names come in a shuffled order, so that declaration order and
+    name order differ."""
     factors = []
-    names = iter("abcdefgh")
+    names = iter(draw(st.permutations("abcdefghi")))
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         kind = draw(st.sampled_from((FREE, FREE_ABELIAN, FINITE_CYCLIC)))
         if kind == FINITE_CYCLIC:
             factors.append(Factor(kind, (next(names),),
                                   draw(st.integers(min_value=1, max_value=6))))
         else:
-            rank = draw(st.integers(min_value=1, max_value=2))
+            rank = draw(st.integers(min_value=1, max_value=3 if kind == FREE_ABELIAN else 2))
             factors.append(Factor(kind, tuple(next(names) for _ in range(rank))))
     return GroupSpec(tuple(factors))
 

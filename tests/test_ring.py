@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from daxkernel.errors import GroupParseError, SpecMismatchError
+from daxkernel.errors import GroupParseError, SpecMismatchError, UnknownGeneratorError
 from daxkernel.groups import parse_group_spec, parse_word
 from daxkernel import ring as R
 from daxkernel.ring import (
@@ -160,6 +160,19 @@ def test_parse_errors():
         parse_ring("t +", Z)
     with pytest.raises(GroupParseError):
         parse_ring("2t", Z)
+
+
+def test_parse_error_in_a_term_names_the_whole_literal():
+    # a bad syllable is reported against the ring literal, at the offset of
+    # its word's syllable there, not against the term's word alone
+    with pytest.raises(GroupParseError) as info:
+        parse_ring("t + 2*t^", Z)
+    assert (info.value.text, info.value.position) == ("t + 2*t^", 6)
+    with pytest.raises(GroupParseError) as info:
+        parse_ring("x - 3*x*y^ + y", F)
+    assert (info.value.text, info.value.position) == ("x - 3*x*y^ + y", 8)
+    with pytest.raises(UnknownGeneratorError, match="unknown generator 's'"):
+        parse_ring("t + 2*s", Z)
 
 
 def test_involution_fixes_identity_coefficient():

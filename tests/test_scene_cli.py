@@ -18,6 +18,7 @@ from daxkernel.cli import main, run_scene
 from daxkernel.scene import (
     ManifoldScene,
     dumps_scene,
+    load_scene_file,
     loads_scene,
     make_scene,
     preset_expand,
@@ -113,6 +114,16 @@ def test_scene_unknown_key_rejected():
     with pytest.raises(SceneError):
         scene_from_dict({"dimension": 5, "mode": "arcs", "group": "1",
                          "surprise": 1})
+
+
+def test_scene_file_error_shows_the_whole_pairing_row(tmp_path):
+    path = tmp_path / "bad.toml"
+    path.write_text('dimension = 5\nmode = "arcs"\ngroup = "Z<t>"\n'
+                    '[[sphere_generators]]\nname = "a"\n'
+                    'lambda_gen = {t = "1 + t - 2*t^"}\n')
+    with pytest.raises(SceneError) as info:
+        load_scene_file(path)
+    assert str(info.value).endswith("at position 10: '1 + t - 2*t^'")
 
 
 # -- serialization -------------------------------------------------------------------
