@@ -1,13 +1,13 @@
 """Exact integer matrix normal forms.
 
-Smith normal form over arbitrary-precision integers with a deterministic
-minimal-pivot strategy (keeps coefficient growth down) and its unimodular
-transforms, the Hermite basis of a sparse lattice with the structure of its
-quotient, and an integer linear solver with infeasibility certificates.
+The Hermite basis of a sparse lattice with the structure of its quotient,
+Smith normal form over arbitrary-precision integers with its unimodular
+transforms, and an integer linear solver with infeasibility certificates.
 Sparse vectors are dicts from index to nonzero entry.  An echelon basis is
 a dict from pivot position to row; one routine reduces a vector by it, to
 insert the vector into the basis, to reduce the entries above the pivots
-and to give canonical residues.
+and to give canonical residues.  One gcd step (``_insert``) serves the
+Hermite basis, the residual block and the solver.
 """
 
 from __future__ import annotations
@@ -38,120 +38,6 @@ class SmithResult:
     rank: int
     left: list[list[int]]    # U with U*A*V = D (n x n)
     right: list[list[int]]   # V (m x m)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(rows: list[list[int]]) -> SmithResult:
-    """Diagonalize an integer matrix by unimodular row/column operations,
-    with both transforms."""
-    M = [list(r) for r in rows]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    U = _identity(n)
-    V = _identity(m)
-
-    def row_sub(i, k, q):  # row_i -= q * row_k
-        Mi, Mk = M[i], M[k]
-        for j in range(m):
-            Mi[j] -= q * Mk[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(n):
-            Ui[j] -= q * Uk[j]
-
-    def col_sub(j, k, q):  # col_j -= q * col_k
-        for i in range(n):
-            M[i][j] -= q * M[i][k]
-        for i in range(m):
-            V[i][j] -= q * V[i][k]
-
-    def row_swap(i, k):
-        M[i], M[k] = M[k], M[i]
-        U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for i in range(n):
-            M[i][j], M[i][k] = M[i][k], M[i][j]
-        for i in range(m):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
-
-    def row_negate(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
-
-    def min_pivot(t):
-        best = None
-        for i in range(t, n):
-            Mi = M[i]
-            for j in range(t, m):
-                v = Mi[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < min(n, m):
-        best = min_pivot(t)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if M[t][t] < 0:
-            row_negate(t)
-
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(n):
-                if i != t and M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    row_sub(i, t, q)
-                    if M[i][t]:
-                        row_swap(t, i)  # strictly smaller remainder becomes pivot
-                        if M[t][t] < 0:
-                            row_negate(t)
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(m):
-                if j != t and M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    col_sub(j, t, q)
-                    if M[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility of the remaining block by the pivot
-            piv = M[t][t]
-            offender = None
-            for i in range(t + 1, n):
-                Mi = M[i]
-                for j in range(t + 1, m):
-                    if Mi[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)  # fold the offending row in and repeat
-        t += 1
-
-    k = min(n, m)
-    diag = [M[i][i] for i in range(k)]
-    rank = sum(1 for d in diag if d)
-    for i in range(rank - 1):
-        assert diag[i + 1] % diag[i] == 0
-    return SmithResult(diag, rank, U, V)
 
 
 @dataclass
@@ -241,6 +127,72 @@ def _hermite(rows: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
         _reduce(row, basis)
         row[j] = lead
     return basis
+
+
+def _echelon(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+    """An echelon basis of the lattice of the sparse vectors (consumed), in
+    increasing pivot order."""
+    rows: dict[int, dict[int, int]] = {}
+    for v in vectors:
+        _insert(rows, v)
+    return [rows[j] for j in sorted(rows)]
+
+
+def _transpose(src: list[dict[int, int]], size: int,
+               dst: list[dict[int, int]], dst_size: int) -> list[dict[int, int]]:
+    """The vectors ``dst`` with their entries below ``dst_size`` replaced by
+    the transpose of the entries of ``src`` below ``size``."""
+    out = [{i: c for i, c in v.items() if i >= dst_size} for v in dst]
+    for i, v in enumerate(src):
+        for j, c in v.items():
+            if j < size:
+                out[j][i] = c
+    return out
+
+
+def smith_normal_form(rows: list[list[int]]) -> SmithResult:
+    """Diagonalize an integer matrix by unimodular row/column operations,
+    with both transforms.
+
+    Row and column echelon steps (``_echelon``) alternate until every row
+    keeps one entry.  A row of the n x m matrix is a sparse vector with its
+    entries at 0..m-1 and its row of U from m on; a column has its entries
+    at 0..n-1 and its column of V from n on.  Each round makes the leading
+    entry the gcd of its column, then of its row, so it cannot grow: it
+    falls to a proper divisor, or its row and column stay clear and the
+    next entry goes the same way.  A diagonal entry that does not divide the
+    next one takes in the next one's row, so that it falls again.  At the
+    end each row's entry is permuted onto the diagonal.
+    """
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    R = _echelon([{**{j: c for j, c in enumerate(row) if c}, m + i: 1}
+                  for i, row in enumerate(rows)])
+    C = [{n + j: 1} for j in range(m)]
+    while True:
+        entries = [[(j, c) for j, c in row.items() if j < m] for row in R]
+        if all(len(e) <= 1 for e in entries):
+            diag = [e[0][1] for e in entries if e]
+            k = next((k for k in range(len(diag) - 1) if diag[k + 1] % diag[k]), None)
+            if k is None:
+                break
+            R[k] = _combine(1, R[k], 1, R[k + 1])
+        C = _echelon(_transpose(R, m, C, n))
+        R = _echelon(_transpose(C, n, R, m))
+
+    U = [[0] * n for _ in range(n)]
+    for k, row in enumerate(R):
+        for i, c in row.items():
+            if i >= m:
+                U[k][i - m] = c
+    on_diagonal = [e[0][0] for e in entries if e]
+    rest = sorted(set(range(m)).difference(on_diagonal))
+    V = [[0] * m for _ in range(m)]
+    for k, j in enumerate(on_diagonal + rest):
+        for i, c in C[j].items():
+            if i >= n:
+                V[i - n][k] = c
+    return SmithResult(diag + [0] * (min(n, m) - len(diag)), len(diag), U, V)
 
 
 def _residual_smith(rows: dict[int, dict[int, int]]):
@@ -350,7 +302,6 @@ class SolveFailure:
 
     combination: list[int]
     modulus: int | None
-    mismatch: int
 
 
 def solve_integer(M: list[list[int]], b: list[int]):
@@ -369,10 +320,10 @@ def solve_integer(M: list[list[int]], b: list[int]):
         d = res.diagonal[i] if i < len(res.diagonal) else 0
         if d:
             if ub[i] % d:
-                return None, SolveFailure(list(res.left[i]), d, ub[i] % d)
+                return None, SolveFailure(list(res.left[i]), d)
             if i < m:
                 z[i] = ub[i] // d
         elif ub[i]:
-            return None, SolveFailure(list(res.left[i]), None, ub[i])
+            return None, SolveFailure(list(res.left[i]), None)
     x = [sum(res.right[i][k] * z[k] for k in range(m)) for i in range(m)]
     return x, None

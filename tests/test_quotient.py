@@ -122,6 +122,39 @@ def test_circles_solid_torus_structure_matches_oracle(d, k0):
         assert st.stable
 
 
+DKY_SPHERES = {"a": "12*x + 18*y - 30*x^-1", "b": "20*x*y - 45*y^-1 + 75*x^-1*y"}
+
+
+def test_large_coefficient_residual_block_is_fast_and_matches_oracle():
+    """Three-digit sphere coefficients give a residual block whose Smith
+    form must keep its transforms small for the command to finish."""
+    import json
+    import os
+    import subprocess
+    from daxkernel.snf import reduce_mod_rows
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "daxkernel.cli", "target",
+                             "--preset", "product_DkY", "--param", "group=F<x,y>",
+                             "--param", "spheres=" + json.dumps(DKY_SPHERES),
+                             "--window", "5", "--json"],
+                            capture_output=True, text=True, timeout=30, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["structure"]["torsion"] == [3, 3] + [6] * 9 + [90] * 8
+    # the residual block: the non-unit rows of the Hermite basis reduced by
+    # its unit rows, over the positions they touch
+    rs, _ = cli.build_relations(preset_expand(
+        "product_DkY", {"group": "F<x,y>", "spheres": DKY_SPHERES}), 5)
+    elim = rs.solver._elim
+    units = {j: row for j, row in elim.basis.items() if row[j] == 1}
+    block = [reduce_mod_rows(row, units) for j, row in elim.basis.items() if row[j] != 1]
+    rows = [[vec.get(i, 0) for i in elim.residual_rows] for vec in block]
+    diagonal = elim.residual_diagonal
+    assert sympy_structure(rows, len(elim.residual_rows)) == (
+        len(elim.residual_rows) - sum(1 for d in diagonal if d), [d for d in diagonal if d > 1])
+
+
 def test_bg_scene_window6():
     sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
     rs = build_rel_circles(sc.context(), {}, 6)

@@ -114,33 +114,73 @@ def test_matches_determinantal_divisors():
             assert b % a == 0
 
 
+def assert_smith_form(M, res):
+    """U*M*V = D exactly, |det U| = |det V| = 1, and the diagonal is
+    d_1 | d_2 | ... > 0 and then zeros."""
+    n, m = len(M), len(M[0])
+    assert abs(determinant(res.left)) == 1
+    assert abs(determinant(res.right)) == 1
+    D = mat_mul(mat_mul(res.left, M), res.right)
+    assert D == [[res.diagonal[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    nonzero = res.diagonal[:res.rank]
+    assert all(d > 0 for d in nonzero) and not any(res.diagonal[res.rank:])
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+
+
 def test_transforms_diagonalize():
     rng = rng_for("transforms")
     for _ in range(100):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, n, m)
-        res = smith_normal_form(M)
-        assert abs(determinant(res.left)) == 1
-        assert abs(determinant(res.right)) == 1
-        D = mat_mul(mat_mul(res.left, M), res.right)
-        for i in range(n):
-            for j in range(m):
-                expected = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-                assert D[i][j] == expected
+        assert_smith_form(M, smith_normal_form(M))
+
+
+def oracle_matrices(rng):
+    """Square and rectangular matrices up to 8 x 12 and 12 x 8, some with
+    zero rows and columns, some rank-deficient, entries up to 10^6."""
+    for _ in range(25):
+        yield random_matrix(rng, rng.randint(2, 8), rng.randint(2, 8), -20, 20)
+    for n, m in ((8, 12), (12, 8), (1, 12), (12, 1), (5, 12), (12, 5)):
+        yield random_matrix(rng, n, m, -20, 20)
+    for _ in range(6):
+        n, m = rng.randint(2, 12), rng.randint(2, 12)
+        M = random_matrix(rng, n, m, -9, 9)
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            M[i] = [0] * m
+        for j in rng.sample(range(m), rng.randint(1, m - 1)):
+            for row in M:
+                row[j] = 0
+        yield M
+    for n, m, k in ((8, 12, 3), (12, 8, 5), (6, 6, 1), (7, 9, 6)):
+        yield mat_mul(random_matrix(rng, n, k, -5, 5), random_matrix(rng, k, m, -5, 5))
+    for n, m in ((6, 6), (8, 12), (12, 8), (3, 10)):
+        yield random_matrix(rng, n, m, -10**6, 10**6)
+    # a big common factor, and an all-zero matrix
+    yield [[10**6 * x for x in row] for row in random_matrix(rng, 5, 7, -3, 3)]
+    yield [[0] * 4 for _ in range(3)]
 
 
 def test_matches_sympy_on_medium_matrices():
     sympy = pytest.importorskip("sympy")
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    rng = rng_for("sympy")
-    for _ in range(25):
-        n, m = rng.randint(2, 8), rng.randint(2, 8)
-        M = random_matrix(rng, n, m, -20, 20)
-        mine = [d for d in smith_normal_form(M).diagonal if d]
+    for M in oracle_matrices(rng_for("sympy")):
+        res = smith_normal_form(M)
+        assert_smith_form(M, res)
         s = sympy_snf(Matrix(M), domain=ZZ)
         theirs = sorted(abs(s[i, i]) for i in range(min(s.shape)) if s[i, i])
-        assert sorted(mine) == theirs
+        assert sorted(res.diagonal[:res.rank]) == theirs
+
+
+def test_transforms_stay_small():
+    # an elimination by pivots of least size alone grows the transform
+    # entries of this matrix to 121,069 bits; the echelon steps keep 31
+    M = [[(7 * i * i + 11 * j ** 3 + 3 * i * j + 5) % 1009 - 504 for j in range(8)]
+         for i in range(8)]
+    res = smith_normal_form(M)
+    assert_smith_form(M, res)
+    assert max(abs(x).bit_length() for row in res.left + res.right for x in row) <= 64
 
 
 def test_invariant_factors_filters_units():
