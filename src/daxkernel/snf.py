@@ -160,9 +160,10 @@ def smith_normal_form(rows: list[list[int]]) -> SmithResult:
     at 0..n-1 and its column of V from n on.  Each round makes the leading
     entry the gcd of its column, then of its row, so it cannot grow: it
     falls to a proper divisor, or its row and column stay clear and the
-    next entry goes the same way.  A diagonal entry that does not divide the
-    next one takes in the next one's row, so that it falls again.  At the
-    end each row's entry is permuted onto the diagonal.
+    next entry goes the same way.  Then each diagonal entry a and each later
+    entry b that it does not divide become gcd(a, b) and lcm(a, b) by one
+    2 x 2 step on their rows of U and columns of V, so d_1 | d_2 | ...  At
+    the end each row's entry is permuted onto the diagonal.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -172,20 +173,29 @@ def smith_normal_form(rows: list[list[int]]) -> SmithResult:
     while True:
         entries = [[(j, c) for j, c in row.items() if j < m] for row in R]
         if all(len(e) <= 1 for e in entries):
-            diag = [e[0][1] for e in entries if e]
-            k = next((k for k in range(len(diag) - 1) if diag[k + 1] % diag[k]), None)
-            if k is None:
-                break
-            R[k] = _combine(1, R[k], 1, R[k + 1])
+            break
         C = _echelon(_transpose(R, m, C, n))
         R = _echelon(_transpose(C, n, R, m))
+
+    on_diagonal = [e[0][0] for e in entries if e]
+    diag = [e[0][1] for e in entries if e]
+    for k, a_col in enumerate(on_diagonal):
+        for l in range(k + 1, len(diag)):
+            a, b = diag[k], diag[l]
+            if b % a:
+                # [x y; -b/g a/g] diag(a, b) [1 -y*b/g; 1 x*a/g] = diag(g, a*b/g)
+                g, x, y = xgcd(a, b)
+                b_col = on_diagonal[l]
+                R[k], R[l] = _combine(x, R[k], y, R[l]), _combine(-b // g, R[k], a // g, R[l])
+                C[a_col], C[b_col] = (_combine(1, C[a_col], 1, C[b_col]),
+                                      _combine(-y * b // g, C[a_col], x * a // g, C[b_col]))
+                diag[k], diag[l] = g, a * b // g
 
     U = [[0] * n for _ in range(n)]
     for k, row in enumerate(R):
         for i, c in row.items():
             if i >= m:
                 U[k][i - m] = c
-    on_diagonal = [e[0][0] for e in entries if e]
     rest = sorted(set(range(m)).difference(on_diagonal))
     V = [[0] * m for _ in range(m)]
     for k, j in enumerate(on_diagonal + rest):

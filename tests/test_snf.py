@@ -183,6 +183,23 @@ def test_transforms_stay_small():
     assert max(abs(x).bit_length() for row in res.left + res.right for x in row) <= 64
 
 
+def test_divisibility_chain_needs_no_more_echelon_rounds(monkeypatch):
+    # the shape of a product_DkY residual block over F<x,y> at W = 6: 2s and
+    # 3s on the diagonal and one row of -2s and 2s under it.  Mending the
+    # chain one adjacent pair per pair of echelon rounds took 313 rounds here
+    from daxkernel import snf
+    d = [2, 3, 3, 2, 2, 3] * 4 + [2, 2]
+    M = [[c if i == j else 0 for j in range(len(d))] for i, c in enumerate(d)]
+    M.append([-2 if c == 2 else 2 for c in d])
+    rounds = []
+    echelon = snf._echelon
+    monkeypatch.setattr(snf, "_echelon", lambda vs: rounds.append(1) or echelon(vs))
+    res = smith_normal_form(M)
+    assert_smith_form(M, res)
+    assert res.diagonal == [1] * 12 + [2] * 3 + [6] * 11
+    assert len(rounds) <= 3
+
+
 def test_invariant_factors_filters_units():
     # invariant factors are the diagonal entries > 1
     assert [d for d in smith_normal_form([[1, 0], [0, 6]]).diagonal if d > 1] == [6]
