@@ -2,7 +2,7 @@
 
     dax-kernel target|eval|concordance|orbit
         (--scene FILE | --preset NAME [--param k=v ...])
-        [--window W] [--json]
+        [--window W] [--value RING] [--json]
 
 Exit codes: 0 success, 2 usage or scene error, 3 window overflow.
 """

@@ -31,17 +31,6 @@ from .pairing import PairingTable, SphereClass, lambda_letters, sphere_class
 from .calculus import ARCS, CIRCLES, DaxContext
 from .traces import HomotopyTrace, KnotRecord
 
-PRESET_NAMES = (
-    "disk_d",
-    "solid_torus_arcs",
-    "solid_torus_circles",
-    "s1_x_sphere",
-    "aspherical",
-    "three_mfd",
-    "product_DkY",
-)
-
-
 @dataclass(frozen=True)
 class ManifoldScene:
     dimension: int
@@ -135,128 +124,92 @@ def make_scene(dimension: int, mode: str, group: str, u: str = "1", s: str = "1"
 # presets: the worked examples with their pairing data filled in
 # ---------------------------------------------------------------------------
 
-def _phi_rows(spec: GroupSpec) -> dict[str, str]:
-    """Pairing rows of the removed-ball boundary sphere: 1 - g^-1 per generator."""
-    rows = {}
-    for g in spec.generators:
-        rows[g] = f"1 - {g}^-1"
-    return rows
+def _s1_x_sphere(d: int, w0: int) -> dict:
+    if d < 4:
+        raise SceneError("s1_x_sphere needs dimension >= 4")
+    # the arc is the circle minus the ball, so its group image is the
+    # circle class itself; the sphere row lambda(i2, u) follows by the
+    # derivation rule from lambda(i2, t) = 1
+    return dict(dimension=d, mode=CIRCLES, group="Z<t>", u=f"t^{w0}", s=f"t^{w0}",
+                sphere_generators=[{"name": "i2", "embedded": True,
+                                    "lambda_gen": {"t": "1"}}],
+                notes=("dimension 4: the embedding-space group is the displayed"
+                       " quotient plus one extra free summand from immersions",)
+                if d == 4 else ())
+
+
+def _phi_sphere(group: str, s: str, phi: str) -> list[dict]:
+    """The removed-ball boundary sphere of a dimension-3 scene, if ``phi``
+    asks for one: its pairing row is 1 - g^-1 per generator g, and its arc
+    row is 0 for a boundary arc and 1 - s^-1 for a circle."""
+    if phi not in ("none", "boundary_arc", "circle"):
+        raise SceneError("phi must be one of none, boundary_arc, circle")
+    if phi == "none":
+        return []
+    spec = parse_group_spec(group)
+    lam_u = ("0" if phi == "boundary_arc" else
+             render_ring(R.one(spec) - R.monomial(inv(parse_word(s, spec)))))
+    return [{"name": "phi", "embedded": True, "lambda_u": lam_u,
+             "lambda_gen": {g: f"1 - {g}^-1" for g in spec.generators}}]
+
+
+# the default of a parameter that the caller must give
+_NEEDED = object()
+# Every preset, in the order an unknown name lists them: its parameters in
+# the order they are checked, each with its default, and the builder of
+# make_scene's text fields from their values.  Every preset also takes
+# `window`.
+PRESETS = {
+    "disk_d": ({"d": 5}, lambda d: dict(
+        dimension=d, mode=ARCS, group="1",
+        notes=("simply connected: embedded and immersed arcs"
+               " agree through the first interesting degree",))),
+    "solid_torus_arcs": ({"d": 5}, lambda d: dict(
+        dimension=d, mode=ARCS, group="Z<t>",
+        notes=("aspherical interior: no sphere classes, the"
+               " target stays the free module on the window",))),
+    "solid_torus_circles": ({"d": 5, "k0": _NEEDED}, lambda d, k0: dict(
+        dimension=d, mode=CIRCLES, group="Z<t>", u=f"t^{k0}", s=f"t^{k0}")),
+    "s1_x_sphere": ({"d": 5, "w0": _NEEDED}, _s1_x_sphere),
+    "aspherical": ({"group": _NEEDED, "d": 5, "mode": ARCS, "s": "1", "u": "1"},
+                   lambda d, **fields: dict(dimension=d, **fields)),
+    "three_mfd": ({"group": _NEEDED, "mode": ARCS, "s": "1", "u": "1", "spheres": [],
+                   "phi": "none", "whisker": {}},
+                  lambda group, s, spheres, phi, **fields: dict(
+                      dimension=3, group=group, s=s, **fields,
+                      sphere_generators=[{"embedded": True, **entry} for entry in spheres]
+                      + _phi_sphere(group, s, phi))),
+    "product_DkY": ({"group": _NEEDED, "d": 5, "spheres": {}}, lambda group, d, spheres: dict(
+        dimension=d, mode=ARCS, group=group,
+        sphere_generators=[{"name": nm, "embedded": False, "base_dax": val, "lambda_u": "0"}
+                           for nm, val in sorted(spheres.items())],
+        notes=("product with a disk factor: all pairing rows"
+               " vanish, relations are conjugated base values",))),
+}
 
 
 def preset_expand(name: str, params: dict | None = None) -> ManifoldScene:
     """Expand a named preset into a fully explicit scene."""
+    if name not in PRESETS:
+        raise SceneError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
+    declared, build = PRESETS[name]
     p = dict(params or {})
-
-    def take(key, default=None, schema=None):
-        if key not in p:
-            return default
-        value = p.pop(key)
-        _check(value, schema or _PARAM_SCHEMA[key], key, "parameter")
-        return value
-
-    def take_int(key, default=None):
-        value = take(key, default)
-        if value is None:
+    values = {}
+    for key, default in {**declared, "window": None}.items():
+        if key in p:
+            _check(p[key], _PARAM_SCHEMA.get((name, key), _PARAM_SCHEMA[key]), key,
+                   "parameter")
+        elif default is _NEEDED:
             raise SceneError(f"preset {name!r} needs parameter {key}")
-        return value
-
-    def take_group():
-        """The group text, parsed once here so that an error names the
-        parameter."""
-        group = take("group")
-        if group is None:
-            raise SceneError(f"preset {name!r} needs parameter group")
-        try:
-            parse_group_spec(group)
-        except GroupParseError as exc:
-            raise SceneError(f"parameter 'group' must be a group spec: {exc}") from None
-        return group
-
-    if name == "disk_d":
-        d = take_int("d", 5)
-        scene = make_scene(d, ARCS, "1", preset=name,
-                           notes=("simply connected: embedded and immersed arcs"
-                                  " agree through the first interesting degree",))
-    elif name == "solid_torus_arcs":
-        d = take_int("d", 5)
-        scene = make_scene(d, ARCS, "Z<t>", preset=name,
-                           notes=("aspherical interior: no sphere classes, the"
-                                  " target stays the free module on the window",))
-    elif name == "solid_torus_circles":
-        d = take_int("d", 5)
-        k0 = take_int("k0")
-        scene = make_scene(d, CIRCLES, "Z<t>", u=f"t^{k0}" if k0 else "1",
-                           s=f"t^{k0}" if k0 else "1", preset=name)
-    elif name == "s1_x_sphere":
-        d = take_int("d", 5)
-        w0 = take_int("w0")
-        if d < 4:
-            raise SceneError("s1_x_sphere needs dimension >= 4")
-        notes = ()
-        if d == 4:
-            notes = ("dimension 4: the embedding-space group is the displayed"
-                     " quotient plus one extra free summand from immersions",)
-        # the arc is the circle minus the ball, so its group image is the
-        # circle class itself; the sphere row lambda(i2, u) follows by the
-        # derivation rule from lambda(i2, t) = 1
-        scene = make_scene(
-            d, CIRCLES, "Z<t>",
-            u=f"t^{w0}" if w0 else "1",
-            s=f"t^{w0}" if w0 else "1",
-            sphere_generators=[{
-                "name": "i2",
-                "embedded": True,
-                "lambda_gen": {"t": "1"},
-            }],
-            preset=name, notes=notes)
-    elif name == "aspherical":
-        group = take_group()
-        d = take_int("d", 5)
-        mode = take("mode", ARCS)
-        s = take("s", "1")
-        u = take("u", "1")
-        scene = make_scene(d, mode, group, u=u, s=s, preset=name)
-    elif name == "three_mfd":
-        group = take_group()
-        mode = take("mode", ARCS)
-        s = take("s", "1")
-        u = take("u", "1")
-        spheres = [{"embedded": True, **entry} for entry in
-                   take("spheres", [])]
-        phi = take("phi", "none")
-        if phi not in ("none", "boundary_arc", "circle"):
-            raise SceneError("phi must be one of none, boundary_arc, circle")
-        if phi != "none":
-            spec = parse_group_spec(group)
-            lam_u = ("0" if phi == "boundary_arc" else
-                     render_ring(R.one(spec) - R.monomial(inv(parse_word(s, spec)))))
-            spheres.append({
-                "name": "phi",
-                "embedded": True,
-                "lambda_gen": _phi_rows(spec),
-                "lambda_u": lam_u,
-            })
-        scene = make_scene(3, mode, group, u=u, s=s, sphere_generators=spheres,
-                           whisker=take("whisker", {}),
-                           preset=name)
-    elif name == "product_DkY":
-        group = take_group()
-        d = take_int("d", 5)
-        spheres = take("spheres", {}, {str: str})
-        gens = [{
-            "name": nm,
-            "embedded": False,
-            "base_dax": val,
-            "lambda_u": "0",
-        } for nm, val in sorted(spheres.items())]
-        scene = make_scene(d, ARCS, group, sphere_generators=gens, preset=name,
-                           notes=("product with a disk factor: all pairing rows"
-                                  " vanish, relations are conjugated base values",))
-    else:
-        raise SceneError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-
-    if "window" in p:
-        scene = replace(scene, window=take_int("window"))
+        values[key] = p.pop(key, default)
+        if key == "group":
+            # parsed once here, so that an error names the parameter
+            try:
+                parse_group_spec(values[key])
+            except GroupParseError as exc:
+                raise SceneError(f"parameter 'group' must be a group spec: {exc}") from None
+    window = values.pop("window")
+    scene = make_scene(**build(**values), window=window, preset=name)
     if p:
         raise SceneError(f"unused preset parameters: {', '.join(sorted(p))}")
     return scene
@@ -314,12 +267,14 @@ _SCHEMA = {
     "whisker": {str: str},
     "knots": [{"name": str, "trace": [(_SIGN, str)]}],
 }
-# The type of every preset parameter; product_DkY takes its own `spheres`, a
-# table of sphere names to base values.
+# The type of every preset parameter; a (preset, parameter) key gives the
+# type for that preset alone: product_DkY takes its own `spheres`, a table of
+# sphere names to base values.
 _PARAM_SCHEMA = {
     "d": int, "k0": int, "w0": int, "window": int,
     "group": str, "mode": str, "s": str, "u": str, "phi": str,
     "spheres": _SCHEMA["sphere_generators"], "whisker": _SCHEMA["whisker"],
+    ("product_DkY", "spheres"): {str: str},
 }
 # keys that every table whose schema names them must hold
 _REQUIRED = ("dimension", "mode", "group", "name")

@@ -314,26 +314,29 @@ class SolveFailure:
     modulus: int | None
 
 
-def solve_integer(M: list[list[int]], b: list[int]):
-    """Solve M x = b over the integers.
+def solve_integer(M: list[list[int]], bs: list[list[int]]):
+    """Solve M x = b over the integers for each right-hand side b of bs, on
+    one Smith form of M.
 
-    Returns (x, None) on success, (None, SolveFailure) otherwise.
+    Returns (xs, failure): xs holds the solutions of the right-hand sides
+    before the first that has none, and failure is that one's SolveFailure,
+    or None when every right-hand side is solved.
     """
     n = len(M)
     m = len(M[0]) if n else 0
-    if n == 0:
-        return [0] * m, None
     res = smith_normal_form(M)
-    ub = [sum(res.left[i][k] * b[k] for k in range(n)) for i in range(n)]
-    z = [0] * m
-    for i in range(n):
-        d = res.diagonal[i] if i < len(res.diagonal) else 0
-        if d:
-            if ub[i] % d:
-                return None, SolveFailure(list(res.left[i]), d)
-            if i < m:
-                z[i] = ub[i] // d
-        elif ub[i]:
-            return None, SolveFailure(list(res.left[i]), None)
-    x = [sum(res.right[i][k] * z[k] for k in range(m)) for i in range(m)]
-    return x, None
+    xs = []
+    for b in bs:
+        ub = [sum(res.left[i][k] * b[k] for k in range(n)) for i in range(n)]
+        z = [0] * m
+        for i in range(n):
+            d = res.diagonal[i] if i < len(res.diagonal) else 0
+            if d:
+                if ub[i] % d:
+                    return xs, SolveFailure(list(res.left[i]), d)
+                if i < m:
+                    z[i] = ub[i] // d
+            elif ub[i]:
+                return xs, SolveFailure(list(res.left[i]), None)
+        xs.append([sum(res.right[i][k] * z[k] for k in range(m)) for i in range(m)])
+    return xs, None

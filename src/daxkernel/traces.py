@@ -149,17 +149,14 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     # torsion coordinates force w = 0 there (values are torsion free), so a
     # knot pair differing only in torsion must have equal values.
     rows = [list(d.free_coords) + [1] for d in data]
-    solutions = []
-    for out in range(dim):
-        b = [values[d.name][out] for d in data]
-        x, failure = snf.solve_integer(rows, b)
-        if failure is not None:
-            combo = {d.name: y for d, y in zip(data, failure.combination) if y}
-            kind = ("inconsistent integer combination" if failure.modulus is None
-                    else f"inconsistency modulo {failure.modulus}")
-            return Witness(combo, failure.modulus,
-                           f"output coordinate {out}: {kind}")
-        solutions.append(x)
+    solutions, failure = snf.solve_integer(
+        rows, [[values[d.name][out] for d in data] for out in range(dim)])
+    if failure is not None:
+        combo = {d.name: y for d, y in zip(data, failure.combination) if y}
+        kind = ("inconsistent integer combination" if failure.modulus is None
+                else f"inconsistency modulo {failure.modulus}")
+        return Witness(combo, failure.modulus,
+                       f"output coordinate {len(solutions)}: {kind}")
 
     base_value = tuple(sol[q] for sol in solutions)
     # the target is torsion free, so w vanishes on torsion coordinates and is

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from daxkernel import cli
+from daxkernel.scene import PRESETS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -16,6 +17,13 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 COMMANDS = [line.strip() for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
             for line in block.splitlines() if line.startswith("dax-kernel ")]
 (SCENE,) = re.findall(r"^```toml\n(.*?)^```", TEXT, re.M | re.S)
+PRESET_ROWS = re.findall(r"^\| `(\w+)` +\| ([^|]*)\|",
+                         TEXT.split("\n## Presets\n")[1].split("\n## ")[0], re.M)
+
+
+def test_readme_usage_matches_cli_docstring():
+    (usage,) = re.findall(r"^## Command line\n\n```\n(.*?)^```", TEXT, re.M | re.S)
+    assert " ".join(usage.split()) in " ".join(cli.__doc__.split())
 
 
 def test_readme_has_python_blocks():
@@ -40,3 +48,12 @@ def test_readme_command_runs(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def test_readme_presets_table_lists_declared_parameters():
+    """Each row of the presets table names the parameters its preset
+    declares, in the order they are checked; ``window`` is said once below
+    the table."""
+    assert [name for name, _ in PRESET_ROWS] == list(PRESETS)
+    for name, params in PRESET_ROWS:
+        assert re.findall(r"`(\w+)`", params) == list(PRESETS[name][0]), name

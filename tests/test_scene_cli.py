@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -84,13 +85,25 @@ def test_product_preset_relations_are_conjugated_base_values():
     assert rep["structure"]["torsion"] == []
 
 
-def test_unknown_preset_and_missing_params():
-    with pytest.raises(SceneError):
-        preset_expand("klein_bottle", {})
-    with pytest.raises(SceneError):
-        preset_expand("s1_x_sphere", {"d": 5})
-    with pytest.raises(SceneError):
-        preset_expand("s1_x_sphere", {"d": 5, "w0": 1, "bogus": 3})
+@pytest.mark.parametrize("name,params,message", [
+    ("klein_bottle", {}, "unknown preset 'klein_bottle'; known: disk_d, solid_torus_arcs,"
+     " solid_torus_circles, s1_x_sphere, aspherical, three_mfd, product_DkY"),
+    ("solid_torus_circles", {"d": 5}, "preset 'solid_torus_circles' needs parameter k0"),
+    ("s1_x_sphere", {"d": 5}, "preset 's1_x_sphere' needs parameter w0"),
+    ("aspherical", {"d": 5}, "preset 'aspherical' needs parameter group"),
+    ("three_mfd", {}, "preset 'three_mfd' needs parameter group"),
+    ("product_DkY", {"d": 5}, "preset 'product_DkY' needs parameter group"),
+    ("s1_x_sphere", {"d": 5, "w0": 1, "bogus": 3, "extra": 1},
+     "unused preset parameters: bogus, extra"),
+    ("s1_x_sphere", {"d": 3, "w0": 1}, "s1_x_sphere needs dimension >= 4"),
+    ("three_mfd", {"group": "Z<t>", "phi": "sphere"},
+     "phi must be one of none, boundary_arc, circle"),
+    ("aspherical", {"group": "Q<x>"}, "parameter 'group' must be a group spec: "),
+    ("disk_d", {"window": 0}, "window must be >= 1"),
+])
+def test_unknown_preset_and_missing_params(name, params, message):
+    with pytest.raises(SceneError, match="^" + re.escape(message)):
+        preset_expand(name, params)
 
 
 # -- scene validation --------------------------------------------------------------

@@ -276,29 +276,38 @@ def test_reduce_mod_rows_is_coset_invariant():
 
 # -- integer solve ---------------------------------------------------------------------
 
+def mat_vec(M, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in M]
+
+
 def test_solve_recovers_solutions():
     rng = rng_for("solve-ok")
     for _ in range(120):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, n, m, -6, 6)
-        x0 = [rng.randint(-4, 4) for _ in range(m)]
-        b = [sum(M[i][j] * x0[j] for j in range(m)) for i in range(n)]
-        x, failure = solve_integer(M, b)
+        bs = [mat_vec(M, [rng.randint(-4, 4) for _ in range(m)])
+              for _ in range(rng.randint(0, 3))]
+        xs, failure = solve_integer(M, bs)
         assert failure is None
-        assert [sum(M[i][j] * x[j] for j in range(m)) for i in range(n)] == b
+        assert [mat_vec(M, x) for x in xs] == bs
 
 
 def test_solve_failure_certificates():
+    """A random right-hand side between solvable ones: the solutions of
+    those before it come back, with a certificate when it has none."""
     rng = rng_for("solve-fail")
     found_plain = found_mod = 0
     for _ in range(400):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         M = random_matrix(rng, n, m, -4, 4)
+        bs = [mat_vec(M, [rng.randint(-4, 4) for _ in range(m)]) for _ in range(4)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        x, failure = solve_integer(M, b)
+        bs.insert(2, b)
+        xs, failure = solve_integer(M, bs)
         if failure is None:
-            assert [sum(M[i][j] * x[j] for j in range(m)) for i in range(n)] == b
+            assert [mat_vec(M, x) for x in xs] == bs
             continue
+        assert [mat_vec(M, x) for x in xs] == bs[:2]
         y = failure.combination
         yM = [sum(y[i] * M[i][j] for i in range(n)) for j in range(m)]
         yb = sum(y[i] * b[i] for i in range(n))

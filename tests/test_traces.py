@@ -3,6 +3,7 @@ import pytest
 from daxkernel.errors import SceneError, WindowOverflowError
 from daxkernel.groups import inv, parse_group_spec, parse_word, word_key
 from daxkernel import ring as R
+from daxkernel import snf
 from daxkernel.ring import gr_add, monomial, parse_ring
 from daxkernel.calculus import arcs_context, circles_context
 from daxkernel.quotient import OrbitAction, QuotientSolver, build_rel_3mfd
@@ -252,6 +253,32 @@ def test_universality_detects_planted_failure():
     else:
         assert all(v % result.modulus == 0 for v in coord_sum)
         assert any(v % result.modulus != 0 for v in value_sum)
+
+
+@pytest.mark.parametrize("planted,detail", [(0, None), (1, "output coordinate 1: ")])
+def test_universality_factors_its_system_once(monkeypatch, planted, detail):
+    """Every output coordinate is solved on one Smith form of the knots'
+    coordinate matrix, and a failure names the first coordinate that has no
+    solution: the twin has the coordinates of knot 3 and, when planted, a
+    second value that differs from it."""
+    rng = rng_for("univ-once")
+    rs, knots = corpus(rng, n=10)
+    x = parse_word("x", F2)
+    knots = knots + [KnotRecord("twin", concat_traces(knots[3].trace,
+                                                      HomotopyTrace(((1, x), (-1, x)))))]
+    values = {k.name: (7, 0) for k in knots}
+    values["twin"] = (7, planted)
+    universality_witness(knots, values, rs)  # builds the quotient solver
+    calls = []
+    original = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda rows: calls.append(rows) or original(rows))
+    result = universality_witness(knots, values, rs)
+    assert len(calls) == 1
+    if detail is None:
+        assert result[1] == (7, 0)
+    else:
+        assert isinstance(result, Witness) and result.detail.startswith(detail)
 
 
 def test_universality_rejects_repeated_knot_names():
