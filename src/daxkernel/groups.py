@@ -85,10 +85,6 @@ class GroupSpec:
     def generators(self) -> tuple[str, ...]:
         return tuple(n for fac in self.factors for n in fac.gens)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(f.kind == FINITE_CYCLIC and f.order == 1 for f in self.factors)
-
     def factor_of(self, name: str) -> tuple[int, Factor]:
         try:
             fi = self._index[name][0]

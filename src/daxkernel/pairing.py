@@ -113,12 +113,6 @@ class PairingTable:
                     f"class {a.name!r} is embedded, so its base dax value must vanish")
             _check_row_consistency(self.spec, a)
 
-    def by_name(self, name: str) -> SphereClass:
-        for a in self.classes:
-            if a.name == name:
-                return a
-        raise PairingDataError(f"no sphere class named {name!r}")
-
 
 def _commutators(spec: GroupSpec) -> list[tuple[str, list[tuple[str, int]]]]:
     gens = spec.generators

@@ -579,18 +579,29 @@ class QuotientSolver:
         elim = self._elim
         free = [v.get(i, 0) for i in elim.free_rows]
         tors = []
-        block = [v.get(i, 0) for i in elim.residual_rows]
-        diagonal = elim.residual_diagonal
-        for i, row in enumerate(elim.residual_left):
-            d = diagonal[i] if i < len(diagonal) else 0
+        for row, d in zip(elim.residual_left, elim.residual_diagonal):
             if d == 1:
                 continue
-            y = sum(a * b for a, b in zip(row, block))
+            y = sum(c * v.get(i, 0) for i, c in row.items())
             if d == 0:
                 free.append(y)
             else:
                 tors.append(y % d)
         return tuple(free), tuple(tors)
+
+    def free_functional(self, weights: list[int]) -> dict[int, int]:
+        """The sparse functional f on canonical residues whose dot product
+        with a residue v is the sum of weights[j] * free_j(v) over the free
+        coordinates of ``residue_coords``: the transpose of its free part."""
+        elim = self._elim
+        weights = iter(weights)
+        f = {i: w for i, w in zip(elim.free_rows, weights) if w}
+        for row, d in zip(elim.residual_left, elim.residual_diagonal):
+            if d == 0:
+                w = next(weights)
+                for i, c in row.items():
+                    f[i] = f.get(i, 0) + w * c
+        return {i: c for i, c in f.items() if c}
 
 
 def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:

@@ -36,8 +36,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class SmithResult:
     diagonal: list[int]   # d_1 | d_2 | ... then zeros; length min(n, m)
     rank: int
-    left: list[list[int]]    # U with U*A*V = D (n x n)
-    right: list[list[int]]   # V (m x m)
+    left: list[dict[int, int]]   # the rows of U, with U*A*V = D (U is n x n)
+    right: list[dict[int, int]]  # the columns of V (V is m x m)
 
 
 @dataclass
@@ -56,8 +56,10 @@ class SparseElimination:
     basis: dict[int, dict[int, int]]  # the Hermite basis, as hermite_row_basis
     free_rows: list[int]          # rows outside the pivots and the residual block
     residual_rows: list[int]
-    residual_diagonal: list[int]  # Smith diagonal of the residual block
-    residual_left: list[list[int]]  # its left transform U (U*B*V = D)
+    # Smith diagonal of the residual block, with a 0 for each row past it
+    residual_diagonal: list[int]
+    # the rows of its left transform U (U*B*V = D), keyed by window position
+    residual_left: list[dict[int, int]]
     # invariant factors > 1 of each requested column prefix, in request order
     prefix_torsion: list[list[int]] = field(default_factory=list)
 
@@ -163,7 +165,9 @@ def smith_normal_form(rows: list[list[int]]) -> SmithResult:
     next entry goes the same way.  Then each diagonal entry a and each later
     entry b that it does not divide become gcd(a, b) and lcm(a, b) by one
     2 x 2 step on their rows of U and columns of V, so d_1 | d_2 | ...  At
-    the end each row's entry is permuted onto the diagonal.
+    the end each row's entry is permuted onto the diagonal.  The transforms
+    are returned as those sparse vectors: U's rows with their keys shifted
+    down by m, and V's columns with theirs shifted down by n.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -191,18 +195,10 @@ def smith_normal_form(rows: list[list[int]]) -> SmithResult:
                                       _combine(-y * b // g, C[a_col], x * a // g, C[b_col]))
                 diag[k], diag[l] = g, a * b // g
 
-    U = [[0] * n for _ in range(n)]
-    for k, row in enumerate(R):
-        for i, c in row.items():
-            if i >= m:
-                U[k][i - m] = c
     rest = sorted(set(range(m)).difference(on_diagonal))
-    V = [[0] * m for _ in range(m)]
-    for k, j in enumerate(on_diagonal + rest):
-        for i, c in C[j].items():
-            if i >= n:
-                V[i - n][k] = c
-    return SmithResult(diag + [0] * (min(n, m) - len(diag)), len(diag), U, V)
+    left = [{i - m: c for i, c in row.items() if i >= m} for row in R]
+    right = [{i - n: c for i, c in C[j].items() if i >= n} for j in on_diagonal + rest]
+    return SmithResult(diag + [0] * (min(n, m) - len(diag)), len(diag), left, right)
 
 
 def _residual_smith(rows: dict[int, dict[int, int]]):
@@ -267,7 +263,8 @@ def sparse_rank_and_torsion(cols: list[dict[int, int]], n: int,
     free_rows = [i for i in range(n) if i not in basis and i not in in_block]
     torsion, diagonal, left = _torsion(res), [], []
     if res is not None:
-        diagonal, left = res.diagonal, res.left
+        diagonal = res.diagonal + [0] * (len(residual_rows) - len(res.diagonal))
+        left = [{residual_rows[k]: c for k, c in row.items()} for row in res.left]
     prefix_torsion = [torsion if t is None else t for t in prefix_torsion]
     return SparseElimination(len(basis), torsion, basis, free_rows,
                              residual_rows, diagonal, left, prefix_torsion)
@@ -327,16 +324,15 @@ def solve_integer(M: list[list[int]], bs: list[list[int]]):
     res = smith_normal_form(M)
     xs = []
     for b in bs:
-        ub = [sum(res.left[i][k] * b[k] for k in range(n)) for i in range(n)]
-        z = [0] * m
-        for i in range(n):
+        x = [0] * m
+        for i, row in enumerate(res.left):
+            ub = sum(c * b[k] for k, c in row.items())
             d = res.diagonal[i] if i < len(res.diagonal) else 0
-            if d:
-                if ub[i] % d:
-                    return xs, SolveFailure(list(res.left[i]), d)
-                if i < m:
-                    z[i] = ub[i] // d
-            elif ub[i]:
-                return xs, SolveFailure(list(res.left[i]), None)
-        xs.append([sum(res.right[i][k] * z[k] for k in range(m)) for i in range(m)])
+            if (ub % d if d else ub) != 0:
+                return xs, SolveFailure([row.get(k, 0) for k in range(n)], d or None)
+            if ub:
+                # z_i = ub / d, and x = V z adds z_i times V's column i
+                for j, c in res.right[i].items():
+                    x[j] += c * (ub // d)
+        xs.append(x)
     return xs, None

@@ -119,9 +119,10 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     ``values`` maps the knots' names, which must be distinct, to integer
     vectors, and names no other key.  Returns (w_map, base_value) on
     success, where w_map gives the value of w on each window generator;
-    returns a Witness when no such w exists.  Each generator's
-    coordinates are read from the residue of its unit vector, and its
-    w_map key is its rendered word, which is the text of its monomial.
+    returns a Witness when no such w exists.  Each output of w is one
+    sparse functional on canonical residues (``free_functional``), dotted
+    with the residue of each generator's unit vector; a generator's w_map
+    key is its rendered word, which is the text of its monomial.
     """
     if not knots:
         raise SceneError("universality check needs at least one knot")
@@ -161,9 +162,10 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     base_value = tuple(sol[q] for sol in solutions)
     # the target is torsion free, so w vanishes on torsion coordinates and is
     # determined by the free part of each generator's class
+    functionals = [solver.free_functional(sol[:q]) for sol in solutions]
     w_map = {}
     for i, g in enumerate(solver.generators):
-        gen_free, _ = solver.residue_coords(solver.reduce({i: 1}))
-        w_map[render_word(g)] = tuple(
-            sum(sol[j] * gen_free[j] for j in range(q)) for sol in solutions)
+        residue = solver.reduce({i: 1})
+        w_map[render_word(g)] = tuple(sum(f.get(j, 0) * c for j, c in residue.items())
+                                      for f in functionals)
     return w_map, base_value

@@ -68,6 +68,16 @@ def is_pure_free(spec: GroupSpec) -> bool:
     return len(spec.factors) == 1 and spec.factors[0].kind == "free"
 
 
+def is_trivial(spec: GroupSpec) -> bool:
+    """Whether every factor of the spec is Z/1."""
+    return all(f.kind == FINITE_CYCLIC and f.order == 1 for f in spec.factors)
+
+
+def class_named(table: PairingTable, name: str) -> SphereClass:
+    """The sphere class of the table with the given name."""
+    return next(a for a in table.classes if a.name == name)
+
+
 def random_class(rng, spec, name="a", embedded=None) -> SphereClass:
     """A sphere class whose rows satisfy the derivation-rule constraints."""
     if embedded is None:
@@ -414,7 +424,7 @@ def dense_coords(rows, vec):
             d = res.diagonal[i] if i < len(res.diagonal) else 0
             if d == 1:
                 continue
-            y = sum(a * v[j] for a, j in zip(left, touched))
+            y = sum(a * v[j] for a, j in zip(dense(left, len(touched)), touched))
             if d == 0:
                 free.append(y)
             else:

@@ -19,6 +19,7 @@ from daxkernel.calculus import (
 
 from conftest import (
     GROUP_TEXTS,
+    class_named,
     random_class,
     random_circles_context,
     random_word,
@@ -217,7 +218,7 @@ def test_boundary_matches_embedded_pipeline():
         spec = parse_group_spec(text)
         for _ in range(20):
             ctx = random_circles_context(rng, spec)
-            phi = ctx.table.by_name("phi")
+            phi = class_named(ctx.table, "phi")
             g = random_word(rng, spec)
             assert dax_boundary_sphere(g, ctx) == dax_u_embedded(g, phi, ctx)
 

@@ -23,6 +23,27 @@ def random_matrix(rng, n, m, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
+def wide_system(rng):
+    """A knots x (free coordinates + 1) matrix of the shape universality
+    solves: up to 6 rows and 40 columns of small, mostly zero coordinates,
+    a last column of 1s, and at times a repeated knot."""
+    n, m = rng.randint(1, 6), rng.randint(2, 40)
+    M = [[rng.choice((0, 0, 0, 0, -2, -1, 1, 2)) for _ in range(m - 1)] + [1]
+         for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        M[-1] = list(M[0])
+    return M
+
+
+def solve_matrices(rng, count, size, lo, hi):
+    """count random matrices up to size x size with entries in [lo, hi],
+    then count short, wide ones (``wide_system``)."""
+    for _ in range(count):
+        yield random_matrix(rng, rng.randint(1, size), rng.randint(1, size), lo, hi)
+    for _ in range(count):
+        yield wide_system(rng)
+
+
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
@@ -114,13 +135,26 @@ def test_matches_determinantal_divisors():
             assert b % a == 0
 
 
+def transforms(res, n, m):
+    """The dense U and V of a SmithResult of an n x m matrix, from U's
+    sparse rows and V's sparse columns, which hold no zero entries and no
+    key out of range."""
+    assert len(res.left) == n and len(res.right) == m
+    for vec, size in [(row, n) for row in res.left] + [(col, m) for col in res.right]:
+        assert all(c and 0 <= k < size for k, c in vec.items())
+    U = [dense(row, n) for row in res.left]
+    V = [list(col) for col in zip(*(dense(col, m) for col in res.right))]
+    return U, V
+
+
 def assert_smith_form(M, res):
     """U*M*V = D exactly, |det U| = |det V| = 1, and the diagonal is
     d_1 | d_2 | ... > 0 and then zeros."""
     n, m = len(M), len(M[0])
-    assert abs(determinant(res.left)) == 1
-    assert abs(determinant(res.right)) == 1
-    D = mat_mul(mat_mul(res.left, M), res.right)
+    U, V = transforms(res, n, m)
+    assert abs(determinant(U)) == 1
+    assert abs(determinant(V)) == 1
+    D = mat_mul(mat_mul(U, M), V)
     assert D == [[res.diagonal[i] if i == j else 0 for j in range(m)] for i in range(n)]
     nonzero = res.diagonal[:res.rank]
     assert all(d > 0 for d in nonzero) and not any(res.diagonal[res.rank:])
@@ -133,6 +167,9 @@ def test_transforms_diagonalize():
     for _ in range(100):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, n, m)
+        assert_smith_form(M, smith_normal_form(M))
+    for _ in range(20):
+        M = wide_system(rng)
         assert_smith_form(M, smith_normal_form(M))
 
 
@@ -180,7 +217,7 @@ def test_transforms_stay_small():
          for i in range(8)]
     res = smith_normal_form(M)
     assert_smith_form(M, res)
-    assert max(abs(x).bit_length() for row in res.left + res.right for x in row) <= 64
+    assert max(abs(x).bit_length() for vec in res.left + res.right for x in vec.values()) <= 64
 
 
 def test_divisibility_chain_needs_no_more_echelon_rounds(monkeypatch):
@@ -282,9 +319,8 @@ def mat_vec(M, x):
 
 def test_solve_recovers_solutions():
     rng = rng_for("solve-ok")
-    for _ in range(120):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        M = random_matrix(rng, n, m, -6, 6)
+    for M in solve_matrices(rng, 120, 5, -6, 6):
+        n, m = len(M), len(M[0])
         bs = [mat_vec(M, [rng.randint(-4, 4) for _ in range(m)])
               for _ in range(rng.randint(0, 3))]
         xs, failure = solve_integer(M, bs)
@@ -296,10 +332,9 @@ def test_solve_failure_certificates():
     """A random right-hand side between solvable ones: the solutions of
     those before it come back, with a certificate when it has none."""
     rng = rng_for("solve-fail")
-    found_plain = found_mod = 0
-    for _ in range(400):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        M = random_matrix(rng, n, m, -4, 4)
+    found = set()
+    for k, M in enumerate(solve_matrices(rng, 400, 4, -4, 4)):
+        n, m = len(M), len(M[0])
         bs = [mat_vec(M, [rng.randint(-4, 4) for _ in range(m)]) for _ in range(4)]
         b = [rng.randint(-9, 9) for _ in range(n)]
         bs.insert(2, b)
@@ -311,15 +346,15 @@ def test_solve_failure_certificates():
         y = failure.combination
         yM = [sum(y[i] * M[i][j] for i in range(n)) for j in range(m)]
         yb = sum(y[i] * b[i] for i in range(n))
+        found.add((k < 400, failure.modulus is None))
         if failure.modulus is None:
-            found_plain += 1
             assert yM == [0] * m
             assert yb != 0
         else:
-            found_mod += 1
             assert all(v % failure.modulus == 0 for v in yM)
             assert yb % failure.modulus != 0
-    assert found_plain > 0 and found_mod > 0
+    # both kinds of certificate, among the square and among the wide matrices
+    assert len(found) == 4
 
 
 # -- sparse structure path --------------------------------------------------------------

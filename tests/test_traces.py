@@ -1,12 +1,22 @@
 import pytest
 
+from daxkernel import cli
 from daxkernel.errors import SceneError, WindowOverflowError
 from daxkernel.groups import inv, parse_group_spec, parse_word, word_key
 from daxkernel import ring as R
 from daxkernel import snf
 from daxkernel.ring import gr_add, monomial, parse_ring
 from daxkernel.calculus import arcs_context, circles_context
-from daxkernel.quotient import OrbitAction, QuotientSolver, build_rel_3mfd
+from daxkernel.quotient import (
+    PROV_DAX_IMAGE,
+    OrbitAction,
+    QuotientSolver,
+    RelationSet,
+    build_rel_3mfd,
+    column,
+    window_generators,
+)
+from daxkernel.scene import preset_expand
 from daxkernel.traces import (
     HomotopyTrace,
     KnotRecord,
@@ -151,19 +161,27 @@ def test_orbit_reduction_applies_for_circles():
 
 # -- universality ----------------------------------------------------------------------
 
-def corpus(rng, n=30, window=3, span=False):
-    rs = irreducible_ctx(window)
-    gens_set = set(rs.generators)
-    knots = [KnotRecord("base", HomotopyTrace(()))]
-    if span:
-        # one probe knot per window generator pins the solve down uniquely
-        for i, g in enumerate(rs.generators):
-            knots.append(KnotRecord(f"gen{i}", HomotopyTrace(((1, g),))))
+def probe_knots(rs):
+    """The empty knot, and one knot per window generator g with trace g;
+    they pin the solve down uniquely."""
+    return [KnotRecord("base", HomotopyTrace(()))] + [
+        KnotRecord(f"gen{i}", HomotopyTrace(((1, g),))) for i, g in enumerate(rs.generators)]
+
+
+def add_random_knots(rng, rs, knots, n):
+    """``knots`` with random F<x,y> knots on the window appended, up to n."""
+    gens = set(rs.generators)
     while len(knots) < n:
         t = random_trace(rng, F2, max_events=4)
-        if all(w in gens_set or w.is_identity for _, w in t.events):
+        if all(w in gens or w.is_identity for _, w in t.events):
             knots.append(KnotRecord(f"k{len(knots)}", t))
-    return rs, knots
+    return knots
+
+
+def corpus(rng, n=30, window=3, span=False):
+    rs = irreducible_ctx(window)
+    knots = probe_knots(rs) if span else [KnotRecord("base", HomotopyTrace(()))]
+    return rs, add_random_knots(rng, rs, knots, n)
 
 
 def test_universality_identity_invariant():
@@ -279,6 +297,70 @@ def test_universality_factors_its_system_once(monkeypatch, planted, detail):
         assert result[1] == (7, 0)
     else:
         assert isinstance(result, Witness) and result.detail.startswith(detail)
+
+
+def assert_solves_type_one_values(rs, knots, rng, action=None, dim=2):
+    """Values drawn as base + a random integer map of the free coordinates
+    are of type <= 1, so universality solves them.  Check the solution on
+    its defining equations: each output of w vanishes on every relation
+    column, and v(K) = base + the sum of c * w(g) over the terms c * g of
+    each knot's value."""
+    solver = rs.solver
+    weights = [[rng.randint(-3, 3) for _ in range(solver.free_rank)] for _ in range(dim)]
+    base = [rng.randint(-5, 5) for _ in range(dim)]
+    values = {}
+    for k in knots:
+        free, _ = solver.coords(eval_dax_trace(k.trace, rs.spec))
+        values[k.name] = tuple(b + sum(a * c for a, c in zip(ws, free))
+                               for b, ws in zip(base, weights))
+    result = universality_witness(knots, values, rs, action)
+    assert not isinstance(result, Witness)
+    w_map, base_value = result
+    w = [w_map[str(monomial(g))] for g in rs.generators]
+
+    def w_of(terms):
+        return tuple(sum(c * w[i][out] for i, c in terms) for out in range(dim))
+
+    for col in rs.columns:
+        assert w_of(col) == (0,) * dim
+    for k in knots:
+        terms = column(rs.letter_index, eval_dax_trace(k.trace, rs.spec)).items()
+        assert values[k.name] == tuple(b + x for b, x in zip(base_value, w_of(terms)))
+
+
+def test_universality_solves_its_equations_on_random_relation_sets():
+    """Relation sets drawn as in ``test_coords_on_random_relation_sets``,
+    with one probe knot per generator and a few random knots; some have a
+    residual block with both a torsion row and a free row."""
+    rng = rng_for("univ-random")
+    window = 4
+    all_gens = window_generators(Z, window)
+    mixed_blocks = 0
+    for _ in range(80):
+        n, m = rng.randint(1, 7), rng.randint(0, 7)
+        gens = all_gens[:n]
+        rels = tuple(R.from_terms(Z, [(g, c) for g in gens if (c := rng.randint(-6, 6))])
+                     for _ in range(m))
+        rs = RelationSet.from_relations(Z, window, gens, rels, (PROV_DAX_IMAGE,) * m)
+        diagonal = rs.solver._elim.residual_diagonal
+        mixed_blocks += 0 in diagonal and any(d > 1 for d in diagonal)
+        knots = probe_knots(rs) + [
+            KnotRecord(f"k{j}", HomotopyTrace(tuple(
+                (rng.choice((1, -1)), rng.choice(gens)) for _ in range(rng.randint(1, 4)))))
+            for j in range(3)]
+        assert_solves_type_one_values(rs, knots, rng)
+    assert mixed_blocks >= 5, mixed_blocks
+
+
+def test_universality_solves_its_equations_on_f2_at_window_6():
+    """The aspherical F<x,y> circles scene of the benchmark at W = 6: 1,456
+    generators, 974 free coordinates."""
+    rng = rng_for("univ-f2")
+    sc = preset_expand("aspherical", {"group": "F<x,y>", "d": 7, "mode": "circles",
+                                      "s": "x*y^-1", "u": "x*y^-1"})
+    rs, action = cli.build_relations(sc, 6)
+    knots = add_random_knots(rng, rs, probe_knots(rs), len(rs.generators) + 6)
+    assert_solves_type_one_values(rs, knots, rng, action)
 
 
 def test_universality_rejects_repeated_knot_names():

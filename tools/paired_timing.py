@@ -17,9 +17,12 @@ root's pass time to the second's, with its quartiles, and in how many
 rounds the second root's pass was the faster one.  A ratio above 1 means
 the second root is faster.  Separate benchmark runs
 drift with the machine's speed; the two passes of a round run back to back,
-so their ratio cancels most of that drift.  The exit status is 1 when the
-roots' outputs differ on some op, 0 otherwise.  Nothing under ``bench`` is
-edited.
+so their ratio cancels most of that drift.  The two package copies share
+one process, its allocator and its collector, and they have been seen to
+interact on ``aspherical.F2.W4.eval``: treat a per-op ratio of a few
+percent as unconfirmed until separate processes (``bench/run.py`` runs of
+each checkout) agree.  The exit status is 1 when the roots' outputs differ
+on some op, 0 otherwise.  Nothing under ``bench`` is edited.
 """
 
 from __future__ import annotations
