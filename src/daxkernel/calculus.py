@@ -97,23 +97,20 @@ def dax_rebase(a: SphereClass, ctx: DaxContext) -> RingElem:
     return R.gr_add(a.base_dax, R.gr_bar_reduce(a.lambda_u))
 
 
-def _add(acc: dict[tuple, int], terms) -> None:
-    """acc += sum of c*w over the (w, c) terms."""
-    for w, c in terms:
-        acc[w] = acc.get(w, 0) + c
-
-
 def _reduced(acc: dict[tuple, int]) -> dict[tuple, int]:
     """red(sum of acc), still a term dict: the identity term dropped."""
     acc.pop((), None)
     return acc
 
 
-def _conj(spec, g: tuple, terms):
-    """The terms g w g^-1 of the (Word, coefficient) terms, as letters."""
+def _add_conj(spec, acc: dict[tuple, int], g: tuple, terms) -> None:
+    """acc += g r g^-1 for the element r with (Word, coefficient) ``terms``,
+    summed into acc as letters in place."""
     gi = inv_letters(spec, g)
-    return ((mul_letters(spec, mul_letters(spec, g, w.letters), gi), c)
-            for w, c in terms)
+    get = acc.get
+    for w, c in terms:
+        v = mul_letters(spec, mul_letters(spec, g, w.letters), gi)
+        acc[v] = get(v, 0) + c
 
 
 def _twist(g: Word, a: SphereClass, ctx: DaxContext) -> dict[tuple, int]:
@@ -131,7 +128,7 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax(g a) = g dax(a) g^-1 - red(lambda(g a, g)) + red(lambda(g, g a))
     """
     acc = _twist(g, a, ctx)
-    _add(acc, _conj(ctx.spec, g.letters, a.base_dax.terms))
+    _add_conj(ctx.spec, acc, g.letters, a.base_dax.terms)
     return R.from_letters(ctx.spec, _reduced(acc))
 
 
@@ -167,13 +164,17 @@ def _dax_u(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
 
         dax_u(g a) = T_a(g) + g dax(a) g^-1 + g lambda(a, u)
 
-    and the conjugation is skipped when dax(a) is zero, as it is for an
-    embedded class.
+    Both parts are added into the twist's dict in place, term by term: the
+    conjugation by ``_add_conj``, skipped when dax(a) is zero, as it is for
+    an embedded class, and g lambda(a, u) by one product per term.
     """
     spec = ctx.spec
     if not a.base_dax.is_zero:
-        _add(twist, _conj(spec, g, a.base_dax.terms))
-    _add(twist, ((mul_letters(spec, g, w.letters), c) for w, c in a.lambda_u.terms))
+        _add_conj(spec, twist, g, a.base_dax.terms)
+    get = twist.get
+    for w, c in a.lambda_u.terms:
+        v = mul_letters(spec, g, w.letters)
+        twist[v] = get(v, 0) + c
     return _reduced(twist)
 
 
@@ -196,7 +197,8 @@ def _dax_boundary_sphere(g: tuple, ctx) -> dict[tuple, int]:
         raise ModeError("the boundary sphere exists only in circles mode")
     spec = ctx.spec
     acc = {inv_letters(spec, g): ctx.flip}
-    _add(acc, [(mul_letters(spec, g, ctx.s_inv), -1)])
+    v = mul_letters(spec, g, ctx.s_inv)
+    acc[v] = acc.get(v, 0) - 1
     return _reduced(acc)
 
 

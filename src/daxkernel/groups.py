@@ -439,11 +439,13 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
 
     A normal form is its factor blocks concatenated, and ``word_key``
     concatenates per-letter keys, so each factor's spheres are built on their
-    own, letter tuples and keys together (``_factor_spheres``), and the ball
-    is their products up to the radius, sorted once on the built keys.  A
-    free-abelian factor of rank k is read as k factors ``Z<g>`` (``_pieces``):
-    their product has the same normal forms and keys.  No ``mul``,
-    ``normalize`` or ``word_key`` call is made.
+    own, letter tuples and keys together and each already in key order
+    (``_factor_spheres``).  The ball is their products up to the radius,
+    each sphere sorted once on the built keys: a sphere of one piece comes
+    sorted, so its sort is one linear pass, and only a product of pieces
+    interleaves.  A free-abelian factor of rank k is read as k factors
+    ``Z<g>`` (``_pieces``): their product has the same normal forms and
+    keys.  No ``mul``, ``normalize`` or ``word_key`` call is made.
 
     ``limit`` guards against exponentially large balls in free groups: the
     exact size is counted from the pieces' sphere sizes first
@@ -534,31 +536,43 @@ def _sphere_size(fac: Factor, n: int) -> int:
 
 def _factor_spheres(fac: Factor, first: int, radius: int) -> list[list[tuple]]:
     """The nonempty spheres of radius 0..radius in a free factor or a
-    one-generator one, each a list of (letters, key) pairs: the normal
-    form's letters and its ``word_key`` letter keys, with generator indices
-    counted from ``first``."""
+    one-generator one, each a list of (letters, key) pairs in ``word_key``
+    order: the normal form's letters and its ``word_key`` letter keys, with
+    generator indices counted from ``first``.
+
+    In a free factor of rank >= 2, a word of length n is a first syllable
+    x^(+-k), k <= n, followed by a word of length n-k that does not start
+    with x.  Keys compare letter by letter, so sphere n is, for each
+    syllable in key order (generator, then k, then positive first), that
+    syllable prefixed to the words of sphere n-k not starting with x, in
+    their own order.  Each sphere is kept split by its words' first
+    generator, so those words are the other generators' parts joined.
+    A free factor ``F<x>`` of rank 1 takes the one-generator branch, as
+    ``Z<t>`` does: its spheres are x^n and x^-n, where the prefix loop
+    would try n syllables per sphere, O(radius^2) in all.
+    """
     spheres = [[((), ())]]
-    if fac.kind == FREE:
+    if fac.kind == FREE and len(fac.gens) > 1:
         gens = [(name, first + i) for i, name in enumerate(fac.gens)]
-        # a word of length n is one of length n-1 with a new syllable
-        # appended, or with its last syllable grown away from zero
-        for _ in range(radius):
-            nxt = []
-            for letters, key in spheres[-1]:
-                last = None
-                if letters:
-                    last, e = letters[-1]
-                    g, size, neg = key[-1]
-                    nxt.append((letters[:-1] + ((last, e - 1 if neg else e + 1),),
-                                key[:-1] + ((g, size + 1, neg),)))
-                for name, g in gens:
-                    if name != last:
-                        nxt.append((letters + ((name, 1),), key + ((g, 1, 0),)))
-                        nxt.append((letters + ((name, -1),), key + ((g, 1, 1),)))
-            spheres.append(nxt)
+        # split[m]: sphere m as (i, the words starting with gens[i]) in key
+        # order, the identity's i -1 since it starts with no generator
+        split = [[(-1, spheres[0])]]
+        for n in range(1, radius + 1):
+            parts = []
+            for i, (name, g) in enumerate(gens):
+                part = []
+                for k in range(1, n + 1):
+                    for syllable, head in ((((name, k),), ((g, k, 0),)),
+                                           (((name, -k),), ((g, k, 1),))):
+                        part += [(syllable + letters, head + key)
+                                 for j, words in split[n - k] if j != i
+                                 for letters, key in words]
+                parts.append((i, part))
+            split.append(parts)
+            spheres.append([w for _, part in parts for w in part])
         return spheres
-    # Z<t>: t^n and t^-n; Z/m<u>: the shortest exponents n and n - m, the
-    # second written m - n, and at n = m/2 only the positive tie
+    # Z<t> and F<x>: t^n and t^-n; Z/m<u>: the shortest exponents n and
+    # n - m, the second written m - n, and at n = m/2 only the positive tie
     name, = fac.gens
     m = fac.order
     for n in range(1, (min(radius, m // 2) if m else radius) + 1):

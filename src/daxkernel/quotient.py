@@ -201,15 +201,25 @@ def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
     lists: the terms inside the window as (position, coefficient) pairs
     sorted by position, then the terms outside it as (letters, coefficient)
     pairs sorted by ``word_key`` of their letters, which is computed only
-    when two or more are outside.
+    when two or more are outside.  One pass over the term dict splits the
+    terms, each letter tuple looked up once in ``letter_index``; the
+    positions of distinct terms are distinct, so the pairs sort as integers.
 
     This is the order of ``RingElem`` terms: the window is the ball of
     radius W less the identity, in ``word_key`` order, and a dropped value
     is reduced, so every term outside the window is longer than W and sorts
     after every term inside.
     """
-    inside, outside = _place(letter_index, terms.items())
-    inside, outside = sorted(inside.items()), list(outside.items())
+    inside, outside = [], []
+    get = letter_index.get
+    for w, c in terms.items():
+        if c:
+            i = get(w)
+            if i is None:
+                outside.append((w, c))
+            else:
+                inside.append((i, c))
+    inside.sort()
     if len(outside) > 1:
         outside.sort(key=lambda term: key_letters(spec, term[0]))
     return inside, outside

@@ -349,6 +349,18 @@ def test_ball_past_the_limit_raises_before_building():
         ball(parse_group_spec("F<x,y>"), 40)
 
 
+def test_rank_one_free_ball_is_the_powers():
+    # F<x> takes the one-generator branch, as Z<t> does: x^n and x^-n per
+    # sphere.  It takes hundredths of a second; the syllable loop of a free
+    # factor, which tries n syllables per sphere, takes seconds
+    spec = parse_group_spec("F<x>")
+    start = time.perf_counter()
+    got = ball(spec, 2999, limit=6000)
+    assert time.perf_counter() - start < 0.5
+    assert [w.letters for w in got] == [()] + [(("x", e),) for n in range(1, 3000)
+                                               for e in (n, -n)]
+
+
 def test_ball_deterministic_and_sorted():
     spec = parse_group_spec("F<x,y>")
     b1 = ball(spec, 3)

@@ -517,6 +517,10 @@ def factor_products(draw):
 
 
 @given(factor_products(), st.integers(min_value=0, max_value=5))
+@example(parse_group_spec("F<x>"), 9)
+@example(parse_group_spec("F<x,y>"), 6)  # the benchmark's 1,457 elements
+@example(parse_group_spec("F<x,y,z>"), 4)
+@example(parse_group_spec("F<x> x F<y,z>"), 3)
 @settings(max_examples=150, deadline=None)
 def test_ball_matches_breadth_first_reference(spec, radius):
     # same elements, letters and order as the breadth-first walk; a ball
@@ -877,17 +881,17 @@ def test_assembly_matches_reference(build):
 
 
 def test_target_report_renders_as_the_reference():
-    """Over ``F<x,y> x Z/3<u>`` and ``Z<t> x Z/2<u>``, the report's relations
-    and dropped values are ``str`` of the reference RingElems, and some
-    dropped values have two or more terms outside the window, whose order
-    is the one that needs ``word_key``."""
+    """Over ``F<x,y>``, ``F<x,y> x Z/3<u>`` and ``Z<t> x Z/2<u>``, the
+    report's relations and dropped values are ``str`` of the reference
+    RingElems, and some dropped values have two or more terms outside the
+    window, whose order is the one that needs ``word_key``."""
     from daxkernel import cli
     from daxkernel.errors import DaxKernelError
     from daxkernel.quotient import order_dropped
 
     outside = [0]
 
-    @given(relation_builds(("F<x,y> x Z/3<u>", "Z<t> x Z/2<u>")))
+    @given(relation_builds(("F<x,y>", "F<x,y> x Z/3<u>", "Z<t> x Z/2<u>")))
     @settings(max_examples=100, deadline=None)
     def check(build):
         try:
