@@ -8,8 +8,9 @@ an already reduced value (conjugation, inversion) never send a non-identity
 word to the identity, so this equals reducing every piece separately.
 
 The formulas behind relation assembly each have one private body that
-works on normal form letter tuples (``groups.mul_letters``,
-``groups.inv_letters``) and returns that reduced dictionary, letters ->
+works on normal form letter tuples, through the spec's product and inverse
+kernels (``GroupSpec._mul``, ``GroupSpec._inv``) passed in with the
+class's letter terms, and returns that reduced dictionary, letters ->
 coefficient (zero coefficients included), building no ``Word``: ``_dax_u``
 for a translated class, whichever of ``dax_u_general`` and
 ``dax_u_embedded`` names it, and ``_dax_boundary_sphere``.  The translate
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ModeError, SpecMismatchError
-from .groups import Word, inv, inv_letters, mul_letters
+from .groups import Word, inv
 from . import ring as R
 from .ring import RingElem
 from .pairing import (
@@ -103,13 +104,13 @@ def _reduced(acc: dict[tuple, int]) -> dict[tuple, int]:
     return acc
 
 
-def _add_conj(spec, acc: dict[tuple, int], g: tuple, terms) -> None:
-    """acc += g r g^-1 for the element r with (Word, coefficient) ``terms``,
-    summed into acc as letters in place."""
-    gi = inv_letters(spec, g)
+def _add_conj(mul, inv, acc: dict[tuple, int], g: tuple, terms) -> None:
+    """acc += g r g^-1 for the element r with (letters, coefficient)
+    ``terms``, summed into acc in place by the spec's kernels."""
+    gi = inv(g)
     get = acc.get
     for w, c in terms:
-        v = mul_letters(spec, mul_letters(spec, g, w.letters), gi)
+        v = mul(mul(g, w), gi)
         acc[v] = get(v, 0) + c
 
 
@@ -119,7 +120,8 @@ def _twist(g: Word, a: SphereClass, ctx: DaxContext) -> dict[tuple, int]:
     if g.spec != ctx.spec:
         raise SpecMismatchError("translate over a different spec")
     spec = ctx.spec
-    return add_twist(spec, {}, g.letters, lambda_terms(spec, a, g.letters).items(), ctx.flip)
+    return add_twist(spec._mul, spec._inv, {}, g.letters,
+                     lambda_terms(spec, a, g.letters).items(), ctx.flip)
 
 
 def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -128,8 +130,9 @@ def dax_translate(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax(g a) = g dax(a) g^-1 - red(lambda(g a, g)) + red(lambda(g, g a))
     """
     acc = _twist(g, a, ctx)
-    _add_conj(ctx.spec, acc, g.letters, a.base_dax.terms)
-    return R.from_letters(ctx.spec, _reduced(acc))
+    spec = ctx.spec
+    _add_conj(spec._mul, spec._inv, acc, g.letters, R.letter_terms(a.base_dax))
+    return R.from_letters(spec, _reduced(acc))
 
 
 def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -138,7 +141,7 @@ def dax_u_general(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
         dax_u(g a) = g dax_u(a) g^-1 + red(lambda(g a, u))
                      - red(lambda(g a, g u)) + red(lambda(g, g a))
     """
-    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx)))
+    return R.from_letters(ctx.spec, _dax_u_of(g, a, ctx))
 
 
 def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
@@ -151,12 +154,24 @@ def dax_u_embedded(g: Word, a: SphereClass, ctx: DaxContext) -> RingElem:
     """
     if not a.embedded:
         raise ModeError(f"class {a.name!r} has no embedded representative")
-    return R.from_letters(ctx.spec, _dax_u(g.letters, a, ctx, _twist(g, a, ctx)))
+    return R.from_letters(ctx.spec, _dax_u_of(g, a, ctx))
 
 
-def _dax_u(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
-    """dax_u of the translate with letters g as a reduced letter-keyed term
-    dict, summed into the twist T_a(g).
+def _dax_u_of(g: Word, a: SphereClass, ctx: DaxContext) -> dict[tuple, int]:
+    """``_dax_u`` of the translate g*a, its arguments read off the Words."""
+    twist = _twist(g, a, ctx)
+    spec = ctx.spec
+    return _dax_u(spec._mul, spec._inv, g.letters, R.letter_terms(a.base_dax),
+                  R.letter_terms(a.lambda_u), twist)
+
+
+def _dax_u(mul, inv, g: tuple, base, lam_u, twist: dict[tuple, int]) -> dict[tuple, int]:
+    """dax_u of the translate with letters g of a class a as a reduced
+    letter-keyed term dict, summed into the twist T_a(g).  ``base`` and
+    ``lam_u`` are the (letters, coefficient) terms of dax(a) and
+    lambda(a, u), and ``mul`` and ``inv`` the spec's kernels
+    (``GroupSpec._mul``, ``GroupSpec._inv``): relation assembly reads the
+    terms and kernels once per build, not once per translate.
 
     With dax_u(a) = dax(a) + red(lambda(a, u)) as in ``dax_rebase``,
     lambda(g a, u) = g lambda(a, u) and lambda(g a, g u) = lambda(g a, g)
@@ -165,15 +180,14 @@ def _dax_u(g: tuple, a, ctx, twist: dict[tuple, int]) -> dict[tuple, int]:
         dax_u(g a) = T_a(g) + g dax(a) g^-1 + g lambda(a, u)
 
     Both parts are added into the twist's dict in place, term by term: the
-    conjugation by ``_add_conj``, skipped when dax(a) is zero, as it is for
+    conjugation by ``_add_conj``, skipped when dax(a) has no terms, as for
     an embedded class, and g lambda(a, u) by one product per term.
     """
-    spec = ctx.spec
-    if not a.base_dax.is_zero:
-        _add_conj(spec, twist, g, a.base_dax.terms)
+    if base:
+        _add_conj(mul, inv, twist, g, base)
     get = twist.get
-    for w, c in a.lambda_u.terms:
-        v = mul_letters(spec, g, w.letters)
+    for w, c in lam_u:
+        v = mul(g, w)
         twist[v] = get(v, 0) + c
     return _reduced(twist)
 
@@ -185,19 +199,22 @@ def dax_boundary_sphere(g: Word, ctx: DaxContext) -> RingElem:
 
     Closed form; no table lookup.  Circles mode only.
     """
-    if g.spec != ctx.spec:
-        raise SpecMismatchError("translate over a different spec")
-    return R.from_letters(ctx.spec, _dax_boundary_sphere(g.letters, ctx))
-
-
-def _dax_boundary_sphere(g: tuple, ctx) -> dict[tuple, int]:
-    """``dax_boundary_sphere`` of the translate with letters g as a reduced
-    letter-keyed term dict."""
     if ctx.mode != CIRCLES:
         raise ModeError("the boundary sphere exists only in circles mode")
+    if g.spec != ctx.spec:
+        raise SpecMismatchError("translate over a different spec")
     spec = ctx.spec
-    acc = {inv_letters(spec, g): ctx.flip}
-    v = mul_letters(spec, g, ctx.s_inv)
+    return R.from_letters(spec, _dax_boundary_sphere(spec._mul, spec._inv, g.letters,
+                                                     ctx.s_inv, ctx.flip))
+
+
+def _dax_boundary_sphere(mul, inv, g: tuple, s_inv: tuple, flip: int) -> dict[tuple, int]:
+    """``dax_boundary_sphere`` of the translate with letters g as a reduced
+    letter-keyed term dict, from the context's constants ``s_inv`` and
+    ``flip`` (``DaxContext``) and the spec's kernels ``mul`` and ``inv``;
+    the caller checks the mode once, not per translate."""
+    acc = {inv(g): flip}
+    v = mul(g, s_inv)
     acc[v] = acc.get(v, 0) - 1
     return _reduced(acc)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MethodType
 from typing import Iterable
 
 from .errors import (
@@ -55,7 +56,16 @@ class Factor:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A direct product of supported factors; no factors means the trivial group."""
+    """A direct product of supported factors; no factors means the trivial group.
+
+    Its product and inverse kernels on normal-form letter tuples, ``_mul(a, b)``
+    and ``_inv(a)``, are bound once, at construction: a spec of one free
+    factor binds that factor's own bodies, ``_free_join`` and
+    ``_free_inverse``, and every other spec binds ``mul_letters`` and
+    ``inv_letters`` to itself.  Each returns what those two return, so the
+    hot loops of relation assembly call the kernel and skip the dispatch on
+    factors.  The kernels take no part in equality, hashing or ``repr``.
+    """
 
     factors: tuple[Factor, ...]
     # name -> (factor index, global index, cyclic order or 0): the one
@@ -64,6 +74,8 @@ class GroupSpec:
     # the generators of free-abelian and finite-cyclic factors, which
     # commute with every generator: a word of these alone is central
     _central: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _mul: object = field(init=False, repr=False, compare=False, hash=False)
+    _inv: object = field(init=False, repr=False, compare=False, hash=False)
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -79,6 +91,13 @@ class GroupSpec:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_central", frozenset(
             name for fac in self.factors if fac.abelian for name in fac.gens))
+        if len(self.factors) == 1 and self.factors[0].kind == FREE:
+            kernels = _free_join, _free_inverse
+        else:
+            # bound as methods: a call costs about what a direct one does
+            kernels = MethodType(mul_letters, self), MethodType(inv_letters, self)
+        object.__setattr__(self, "_mul", kernels[0])
+        object.__setattr__(self, "_inv", kernels[1])
         object.__setattr__(self, "_hash", hash(self.factors))
 
     @property
@@ -106,6 +125,10 @@ class GroupSpec:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # a copy is built anew from its factors, kernels included
+        return GroupSpec, (self.factors,)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, GroupSpec)
@@ -254,12 +277,18 @@ def _join(index: dict, fac: Factor, left: tuple, right: tuple) -> tuple:
     return tuple(out) + left[i:] + right[j:]
 
 
-def _inverse(fac: Factor, block: tuple) -> list:
+def _free_inverse(block: tuple) -> tuple:
+    """Inverse of a freely reduced letter tuple of one free factor: its
+    letters reversed, each exponent negated."""
+    return tuple([(name, -e) for name, e in reversed(block)])
+
+
+def _inverse(fac: Factor, block: tuple) -> tuple:
     if fac.kind == FREE:
-        return [(name, -e) for name, e in reversed(block)]
+        return _free_inverse(block)
     if fac.kind == FINITE_CYCLIC:
-        return [(name, fac.order - e) for name, e in block]
-    return [(name, -e) for name, e in block]
+        return tuple([(name, fac.order - e) for name, e in block])
+    return tuple([(name, -e) for name, e in block])
 
 
 def _around(letters: tuple, index: dict, fi: int) -> tuple[int, int]:
@@ -295,6 +324,10 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
     the exponents of a shared generator.  Nothing is renormalized.
     No ``Word`` is built: relation assembly multiplies letter tuples in its
     inner loops, and ``mul`` wraps this for Words.
+
+    This is the one general product, and every spec but one of a single
+    free factor binds it as its kernel ``GroupSpec._mul``; that one binds
+    ``_free_join``, which this reaches through ``_join`` for such a spec.
     """
     if not b:
         return a
@@ -348,16 +381,18 @@ def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
     word over several factors is inverted run by run, each run in its
     place, since blocks of different factors commute.  Nothing is
     renormalized, and no ``Word`` is built (``inv`` wraps this for Words).
+    It is the kernel ``GroupSpec._inv`` of every spec but one of a single
+    free factor, which binds that factor's inverse, ``_free_inverse``.
     """
     if not a:
         return a
     factors = spec.factors
     if len(factors) == 1:
-        return tuple(_inverse(factors[0], a))
+        return _inverse(factors[0], a)
     index = spec._index
     fi = index[a[0][0]][0]
     if fi == index[a[-1][0]][0]:
-        return tuple(_inverse(factors[fi], a))
+        return _inverse(factors[fi], a)
     out: list[tuple[str, int]] = []
     start = 0
     for k in range(1, len(a)):
@@ -393,7 +428,7 @@ def inv(g: Word) -> Word:
 
 def word_length(w: Word) -> int:
     """Length in the word metric of the declared generating set."""
-    return word_key(w)[0]
+    return _letters_length(w.spec._index, w.letters)
 
 
 def word_key(w: Word):
@@ -412,26 +447,39 @@ def shortest_exponent(exp: int, order: int) -> int:
     return exp - order if order and exp > order - exp else exp
 
 
+# The two rules of the shortlex order ``word_key``: a normal form's length,
+# and the key of one of its letters.  ``index`` is the spec's ``_index``.
+
+def _letters_length(index: dict, a: tuple) -> int:
+    """The word length of the normal form with letters a: the sum of |e|
+    over its letters, e the ``shortest_exponent`` of each."""
+    total = 0
+    for name, exp in a:
+        order = index[name][2]
+        if order:  # a letter of a free or Z factor is already shortest
+            exp = shortest_exponent(exp, order)
+        total += exp if exp > 0 else -exp
+    return total
+
+
+def _letter_key(index: dict, name: str, exp: int) -> tuple[int, int, int]:
+    """The key of the normal-form letter (name, exp): (global generator
+    index, |e|, 0 if e > 0 else 1), e the ``shortest_exponent`` of exp."""
+    _, g, order = index[name]
+    if order:
+        exp = shortest_exponent(exp, order)
+    return (g, exp, 0) if exp > 0 else (g, -exp, 1)
+
+
 def key_letters(spec: GroupSpec, a: tuple):
     """``word_key`` of the normal form with letters a; no ``Word`` is built
     (``word_key`` wraps this for Words)."""
     index = spec._index
-    total = 0
-    letters = []
     try:
-        for name, exp in a:
-            _, g, order = index[name]
-            if order:  # a letter of a free or Z factor is already shortest
-                exp = shortest_exponent(exp, order)
-            if exp > 0:
-                letters.append((g, exp, 0))
-                total += exp
-            else:
-                letters.append((g, -exp, 1))
-                total -= exp
+        return (_letters_length(index, a),
+                tuple([_letter_key(index, name, exp) for name, exp in a]))
     except KeyError as exc:
         raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
-    return (total, tuple(letters))
 
 
 def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:

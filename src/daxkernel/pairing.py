@@ -41,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PairingDataError, SpecMismatchError
-from .groups import (GroupSpec, Word, inv, inv_letters, mul, mul_letters, render_letters,
-                     shortest_exponent)
+from .groups import GroupSpec, Word, inv, mul, render_letters, shortest_exponent
 from . import ring as R
 from .ring import RingElem
 
@@ -164,17 +163,18 @@ def _unit_step(spec: GroupSpec, a: SphereClass, gen: str, sign: int):
     row = a.lambda_of(gen)
     x = spec.word([(gen, 1)]).letters
     if sign > 0:
-        return x, [(w.letters, c) for w, c in row.terms]
-    return inv_letters(spec, x), [(mul_letters(spec, w.letters, x), -c) for w, c in row.terms]
+        return x, R.letter_terms(row)
+    mul = spec._mul
+    return spec._inv(x), [(mul(w.letters, x), -c) for w, c in row.terms]
 
 
-def _fox_step(spec: GroupSpec, val: dict[tuple, int], lam_s, p_inv: tuple) -> dict[tuple, int]:
+def _fox_step(mul, val: dict[tuple, int], lam_s, p_inv: tuple) -> dict[tuple, int]:
     """val += lambda(a, s) p^-1 in place, for the terms ``lam_s`` of
     lambda(a, s) and the letters ``p_inv`` of p^-1; with val = lambda(a, p)
-    it becomes lambda(a, p*s).  A coefficient that reaches zero is removed.
-    Returns val."""
+    it becomes lambda(a, p*s).  ``mul`` is the spec's product kernel.  A
+    coefficient that reaches zero is removed.  Returns val."""
     for w, c in lam_s:
-        v = mul_letters(spec, w, p_inv)
+        v = mul(w, p_inv)
         c += val.get(v, 0)
         if c:
             val[v] = c
@@ -187,14 +187,15 @@ def lambda_terms(spec: GroupSpec, a: SphereClass, letters) -> dict[tuple, int]:
     """lambda(a, k) for a raw letter sequence k (need not be reduced) as a
     term dict keyed by normal form letter tuples, without zeros: one Fox
     step per unit letter x^(+-1) of each (generator, exponent) pair."""
+    mul, inv = spec._mul, spec._inv
     val: dict[tuple, int] = {}
     p_inv = ()
     for gen, exp in letters:
         s, lam_s = _unit_step(spec, a, gen, 1 if exp > 0 else -1)
-        s_inv = inv_letters(spec, s)
+        s_inv = inv(s)
         for _ in range(abs(exp)):
-            _fox_step(spec, val, lam_s, p_inv)
-            p_inv = mul_letters(spec, s_inv, p_inv)
+            _fox_step(mul, val, lam_s, p_inv)
+            p_inv = mul(s_inv, p_inv)
     return val
 
 
@@ -210,11 +211,13 @@ def lambda_word(table: PairingTable, a: SphereClass, k: Word) -> RingElem:
     return R.from_letters(table.spec, lambda_terms(table.spec, a, k.letters))
 
 
-def add_twist(spec: GroupSpec, acc: dict[tuple, int], g: tuple, lam,
+def add_twist(mul, inv, acc: dict[tuple, int], g: tuple, lam,
               eps: int) -> dict[tuple, int]:
     """acc += -g*lam + eps * bar(g*lam) for the (letters, coefficient) terms
     ``lam``, with eps = (-1)^(d-1); returns acc.  Group elements are normal
-    form letter tuples over ``spec``: g, the keys of acc and those of lam.
+    form letter tuples: g, the keys of acc and those of lam, multiplied and
+    inverted by the spec's kernels ``mul`` and ``inv`` (``GroupSpec._mul``,
+    ``GroupSpec._inv``).
 
     With lam = lambda(a, g) the sum is the twist
 
@@ -227,13 +230,13 @@ def add_twist(spec: GroupSpec, acc: dict[tuple, int], g: tuple, lam,
     to child stays the size of its value.
     """
     for w, c in lam:
-        v = mul_letters(spec, g, w)
+        v = mul(g, w)
         e = acc.get(v, 0) - c
         if e:
             acc[v] = e
         else:
             acc.pop(v, None)
-        v = inv_letters(spec, v)
+        v = inv(v)
         e = acc.get(v, 0) + eps * c
         if e:
             acc[v] = e
@@ -249,7 +252,9 @@ def twists_on_ball(table: PairingTable, elements):
     coefficients (the identity term ``()`` may occur).  The dicts are the
     caller's to change: the walk keeps its own copy of what later elements
     read.  The walk builds no ``Word`` per element: it multiplies and
-    inverts letters (``mul_letters``, ``inv_letters``).
+    inverts letters by the spec's kernels ``GroupSpec._mul`` and
+    ``GroupSpec._inv``, read once per walk, so no product dispatches on the
+    spec's factors unless the spec needs it.
 
     ``elements`` is a ball listed by word length, as ``groups.ball`` returns
     it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
@@ -279,6 +284,7 @@ def twists_on_ball(table: PairingTable, elements):
             yield g, [{} for _ in classes]
         return
     index, central = spec._index, spec._central
+    mul, inv = spec._mul, spec._inv
     eps = flip_sign(table.dimension)
     factors = spec.factors
     keep_lam = [any(not f.abelian for f in factors[fi:]) for fi in range(len(factors))]
@@ -308,14 +314,14 @@ def twists_on_ball(table: PairingTable, elements):
         lams = None
         if name not in central or keep_lam[fi]:
             if parent[2] is None and any(lam_s):
-                parent[2] = inv_letters(spec, p)
-            lams = [_fox_step(spec, dict(lp), ls, parent[2])
+                parent[2] = inv(p)
+            lams = [_fox_step(mul, dict(lp), ls, parent[2])
                     for lp, ls in zip(parent[0], lam_s)]
         if name in central:
-            twists = [add_twist(spec, dict(t), letters, ls, eps)
+            twists = [add_twist(mul, inv, dict(t), letters, ls, eps)
                       for t, ls in zip(parent[1], lam_s)]
         else:
-            twists = [add_twist(spec, {}, letters, lam.items(), eps) for lam in lams]
+            twists = [add_twist(mul, inv, {}, letters, lam.items(), eps) for lam in lams]
         done[letters] = [lams, [dict(t) for t in twists] if keep_tw[fi] else None, None]
         yield g, twists
 

@@ -21,12 +21,12 @@ from .errors import ModeError, SceneError, WindowOverflowError
 from .groups import (
     GroupSpec,
     Word,
+    _letter_key,
+    _letters_length,
     ball,
     inv,
-    inv_letters,
     key_letters,
     mul,
-    mul_letters,
     render_letters,
     render_word,
     word_key,
@@ -102,9 +102,9 @@ class RelationSet:
         index = {w.letters: i for i, w in enumerate(generators)}
         columns = []
         for rel in relations:
-            col, outside = _place(index, _letter_terms(rel))
+            col, outside = _place(index, R.letter_terms(rel))
             if outside:
-                raise WindowOverflowError(f"relation {_value_text(spec, _letter_terms(rel))}"
+                raise WindowOverflowError(f"relation {_value_text(spec, R.letter_terms(rel))}"
                                           " not supported on the window")
             columns.append(tuple(col.items()))
         return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
@@ -200,10 +200,19 @@ def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
     """The nonzero terms of a dropped value in ``word_key`` order, as two
     lists: the terms inside the window as (position, coefficient) pairs
     sorted by position, then the terms outside it as (letters, coefficient)
-    pairs sorted by ``word_key`` of their letters, which is computed only
-    when two or more are outside.  One pass over the term dict splits the
-    terms, each letter tuple looked up once in ``letter_index``; the
-    positions of distinct terms are distinct, so the pairs sort as integers.
+    pairs sorted by ``word_key`` of their letters.  One pass over the term
+    dict splits the terms, each letter tuple looked up once in
+    ``letter_index``; the positions of distinct terms are distinct, so the
+    pairs sort as integers.
+
+    Two outside terms, the common case of a free group's dropped values,
+    are put in order by one shortlex comparison that builds no key: the
+    shorter word first, and between words of one length the one whose
+    first differing letter keys lower, by the rules ``word_key`` is made of
+    (``groups._letters_length``, ``groups._letter_key``).  The letter keys
+    of distinct letters differ, and neither of two distinct words of one
+    length is a prefix of the other, so this is the ``word_key`` order.
+    Three or more outside terms are sorted by ``key_letters``.
 
     This is the order of ``RingElem`` terms: the window is the ball of
     radius W less the identity, in ``word_key`` order, and a dropped value
@@ -220,7 +229,16 @@ def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
             else:
                 inside.append((i, c))
     inside.sort()
-    if len(outside) > 1:
+    if len(outside) == 2:
+        index = spec._index
+        a, b = outside[0][0], outside[1][0]
+        n, m = _letters_length(index, a), _letters_length(index, b)
+        if n == m:
+            x, y = next((x, y) for x, y in zip(a, b) if x != y)
+            n, m = _letter_key(index, *x), _letter_key(index, *y)
+        if m < n:
+            outside.reverse()
+    elif len(outside) > 2:
         outside.sort(key=lambda term: key_letters(spec, term[0]))
     return inside, outside
 
@@ -243,11 +261,6 @@ def _place(letter_index: dict[tuple, int], terms):
     return inside, outside
 
 
-def _letter_terms(elem: RingElem):
-    """The terms of elem as (letters, coefficient) pairs."""
-    return [(w.letters, c) for w, c in elem.terms]
-
-
 # ---------------------------------------------------------------------------
 # building relation sets
 # ---------------------------------------------------------------------------
@@ -266,12 +279,16 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
 
     Assembly runs on normal form letter tuples: the ball's Words are built
     once, by ``window_generators``, and every product, inverse and lookup
-    after that joins, inverts and hashes their letters
-    (``groups.mul_letters``, ``groups.inv_letters``), so no ``Word`` is
-    built per translate.  The dax formula of a translate g*a starts from its
-    twist T_a(g), which ``pairing.twists_on_ball`` carries from g's parent
-    in the ball: across a central generator step at the cost of the step's
-    own pairing value, not of g's.
+    after that joins, inverts and hashes their letters through the spec's
+    kernels (``GroupSpec._mul``, ``GroupSpec._inv``), so no ``Word`` is
+    built per translate.  The kernels, each class's dax(a) and lambda(a, u)
+    as letter terms, and the circle constants are read once per build, so
+    no per-translate step reads a class's ``Word`` letters, asks a
+    ``RingElem`` whether it is zero or checks the mode.  The dax formula of
+    a translate g*a starts from its twist T_a(g), which
+    ``pairing.twists_on_ball`` carries from g's parent in the ball: across
+    a central generator step at the cost of the step's own pairing value,
+    not of g's.
 
     Values are classified in generator-index space.  The formula bodies give
     each value as a reduced letter-keyed term dict, and each term is looked
@@ -290,6 +307,7 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     if window < 1:
         raise SceneError("window must be >= 1")
     spec = ctx.spec
+    mul, inv = spec._mul, spec._inv
     gens = window_generators(spec, window)
     index = {w.letters: i for i, w in enumerate(gens)}
     enum = (spec.identity(),) + gens  # the ball, identity first
@@ -319,16 +337,22 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
                 kept.append(key)
                 prov.append(provenance)
 
-    classes = ctx.table.classes
+    # each class's dax(a) and lambda(a, u) as letter terms, read once
+    terms = [(R.letter_terms(a.base_dax), R.letter_terms(a.lambda_u))
+             for a in ctx.table.classes]
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
-    if classes:  # the twist of every class and translate, each from its parent's
+    if terms:  # the twist of every class and translate, each from its parent's
         for g, twists in twists_on_ball(ctx.table, enum):
             letters = g.letters
-            for a, twist in zip(classes, twists):
-                classify(_dax_u(letters, a, ctx, twist), class_prov, not letters)
+            for (base, lam_u), twist in zip(terms, twists):
+                classify(_dax_u(mul, inv, letters, base, lam_u, twist), class_prov,
+                         not letters)
     if ctx.mode == CIRCLES:
+        s_inv, flip = ctx.s_inv, ctx.flip
         for g in enum:
-            classify(_dax_boundary_sphere(g.letters, ctx), PROV_BOUNDARY, g.is_identity)
+            letters = g.letters
+            classify(_dax_boundary_sphere(mul, inv, letters, s_inv, flip), PROV_BOUNDARY,
+                     not letters)
 
     return RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped),
                        index)
@@ -455,7 +479,7 @@ def _add_whiskers(ctx: DaxContext, rs: RelationSet, whisker: dict[Word, RingElem
             if w_prod is None:
                 continue
             diff = R.gr_add(w_prod, R.gr_neg(R.gr_add(R.gr_conj(b1, table[b2]), table[b1])))
-            vec, outside = _place(index, _letter_terms(diff))
+            vec, outside = _place(index, R.letter_terms(diff))
             pair = f"({render_word(b1)}, {render_word(b2)})"
             if outside:
                 raise WindowOverflowError(f"whisker action law on {pair} leaves the"
@@ -469,9 +493,9 @@ def _add_whiskers(ctx: DaxContext, rs: RelationSet, whisker: dict[Word, RingElem
 
     columns = []
     for b in keys:
-        col, outside = _place(index, _letter_terms(table[b]))
+        col, outside = _place(index, R.letter_terms(table[b]))
         if outside:
-            raise _base_overflow(spec, _letter_terms(table[b]))
+            raise _base_overflow(spec, R.letter_terms(table[b]))
         if col:
             columns.append(tuple(col.items()))
     return _append(rs, columns, PROV_WHISKER), action
@@ -497,11 +521,11 @@ def _is_power_of(b: Word, s: Word) -> bool:
 def column(letter_index: dict[tuple, int], elem: RingElem) -> dict[int, int]:
     """elem as a sparse vector: generator position -> coefficient, the
     position looked up by letters in a relation set's ``letter_index``."""
-    col, outside = _place(letter_index, _letter_terms(elem))
+    col, outside = _place(letter_index, R.letter_terms(elem))
     if outside:
         if () in outside:
             raise SceneError("values must be reduced (no identity term)")
-        raise WindowOverflowError(f"value {_value_text(elem.spec, _letter_terms(elem))}"
+        raise WindowOverflowError(f"value {_value_text(elem.spec, R.letter_terms(elem))}"
                                   " not supported on the window")
     return col
 
@@ -672,7 +696,7 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
 
     def fold():
         for i, g in enumerate(rs.generators):
-            gi = inv_letters(spec, g.letters)
+            gi = spec._inv(g.letters)
             j = index.get(gi)
             if j is None:
                 if key_letters(spec, gi) < key_letters(spec, g.letters):
@@ -702,8 +726,8 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     States are the canonical residues of the one reduction ``rs.solver``,
     as sorted (position, coefficient) pairs; the least one is the
     representative.  A move maps each position to the position of
-    b g b^-1, joined from letters (``groups.mul_letters``) and looked up in
-    ``letter_index``, and adds
+    b g b^-1, joined from letters by the spec's product kernel
+    (``GroupSpec._mul``) and looked up in ``letter_index``, and adds
     w(b), split once into its positions and the letters of its terms
     outside the window.  The move leaves the window when the sum of the
     conjugated terms and w(b) has a nonzero term outside it: a conjugated
@@ -711,13 +735,14 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     """
     solver = rs.solver
     spec, index, gens = rs.spec, rs.letter_index, rs.generators
+    mul = spec._mul
 
     def state(vec: dict[int, int]) -> tuple[tuple[int, int], ...]:
         # the least state is the earliest-supported, smallest-coefficient
         # one, and zero comes first
         return tuple(sorted(solver.reduce(vec).items()))
 
-    moves = [(b.letters, inv_letters(spec, b.letters), *_place(index, _letter_terms(w_b)))
+    moves = [(b.letters, spec._inv(b.letters), *_place(index, R.letter_terms(w_b)))
              for b, w_b in action.moves]
 
     start = state(column(index, value))
@@ -732,7 +757,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
         for b, bi, inside, outside in moves:
             moved, left = dict(inside), dict(outside)
             for i, c in r:
-                letters = mul_letters(spec, mul_letters(spec, b, gens[i].letters), bi)
+                letters = mul(mul(b, gens[i].letters), bi)
                 j = index.get(letters)
                 if j is None:
                     left[letters] = left.get(letters, 0) + c

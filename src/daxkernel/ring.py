@@ -80,6 +80,12 @@ def from_letters(spec: GroupSpec, terms: Mapping[tuple, int]) -> RingElem:
     return from_terms(spec, {Word(spec, w): c for w, c in terms.items()})
 
 
+def letter_terms(elem: RingElem) -> list[tuple[tuple, int]]:
+    """The terms of elem as (letters, coefficient) pairs, in its order: the
+    terms that ``from_letters`` reads, for the loops that work on letters."""
+    return [(w.letters, c) for w, c in elem.terms]
+
+
 def zero(spec: GroupSpec) -> RingElem:
     return RingElem(spec, ())
 

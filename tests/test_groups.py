@@ -1,3 +1,4 @@
+import pickle
 import time
 from dataclasses import FrozenInstanceError
 
@@ -11,6 +12,8 @@ from daxkernel.errors import (
     UnsupportedClassError,
 )
 from daxkernel.groups import (
+    GroupSpec,
+    Word,
     ball,
     inv,
     mul,
@@ -123,6 +126,23 @@ def test_relators_rejected_as_undecidable():
 def test_duplicate_generators_rejected():
     with pytest.raises(UnsupportedClassError):
         parse_group_spec("Z<t> x F<t,y>")
+
+
+@pytest.mark.parametrize("text", ["1", "F<x>", "F<x,y>", "Z<t>", "Z<a,b>",
+                                  "F<x,y> x Z/3<u>"])
+def test_spec_kernels_stay_out_of_equality_hash_and_repr(text):
+    # each parse binds its own kernels; equal specs stay equal, hash alike
+    # and print alike, and so do the Words over them
+    a, b = parse_group_spec(text), parse_group_spec(text)
+    direct = GroupSpec(a.factors)
+    copied = pickle.loads(pickle.dumps(a))
+    for other in (b, direct, copied):
+        assert a is not other and a == other and hash(a) == hash(other)
+        assert repr(a) == repr(other) == f"GroupSpec(factors={a.factors!r})"
+        assert Word(a, ()) == Word(other, ())
+    assert "_mul" not in repr(a) and "_inv" not in repr(a)
+    letters = tuple((name, 1) for name in a.generators)
+    assert copied._mul(letters, copied._inv(letters)) == ()
 
 
 # -- normalization -----------------------------------------------------------
@@ -249,9 +269,11 @@ def test_every_product_case_matches_renormalizing():
         g, h = parse_word(left, spec), parse_word(right, spec)
         gh = mul(g, h)
         assert gh == ref_normalize(g.letters + h.letters, spec), name
+        assert spec._mul(g.letters, h.letters) == gh.letters, name
         for w in (g, h, gh):
             want = ref_normalize([(n, -e) for n, e in reversed(w.letters)], spec)
             assert inv(w) == want, name
+            assert spec._inv(w.letters) == want.letters, name
     assert mul(parse_word("t^3", spec), parse_word("t^-3", spec)).is_identity
     assert mul(parse_word("x*u", spec), parse_word("u^2", spec)) == parse_word("x", spec)
 

@@ -23,9 +23,14 @@ from daxkernel.groups import (
     Factor,
     GroupSpec,
     Word,
+    _letter_key,
+    _letters_length,
     ball,
     inv,
+    inv_letters,
+    key_letters,
     mul,
+    mul_letters,
     normalize,
     parse_group_spec,
     parse_word,
@@ -61,6 +66,7 @@ from daxkernel.quotient import (
     build_rel_3mfd,
     build_rel_arcs,
     build_rel_circles,
+    order_dropped,
     quotient_structure,
     restrict_relationset,
     window_generators,
@@ -294,6 +300,10 @@ def test_word_layer_matches_reference(data):
         assert w.letters == ref.letters and w == ref
         assert word_key(w) == ref_word_key(w)
         assert word_length(w) == ref_word_length(w)
+        # the two rules that word_key and word_length are made of
+        assert _letters_length(spec._index, w.letters) == ref_word_length(w)
+        assert (tuple(_letter_key(spec._index, name, exp) for name, exp in w.letters)
+                == ref_word_key(w)[1])
     # a copy over an equal, separately parsed spec is the same element
     twin = parse_group_spec(text)
     copies = [Word(twin, w.letters) for w in words]
@@ -313,6 +323,71 @@ def test_word_layer_matches_reference(data):
         assert x_inv.letters == ref.letters and hash(x_inv) == hash(ref)
     a, b, c = words
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+# one free factor binds its own kernels, every other spec mul_letters and
+# inv_letters; the specs built directly check that binding off the parser
+KERNEL_SPECS = dict(WORD_SPECS, **{
+    "F<x>": parse_group_spec("F<x>"),
+    "GroupSpec F<p,q,r>": GroupSpec((Factor(FREE, ("p", "q", "r")),)),
+    "GroupSpec Z/5<u> x F<x,y>": GroupSpec((Factor(FINITE_CYCLIC, ("u",), 5),
+                                            Factor(FREE, ("x", "y")))),
+})
+
+
+@given(st.sampled_from(sorted(KERNEL_SPECS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_spec_kernels_match_the_general_product(text, data):
+    spec = KERNEL_SPECS[text]
+    a, b = (ref_normalize(data.draw(raw_letters(spec)), spec).letters for _ in range(2))
+    assert spec._mul(a, b) == mul_letters(spec, a, b) == ref_normalize(a + b, spec).letters
+    for w in (a, b, spec._mul(a, b)):
+        want = ref_normalize([(n, -e) for n, e in reversed(w)], spec).letters
+        assert spec._inv(w) == inv_letters(spec, w) == want
+
+
+@st.composite
+def two_words(draw):
+    """A spec's text and two raw letter sequences over it."""
+    text = draw(st.sampled_from(BALL_SPEC_TEXTS))
+    spec = WORD_SPECS[text]
+    return text, draw(raw_letters(spec, 6, 5)), draw(raw_letters(spec, 6, 5))
+
+
+# equal lengths, first told apart at the first letter or later, as in every
+# two-outside dropped value of the seed-1 product_DkY F<x,y> W=6 op
+@example(("F<x,y>", [("x", -3), ("y", -1), ("x", 4)], [("x", -4), ("y", 1), ("x", 3)]))
+@example(("F<x,y>", [("x", 1), ("y", -2), ("x", -1), ("y", 3), ("x", -1)],
+          [("x", 1), ("y", -3), ("x", 1), ("y", 2), ("x", -1)]))
+@example(("F<x,y>", [("x", 1), ("y", 1), ("x", -1), ("y", -1), ("x", 2), ("y", -1)],
+          [("x", 1), ("y", 1), ("x", -2), ("y", 1), ("x", 1), ("y", -1)]))
+@example(("F<x,y>", [("x", 1), ("y", 2)], [("x", 1), ("y", -2)]))
+@example(("F<x,y>", [("y", 2), ("x", 1)], [("x", -1), ("y", 2)]))
+@example(("F<x,y>", [("x", 2), ("y", 1)], [("x", 1), ("y", 1), ("x", 1)]))
+# Z/m exponents on both sides of m/2: u^4 is u^-1 in Z/5, one letter long
+@example(("Z/5<u> x F<x>", [("u", 2)], [("u", 3)]))
+@example(("Z/5<u> x F<x>", [("u", 2)], [("u", 4)]))
+@example(("Z/5<u> x F<x>", [("u", 4), ("x", 1)], [("u", 1), ("x", -1)]))
+@example(("Z/4<u> x F<x>", [("u", 2)], [("u", 1), ("x", 1)]))
+@example(("Z/4<u> x F<x>", [("u", 3)], [("x", 1)]))
+@example(("Z<t> x Z/6<u>", [("t", 1), ("u", 3)], [("t", -1), ("u", 4)]))
+@example(("Z<t> x Z/2<u>", [("t", 1), ("u", 1)], [("t", -1), ("u", 1)]))
+@example(("Z<t> x Z/2<u>", [("t", 2)], [("t", 1), ("u", 1)]))
+@example(("F<x,y> x Z/3<u>", [("x", 1), ("u", 2)], [("x", 1), ("u", 1)]))
+@example(("F<x,y> x Z/3<u>", [("y", 1), ("u", 1)], [("x", -1), ("u", 2)]))
+@given(two_words())
+@settings(max_examples=300, deadline=None)
+def test_order_dropped_puts_two_outside_terms_in_key_order(case):
+    text, first, second = case
+    spec = WORD_SPECS[text]
+    a, b = normalize(first, spec).letters, normalize(second, spec).letters
+    if a == b:
+        return
+    want = sorted([a, b], key=lambda w: key_letters(spec, w))
+    for terms in ({a: 1, b: -2}, {b: -2, a: 1}):
+        # an empty window: both terms are outside
+        inside, outside = order_dropped(spec, {}, terms)
+        assert inside == [] and [w for w, _ in outside] == want
 
 
 def draw_elem(draw, spec):

@@ -5,7 +5,7 @@ import pytest
 
 from daxkernel import cli
 from daxkernel.errors import BallOverflowError, ModeError, SceneError, WindowOverflowError
-from daxkernel.groups import inv, mul, parse_group_spec, parse_word, word_key, word_length
+from daxkernel.groups import ball, inv, mul, parse_group_spec, parse_word, word_key, word_length
 from daxkernel import ring as R
 from daxkernel.ring import gr_bar_reduce, monomial, parse_ring
 from daxkernel.pairing import sphere_class
@@ -800,10 +800,11 @@ def test_assembly_keeps_values_whose_cancelled_terms_leave_the_window():
 def test_abelian_window_word_products_grow_linearly(monkeypatch):
     """Building the seed-0 ``s1_x_sphere`` eval scene at W=160 takes at most
     2.2 times the word products and inverses of W=80 in the pairing and the
-    dax formulas, of Words and of letter tuples alike.  Over Z<t> every
-    generator step is central, so each translate's twist is its parent's
-    plus the twist of lambda(a, t^(+-1)): a few products per translate, not
-    |g| of them."""
+    dax formulas, of Words and of letter tuples alike, the latter through
+    the scene spec's kernels.  Over Z<t> every generator step is central,
+    so each translate's twist is its parent's plus the twist of
+    lambda(a, t^(+-1)): a few products per translate, not |g| of them.  At
+    least one product is counted per translate, so the count measures."""
     from daxkernel import calculus, pairing
 
     op = next(op for op in bench_corpus().build("eval_knots", 0)
@@ -821,11 +822,15 @@ def test_abelian_window_word_products_grow_linearly(monkeypatch):
         for name in ("mul", "inv", "mul_letters", "inv_letters"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    # the kernels are instance attributes of the frozen spec
+    for name in ("_mul", "_inv"):
+        monkeypatch.setitem(sc.group.__dict__, name, counted(getattr(sc.group, name)))
     counts = []
     for window in (80, 160):
         calls[0] = 0
         cli.build_relations(sc, window)
         counts.append(calls[0])
+    assert counts[0] >= len(ball(sc.group, 80)), counts
     assert counts[1] <= 2.2 * counts[0], counts
 
 
@@ -895,7 +900,7 @@ def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
     """Past the ball's own Words, building the relations of a seed-0 orbit
     scene makes as many Words at W=4 as at W=3: assembly joins, inverts and
     looks up letter tuples, so no Word is built per translate."""
-    from daxkernel.groups import Word, ball
+    from daxkernel.groups import Word
 
     op = next(op for op in bench_corpus().build("orbit_3mfd", 0) if op.op_id == op_id)
     sc = loads_scene(op.scene_text)
