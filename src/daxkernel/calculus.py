@@ -204,18 +204,31 @@ def dax_boundary_sphere(g: Word, ctx: DaxContext) -> RingElem:
     if g.spec != ctx.spec:
         raise SpecMismatchError("translate over a different spec")
     spec = ctx.spec
-    return R.from_letters(spec, _dax_boundary_sphere(spec._mul, spec._inv, g.letters,
-                                                     ctx.s_inv, ctx.flip))
+    return R.from_letters(spec, _reduced_sum(_dax_boundary_sphere(
+        spec._mul, spec._inv, g.letters, ctx.s_inv, ctx.flip)))
 
 
-def _dax_boundary_sphere(mul, inv, g: tuple, s_inv: tuple, flip: int) -> dict[tuple, int]:
-    """``dax_boundary_sphere`` of the translate with letters g as a reduced
-    letter-keyed term dict, from the context's constants ``s_inv`` and
-    ``flip`` (``DaxContext``) and the spec's kernels ``mul`` and ``inv``;
-    the caller checks the mode once, not per translate."""
-    acc = {inv(g): flip}
-    v = mul(g, s_inv)
-    acc[v] = acc.get(v, 0) - 1
+def _dax_boundary_sphere(mul, inv, g: tuple, s_inv: tuple, flip: int) -> tuple:
+    """The two terms of ``dax_boundary_sphere`` of the translate with
+    letters g, before they are summed and reduced: the letters of g^-1,
+    its coefficient ``flip``, the letters of g s^-1 and its coefficient -1.
+    The context gives the constants ``s_inv`` and ``flip`` (``DaxContext``)
+    and the spec its kernels ``mul`` and ``inv``; the caller checks the
+    mode once, not per translate.
+
+    The two terms are distinct and neither is the identity unless g = 1,
+    g = s or g^2 = s.  Relation assembly places any other translate's two
+    terms in the window as they are; ``_reduced_sum`` gives the value of
+    every translate."""
+    return inv(g), flip, mul(g, s_inv), -1
+
+
+def _reduced_sum(terms: tuple) -> dict[tuple, int]:
+    """red(c v + e w) as a letter-keyed term dict, for the two terms
+    ``terms`` = (v, c, w, e)."""
+    v, c, w, e = terms
+    acc = {v: c}
+    acc[w] = acc.get(w, 0) + e
     return _reduced(acc)
 
 

@@ -56,31 +56,32 @@ def _report(command: str, scene: ManifoldScene, rs: Q.RelationSet,
             **fields, "notes": list(scene.notes)}
 
 
-class _LetterTexts(dict):
-    """letter -> its text, rendered by ``render_letters`` on first use."""
-
-    def __missing__(self, letter):
-        text = self[letter] = render_letters((letter,))
-        return text
-
-    def word(self, letters: tuple) -> str:
-        """The text of a normal form other than the identity: its letters'
-        texts joined by ``*``, as ``render_letters`` writes it."""
-        return "*".join([self[x] for x in letters])
+def _word_text(texts: dict, letters: tuple) -> str:
+    """The text of a normal form other than the identity: its letters'
+    texts joined by ``*``, as ``render_letters`` writes it.  ``texts`` maps
+    a letter to its text; a letter missing there is rendered and added
+    first."""
+    try:
+        return "*".join([texts[x] for x in letters])
+    except KeyError:
+        for x in letters:
+            texts.setdefault(x, render_letters((x,)))
+        return "*".join([texts[x] for x in letters])
 
 
 def _presentation(rs: Q.RelationSet) -> dict:
     """The report's generators, relations and dropped values, rendered from
     window positions and letters; no Word or RingElem is built.
 
-    Words are rendered through one letter-text table per report, so each
-    distinct letter is rendered once.  No word here is the identity: the
-    generators are the window, and a dropped value is reduced.  Each
-    generator's name is built once; a dropped value is split and sorted by
-    ``quotient.order_dropped``.
+    Words are rendered through one plain dict of letter texts per report,
+    filled on a miss by ``_word_text``, so each distinct letter is rendered
+    once and a letter seen before costs one lookup.  No word here is the
+    identity: the generators are the window, and a dropped value is
+    reduced.  Each generator's name is built once; a dropped value is split
+    and sorted by ``quotient.order_dropped``.
     """
-    texts = _LetterTexts()
-    names = [texts.word(g.letters) for g in rs.generators]
+    texts: dict[tuple, str] = {}
+    names = [_word_text(texts, g.letters) for g in rs.generators]
     relations = [{"value": render_terms([(names[i], c) for i, c in col]),
                   "provenance": prov}
                  for col, prov in zip(rs.columns, rs.provenance)]
@@ -88,7 +89,7 @@ def _presentation(rs: Q.RelationSet) -> dict:
     for prov, terms in rs.dropped_terms:
         inside, outside = Q.order_dropped(rs.spec, rs.letter_index, terms)
         value = render_terms([(names[i], c) for i, c in inside]
-                             + [(texts.word(w), c) for w, c in outside])
+                             + [(_word_text(texts, w), c) for w, c in outside])
         dropped.append({"provenance": prov, "value": value})
     return {"generators": names, "relations": relations,
             "dropped_relations": dropped}

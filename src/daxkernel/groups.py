@@ -61,10 +61,19 @@ class GroupSpec:
     Its product and inverse kernels on normal-form letter tuples, ``_mul(a, b)``
     and ``_inv(a)``, are bound once, at construction: a spec of one free
     factor binds that factor's own bodies, ``_free_join`` and
-    ``_free_inverse``, and every other spec binds ``mul_letters`` and
-    ``inv_letters`` to itself.  Each returns what those two return, so the
-    hot loops of relation assembly call the kernel and skip the dispatch on
-    factors.  The kernels take no part in equality, hashing or ``repr``.
+    ``_free_inverse`` (bound to the spec's negation table), and every other
+    spec binds ``mul_letters`` and ``inv_letters`` to itself.  Each returns
+    what those two return, so the hot loops of relation assembly call the
+    kernel and skip the dispatch on factors.
+
+    The spec's negation table, a plain dict kept through its lookup
+    ``_negated`` (the dict's ``__getitem__``), maps a letter of a free
+    factor to its negated letter and is filled on a miss by
+    ``_free_inverse``: a free inverse reads its letters there, so inverses
+    of equal words share their letter objects and build only the outer
+    tuple.  Kernels and table take no part in equality, hashing or
+    ``repr``; a pickled copy is built anew from its factors, with an empty
+    table.
     """
 
     factors: tuple[Factor, ...]
@@ -76,6 +85,8 @@ class GroupSpec:
     _central: frozenset = field(init=False, repr=False, compare=False, hash=False)
     _mul: object = field(init=False, repr=False, compare=False, hash=False)
     _inv: object = field(init=False, repr=False, compare=False, hash=False)
+    # the lookup of the negation table, free letter -> its negated letter
+    _negated: object = field(init=False, repr=False, compare=False, hash=False)
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -91,8 +102,9 @@ class GroupSpec:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_central", frozenset(
             name for fac in self.factors if fac.abelian for name in fac.gens))
+        object.__setattr__(self, "_negated", {}.__getitem__)
         if len(self.factors) == 1 and self.factors[0].kind == FREE:
-            kernels = _free_join, _free_inverse
+            kernels = _free_join, MethodType(_free_inverse, self._negated)
         else:
             # bound as methods: a call costs about what a direct one does
             kernels = MethodType(mul_letters, self), MethodType(inv_letters, self)
@@ -277,15 +289,30 @@ def _join(index: dict, fac: Factor, left: tuple, right: tuple) -> tuple:
     return tuple(out) + left[i:] + right[j:]
 
 
-def _free_inverse(block: tuple) -> tuple:
-    """Inverse of a freely reduced letter tuple of one free factor: its
-    letters reversed, each exponent negated."""
-    return tuple([(name, -e) for name, e in reversed(block)])
+def _free_inverse(negated, block: tuple) -> tuple:
+    """Inverse of a freely reduced letter tuple of free factors: its letters
+    reversed, each exponent negated.
+
+    ``negated`` is the lookup of the spec's negation table,
+    ``GroupSpec._negated``, the table's ``__getitem__``; a letter missing
+    there is added first.  Every inverse of an equal word holds the same
+    letter objects, and only the outer tuple is built.  A spec of one free
+    factor binds this to its table as its kernel ``GroupSpec._inv``.
+    """
+    try:
+        return (*map(negated, reversed(block)),)
+    except KeyError:
+        neg = negated.__self__
+        for x in block:
+            neg.setdefault(x, (x[0], -x[1]))
+        return (*map(negated, reversed(block)),)
 
 
-def _inverse(fac: Factor, block: tuple) -> tuple:
+def _inverse(spec: GroupSpec, fac: Factor, block: tuple) -> tuple:
+    """Inverse of a nonempty normal-form block of the factor ``fac`` of
+    ``spec``; a free block reads the spec's negation table."""
     if fac.kind == FREE:
-        return _free_inverse(block)
+        return _free_inverse(spec._negated, block)
     if fac.kind == FINITE_CYCLIC:
         return tuple([(name, fac.order - e) for name, e in block])
     return tuple([(name, -e) for name, e in block])
@@ -375,11 +402,12 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
 def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
     """The letters of the inverse of the normal form with letters a.
 
-    Free blocks are reversed with negated exponents, free-abelian exponents
-    negated and a cyclic exponent e becomes ``order - e``.  A word whose
-    first and last letters lie in one factor is that factor's inverse; a
-    word over several factors is inverted run by run, each run in its
-    place, since blocks of different factors commute.  Nothing is
+    Free blocks are reversed with negated exponents, the negated letters
+    read from the spec's negation table by ``_free_inverse``; free-abelian
+    exponents are negated and a cyclic exponent e becomes ``order - e``.  A
+    word whose first and last letters lie in one factor is that factor's
+    inverse; a word over several factors is inverted run by run, each run
+    in its place, since blocks of different factors commute.  Nothing is
     renormalized, and no ``Word`` is built (``inv`` wraps this for Words).
     It is the kernel ``GroupSpec._inv`` of every spec but one of a single
     free factor, which binds that factor's inverse, ``_free_inverse``.
@@ -388,19 +416,19 @@ def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
         return a
     factors = spec.factors
     if len(factors) == 1:
-        return _inverse(factors[0], a)
+        return _inverse(spec, factors[0], a)
     index = spec._index
     fi = index[a[0][0]][0]
     if fi == index[a[-1][0]][0]:
-        return _inverse(factors[fi], a)
+        return _inverse(spec, factors[fi], a)
     out: list[tuple[str, int]] = []
     start = 0
     for k in range(1, len(a)):
         f = index[a[k][0]][0]
         if f != fi:
-            out += _inverse(factors[fi], a[start:k])
+            out += _inverse(spec, factors[fi], a[start:k])
             fi, start = f, k
-    out += _inverse(factors[fi], a[start:])
+    out += _inverse(spec, factors[fi], a[start:])
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ from .groups import (
 from . import ring as R
 from .ring import RingElem
 from . import snf
-from .calculus import CIRCLES, DaxContext, _dax_boundary_sphere, _dax_u
+from .calculus import CIRCLES, DaxContext, _dax_boundary_sphere, _dax_u, _reduced_sum
 from .pairing import twists_on_ball
 
 PROV_DAX_IMAGE = "dax_image"
@@ -303,6 +303,16 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     when a report or ``RelationSet.dropped`` reads it.  A base relation (one
     of the identity translate) that leaves the window is sorted into the
     message of a ``WindowOverflowError``.
+
+    A boundary sphere is classified by position, with no term dict: its
+    two terms, g^-1 with (-1)^(d-1) and g s^-1 with -1
+    (``calculus._dax_boundary_sphere``), are distinct and not the identity
+    for every translate g but 1, s and a square root of s, so one lookup
+    each places them.  Both inside give the column of the two pairs in
+    position order, checked against ``seen`` as any other; one outside
+    drops the two terms as a dict.  Those three translates, the identity
+    with its overflow error among them, are summed and go through
+    ``classify``.
     """
     if window < 1:
         raise SceneError("window must be >= 1")
@@ -348,11 +358,24 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
                 classify(_dax_u(mul, inv, letters, base, lam_u, twist), class_prov,
                          not letters)
     if ctx.mode == CIRCLES:
-        s_inv, flip = ctx.s_inv, ctx.flip
+        s_inv, flip, get = ctx.s_inv, ctx.flip, index.get
         for g in enum:
             letters = g.letters
-            classify(_dax_boundary_sphere(mul, inv, letters, s_inv, flip), PROV_BOUNDARY,
-                     not letters)
+            terms = _dax_boundary_sphere(mul, inv, letters, s_inv, flip)
+            v, c, w, e = terms
+            if letters and w:  # g != 1 and g != s
+                i, j = get(v), get(w)
+                if i is not None and i != j:  # g^-1 in the window, g^2 != s
+                    if j is None:
+                        dropped.append((PROV_BOUNDARY, {v: c, w: e}))
+                        continue
+                    key = ((i, c), (j, e)) if i < j else ((j, e), (i, c))
+                    if key not in seen:
+                        seen.add(key)
+                        kept.append(key)
+                        prov.append(PROV_BOUNDARY)
+                    continue
+            classify(_reduced_sum(terms), PROV_BOUNDARY, not letters)
 
     return RelationSet(spec, window, gens, tuple(kept), tuple(prov), tuple(dropped),
                        index)

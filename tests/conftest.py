@@ -708,6 +708,39 @@ def reference_assemble(ctx, window, embedded):
                                         tuple(dropped))
 
 
+def reference_boundary_family(ctx, window):
+    """The relations of a circles context whose table has no classes, which
+    are the boundary-sphere family alone, from one
+    ``calculus.dax_boundary_sphere`` value per ball translate: (columns,
+    provenance, dropped values), or the type and text of the error.  A
+    nonzero value is kept as its column when its support lies in the window
+    and no kept value had that column, and dropped as its ``RingElem``
+    otherwise; the identity translate's value raises instead of dropping."""
+    from daxkernel import quotient as Q
+    from daxkernel.calculus import dax_boundary_sphere
+    from daxkernel.errors import WindowOverflowError
+
+    spec = ctx.spec
+    gens = Q.window_generators(spec, window)
+    position = {w: i for i, w in enumerate(gens)}
+    columns, dropped = [], []
+    for g in (spec.identity(),) + gens:
+        val = dax_boundary_sphere(g, ctx)
+        if val.is_zero:
+            continue
+        if all(w in position for w in val.support()):
+            col = tuple((position[w], c) for w, c in val.terms)
+            if col not in columns:
+                columns.append(col)
+        elif g.is_identity:
+            return WindowOverflowError, (f"base relation {reference_value_text(val)}"
+                                         " exceeds the generator window; increase the"
+                                         " window")
+        else:
+            dropped.append((Q.PROV_BOUNDARY, val))
+    return tuple(columns), (Q.PROV_BOUNDARY,) * len(columns), tuple(dropped)
+
+
 def reference_value_text(val):
     """The text of ``val`` in an overflow message, from its sorted terms: the
     whole value up to 8 terms, else its first and last three terms and its

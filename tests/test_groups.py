@@ -12,6 +12,7 @@ from daxkernel.errors import (
     UnsupportedClassError,
 )
 from daxkernel.groups import (
+    FREE,
     GroupSpec,
     Word,
     ball,
@@ -143,6 +144,21 @@ def test_spec_kernels_stay_out_of_equality_hash_and_repr(text):
     assert "_mul" not in repr(a) and "_inv" not in repr(a)
     letters = tuple((name, 1) for name in a.generators)
     assert copied._mul(letters, copied._inv(letters)) == ()
+    # the negation table fills as a's kernel inverts, and still takes no
+    # part in equality, hashing or repr; a pickled copy starts it empty
+    words = [letters, ref_normalize([(name, -3) for name in reversed(a.generators)],
+                                    a).letters]
+    for w in words:
+        a._inv(w)
+    assert a._negated.__self__ or not any(fac.kind == FREE for fac in a.factors)
+    for other in (b, direct):
+        assert a == other and hash(a) == hash(other) and repr(a) == repr(other)
+        assert "_neg" not in repr(a)
+    refilled = pickle.loads(pickle.dumps(a))
+    assert refilled == a and refilled._negated.__self__ == {}
+    for w in words:
+        want = ref_normalize([(n, -e) for n, e in reversed(w)], a).letters
+        assert refilled._inv(w) == a._inv(w) == want
 
 
 # -- normalization -----------------------------------------------------------

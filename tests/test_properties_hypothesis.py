@@ -94,6 +94,7 @@ from conftest import (
     random_whisker,
     random_word,
     reference_ball,
+    reference_boundary_family,
     reference_elimination,
     reference_lambda_letters,
     reference_orbit,
@@ -335,6 +336,10 @@ KERNEL_SPECS = dict(WORD_SPECS, **{
 })
 
 
+# one free factor, two, and a free factor beside a cyclic one
+SHARED_NEGATION_SPECS = ("F<x,y>", "F<x,y> x F<z,v>", "F<x,y> x Z/3<u>")
+
+
 @given(st.sampled_from(sorted(KERNEL_SPECS)), st.data())
 @settings(max_examples=300, deadline=None)
 def test_spec_kernels_match_the_general_product(text, data):
@@ -344,6 +349,14 @@ def test_spec_kernels_match_the_general_product(text, data):
     for w in (a, b, spec._mul(a, b)):
         want = ref_normalize([(n, -e) for n, e in reversed(w)], spec).letters
         assert spec._inv(w) == inv_letters(spec, w) == want
+        if text in SHARED_NEGATION_SPECS:
+            # an equal word of freshly built letters: both inverses hold the
+            # negation table's letter objects wherever a letter is free
+            twin = tuple([(n, e) for n, e in w])
+            free = {n for fac in spec.factors if fac.kind == FREE for n in fac.gens}
+            for inverse in (spec._inv, lambda x: inv_letters(spec, x)):
+                pairs = [(x, y) for x, y in zip(inverse(w), inverse(twin)) if x[0] in free]
+                assert all(x is y for x, y in pairs), (w, pairs)
 
 
 @st.composite
@@ -955,30 +968,84 @@ def test_assembly_matches_reference(build):
     assert_assembly_matches_reference(build)
 
 
+@st.composite
+def boundary_builds(draw):
+    """A spec of ``BALL_SPEC_TEXTS``, a window from 1 to 4, the raw letters
+    of a circle class and a dimension from 3 to 6, so of either parity."""
+    text = draw(st.sampled_from(BALL_SPEC_TEXTS))
+    return (text, draw(st.integers(min_value=1, max_value=4)),
+            draw(raw_letters(WORD_SPECS[text], 3, 3)),
+            draw(st.integers(min_value=3, max_value=6)))
+
+
+# the translates whose two terms are not two distinct non-identity words:
+# g = 1, whose value is -s^-1, here inside the window
+@example(("F<x,y>", 2, [("y", -1)], 3))
+# g = s = x*y
+@example(("F<x,y>", 2, [("x", 1), ("y", 1)], 4))
+# g^2 = s: g = x for s = x^2, where the two terms sum to 0 for odd d, and
+# g = u for s = 1
+@example(("F<x,y>", 2, [("x", 2)], 3))
+@example(("F<x,y>", 2, [("x", 2)], 4))
+@example(("Z<t> x Z/2<u>", 2, [], 3))
+@example(("Z<t> x Z/2<u>", 2, [], 4))
+# the base relation -s^-1 leaves the window: an overflow error
+@example(("F<x,y>", 2, [("x", 1), ("y", 2)], 5))
+@given(boundary_builds())
+@settings(max_examples=100, deadline=None)
+def test_boundary_family_matches_the_reference(case):
+    text, window, letters, d = case
+    spec = WORD_SPECS[text]
+    ctx = circles_context(table_for(spec, [], d=d), normalize(letters, spec))
+    try:
+        rs = build_rel_circles(ctx, None, window)
+    except DaxKernelError as exc:
+        got = type(exc), str(exc)
+    else:
+        got = rs.columns, rs.provenance, rs.dropped
+    assert got == reference_boundary_family(ctx, window)
+
+
 def test_target_report_renders_as_the_reference():
-    """Over ``F<x,y>``, ``F<x,y> x Z/3<u>`` and ``Z<t> x Z/2<u>``, the
-    report's relations and dropped values are ``str`` of the reference
-    RingElems, and some dropped values have two or more terms outside the
-    window, whose order is the one that needs ``word_key``."""
+    """Over ``F<x,y>``, ``F<x,y> x Z/3<u>``, ``Z<t> x Z/2<u>`` and
+    ``Z/5<u> x F<x>``, the report's relations and dropped values are
+    ``str`` of the reference RingElems.  Some dropped values have two or
+    more terms outside the window, whose order is the one that needs
+    ``word_key``; some outside words hold a letter that no generator holds,
+    which the report's letter texts render first there; and some reports
+    write letters of ``Z/m``."""
     from daxkernel import cli
     from daxkernel.errors import DaxKernelError
     from daxkernel.quotient import order_dropped
 
-    outside = [0]
+    seen = {"two outside": 0, "new letter": 0, "cyclic letter": 0}
 
-    @given(relation_builds(("F<x,y>", "F<x,y> x Z/3<u>", "Z<t> x Z/2<u>")))
+    def check_report(rs):
+        report = cli._presentation(rs)
+        assert_report_matches_reference(report, rs)
+        known = {x for g in rs.generators for x in g.letters}
+        for _, terms in rs.dropped_terms:
+            far = order_dropped(rs.spec, rs.letter_index, terms)[1]
+            seen["two outside"] += len(far) >= 2
+            seen["new letter"] += any(x not in known for w, _ in far for x in w)
+        seen["cyclic letter"] += any(rs.spec._index[name][2] for name, _ in known)
+
+    @given(relation_builds(("F<x,y>", "F<x,y> x Z/3<u>", "Z<t> x Z/2<u>",
+                            "Z/5<u> x F<x>")))
     @settings(max_examples=100, deadline=None)
     def check(build):
         try:
             rs = build()
         except DaxKernelError:
             return
-        if isinstance(rs, tuple):
-            rs = rs[0]
-        assert_report_matches_reference(cli._presentation(rs), rs)
-        for _, terms in rs.dropped_terms:
-            far = len(order_dropped(rs.spec, rs.letter_index, terms)[1])
-            outside[0] = max(outside[0], far)
+        check_report(rs[0] if isinstance(rs, tuple) else rs)
 
     check()
-    assert outside[0] >= 2
+    # x^7 first shows in the outside term of the boundary sphere of g = x^6
+    # at W=6, for the circle class s = x^-1
+    spec = parse_group_spec("F<x,y>")
+    rs = build_rel_circles(circles_context(table_for(spec, [], d=3),
+                                           parse_word("x^-1", spec)), None, 6)
+    assert any((("x", 7),) in terms for _, terms in rs.dropped_terms)
+    check_report(rs)
+    assert all(seen.values()), seen

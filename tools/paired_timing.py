@@ -14,15 +14,18 @@ Printed: each op's median time per root and the median over rounds of
 that op's own ratio of the first root's time to the second's, which shows
 the ops that gained; then the median over rounds of the ratio of the first
 root's pass time to the second's, with its quartiles, and in how many
-rounds the second root's pass was the faster one.  A ratio above 1 means
-the second root is faster.  Separate benchmark runs
-drift with the machine's speed; the two passes of a round run back to back,
-so their ratio cancels most of that drift.  The two package copies share
-one process, its allocator and its collector, and they have been seen to
-interact on ``aspherical.F2.W4.eval``: treat a per-op ratio of a few
-percent as unconfirmed until separate processes (``bench/run.py`` runs of
-each checkout) agree.  The exit status is 1 when the roots' outputs differ
-on some op, 0 otherwise.  Nothing under ``bench`` is edited.
+rounds the second root's pass was the faster one; last, each root's
+collector runs per pass, counted through ``gc.callbacks`` and charged to
+the root whose pass is running (each pass starts from a full collection,
+which is not counted).  A ratio above 1 means the second root is faster.
+Separate benchmark runs drift with the machine's speed; the two passes of
+a round run back to back, so their ratio cancels most of that drift.  The
+two package copies share one process, its allocator and its collector,
+and they have been seen to interact on ``aspherical.F2.W4.eval``: treat a
+per-op ratio of a few percent, or a gain in collector runs, as unconfirmed
+until separate processes (``bench/run.py`` runs of each checkout) agree.
+The exit status is 1 when the roots' outputs differ on some op, 0
+otherwise.  Nothing under ``bench`` is edited.
 """
 
 from __future__ import annotations
@@ -76,14 +79,32 @@ def load_root(root: Path, tag: str, tmp: Path):
     return corpus, harness
 
 
-def timed_pass(harness, ops) -> list[float]:
-    """Seconds of each op of one pass."""
+class CollectorRuns:
+    """Collector runs counted per root: a ``gc.callbacks`` entry charges
+    each run that starts while ``root`` is set to that root."""
+
+    def __init__(self, roots: int):
+        self.runs = [0] * roots
+        self.root = None
+
+    def __call__(self, phase, info):
+        if phase == "start" and self.root is not None:
+            self.runs[self.root] += 1
+
+
+def timed_pass(harness, ops, collector: CollectorRuns, root: int) -> list[float]:
+    """Seconds of each op of one pass; the collector runs during it are
+    charged to ``root``."""
     gc.collect()
     times = []
-    for op in ops:
-        t0 = time.perf_counter()
-        harness.run_op(op)
-        times.append(time.perf_counter() - t0)
+    collector.root = root
+    try:
+        for op in ops:
+            t0 = time.perf_counter()
+            harness.run_op(op)
+            times.append(time.perf_counter() - t0)
+    finally:
+        collector.root = None
     return times
 
 
@@ -120,13 +141,18 @@ def main(argv=None) -> int:
             print(f"output differs: {op_id}")
 
         passes: list[list[list[float]]] = [[], []]
+        collector = CollectorRuns(2)
+        gc.callbacks.append(collector)
         start = time.perf_counter()
         rounds = 0
-        while not rounds or time.perf_counter() - start < args.seconds:
-            order = (0, 1) if rounds % 2 == 0 else (1, 0)
-            for i in order:
-                passes[i].append(timed_pass(roots[i][1], ops[i]))
-            rounds += 1
+        try:
+            while not rounds or time.perf_counter() - start < args.seconds:
+                order = (0, 1) if rounds % 2 == 0 else (1, 0)
+                for i in order:
+                    passes[i].append(timed_pass(roots[i][1], ops[i], collector, i))
+                rounds += 1
+        finally:
+            gc.callbacks.remove(collector)
 
     print(f"workload {args.workload} seed {args.seed}: {len(ops[0])} ops,"
           f" {rounds} rounds")
@@ -140,6 +166,8 @@ def main(argv=None) -> int:
     print(f"paired median pass-time ratio root 1 / root 2: {median:.3f}"
           f" (quartiles {q1:.3f}-{q3:.3f})")
     print(f"root 2 faster in {sum(r > 1 for r in ratios)} of {rounds} rounds")
+    runs = [n / rounds for n in collector.runs]
+    print(f"collector runs per pass: root 1 {runs[0]:.1f}, root 2 {runs[1]:.1f}")
     return 1 if differ else 0
 
 
