@@ -71,7 +71,8 @@ def _word_text(texts: dict, letters: tuple) -> str:
 
 def _presentation(rs: Q.RelationSet) -> dict:
     """The report's generators, relations and dropped values, rendered from
-    window positions and letters; no Word or RingElem is built.
+    window positions and the window's letters; no Word or RingElem is
+    built.
 
     Words are rendered through one plain dict of letter texts per report,
     filled on a miss by ``_word_text``, so each distinct letter is rendered
@@ -81,7 +82,7 @@ def _presentation(rs: Q.RelationSet) -> dict:
     and sorted by ``quotient.order_dropped``.
     """
     texts: dict[tuple, str] = {}
-    names = [_word_text(texts, g.letters) for g in rs.generators]
+    names = [_word_text(texts, a) for a in rs.letters]
     relations = [{"value": render_terms([(names[i], c) for i, c in col]),
                   "provenance": prov}
                  for col, prov in zip(rs.columns, rs.provenance)]

@@ -510,8 +510,9 @@ def key_letters(spec: GroupSpec, a: tuple):
         raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
 
 
-def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
-    """All elements of word length <= radius, identity first, in word_key order.
+def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[tuple]:
+    """The letters of all elements of word length <= radius, identity ``()``
+    first, in word_key order; ``Word(spec, a)`` is the element with letters a.
 
     A normal form is its factor blocks concatenated, and ``word_key``
     concatenates per-letter keys, so each factor's spheres are built on their
@@ -521,7 +522,10 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
     sorted, so its sort is one linear pass, and only a product of pieces
     interleaves.  A free-abelian factor of rank k is read as k factors
     ``Z<g>`` (``_pieces``): their product has the same normal forms and
-    keys.  No ``mul``, ``normalize`` or ``word_key`` call is made.
+    keys.  No ``mul``, ``normalize`` or ``word_key`` call is made, and no
+    ``Word`` is built: the window, relation assembly and the ``target``
+    report read an element only through its letters, and a ``Word`` hashes
+    its spec and letters when it is built.
 
     ``limit`` guards against exponentially large balls in free groups: the
     exact size is counted from the pieces' sphere sizes first
@@ -546,7 +550,7 @@ def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[Word]:
     out = []
     for sphere in spheres:
         sphere.sort(key=itemgetter(1))
-        out += [Word(spec, letters) for letters, _ in sphere]
+        out += map(itemgetter(0), sphere)
     return out
 
 

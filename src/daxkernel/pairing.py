@@ -246,15 +246,15 @@ def add_twist(mul, inv, acc: dict[tuple, int], g: tuple, lam,
 
 
 def twists_on_ball(table: PairingTable, elements):
-    """Yield (g, twists) for every g of ``elements``, where ``twists`` holds
-    the twist T_a(g) of ``add_twist`` for each class a of the table, in
-    order, as a term dict keyed by normal form letter tuples, without zero
-    coefficients (the identity term ``()`` may occur).  The dicts are the
-    caller's to change: the walk keeps its own copy of what later elements
-    read.  The walk builds no ``Word`` per element: it multiplies and
-    inverts letters by the spec's kernels ``GroupSpec._mul`` and
-    ``GroupSpec._inv``, read once per walk, so no product dispatches on the
-    spec's factors unless the spec needs it.
+    """Yield (g, twists) for every g of ``elements``, normal form letter
+    tuples, where ``twists`` holds the twist T_a(g) of ``add_twist`` for
+    each class a of the table, in order, as a term dict keyed by letter
+    tuples, without zero coefficients (the identity term ``()`` may occur).
+    The dicts are the caller's to change: the walk keeps its own copy of
+    what later elements read.  The walk builds no ``Word``: it takes
+    letters and multiplies and inverts them by the spec's kernels
+    ``GroupSpec._mul`` and ``GroupSpec._inv``, read once per walk, so no
+    product dispatches on the spec's factors unless the spec needs it.
 
     ``elements`` is a ball listed by word length, as ``groups.ball`` returns
     it.  Each non-identity g is p*s, where s = x^(+-1) steps along the last
@@ -280,8 +280,8 @@ def twists_on_ball(table: PairingTable, elements):
     """
     spec, classes = table.spec, table.classes
     if all(row.is_zero for a in classes for _, row in a.lambda_gen):
-        for g in elements:
-            yield g, [{} for _ in classes]
+        for letters in elements:
+            yield letters, [{} for _ in classes]
         return
     index, central = spec._index, spec._central
     mul, inv = spec._mul, spec._inv
@@ -293,12 +293,11 @@ def twists_on_ball(table: PairingTable, elements):
     # letters -> [its lambda values, its twists, its inverse once it is a
     # parent]; values that no child reads are None
     done: dict[tuple, list] = {}
-    for g in elements:
-        letters = g.letters
+    for letters in elements:
         if not letters:
             empty = [{} for _ in classes]
             done[letters] = [empty, empty, letters]
-            yield g, [{} for _ in classes]
+            yield letters, [{} for _ in classes]
             continue
         name, exp = letters[-1]
         fi, _, order = index[name]
@@ -323,7 +322,7 @@ def twists_on_ball(table: PairingTable, elements):
         else:
             twists = [add_twist(mul, inv, {}, letters, lam.items(), eps) for lam in lams]
         done[letters] = [lams, [dict(t) for t in twists] if keep_tw[fi] else None, None]
-        yield g, twists
+        yield letters, twists
 
 
 def lambda_arc(table: PairingTable, a: SphereClass, g: Word, use_u: bool) -> RingElem:

@@ -52,20 +52,22 @@ MAX_ORBIT_STATES = 4096
 class RelationSet:
     """Relations supported on a generator window of the reduced group ring.
 
-    The generators are the window: the ball of radius ``window`` less the
-    identity, in ``word_key`` order, so graded by length.  ``letter_index``
-    maps a generator's letters to its position; relation assembly hands over
-    the map it classified with, and any other construction builds it.
+    The window is the ball of radius ``window`` less the identity, in
+    ``word_key`` order, so graded by length, stored as its elements' normal
+    form ``letters``.  ``letter_index`` maps a window element's letters to
+    its position; relation assembly hands over the map it classified with,
+    and any other construction builds it.
 
     What a relation set stores is its ``columns``: each relation as its
     (position, coefficient) pairs, sorted by position, which is the
     ``word_key`` order of its terms.  The solver, the concordance fold, the
-    orbit search and the ``target`` report read them.  ``relations`` (one
-    ``RingElem`` per column, sharing the window's Words) is derived on first
-    read.  The constructor
-    takes columns as given; ``from_relations`` is the one entry point that
-    takes ``RingElem`` relations, and checks that they are supported on the
-    window.
+    orbit search and the ``target`` report read them and the letters, and
+    build no ``Word`` of the window.  ``generators`` (the window as
+    ``Word``s) and ``relations`` (one ``RingElem`` per column, sharing those
+    Words) are derived on first read; tests and the benchmark's counters
+    read them.  The constructor takes columns as given; ``from_relations``
+    is the one entry point that takes ``RingElem`` relations, and checks
+    that they are supported on the window.
 
     ``dropped_terms`` holds the values that left the window, each as its
     provenance and an unsorted term dict keyed by normal form letter tuples
@@ -74,12 +76,12 @@ class RelationSet:
     ``word_key`` order, with window positions standing for the terms inside
     the window: the ``target`` report renders them from there, and
     ``dropped``, read by tests and the benchmark's counters, turns them into
-    ``RingElem`` values on first read, sharing the window's Words.
+    ``RingElem`` values on first read, sharing the ``generators`` Words.
     """
 
     spec: GroupSpec
     window: int
-    generators: tuple[Word, ...]
+    letters: tuple[tuple, ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
     provenance: tuple[str, ...]
     dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = field(
@@ -90,16 +92,16 @@ class RelationSet:
     def __post_init__(self):
         if self.letter_index is None:
             object.__setattr__(self, "letter_index",
-                               {w.letters: i for i, w in enumerate(self.generators)})
+                               {a: i for i, a in enumerate(self.letters)})
 
     @classmethod
-    def from_relations(cls, spec: GroupSpec, window: int, generators: tuple[Word, ...],
+    def from_relations(cls, spec: GroupSpec, window: int, letters: tuple[tuple, ...],
                        relations, provenance, dropped_terms=()) -> RelationSet:
-        """The relation set of ``RingElem`` relations over the window
-        ``generators``; each relation's column lists its terms' positions in
-        term order.  A relation with a term outside the window raises
-        ``WindowOverflowError``."""
-        index = {w.letters: i for i, w in enumerate(generators)}
+        """The relation set of ``RingElem`` relations over the window whose
+        elements have the normal form ``letters``; each relation's column
+        lists its terms' positions in term order.  A relation with a term
+        outside the window raises ``WindowOverflowError``."""
+        index = {a: i for i, a in enumerate(letters)}
         columns = []
         for rel in relations:
             col, outside = _place(index, R.letter_terms(rel))
@@ -107,13 +109,19 @@ class RelationSet:
                 raise WindowOverflowError(f"relation {_value_text(spec, R.letter_terms(rel))}"
                                           " not supported on the window")
             columns.append(tuple(col.items()))
-        return cls(spec, window, tuple(generators), tuple(columns), tuple(provenance),
+        return cls(spec, window, tuple(letters), tuple(columns), tuple(provenance),
                    tuple(dropped_terms), index)
+
+    @functools.cached_property
+    def generators(self) -> tuple[Word, ...]:
+        """The window as ``Word``s, built from the letters on first read."""
+        spec = self.spec
+        return tuple([Word(spec, a) for a in self.letters])
 
     @functools.cached_property
     def relations(self) -> tuple[RingElem, ...]:
         """The relations as ring elements, built from the columns on first
-        read; they share the window's Words."""
+        read; they share the ``generators`` Words."""
         spec, gens = self.spec, self.generators
         return tuple(RingElem(spec, tuple([(gens[i], c) for i, c in col]))
                      for col in self.columns)
@@ -121,7 +129,8 @@ class RelationSet:
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
         """(provenance, value) of each dropped value, sorted on first read;
-        only the terms outside the window get a new ``Word``."""
+        the terms inside the window share the ``generators`` Words, and only
+        the terms outside it get a new ``Word``."""
         spec, gens, out = self.spec, self.generators, []
         for p, terms in self.dropped_terms:
             inside, outside = order_dropped(spec, self.letter_index, terms)
@@ -265,9 +274,11 @@ def _place(letter_index: dict[tuple, int], terms):
 # building relation sets
 # ---------------------------------------------------------------------------
 
-def window_generators(spec, window: int) -> tuple[Word, ...]:
-    elements = ball(spec, window, limit=MAX_WINDOW_GENERATORS)
-    return tuple(w for w in elements if not w.is_identity)
+def window_generators(spec, window: int) -> tuple[tuple, ...]:
+    """The window of radius ``window``: the normal form letters of the ball
+    less the identity, in ``word_key`` order, capped at
+    ``MAX_WINDOW_GENERATORS`` elements."""
+    return tuple(ball(spec, window, limit=MAX_WINDOW_GENERATORS)[1:])
 
 
 def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
@@ -277,18 +288,18 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     labels those values with the 3-manifold provenance rather than the
     dax-image one.  Whisker values join later, through ``_add_whiskers``.
 
-    Assembly runs on normal form letter tuples: the ball's Words are built
-    once, by ``window_generators``, and every product, inverse and lookup
-    after that joins, inverts and hashes their letters through the spec's
-    kernels (``GroupSpec._mul``, ``GroupSpec._inv``), so no ``Word`` is
-    built per translate.  The kernels, each class's dax(a) and lambda(a, u)
-    as letter terms, and the circle constants are read once per build, so
-    no per-translate step reads a class's ``Word`` letters, asks a
-    ``RingElem`` whether it is zero or checks the mode.  The dax formula of
-    a translate g*a starts from its twist T_a(g), which
-    ``pairing.twists_on_ball`` carries from g's parent in the ball: across
-    a central generator step at the cost of the step's own pairing value,
-    not of g's.
+    Assembly runs on normal form letter tuples, from the window's letters
+    (``window_generators``) on: every product, inverse and lookup joins,
+    inverts and hashes letters through the spec's kernels
+    (``GroupSpec._mul``, ``GroupSpec._inv``), so no ``Word`` is built,
+    neither per window element nor per translate.  The kernels, each
+    class's dax(a) and lambda(a, u) as letter terms, and the circle
+    constants are read once per build, so no per-translate step reads a
+    class's ``Word`` letters, asks a ``RingElem`` whether it is zero or
+    checks the mode.  The dax formula of a translate g*a starts from its
+    twist T_a(g), which ``pairing.twists_on_ball`` carries from g's parent
+    in the ball: across a central generator step at the cost of the step's
+    own pairing value, not of g's.
 
     Values are classified in generator-index space.  The formula bodies give
     each value as a reduced letter-keyed term dict, and each term is looked
@@ -319,8 +330,8 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     spec = ctx.spec
     mul, inv = spec._mul, spec._inv
     gens = window_generators(spec, window)
-    index = {w.letters: i for i, w in enumerate(gens)}
-    enum = (spec.identity(),) + gens  # the ball, identity first
+    index = {a: i for i, a in enumerate(gens)}
+    enum = ((),) + gens  # the ball, identity first
 
     kept: list[tuple[tuple[int, int], ...]] = []  # sorted (index, coefficient)
     prov: list[str] = []
@@ -352,15 +363,13 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
              for a in ctx.table.classes]
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
     if terms:  # the twist of every class and translate, each from its parent's
-        for g, twists in twists_on_ball(ctx.table, enum):
-            letters = g.letters
+        for letters, twists in twists_on_ball(ctx.table, enum):
             for (base, lam_u), twist in zip(terms, twists):
                 classify(_dax_u(mul, inv, letters, base, lam_u, twist), class_prov,
                          not letters)
     if ctx.mode == CIRCLES:
         s_inv, flip, get = ctx.s_inv, ctx.flip, index.get
-        for g in enum:
-            letters = g.letters
+        for letters in enum:
             terms = _dax_boundary_sphere(mul, inv, letters, s_inv, flip)
             v, c, w, e = terms
             if letters and w:  # g != 1 and g != s
@@ -415,7 +424,7 @@ def _append(rs: RelationSet, columns, provenance: str) -> RelationSet:
             seen.add(col)
             kept.append(col)
             prov.append(provenance)
-    return RelationSet(rs.spec, rs.window, rs.generators, tuple(kept), tuple(prov),
+    return RelationSet(rs.spec, rs.window, rs.letters, tuple(kept), tuple(prov),
                        rs.dropped_terms, rs.letter_index)
 
 
@@ -562,18 +571,22 @@ class QuotientSolver:
     invariant factors of the two next-smaller windows.  A coordinate vector
     is read off the canonical residue, so it depends on the lattice alone.
     Built once per relation set as ``RelationSet.solver``; it keeps the
-    spec, not the relation set, so the two are freed together.
+    spec and the window's ``letters``, not the relation set, so the two are
+    freed together.  It builds no ``Word`` of the window: a ``Word`` is
+    built only for a term of a residue that ``elem`` returns.
     """
 
     def __init__(self, rs: RelationSet):
         self.spec = rs.spec
-        self.generators = gens = rs.generators
+        self.letters = letters = rs.letters
         self.letter_index = rs.letter_index
-        n = len(gens)
-        # the window is graded by length: its generators of length <= k are
+        n = len(letters)
+        # the window is graded by length: its elements of length <= k are
         # the first ends[k - 1]
-        top = word_length(gens[-1]) if gens else 0
-        ends = [bisect.bisect_right(gens, k, key=word_length) for k in range(1, top + 1)]
+        length = functools.partial(_letters_length, rs.spec._index)
+        top = length(letters[-1]) if letters else 0
+        self._ends = ends = [bisect.bisect_right(letters, k, key=length)
+                             for k in range(1, top + 1)]
         # one column per relation up to sign, each with its shell: the length
         # of its longest word, which is its last term (terms are in word_key
         # order)
@@ -612,12 +625,13 @@ class QuotientSolver:
 
     def elem(self, pairs) -> RingElem:
         """The ring element with coefficient c at generator i, for each
-        (i, c) of ``pairs`` (positions distinct, zeros skipped).  Terms in
-        position order are terms in ``word_key`` order, since the window is
-        the ball in that order: the pairs are sorted as integers, and no
-        ``word_key`` is computed."""
-        gens = self.generators
-        return RingElem(self.spec, tuple([(gens[i], c) for i, c in sorted(pairs) if c]))
+        (i, c) of ``pairs`` (positions distinct, zeros skipped), one new
+        ``Word`` per term.  Terms in position order are terms in
+        ``word_key`` order, since the window is the ball in that order: the
+        pairs are sorted as integers, and no ``word_key`` is computed."""
+        spec, letters = self.spec, self.letters
+        return RingElem(spec, tuple([(Word(spec, letters[i]), c)
+                                     for i, c in sorted(pairs) if c]))
 
     def coords(self, elem: RingElem) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free coordinates, torsion coordinates) of the class of elem."""
@@ -664,7 +678,7 @@ class QuotientSolver:
 def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
     """The same relation data truncated to a smaller window.
 
-    The smaller ball's generators are a prefix of the window, which is
+    The smaller ball's elements are a prefix of the window, which is
     graded by length, so a relation keeps its column when all its positions
     lie in that prefix; everything else moves to the dropped list.
 
@@ -673,16 +687,17 @@ def restrict_relationset(rs: RelationSet, window: int) -> RelationSet:
     build and can hold more, from translates outside the smaller ball
     (seed-0 ``embedded.Z2.W5.eval``: 32 against 29 relations at window 3).
     """
-    gens = rs.generators
-    n = bisect.bisect_right(gens, window, key=word_length)
+    letters = rs.letters
+    n = bisect.bisect_right(letters, window,
+                            key=functools.partial(_letters_length, rs.spec._index))
     kept, prov, dropped = [], [], list(rs.dropped_terms)
     for col, p in zip(rs.columns, rs.provenance):
         if all(i < n for i, _ in col):
             kept.append(col)
             prov.append(p)
         else:
-            dropped.append((p, {gens[i].letters: c for i, c in col}))
-    return RelationSet(rs.spec, window, gens[:n], tuple(kept), tuple(prov),
+            dropped.append((p, {letters[i]: c for i, c in col}))
+    return RelationSet(rs.spec, window, letters[:n], tuple(kept), tuple(prov),
                        tuple(dropped))
 
 
@@ -718,13 +733,13 @@ def concordance_quotient(rs: RelationSet) -> RelationSet:
     spec, index = rs.spec, rs.letter_index
 
     def fold():
-        for i, g in enumerate(rs.generators):
-            gi = spec._inv(g.letters)
+        for i, g in enumerate(rs.letters):
+            gi = spec._inv(g)
             j = index.get(gi)
             if j is None:
-                if key_letters(spec, gi) < key_letters(spec, g.letters):
+                if key_letters(spec, gi) < key_letters(spec, g):
                     continue
-                val = _value_text(spec, ((gi, 1), (g.letters, -1)))
+                val = _value_text(spec, ((gi, 1), (g, -1)))
                 raise WindowOverflowError(f"relation {val} not supported on the window")
             if j > i:  # else the partner generator contributes the same relation
                 yield (i, -1), (j, 1)
@@ -757,7 +772,7 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
     term outside the window can cancel against a term of w(b).
     """
     solver = rs.solver
-    spec, index, gens = rs.spec, rs.letter_index, rs.generators
+    spec, index, letters = rs.spec, rs.letter_index, rs.letters
     mul = spec._mul
 
     def state(vec: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -780,10 +795,10 @@ def centralizer_orbit_reduce(value: RingElem, rs: RelationSet,
         for b, bi, inside, outside in moves:
             moved, left = dict(inside), dict(outside)
             for i, c in r:
-                letters = mul(mul(b, gens[i].letters), bi)
-                j = index.get(letters)
+                g = mul(mul(b, letters[i]), bi)
+                j = index.get(g)
                 if j is None:
-                    left[letters] = left.get(letters, 0) + c
+                    left[g] = left.get(g, 0) + c
                 else:
                     moved[j] = moved.get(j, 0) + c
             if any(left.values()):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SceneError
-from .groups import Word, inv, render_word, word_key
+from .groups import Word, inv, render_letters, word_key
 from . import ring as R
 from .ring import RingElem
 from . import snf
@@ -122,7 +122,9 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     returns a Witness when no such w exists.  Each output of w is one
     sparse functional on canonical residues (``free_functional``), dotted
     with the residue of each generator's unit vector; a generator's w_map
-    key is its rendered word, which is the text of its monomial.
+    key is its normal form rendered from its letters (``render_letters``),
+    which is the text of its monomial, so no ``Word`` of the window is
+    built.
     """
     if not knots:
         raise SceneError("universality check needs at least one knot")
@@ -164,8 +166,8 @@ def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, .
     # determined by the free part of each generator's class
     functionals = [solver.free_functional(sol[:q]) for sol in solutions]
     w_map = {}
-    for i, g in enumerate(solver.generators):
+    for i, g in enumerate(solver.letters):
         residue = solver.reduce({i: 1})
-        w_map[render_word(g)] = tuple(sum(f.get(j, 0) * c for j, c in residue.items())
-                                      for f in functionals)
+        w_map[render_letters(g)] = tuple(sum(f.get(j, 0) * c for j, c in residue.items())
+                                         for f in functionals)
     return w_map, base_value

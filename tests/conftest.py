@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from daxkernel.errors import UnknownGeneratorError
-from daxkernel.groups import (FINITE_CYCLIC, GroupSpec, Word, inv, mul, normalize,
+from daxkernel.groups import (FINITE_CYCLIC, GroupSpec, Word, ball, inv, mul, normalize,
                               parse_group_spec, render_word)
 from daxkernel import ring as R
 from daxkernel.pairing import PairingTable, SphereClass, sphere_class
@@ -164,6 +164,13 @@ def ref_normalize(letters, spec):
                     stack.append([name, exp])
             out.extend((n, e) for n, e in stack)
     return Word(spec, tuple(out))
+
+
+def ball_words(spec, radius, limit=200_000):
+    """``groups.ball`` as Words: the elements of word length <= radius,
+    identity first, in ``word_key`` order.  The window of radius W is
+    ``ball_words(spec, W, quotient.MAX_WINDOW_GENERATORS)[1:]``."""
+    return [Word(spec, a) for a in ball(spec, radius, limit)]
 
 
 # -- the breadth-first ball: the reference for groups.ball ----------------------------
@@ -505,7 +512,7 @@ def reference_concordance_quotient(rs):
         seen.add(val)
         kept.append(val)
         prov.append(Q.PROV_CONCORDANCE)
-    return Q.RelationSet.from_relations(rs.spec, rs.window, rs.generators, tuple(kept),
+    return Q.RelationSet.from_relations(rs.spec, rs.window, rs.letters, tuple(kept),
                                         tuple(prov), rs.dropped_terms)
 
 
@@ -676,9 +683,8 @@ def reference_assemble(ctx, window, embedded):
     if window < 1:
         raise SceneError("window must be >= 1")
     spec = ctx.spec
-    gens = Q.window_generators(spec, window)
-    gens_set = set(gens)
-    enum = (spec.identity(),) + gens
+    enum = ball_words(spec, window, Q.MAX_WINDOW_GENERATORS)
+    gens_set = set(enum[1:])
     kept, prov, dropped, seen = [], [], [], set()
 
     def classify(val, provenance, from_identity):
@@ -704,8 +710,8 @@ def reference_assemble(ctx, window, embedded):
     if ctx.mode == CIRCLES:
         for g in enum:
             classify(dax_boundary_sphere(g, ctx), Q.PROV_BOUNDARY, g.is_identity)
-    return Q.RelationSet.from_relations(spec, window, gens, tuple(kept), tuple(prov),
-                                        tuple(dropped))
+    return Q.RelationSet.from_relations(spec, window, Q.window_generators(spec, window),
+                                        tuple(kept), tuple(prov), tuple(dropped))
 
 
 def reference_boundary_family(ctx, window):
@@ -721,10 +727,10 @@ def reference_boundary_family(ctx, window):
     from daxkernel.errors import WindowOverflowError
 
     spec = ctx.spec
-    gens = Q.window_generators(spec, window)
-    position = {w: i for i, w in enumerate(gens)}
+    enum = ball_words(spec, window, Q.MAX_WINDOW_GENERATORS)
+    position = {w: i for i, w in enumerate(enum[1:])}
     columns, dropped = [], []
-    for g in (spec.identity(),) + gens:
+    for g in enum:
         val = dax_boundary_sphere(g, ctx)
         if val.is_zero:
             continue
@@ -810,10 +816,8 @@ def random_whisker(rng, ctx):
     class: powers of it, mostly with the zero value that the action law asks
     for, and random words that commute with it, with values on the ball of
     radius 2.  Some tables break the action law or leave the window."""
-    from daxkernel.groups import ball, mul
-
     s, spec = ctx.s_class, ctx.spec
-    short = ball(spec, 2)[1:]
+    short = ball_words(spec, 2)[1:]
     whisker = {}
     for _ in range(rng.randint(1, 2)):
         power = rng.random() < 0.4

@@ -19,6 +19,7 @@ from daxkernel.calculus import (
 
 from conftest import (
     GROUP_TEXTS,
+    ball_words,
     class_named,
     random_class,
     random_circles_context,
@@ -234,14 +235,12 @@ def test_image_trivial_group_empty():
 
 def test_image_no_classes_empty():
     ctx = arcs_context(table_for(Z, []))
-    from daxkernel.groups import ball
-    assert dax_image(ctx, ball(Z, 3)) == []
+    assert dax_image(ctx, ball_words(Z, 3)) == []
 
 
 def test_image_contains_displayed_family():
     ctx = bg_context(d=5, w0=3)
-    from daxkernel.groups import ball
-    vals = dax_image(ctx, ball(Z, 4))
+    vals = dax_image(ctx, ball_words(Z, 4))
     assert parse_ring("t^-1 + t^-2", Z) in vals
     for k in (0, 1, 2, -1):
         expected = gr_bar_reduce(parse_ring(f"t^{-k} - t^{k-3}", Z))

@@ -16,7 +16,7 @@ from daxkernel.quotient import (
 from daxkernel.scene import preset_expand
 from daxkernel.cli import run_scene
 
-from conftest import dense
+from conftest import ball_words, dense
 
 GOLDEN_SOLID_TORUS = {
     "command": "target",
@@ -83,8 +83,8 @@ def test_aspherical_circles_matches_direct_boundary_family(group, s, d, window):
     sign = 1 if (d - 1) % 2 == 0 else -1
     gens_set = set(rs.generators)
     direct = set()
-    from daxkernel.groups import ball, mul
-    for g in ball(spec, window):
+    from daxkernel.groups import mul
+    for g in ball_words(spec, window):
         val = gr_bar_reduce(R.gr_add(monomial(inv(g), sign),
                                      monomial(mul(g, inv(s_word)), -1)))
         if not val.is_zero and all(w in gens_set for w in val.support()):
@@ -93,7 +93,7 @@ def test_aspherical_circles_matches_direct_boundary_family(group, s, d, window):
 
     st = quotient_structure(rs)
     free, torsion = sympy_structure([dense(column(solver.letter_index, r),
-                                           len(solver.generators))
+                                           len(solver.letters))
                                      for r in direct],
                                     len(rs.generators))
     assert (st.free_rank, list(st.torsion)) == (free, torsion)

@@ -83,6 +83,7 @@ from conftest import (
     GROUP_TEXTS,
     assert_assembly_matches_reference,
     assert_report_matches_reference,
+    ball_words,
     dense_coords,
     dense_hermite_row_basis,
     dense_reduce_mod_rows,
@@ -477,7 +478,7 @@ def test_lambda_on_ball(text, data):
     # lambda_word on every element
     ctx, _ = data.draw(consistent_tables((text,)))
     table, spec = ctx.table, ctx.spec
-    elements = ball(spec, 6 if text == "Z<t>" else 3)
+    elements = ball_words(spec, 6 if text == "Z<t>" else 3)
     for a in table.classes:
         values = lambda_on_ball(table, a, elements)
         assert list(values) == elements
@@ -621,7 +622,7 @@ def test_ball_matches_breadth_first_reference(spec, radius):
             ball(spec, radius, limit)
         assert str(got.value) == str(exc)
         return
-    assert [w.letters for w in ball(spec, radius, limit)] == want
+    assert ball(spec, radius, limit) == want
     # the size is counted exactly: a limit one below it raises
     if len(want) > 1:
         with pytest.raises(BallOverflowError):
@@ -662,7 +663,8 @@ def test_twists_on_ball_match_direct_twist(data):
         for twist in twists:  # the dicts are the caller's to change
             twist[()] = 1
     assert [g for g, _ in walked] == elements
-    for g, twists in walked:
+    for letters, twists in walked:
+        g = Word(spec, letters)
         assert len(twists) == len(table.classes)
         for a, twist in zip(table.classes, twists):
             lam_g = R.left_mul(g, lambda_word(table, a, g))
@@ -731,7 +733,7 @@ def window_relation_sets(draw):
     spec = draw(st.sampled_from(WINDOW_SPECS))
     window = draw(st.integers(min_value=1, max_value=3 if spec.generators == ("t",)
                               else 2))
-    gens = window_generators(spec, window)
+    gens = ball_words(spec, window)[1:]
     rels = []
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         if rels and draw(st.integers(min_value=0, max_value=4)) == 0:
@@ -744,8 +746,8 @@ def window_relation_sets(draw):
                                         st.integers(min_value=-6, max_value=6)),
                               max_size=3))
         rels.append(R.from_terms(spec, terms))
-    return RelationSet.from_relations(spec, window, gens, tuple(rels),
-                                      (PROV_DAX_IMAGE,) * len(rels))
+    return RelationSet.from_relations(spec, window, window_generators(spec, window),
+                                      tuple(rels), (PROV_DAX_IMAGE,) * len(rels))
 
 
 @given(window_relation_sets())
@@ -762,7 +764,7 @@ def test_window_torsion_matches_restriction(rs):
 
 # -- one sparse pivot reduction: Hermite bases, residues and coordinates -----------
 
-Z_WINDOW = window_generators(SPECS["Z<t>"], 4)
+Z_WINDOW = ball_words(SPECS["Z<t>"], 4)[1:]
 
 
 @st.composite
@@ -788,8 +790,9 @@ def test_sparse_pivot_reduction_matches_dense_reference(data):
     # the rows as relations over Z<t>: residues and coordinates of the solver
     gens = Z_WINDOW[:m]
     rels = tuple(R.from_terms(Z_WINDOW[0].spec, zip(gens, r)) for r in rows)
-    solver = QuotientSolver(RelationSet.from_relations(Z_WINDOW[0].spec, 4, gens, rels,
-                                                       (PROV_DAX_IMAGE,) * len(rels)))
+    solver = QuotientSolver(RelationSet.from_relations(
+        Z_WINDOW[0].spec, 4, tuple(g.letters for g in gens), rels,
+        (PROV_DAX_IMAGE,) * len(rels)))
     for v in vectors:
         residue = dense_reduce_mod_rows(v, reference)
         assert dense(reduce_mod_rows(sparse(v), basis), m) == residue
@@ -808,7 +811,7 @@ def relation_sets_and_variants(draw):
     if rels:
         rels += draw(st.lists(st.sampled_from(rels), max_size=3))
     rels = draw(st.permutations(rels))
-    variant = RelationSet.from_relations(rs.spec, rs.window, rs.generators, tuple(rels),
+    variant = RelationSet.from_relations(rs.spec, rs.window, rs.letters, tuple(rels),
                                          (PROV_DAX_IMAGE,) * len(rels))
     n = len(rs.generators)
     vectors = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
@@ -857,6 +860,71 @@ def test_solver_elem_matches_from_terms(rs, data):
     assert rs.solver.elem(pairs) == R.from_terms(rs.spec, [(gens[i], c) for i, c in pairs])
 
 
+# -- the window as letters: the Word view and what shares it ------------------------
+
+@st.composite
+def letter_relation_sets(draw):
+    """A relation set built from letters, as assembly builds one, over a
+    spec of ``BALL_SPEC_TEXTS`` or the trivial group, which has no
+    generators: columns of up to three window positions, and dropped term
+    dicts on the ball of radius W+1 (an element of the window, or one just
+    outside it).  With it come (position, coefficient) pairs of distinct
+    positions in drawn order, zeros among them."""
+    text = draw(st.sampled_from(BALL_SPEC_TEXTS + ("1",)))
+    spec = parse_group_spec(text)
+    window = draw(st.integers(min_value=1, max_value=2 if "x" in text else 3))
+    letters = window_generators(spec, window)
+    entry = st.integers(min_value=-4, max_value=4).filter(bool)
+    columns = []
+    if letters:
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            positions = draw(st.lists(st.integers(min_value=0, max_value=len(letters) - 1),
+                                      min_size=1, max_size=3, unique=True))
+            columns.append(tuple(sorted((i, draw(entry)) for i in positions)))
+    near = ball(spec, window + 1)[1:]
+    dropped = []
+    if near:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            terms = draw(st.dictionaries(st.sampled_from(near), entry, min_size=1,
+                                         max_size=3))
+            dropped.append((PROV_DAX_IMAGE, terms))
+    pairs = []
+    if letters:
+        positions = draw(st.lists(st.integers(min_value=0, max_value=len(letters) - 1),
+                                  unique=True, max_size=6))
+        pairs = [(i, draw(st.integers(min_value=-3, max_value=3))) for i in positions]
+    return (RelationSet(spec, window, letters, tuple(columns),
+                        (PROV_DAX_IMAGE,) * len(columns), tuple(dropped)), pairs)
+
+
+@given(letter_relation_sets())
+@example((RelationSet(parse_group_spec("1"), 2, (), (), ()), []))
+@settings(max_examples=200, deadline=None)
+def test_window_letters_back_the_word_view(case):
+    """``generators`` is a cached view of the window's letters as Words;
+    ``relations`` and ``dropped`` use its Words, not copies; the solver's
+    shell ends, read off letters, are the bisection by ``word_length`` on
+    Words; ``QuotientSolver.elem`` of positions in any order is the ring
+    element of those Words."""
+    rs, pairs = case
+    spec, gens = rs.spec, rs.generators
+    assert gens == tuple(Word(spec, a) for a in rs.letters)
+    assert rs.generators is gens
+    for rel, col in zip(rs.relations, rs.columns):
+        assert len(rel.terms) == len(col)
+        assert all(w is gens[i] for (w, _), (i, _) in zip(rel.terms, col))
+    for (_, value), (_, terms) in zip(rs.dropped, rs.dropped_terms):
+        assert R.from_letters(spec, terms) == value
+        for w, _ in value.terms:
+            i = rs.letter_index.get(w.letters)
+            assert i is None or w is gens[i]
+    solver = rs.solver
+    top = word_length(gens[-1]) if gens else 0
+    assert solver._ends == [bisect_right(gens, k, key=word_length)
+                            for k in range(1, top + 1)]
+    assert solver.elem(pairs) == R.from_terms(spec, [(gens[i], c) for i, c in pairs])
+
+
 # -- the orbit search on window positions against the Word-level search --------------
 
 @st.composite
@@ -870,8 +938,8 @@ def orbit_cases(draw):
     value = R.from_terms(spec, draw(st.lists(
         st.tuples(st.sampled_from(gens), st.integers(min_value=-3, max_value=3)),
         max_size=3)))
-    near = ball(spec, rs.window + 2)[1:]
-    centralizer = draw(st.lists(st.sampled_from(ball(spec, 1)[1:]), min_size=1,
+    near = ball_words(spec, rs.window + 2)[1:]
+    centralizer = draw(st.lists(st.sampled_from(ball_words(spec, 1)[1:]), min_size=1,
                                 max_size=2, unique=True))
     whisker = []
     for b in centralizer:

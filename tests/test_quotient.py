@@ -33,6 +33,7 @@ from daxkernel.scene import loads_scene, preset_expand
 from conftest import (
     assert_assembly_matches_reference,
     assert_report_matches_reference,
+    ball_words,
     dense,
     dense_coords,
     dense_hermite_row_basis,
@@ -577,7 +578,7 @@ def test_coords_on_random_relation_sets():
     additive, and its shape fits the structure."""
     rng = rng_for("coords")
     window = 4
-    all_gens = window_generators(Z, window)
+    all_gens = ball_words(Z, window)[1:]
     blocks = torsion_blocks = 0
     for _ in range(250):
         n, m = rng.randint(1, 7), rng.randint(0, 7)
@@ -585,8 +586,8 @@ def test_coords_on_random_relation_sets():
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         rels = tuple(R.from_terms(Z, [(g, c) for g, c in zip(gens, row) if c])
                      for row in rows)
-        solver = QuotientSolver(RelationSet.from_relations(Z, window, gens, rels,
-                                                           (PROV_DAX_IMAGE,) * m))
+        solver = QuotientSolver(RelationSet.from_relations(
+            Z, window, tuple(g.letters for g in gens), rels, (PROV_DAX_IMAGE,) * m))
         blocks += bool(solver._elim.residual_rows)
         torsion_blocks += bool(solver.torsion)
         hnf = dense_hermite_row_basis(rows)
@@ -897,9 +898,10 @@ def test_target_report_makes_no_word_once_relations_are_built(monkeypatch):
 @pytest.mark.parametrize("op_id", ["embedded.F2_x_F2.W3.orbit",
                                    "three_mfd.F2.circle.W4.orbit"])
 def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
-    """Past the ball's own Words, building the relations of a seed-0 orbit
-    scene makes as many Words at W=4 as at W=3: assembly joins, inverts and
-    looks up letter tuples, so no Word is built per translate."""
+    """Building the relations of a seed-0 orbit scene makes as many Words
+    at W=4 as at W=3: the window is kept as letter tuples, and assembly
+    joins, inverts and looks up letters, so no Word is built per window
+    element or per translate."""
     from daxkernel.groups import Word
 
     op = next(op for op in bench_corpus().build("orbit_3mfd", 0) if op.op_id == op_id)
@@ -917,8 +919,40 @@ def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
     for window in (3, 4):
         made[0] = 0
         cli.build_relations(sc, window)
-        extra[window] = made[0] - sizes[window]
+        extra[window] = made[0]
     assert extra[3] == extra[4], (extra, sizes)
+
+
+def test_commands_make_no_word_per_window_element(monkeypatch):
+    """On the seed-0 ``aspherical`` F<x,y> circles scene, ``target`` makes
+    as many Words at W=5 (484 window elements) as at W=4 (160), and
+    ``eval`` makes fewer Words than its window has elements: the window
+    stays letter tuples from the ball to the report, and a Word is built
+    only for a term of a value that the report shows."""
+    from daxkernel.groups import Word
+
+    op = next(op for op in bench_corpus().build("eval_knots", 0)
+              if op.op_id == "aspherical.F2.W4.eval")
+    sc = loads_scene(op.scene_text)
+    made = [0]
+    init = Word.__init__
+
+    def counting(self, spec, letters):
+        made[0] += 1
+        init(self, spec, letters)
+
+    monkeypatch.setattr(Word, "__init__", counting)
+
+    def words(command, window):
+        made[0] = 0
+        cli.run_scene(sc, command, window)
+        return made[0]
+
+    target = {window: words("target", window) for window in (4, 5)}
+    assert target[4] == target[5], target
+    for window in (4, 5):
+        size = len(window_generators(sc.group, window))
+        assert words("eval", window) < size, (window, size)
 
 
 def test_solver_reads_the_columns_of_its_relation_set(monkeypatch):
@@ -974,13 +1008,13 @@ def test_concordance_fold_partner_outside_the_window():
     missing partner sorts first is skipped and one whose partner sorts last
     raises the reference's error."""
     t, ti = parse_word("t", Z), parse_word("t^-1", Z)
-    skipped = RelationSet(Z, 1, (ti,), (), ())
+    skipped = RelationSet(Z, 1, (ti.letters,), (), ())
     assert_fold_matches_reference(skipped)
     assert concordance_quotient(skipped).columns == ()
     with pytest.raises(WindowOverflowError) as want:
-        reference_concordance_quotient(RelationSet(Z, 1, (t,), (), ()))
+        reference_concordance_quotient(RelationSet(Z, 1, (t.letters,), (), ()))
     with pytest.raises(WindowOverflowError) as got:
-        concordance_quotient(RelationSet(Z, 1, (t,), (), ()))
+        concordance_quotient(RelationSet(Z, 1, (t.letters,), (), ()))
     assert (str(got.value), got.value.args) == (str(want.value), want.value.args)
 
 

@@ -14,7 +14,6 @@ from daxkernel.quotient import (
     RelationSet,
     build_rel_3mfd,
     column,
-    window_generators,
 )
 from daxkernel.scene import preset_expand
 from daxkernel.traces import (
@@ -27,7 +26,7 @@ from daxkernel.traces import (
     universality_witness,
 )
 
-from conftest import concat_traces, random_word, rng_for, table_for
+from conftest import ball_words, concat_traces, random_word, rng_for, table_for
 
 Z = parse_group_spec("Z<t>")
 F2 = parse_group_spec("F<x,y>")
@@ -334,14 +333,15 @@ def test_universality_solves_its_equations_on_random_relation_sets():
     residual block with both a torsion row and a free row."""
     rng = rng_for("univ-random")
     window = 4
-    all_gens = window_generators(Z, window)
+    all_gens = ball_words(Z, window)[1:]
     mixed_blocks = 0
     for _ in range(80):
         n, m = rng.randint(1, 7), rng.randint(0, 7)
         gens = all_gens[:n]
         rels = tuple(R.from_terms(Z, [(g, c) for g in gens if (c := rng.randint(-6, 6))])
                      for _ in range(m))
-        rs = RelationSet.from_relations(Z, window, gens, rels, (PROV_DAX_IMAGE,) * m)
+        rs = RelationSet.from_relations(Z, window, tuple(g.letters for g in gens), rels,
+                                        (PROV_DAX_IMAGE,) * m)
         diagonal = rs.solver._elim.residual_diagonal
         mixed_blocks += 0 in diagonal and any(d > 1 for d in diagonal)
         knots = probe_knots(rs) + [

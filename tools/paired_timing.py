@@ -14,10 +14,13 @@ Printed: each op's median time per root and the median over rounds of
 that op's own ratio of the first root's time to the second's, which shows
 the ops that gained; then the median over rounds of the ratio of the first
 root's pass time to the second's, with its quartiles, and in how many
-rounds the second root's pass was the faster one; last, each root's
+rounds the second root's pass was the faster one; then each root's
 collector runs per pass, counted through ``gc.callbacks`` and charged to
 the root whose pass is running (each pass starts from a full collection,
-which is not counted).  A ratio above 1 means the second root is faster.
+which is not counted); last, the ``Word``s each root builds in one pass,
+counted in one more, untimed pass per root after the timed rounds, with
+that root's ``groups.Word.__init__`` wrapped for the pass and restored
+after it.  A ratio above 1 means the second root is faster.
 Separate benchmark runs drift with the machine's speed; the two passes of
 a round run back to back, so their ratio cancels most of that drift.  The
 two package copies share one process, its allocator and its collector,
@@ -45,7 +48,7 @@ BENCH_MODULES = ("check", "reference", "corpus", "harness")
 
 
 def load_root(root: Path, tag: str, tmp: Path):
-    """(corpus, harness) of ``root``, its package copied as ``tag``."""
+    """(corpus, harness, groups) of ``root``, its package copied as ``tag``."""
     shutil.copytree(root / "src" / "daxkernel", tmp / tag)
     if str(tmp) not in sys.path:
         sys.path.insert(0, str(tmp))
@@ -76,7 +79,7 @@ def load_root(root: Path, tag: str, tmp: Path):
             sys.modules.pop(name, None)
             if module is not None:
                 sys.modules[name] = module
-    return corpus, harness
+    return corpus, harness, importlib.import_module(f"{tag}.groups")
 
 
 class CollectorRuns:
@@ -108,6 +111,27 @@ def timed_pass(harness, ops, collector: CollectorRuns, root: int) -> list[float]
     return times
 
 
+def words_per_pass(harness, ops, groups) -> int:
+    """The ``Word``s that one pass of ``ops`` builds, counted by wrapping
+    ``groups.Word.__init__``, which is restored afterwards."""
+    word = groups.Word
+    init = word.__init__
+    made = 0
+
+    def counting(self, spec, letters):
+        nonlocal made
+        made += 1
+        init(self, spec, letters)
+
+    word.__init__ = counting
+    try:
+        for op in ops:
+            harness.run_op(op)
+    finally:
+        word.__init__ = init
+    return made
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -131,9 +155,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         roots = [load_root(root.resolve(), f"_daxkernel_root{i}", Path(tmp))
                  for i, root in enumerate(args.root)]
-        ops = [corpus.build(args.workload, args.seed) for corpus, _ in roots]
+        ops = [corpus.build(args.workload, args.seed) for corpus, _, _ in roots]
         outputs = [[harness.run_op(op) for op in op_list]
-                   for (_, harness), op_list in zip(roots, ops)]
+                   for (_, harness, _), op_list in zip(roots, ops)]
         differ = [op.op_id for op, a, b in zip(ops[0], *outputs) if a != b]
         if [op.op_id for op in ops[0]] != [op.op_id for op in ops[1]]:
             differ.append("(the roots build different op lists)")
@@ -153,6 +177,8 @@ def main(argv=None) -> int:
                 rounds += 1
         finally:
             gc.callbacks.remove(collector)
+        words = [words_per_pass(harness, op_list, groups)
+                 for (_, harness, groups), op_list in zip(roots, ops)]
 
     print(f"workload {args.workload} seed {args.seed}: {len(ops[0])} ops,"
           f" {rounds} rounds")
@@ -168,6 +194,7 @@ def main(argv=None) -> int:
     print(f"root 2 faster in {sum(r > 1 for r in ratios)} of {rounds} rounds")
     runs = [n / rounds for n in collector.runs]
     print(f"collector runs per pass: root 1 {runs[0]:.1f}, root 2 {runs[1]:.1f}")
+    print(f"Words built per pass: root 1 {words[0]}, root 2 {words[1]}")
     return 1 if differ else 0
 
 
