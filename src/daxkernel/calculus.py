@@ -16,10 +16,13 @@ for a translated class, whichever of ``dax_u_general`` and
 ``dax_u_embedded`` names it, and ``_dax_boundary_sphere``.  The translate
 formulas sum their other terms into the twist
 T_a(g) = -lambda(g a, g) + lambda(g, g a) that they contain: relation
-assembly carries it along the ball (``pairing.twists_on_ball``), and the
-public functions build it with the same helper, ``pairing.add_twist``,
-from the letter-keyed terms of lambda(a, g) that ``pairing.lambda_terms``
-derives with the walk's Fox step, so neither builds a ``Word`` series.
+assembly writes it in closed form for a class with principal rows
+(``pairing.add_principal_twist``) and carries it along the ball for the
+others (``pairing.twists_on_ball``).  The public functions build it with
+the walk's helper, ``pairing.add_twist``, from the letter-keyed terms of
+lambda(a, g) that ``pairing.lambda_terms`` derives with the walk's Fox
+step, for every class, so they are the reference for the closed form;
+neither builds a ``Word`` series.
 The public functions sort the dictionary into a ``RingElem`` at the end;
 relation assembly reads it itself and classifies each term by its
 generator index.

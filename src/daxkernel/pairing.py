@@ -29,19 +29,29 @@ folds it over the unit letters of one letter sequence; ``lambda_word`` and
 ``lambda_letters`` sort that dict into a ``RingElem``.  Relation assembly
 needs, for every translate g of a ball, the twist
 T_a(g) = -lambda(g a, g) + lambda(g, g a) that both dax formulas contain
-(``add_twist``).  ``twists_on_ball`` walks the ball once and derives each
-element's twist from its parent's: across a central generator step it adds
-the twist of the step's own value, and across any other step it takes one
-Fox step from the parent's value first.  Both give the same element,
+(``add_twist``).
+
+Most classes need no derivation for it.  A class is principal when some r
+gives every stored row as lambda(a, x) = r - r x^-1; then lambda(a, g) =
+r - r g^-1 for every g, and ``add_principal_twist`` writes T_a(g) down in
+closed form.  ``PairingTable.principal_parts`` finds r once per table
+(``_principal_part``): from the row of one generator of infinite order by
+sums along its cosets, then checked against every row exactly.
+``twists_on_ball`` walks the ball once for the other classes and derives
+each element's twist from its parent's: across a central generator step it
+adds the twist of the step's own value, and across any other step it takes
+one Fox step from the parent's value first.  Both give the same element,
 because lambda is well defined on the group.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import PairingDataError, SpecMismatchError
-from .groups import GroupSpec, Word, inv, mul, render_letters, shortest_exponent
+from .groups import (FREE, GroupSpec, Word, _around, inv, mul, render_letters,
+                     shortest_exponent)
 from . import ring as R
 from .ring import RingElem
 
@@ -112,6 +122,13 @@ class PairingTable:
                     f"class {a.name!r} is embedded, so its base dax value must vanish")
             _check_row_consistency(self.spec, a)
 
+    @functools.cached_property
+    def principal_parts(self) -> tuple[RingElem | None, ...]:
+        """For each class, in order, the r of ``_principal_part``, or None
+        when its rows are not principal; found on first read, and outside
+        equality, hashing and ``repr``."""
+        return tuple(_principal_part(self.spec, a) for a in self.classes)
+
 
 def _commutators(spec: GroupSpec) -> list[tuple[str, list[tuple[str, int]]]]:
     gens = spec.generators
@@ -154,6 +171,77 @@ def _check_row_consistency(spec: GroupSpec, a: SphereClass):
                 f"class {a.name!r}: pairing rows violate the derivation rule on"
                 f" relator {g}^{fac.order} (the row of {g} sums to {total} on the"
                 f" coset {coset})")
+
+
+def _coset_split(index: dict, fi: int, free: bool, x: str, w: tuple) -> tuple[tuple, int]:
+    """(h, k) with w = h x^k, for the letters w of a normal form and the
+    generator x of infinite order of the factor ``fi``, free or not: k is
+    the exponent of the last letter of w's block in that factor when the
+    factor is free, of x's letter in it otherwise, and 0 when that letter
+    is not an x; h is w without that letter.  Each coset h<x> has one h."""
+    i, j = _around(w, index, fi)
+    if free:
+        t = j - 1 if j > i and w[j - 1][0] == x else None
+    else:
+        t = next((t for t in range(i, j) if w[t][0] == x), None)
+    return (w, 0) if t is None else (w[:t] + w[t + 1:], w[t][1])
+
+
+def _principal_part(spec: GroupSpec, a: SphereClass) -> RingElem | None:
+    """The r with lambda(a, x) = r - r x^-1 for every generator x, when the
+    class's stored rows have that form, else None.  Rows that all vanish
+    give r = 0.
+
+    r comes from the row of the first generator x of infinite order.  Write
+    each of its terms as h x^k (``_coset_split``); on a coset h<x> the
+    row's coefficients are rho_k = r_k - r_(k+1), and r has finite support,
+    so r_k = -(rho_j summed over j < k): r is 0 at and below the row's
+    least k on the coset and takes the partial sums between its terms.  A
+    coset whose coefficients do not sum to zero has no such r.  The r found
+    is the only one, since r (1 - x^-1) = 0 forces r = 0 when x has
+    infinite order, and it is checked against every row exactly.  A group
+    whose generators all have finite order, and an r of more terms than
+    the rows together hold (a row x^N - 1 would give N of them), give None:
+    those classes keep the Fox walk.
+    """
+    rows = [(g, R.letter_terms(row)) for g, row in a.lambda_gen]
+    if not any(terms for _, terms in rows):
+        return R.zero(spec)
+    index, mul, inv = spec._index, spec._mul, spec._inv
+    x = next((g for g in spec.generators if not index[g][2]), None)
+    if x is None:
+        return None
+    fi = index[x][0]
+    free = spec.factors[fi].kind == FREE
+    cosets: dict[tuple, list[tuple[int, int]]] = {}
+    for w, c in a.lambda_of(x).terms:
+        h, k = _coset_split(index, fi, free, x, w.letters)
+        cosets.setdefault(h, []).append((k, c))
+    budget = sum(len(terms) for _, terms in rows)
+    r: dict[tuple, int] = {}
+    for h, column in cosets.items():
+        column.sort()
+        total = 0
+        for (k, c), (nxt, _) in zip(column, column[1:]):
+            total += c
+            if total:
+                budget -= nxt - k
+                if budget < 0:
+                    return None
+                for j in range(k + 1, nxt + 1):
+                    r[mul(h, ((x, j),)) if j else h] = -total
+        if total + column[-1][1]:
+            return None
+    for g, terms in rows:
+        g_inv = inv(spec.word([(g, 1)]).letters)
+        want: dict[tuple, int] = {}
+        for w, c in r.items():
+            want[w] = want.get(w, 0) + c
+            v = mul(w, g_inv)
+            want[v] = want.get(v, 0) - c
+        if {w: c for w, c in want.items() if c} != dict(terms):
+            return None
+    return R.from_letters(spec, r)
 
 
 def _unit_step(spec: GroupSpec, a: SphereClass, gen: str, sign: int):
@@ -245,11 +333,40 @@ def add_twist(mul, inv, acc: dict[tuple, int], g: tuple, lam,
     return acc
 
 
-def twists_on_ball(table: PairingTable, elements):
+def add_principal_twist(mul, inv, acc: dict[tuple, int], g: tuple, g_inv: tuple, r,
+                        eps: int) -> dict[tuple, int]:
+    """acc += T_a(g) for a class whose rows are principal, lambda(a, x) =
+    r - r x^-1 (``PairingTable.principal_parts``), from the (letters,
+    coefficient) terms ``r`` of r, the letters g and g_inv of the translate
+    and its inverse, and eps = (-1)^(d-1); returns acc.  Coefficients that
+    reach zero stay in acc.  ``mul`` and ``inv`` are the spec's kernels.
+
+    Then lambda(a, g) = r - r g^-1, and the twist of ``add_twist`` is
+
+        T_a(g) = -g r + g r g^-1 + eps (bar(r) g^-1 - g bar(r) g^-1)
+
+    with no Fox step: bar(r) g^-1 and g bar(r) g^-1 are, term by term, the
+    inverses of g w and g w g^-1 for each term w of r, so a term costs two
+    products and two inverses.
+    """
+    get = acc.get
+    for w, c in r:
+        v = mul(g, w)
+        u = mul(v, g_inv)
+        acc[v] = get(v, 0) - c
+        acc[u] = get(u, 0) + c
+        v, u, c = inv(v), inv(u), eps * c
+        acc[v] = get(v, 0) + c
+        acc[u] = get(u, 0) - c
+    return acc
+
+
+def twists_on_ball(table: PairingTable, elements, classes):
     """Yield (g, twists) for every g of ``elements``, normal form letter
     tuples, where ``twists`` holds the twist T_a(g) of ``add_twist`` for
-    each class a of the table, in order, as a term dict keyed by letter
-    tuples, without zero coefficients (the identity term ``()`` may occur).
+    each of the table's classes a in ``classes``, in order, as a term dict
+    keyed by letter tuples, without zero coefficients (the identity term
+    ``()`` may occur).
     The dicts are the caller's to change: the walk keeps its own copy of
     what later elements read.  The walk builds no ``Word``: it takes
     letters and multiplies and inverts them by the spec's kernels
@@ -275,14 +392,11 @@ def twists_on_ball(table: PairingTable, elements):
     An element is a parent only of steps in its last letter's factor or a
     later one, so it keeps its lambda values only when such a factor is free
     and its twists only when such a factor is abelian.  Over an abelian
-    group no lambda value is derived at all, and when every stored row
-    vanishes, lambda(a, -) = 0 and every twist is zero: no element is walked.
+    group no lambda value is derived at all.  Relation assembly walks only
+    the classes that are not principal; ``add_principal_twist`` gives the
+    others.
     """
-    spec, classes = table.spec, table.classes
-    if all(row.is_zero for a in classes for _, row in a.lambda_gen):
-        for letters in elements:
-            yield letters, [{} for _ in classes]
-        return
+    spec = table.spec
     index, central = spec._index, spec._central
     mul, inv = spec._mul, spec._inv
     eps = flip_sign(table.dimension)

@@ -14,13 +14,18 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import ModeError, SceneError, WindowOverflowError
 from .groups import (
+    FINITE_CYCLIC,
+    FREE_ABELIAN,
     GroupSpec,
     Word,
+    _around,
     _letter_key,
     _letters_length,
     ball,
@@ -30,13 +35,12 @@ from .groups import (
     render_letters,
     render_word,
     word_key,
-    word_length,
 )
 from . import ring as R
 from .ring import RingElem
 from . import snf
 from .calculus import CIRCLES, DaxContext, _dax_boundary_sphere, _dax_u, _reduced_sum
-from .pairing import twists_on_ball
+from .pairing import add_principal_twist, twists_on_ball
 
 PROV_DAX_IMAGE = "dax_image"
 PROV_WHISKER = "whisker"
@@ -297,9 +301,14 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     constants are read once per build, so no per-translate step reads a
     class's ``Word`` letters, asks a ``RingElem`` whether it is zero or
     checks the mode.  The dax formula of a translate g*a starts from its
-    twist T_a(g), which ``pairing.twists_on_ball`` carries from g's parent
-    in the ball: across a central generator step at the cost of the step's
-    own pairing value, not of g's.
+    twist T_a(g).  For a class with principal rows, lambda(a, x) = r -
+    r x^-1 (``PairingTable.principal_parts``, found once per table), it is
+    written down by ``pairing.add_principal_twist``: four words per term of
+    r and one inverse of g per translate.  ``pairing.twists_on_ball`` walks
+    the ball for the other classes and carries each twist from g's parent:
+    across a central generator step at the cost of the step's own pairing
+    value, not of g's.  Each translate's classes are classified in table
+    order either way.
 
     Values are classified in generator-index space.  The formula bodies give
     each value as a reduced letter-keyed term dict, and each term is looked
@@ -358,13 +367,23 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
                 kept.append(key)
                 prov.append(provenance)
 
-    # each class's dax(a) and lambda(a, u) as letter terms, read once
-    terms = [(R.letter_terms(a.base_dax), R.letter_terms(a.lambda_u))
-             for a in ctx.table.classes]
+    # each class's dax(a), lambda(a, u) and principal part r (None when it
+    # has none) as letter terms, read once
+    table = ctx.table
+    terms = [(R.letter_terms(a.base_dax), R.letter_terms(a.lambda_u),
+              None if r is None else R.letter_terms(r))
+             for a, r in zip(table.classes, table.principal_parts)]
     class_prov = PROV_SPHERE_3MFD if embedded else PROV_DAX_IMAGE
-    if terms:  # the twist of every class and translate, each from its parent's
-        for letters, twists in twists_on_ball(ctx.table, enum):
-            for (base, lam_u), twist in zip(terms, twists):
+    if terms:  # the twist of every class and translate
+        walked = [a for a, r in zip(table.classes, table.principal_parts) if r is None]
+        walk = twists_on_ball(table, enum, walked) if walked else zip(enum, repeat(()))
+        eps, invert = ctx.flip, any(t[2] for t in terms)
+        for letters, twists in walk:
+            twists = iter(twists)
+            g_inv = inv(letters) if invert else None
+            for base, lam_u, r in terms:
+                twist = (next(twists) if r is None else
+                         add_principal_twist(mul, inv, {}, letters, g_inv, r, eps))
                 classify(_dax_u(mul, inv, letters, base, lam_u, twist), class_prov,
                          not letters)
     if ctx.mode == CIRCLES:
@@ -534,16 +553,54 @@ def _add_whiskers(ctx: DaxContext, rs: RelationSet, whisker: dict[Word, RingElem
 
 
 def _is_power_of(b: Word, s: Word) -> bool:
-    limit = word_length(b) + word_length(s)
-    for step in (s, inv(s)):
-        acc = s.spec.identity()
-        seen = set()
-        while word_length(acc) <= limit and acc not in seen:
-            if acc == b:
-                return True
-            seen.add(acc)
-            acc = mul(acc, step)
+    """Whether b = s^k for some integer k, in a number of word products
+    that does not follow k.
+
+    A direct product is a power of s exactly when each factor's block is
+    that power of s's block, so one factor where s has infinite order fixes
+    k up to its sign.  In a free-abelian block it is the ratio of b's and
+    s's exponents of one generator that s moves.  In a free block, s is
+    c u c^-1 with u cyclically reduced, so s^k has 2 |c| + |k| |u| letters
+    for k != 0, and |s^2| - |s| = |u| gives |k|.  b is compared with s^k
+    and s^-k (``_power``).  When s has finite order n, the lcm of its
+    cyclic letters' orders, k runs over 0 .. n-1.
+    """
+    spec = s.spec
+    index, mul, inv = spec._index, spec._mul, spec._inv
+    a, t = b.letters, s.letters
+    for fi, fac in enumerate(spec.factors):
+        i, j = _around(t, index, fi)
+        if i == j or fac.kind == FINITE_CYCLIC:
+            continue
+        block, other = t[i:j], a[slice(*_around(a, index, fi))]
+        if fac.kind == FREE_ABELIAN:
+            name, e = block[0]
+            k = dict(other).get(name, 0) // e
+        else:
+            n, n2 = (_letters_length(index, w) for w in (block, mul(block, block)))
+            k = (_letters_length(index, other) - n) // (n2 - n) + 1 if other else 0
+        return _power(mul, inv, t, k) == a or _power(mul, inv, t, -k) == a
+    n = math.lcm(*(index[name][2] // math.gcd(e, index[name][2]) for name, e in t))
+    acc = ()
+    for _ in range(n):
+        if acc == a:
+            return True
+        acc = mul(acc, t)
     return False
+
+
+def _power(mul, inv, t: tuple, k: int) -> tuple:
+    """The letters of t^k, by repeated squaring."""
+    if k < 0:
+        t, k = inv(t), -k
+    acc = ()
+    while k:
+        if k & 1:
+            acc = mul(acc, t)
+        k >>= 1
+        if k:
+            t = mul(t, t)
+    return acc
 
 
 # ---------------------------------------------------------------------------

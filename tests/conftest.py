@@ -553,6 +553,24 @@ def reference_orbit(value, rs, action):
     return elem(min(visited)), complete, len(visited)
 
 
+def reference_is_power_of(b, s):
+    """``quotient._is_power_of`` as it was before it found k in closed form:
+    a walk along s and along s^-1 from the identity, each stopped once a
+    power is longer than |b| + |s| or comes back."""
+    from daxkernel.groups import word_length
+
+    limit = word_length(b) + word_length(s)
+    for step in (s, inv(s)):
+        acc = s.spec.identity()
+        seen = set()
+        while word_length(acc) <= limit and acc not in seen:
+            if acc == b:
+                return True
+            seen.add(acc)
+            acc = mul(acc, step)
+    return False
+
+
 # -- helpers that only the tests call ------------------------------------------------
 
 def concat_traces(t1, t2):

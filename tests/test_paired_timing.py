@@ -16,9 +16,9 @@ OP_LINE = re.compile(r"(\S+) +(\d+\.\d\d) +(\d+\.\d\d) +(\d+\.\d{3})")
 
 def op_ratios(lines):
     """op id -> the median of its own per-round time ratio, from the op
-    table between the header lines and the four summary lines."""
+    table between the header lines and the five summary lines."""
     assert lines[1].split() == ["op", "root", "1", "ms", "root", "2", "ms", "ratio"]
-    rows = [OP_LINE.fullmatch(line) for line in lines[2:-4]]
+    rows = [OP_LINE.fullmatch(line) for line in lines[2:-5]]
     assert all(rows), lines
     return {row.group(1): float(row.group(4)) for row in rows}
 
@@ -35,23 +35,26 @@ def test_paired_timing_of_a_checkout_against_itself():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert re.fullmatch(r"workload eval_knots seed 0: 7 ops, \d+ rounds", lines[0])
-    assert len(lines) == 2 + 7 + 4
+    assert len(lines) == 2 + 7 + 5
     ratios = op_ratios(lines)
     assert len(ratios) == 7 and all(0.33 < r < 3 for r in ratios.values()), ratios
     ratio = re.fullmatch(r"paired median pass-time ratio root 1 / root 2: (\S+)"
-                         r" \(quartiles \S+-\S+\)", lines[-4])
+                         r" \(quartiles \S+-\S+\)", lines[-5])
     assert ratio and 0.75 < float(ratio.group(1)) < 1.33
     rounds = int(re.search(r"(\d+) rounds$", lines[0]).group(1))
-    wins = re.fullmatch(r"root 2 faster in (\d+) of (\d+) rounds", lines[-3])
+    wins = re.fullmatch(r"root 2 faster in (\d+) of (\d+) rounds", lines[-4])
     assert wins and int(wins.group(2)) == rounds
     assert 0 <= int(wins.group(1)) <= rounds
     # the same code allocates alike: each root's pass runs the collector
     runs = re.fullmatch(r"collector runs per pass: root 1 (\d+\.\d), root 2 (\d+\.\d)",
-                        lines[-2])
-    assert runs and all(float(n) > 0 for n in runs.groups()), lines[-2]
+                        lines[-3])
+    assert runs and all(float(n) > 0 for n in runs.groups()), lines[-3]
     # and builds as many Words: a knot value and its residue have Words
-    words = re.fullmatch(r"Words built per pass: root 1 (\d+), root 2 (\d+)", lines[-1])
-    assert words and words.group(1) == words.group(2) != "0", lines[-1]
+    words = re.fullmatch(r"Words built per pass: root 1 (\d+), root 2 (\d+)", lines[-2])
+    assert words and words.group(1) == words.group(2) != "0", lines[-2]
+    # and takes as many Fox steps: the s1_x_sphere class has no closed form
+    fox = re.fullmatch(r"Fox steps per pass: root 1 (\d+), root 2 (\d+)", lines[-1])
+    assert fox and fox.group(1) == fox.group(2) != "0", lines[-1]
 
 
 def test_paired_timing_fails_when_outputs_differ(tmp_path):
@@ -80,7 +83,7 @@ def test_paired_timing_counts_the_rounds_the_second_root_wins(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     rounds = int(re.search(r"(\d+) rounds$", lines[0]).group(1))
-    assert lines[-3] == f"root 2 faster in 0 of {rounds} rounds"
+    assert lines[-4] == f"root 2 faster in 0 of {rounds} rounds"
     # each op is slower by the 20 ms, so each op's own ratio is below 1
     ratios = op_ratios(lines)
     assert len(ratios) == 7 and all(r < 1 for r in ratios.values()), ratios

@@ -51,6 +51,7 @@ from daxkernel.ring import (
 from daxkernel.pairing import (
     PairingTable,
     _unbalanced_coset,
+    add_principal_twist,
     lambda_flip,
     lambda_letters,
     lambda_terms,
@@ -63,6 +64,7 @@ from daxkernel.quotient import (
     OrbitAction,
     QuotientSolver,
     RelationSet,
+    _is_power_of,
     build_rel_3mfd,
     build_rel_arcs,
     build_rel_circles,
@@ -89,6 +91,7 @@ from conftest import (
     dense_reduce_mod_rows,
     lambda_on_ball,
     phi_class,
+    principal_rows,
     random_arcs_context,
     random_circles_context,
     random_class,
@@ -97,6 +100,7 @@ from conftest import (
     reference_ball,
     reference_boundary_family,
     reference_elimination,
+    reference_is_power_of,
     reference_lambda_letters,
     reference_orbit,
     reference_structure,
@@ -645,8 +649,8 @@ def test_twists_on_ball_match_direct_twist(data):
     spec = data.draw(st.one_of(st.sampled_from(WALK_SPECS), factor_products()))
     table = draw_table(data.draw, spec, max_d=4)
     if data.draw(st.sampled_from((False, False, False, True))):
-        # every stored row zero, as in a product with a disk factor: the walk
-        # is skipped, and each element still gets one fresh dict per class
+        # every stored row zero, as in a product with a disk factor: every
+        # twist is zero
         table = PairingTable(spec, table.dimension, tuple(
             sphere_class(spec, a.name, a.embedded, a.base_dax, a.lambda_u, {})
             for a in table.classes), table.u_class)
@@ -658,7 +662,7 @@ def test_twists_on_ball_match_direct_twist(data):
         except BallOverflowError:
             radius -= 1
     walked = []
-    for g, twists in twists_on_ball(table, elements):
+    for g, twists in twists_on_ball(table, elements, table.classes):
         walked.append((g, [dict(t) for t in twists]))
         for twist in twists:  # the dicts are the caller's to change
             twist[()] = 1
@@ -672,6 +676,99 @@ def test_twists_on_ball_match_direct_twist(data):
             assert 0 not in twist.values()
             words = {Word(spec, w): c for w, c in twist.items()}
             assert R.from_terms(spec, words) == direct
+
+
+# a group with no generator of infinite order, where principal_parts keeps
+# the walk but the closed form still holds
+PRINCIPAL_SPECS = dict(WORD_SPECS, **{"Z/2<u> x Z/3<w>": parse_group_spec("Z/2<u> x Z/3<w>")})
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_principal_twist_matches_the_walk(data):
+    """A class p with principal rows r*(1 - g^-1), for a drawn r (zero
+    among them), sits among the classes of ``draw_table``, in a dimension
+    of either parity.  On every element of a ball the closed form
+    ``add_principal_twist`` of r equals the twist the walk builds
+    (``twists_on_ball``, through ``add_twist``), for p and for every class
+    that ``principal_parts`` finds principal; a class it finds principal has
+    exactly those rows.  It finds p's r when the rows vanish (r = 0), and
+    otherwise exactly when some generator has infinite order and r has no
+    more terms than the rows."""
+    text = data.draw(st.sampled_from(sorted(PRINCIPAL_SPECS)))
+    spec = PRINCIPAL_SPECS[text]
+    r = draw_elem(data.draw, spec)
+    p = sphere_class(spec, "p", True, R.zero(spec), R.zero(spec), principal_rows(spec, r))
+    others = list(draw_table(data.draw, spec).classes)
+    at = data.draw(st.integers(min_value=0, max_value=len(others)))
+    classes = others[:at] + [p] + others[at:]
+    d = data.draw(st.integers(min_value=3, max_value=6))
+    table = PairingTable(spec, d, tuple(classes), spec.identity())
+    found = table.principal_parts
+    if all(row.is_zero for _, row in p.lambda_gen):
+        assert found[at] == R.zero(spec)
+    elif any(not spec._index[g][2] for g in spec.generators):
+        rows_size = sum(len(row.terms) for _, row in p.lambda_gen)
+        assert found[at] == (None if len(r.terms) > rows_size else r)
+    else:
+        assert found[at] is None
+    for a, part in zip(classes, found):
+        if part is not None:
+            assert dict(a.lambda_gen) == principal_rows(spec, part)
+    # the closed form is checked for p's drawn r even where it is not found
+    parts = [r if a is p else part for a, part in zip(classes, found)]
+    mul, inv_ = spec._mul, spec._inv
+    eps = 1 if d % 2 else -1
+    radius = 3 if len(ball(spec, 2)) < 60 else 2
+    for g, twists in twists_on_ball(table, ball(spec, radius), classes):
+        for part, twist in zip(parts, twists):
+            if part is not None:
+                closed = add_principal_twist(mul, inv_, {}, g, inv_(g), R.letter_terms(part),
+                                             eps)
+                assert {w: c for w, c in closed.items() if c} == twist
+
+
+@st.composite
+def power_cases(draw):
+    """A spec of ``BALL_SPEC_TEXTS``, the raw letters of a word s, an
+    exponent k and the raw letters of a word e: b = s^k e, a power of s
+    when e is empty."""
+    text = draw(st.sampled_from(BALL_SPEC_TEXTS))
+    spec = WORD_SPECS[text]
+    extra = draw(st.sampled_from(([], None)))
+    return (text, draw(raw_letters(spec, 4, 3)), draw(st.integers(min_value=-6, max_value=6)),
+            extra if extra is not None else draw(raw_letters(spec, 2, 3)))
+
+
+# proper powers, in a free factor and beside a cyclic one
+@example(("F<x,y>", [("x", 2)], 3, []))
+@example(("F<x,y>", [("x", 2)], 1, [("x", 1)]))
+@example(("F<x,y> x Z/3<u>", [("y", 1), ("x", 2), ("y", -1), ("u", 1)], -2, []))
+@example(("F<x,y>", [("x", 1), ("y", 1), ("x", -2)], 4, []))
+# s = 1
+@example(("F<x,y>", [], 0, []))
+@example(("F<x,y>", [], 0, [("x", 1)]))
+@example(("Z/1<u> x F<x,y>", [("u", 1)], 2, [("u", 3)]))
+# s of finite order, and s with a cyclic part
+@example(("Z<t> x Z/6<u>", [("u", 2)], 2, []))
+@example(("Z<t> x Z/6<u>", [("u", 2)], 0, [("u", 3)]))
+@example(("Z<t> x Z/6<u>", [("t", 1), ("u", 3)], 5, []))
+@example(("Z/5<u> x F<x>", [("u", 2), ("x", -1)], -3, [("u", 1)]))
+@example(("Z<a,b>", [("a", 2), ("b", -1)], 3, []))
+@example(("Z<a,b>", [("a", 2), ("b", -1)], 1, [("a", 1)]))
+@given(power_cases())
+@settings(max_examples=300, deadline=None)
+def test_is_power_of_matches_the_bounded_walk(case):
+    text, s_letters, k, extra = case
+    spec = WORD_SPECS[text]
+    s = normalize(s_letters, spec)
+    power = spec.identity()
+    for _ in range(abs(k)):
+        power = mul(power, s if k > 0 else inv(s))
+    b = mul(power, normalize(extra, spec))
+    assert _is_power_of(b, s) == reference_is_power_of(b, s)
+    if not extra:
+        assert _is_power_of(b, s)
 
 
 # -- prefix torsions of one shell-ordered reduction -----------------------------

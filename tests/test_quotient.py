@@ -39,6 +39,7 @@ from conftest import (
     dense_hermite_row_basis,
     dense_orbit,
     dense_reduce_mod_rows,
+    phi_class,
     reference_concordance_quotient,
     reference_orbit,
     reference_structure,
@@ -783,6 +784,92 @@ def test_assembly_matches_reference_on_bench_scenes(op):
     sc = loads_scene(op.scene_text)
     for w in default_windows(sc, op):
         assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+# -- which classes take the closed-form twist ----------------------------------------
+
+def assert_builds_match_reference(ctx, windows=(1, 2, 3)):
+    """Arcs or circles builds of ``ctx`` at each window equal the reference
+    assembly, which takes every twist from the Fox walk."""
+    build = build_rel_circles if ctx.mode == "circles" else build_rel_arcs
+    for w in windows:
+        args = (ctx, {}, w) if ctx.mode == "circles" else (ctx, w)
+        assert_assembly_matches_reference(lambda: build(*args))
+
+
+def rows_of(spec, rows):
+    return {g: parse_ring(text, spec) for g, text in rows.items()}
+
+
+@pytest.mark.parametrize("phi", ["boundary_arc", "circle"])
+def test_three_mfd_phi_class_is_principal_with_r_one(phi):
+    sc = preset_expand("three_mfd", {"group": "F<x,y>", "mode": "circles", "s": "x*y",
+                                     "u": "x*y", "phi": phi})
+    assert sc.table().principal_parts == (R.one(F2),)
+    for w in (2, 3, 4):
+        assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+def test_product_dky_classes_are_principal_with_r_zero():
+    sc = preset_expand("product_DkY", {"group": "F<x,y>",
+                                       "spheres": {"s1": "x*y - y^-1*x^2", "s2": "x^2"}})
+    assert sc.table().principal_parts == (R.zero(F2), R.zero(F2))
+    for w in (3, 4):
+        assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+def test_s1_x_sphere_class_takes_the_walk():
+    # lambda(i2, t) = 1 is r - r t^-1 for no finite r
+    sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
+    assert sc.table().principal_parts == (None,)
+    for w in (4, 6):
+        assert_assembly_matches_reference(lambda: cli.build_relations(sc, w))
+
+
+def test_class_over_a_group_without_infinite_order_takes_the_walk():
+    spec = parse_group_spec("Z/2<u> x Z/3<w>")
+    rows = {g: R.gr_mul(parse_ring("u + 2*w", spec),
+                        R.gr_add(R.one(spec), R.monomial(inv(parse_word(g, spec)), -1)))
+            for g in spec.generators}
+    a = sphere_class(spec, "a", False, parse_ring("u*w", spec), parse_ring("w", spec), rows)
+    table = table_for(spec, [a], d=4)
+    assert table.principal_parts == (None,)
+    assert_builds_match_reference(arcs_context(table))
+
+
+@pytest.mark.parametrize("group,rows", [
+    # draw_table's loose part c*N on the free row, N = 1 + u + u^2: each
+    # coset of <x> sums to 1
+    ("F<x> x Z/3<u>", {"x": "x + u + u^2", "u": "x - x*u^2"}),
+    # the first row is 1 - x^-1, but the second is not 1 - y^-1: only the
+    # exact check against every row tells
+    ("F<x,y>", {"x": "1 - x^-1", "y": "1 - y^-1 + y"}),
+    # principal, but r = x + x^2 + ... + x^1000 has more terms than the
+    # row: the walk is kept
+    ("F<x>", {"x": "x^1000 - 1"}),
+])
+def test_class_with_a_loose_part_takes_the_walk(group, rows):
+    spec = parse_group_spec(group)
+    a = sphere_class(spec, "a", True, R.zero(spec), R.zero(spec), rows_of(spec, rows))
+    table = table_for(spec, [a], d=5)
+    assert table.principal_parts == (None,)
+    assert_builds_match_reference(arcs_context(table))
+    assert_builds_match_reference(circles_context(table, parse_word("x", spec)))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_mixed_table_keeps_class_order(d):
+    loose = sphere_class(F2, "loose", False, parse_ring("x*y^-1", F2), parse_ring("y", F2),
+                         rows_of(F2, {"x": "1 - x^-1", "y": "1 - y^-1 + y"}))
+    r = parse_ring("x - 2*y^-1", F2)
+    second = sphere_class(F2, "second", True, R.zero(F2), parse_ring("x", F2),
+                          {g: R.gr_mul(r, R.gr_add(R.one(F2),
+                                                   R.monomial(inv(parse_word(g, F2)), -1)))
+                           for g in F2.generators})
+    s = parse_word("x*y", F2)
+    table = table_for(F2, [phi_class(F2, s), loose, second], d=d)
+    assert table.principal_parts == (R.one(F2), None, r)
+    assert_builds_match_reference(circles_context(table, s))
 
 
 def test_assembly_keeps_values_whose_cancelled_terms_leave_the_window():

@@ -396,6 +396,19 @@ def test_cli_scene_error_exit_code(capsys):
                  "--param", "d=5", "--param", "w0=oops"]) == 2
 
 
+def test_cli_whisker_on_a_far_power_of_the_circle_class_fails_fast(capsys):
+    # the exponent of x^1000000000 is found in closed form, not walked to
+    start = time.perf_counter()
+    code = main(["orbit", "--preset", "three_mfd", "--param", "group=F<x,y>",
+                 "--param", "mode=circles", "--param", "s=x", "--param", "u=x",
+                 "--param", 'whisker={"x^1000000000": "y"}'])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == ("scene error: whisker value of x^1000000000 must"
+                                       " vanish: it is a power of the circle class\n")
+    assert elapsed < 1.0
+
+
 def test_cli_window_overflow_exit_code(capsys):
     # circle class winds too far for the window: the base boundary relation
     # cannot be supported

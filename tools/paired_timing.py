@@ -17,10 +17,11 @@ root's pass time to the second's, with its quartiles, and in how many
 rounds the second root's pass was the faster one; then each root's
 collector runs per pass, counted through ``gc.callbacks`` and charged to
 the root whose pass is running (each pass starts from a full collection,
-which is not counted); last, the ``Word``s each root builds in one pass,
-counted in one more, untimed pass per root after the timed rounds, with
-that root's ``groups.Word.__init__`` wrapped for the pass and restored
-after it.  A ratio above 1 means the second root is faster.
+which is not counted); last, the ``Word``s each root builds in one pass
+and the Fox steps (``pairing._fox_step`` calls) it takes, each counted in
+one more, untimed pass per root after the timed rounds, with that root's
+``groups.Word.__init__`` or ``pairing._fox_step`` wrapped for the pass and
+restored after it.  A ratio above 1 means the second root is faster.
 Separate benchmark runs drift with the machine's speed; the two passes of
 a round run back to back, so their ratio cancels most of that drift.  The
 two package copies share one process, its allocator and its collector,
@@ -48,7 +49,7 @@ BENCH_MODULES = ("check", "reference", "corpus", "harness")
 
 
 def load_root(root: Path, tag: str, tmp: Path):
-    """(corpus, harness, groups) of ``root``, its package copied as ``tag``."""
+    """(corpus, harness, package) of ``root``, its package copied as ``tag``."""
     shutil.copytree(root / "src" / "daxkernel", tmp / tag)
     if str(tmp) not in sys.path:
         sys.path.insert(0, str(tmp))
@@ -79,7 +80,7 @@ def load_root(root: Path, tag: str, tmp: Path):
             sys.modules.pop(name, None)
             if module is not None:
                 sys.modules[name] = module
-    return corpus, harness, importlib.import_module(f"{tag}.groups")
+    return corpus, harness, pkg
 
 
 class CollectorRuns:
@@ -111,25 +112,24 @@ def timed_pass(harness, ops, collector: CollectorRuns, root: int) -> list[float]
     return times
 
 
-def words_per_pass(harness, ops, groups) -> int:
-    """The ``Word``s that one pass of ``ops`` builds, counted by wrapping
-    ``groups.Word.__init__``, which is restored afterwards."""
-    word = groups.Word
-    init = word.__init__
-    made = 0
+def calls_per_pass(harness, ops, owner, name: str) -> int:
+    """The calls of ``owner.name`` in one pass of ``ops``, counted by
+    wrapping it; the original is restored afterwards."""
+    original = getattr(owner, name)
+    calls = 0
 
-    def counting(self, spec, letters):
-        nonlocal made
-        made += 1
-        init(self, spec, letters)
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
 
-    word.__init__ = counting
+    setattr(owner, name, counting)
     try:
         for op in ops:
             harness.run_op(op)
     finally:
-        word.__init__ = init
-    return made
+        setattr(owner, name, original)
+    return calls
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -177,8 +177,10 @@ def main(argv=None) -> int:
                 rounds += 1
         finally:
             gc.callbacks.remove(collector)
-        words = [words_per_pass(harness, op_list, groups)
-                 for (_, harness, groups), op_list in zip(roots, ops)]
+        words = [calls_per_pass(harness, op_list, pkg.groups.Word, "__init__")
+                 for (_, harness, pkg), op_list in zip(roots, ops)]
+        fox = [calls_per_pass(harness, op_list, pkg.pairing, "_fox_step")
+               for (_, harness, pkg), op_list in zip(roots, ops)]
 
     print(f"workload {args.workload} seed {args.seed}: {len(ops[0])} ops,"
           f" {rounds} rounds")
@@ -195,6 +197,7 @@ def main(argv=None) -> int:
     runs = [n / rounds for n in collector.runs]
     print(f"collector runs per pass: root 1 {runs[0]:.1f}, root 2 {runs[1]:.1f}")
     print(f"Words built per pass: root 1 {words[0]}, root 2 {words[1]}")
+    print(f"Fox steps per pass: root 1 {fox[0]}, root 2 {fox[1]}")
     return 1 if differ else 0
 
 
