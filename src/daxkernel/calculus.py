@@ -30,10 +30,10 @@ generator index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from .errors import ModeError, SpecMismatchError
 from .groups import Word, inv
 from . import ring as R
+from .record import Frozen, set_field
 from .ring import RingElem
 from .pairing import (
     PairingTable,
@@ -48,8 +48,7 @@ ARCS = "arcs"
 CIRCLES = "circles"
 
 
-@dataclass(frozen=True)
-class DaxContext:
+class DaxContext(Frozen):
     """A pairing table together with the scene mode and circle class.
 
     The constants that the formula bodies read for every translate are
@@ -58,21 +57,20 @@ class DaxContext:
     ``lambda_flip``.
     """
 
-    table: PairingTable
-    s_class: Word
-    mode: str
-    s_inv: tuple = field(init=False, repr=False, compare=False)
-    flip: int = field(init=False, repr=False, compare=False)
+    _fields = ("table", "s_class", "mode")
 
-    def __post_init__(self):
-        if self.mode not in (ARCS, CIRCLES):
-            raise ModeError(f"unknown mode {self.mode!r}")
-        if self.s_class.spec != self.table.spec:
+    def __init__(self, table: PairingTable, s_class: Word, mode: str):
+        if mode not in (ARCS, CIRCLES):
+            raise ModeError(f"unknown mode {mode!r}")
+        if s_class.spec != table.spec:
             raise SpecMismatchError("circle class over a different spec")
-        if self.mode == ARCS and not self.s_class.is_identity:
+        if mode == ARCS and not s_class.is_identity:
             raise ModeError("arcs mode carries no circle class")
-        object.__setattr__(self, "s_inv", inv(self.s_class).letters)
-        object.__setattr__(self, "flip", flip_sign(self.table.dimension))
+        set_field(self, "table", table)
+        set_field(self, "s_class", s_class)
+        set_field(self, "mode", mode)
+        set_field(self, "s_inv", inv(s_class).letters)
+        set_field(self, "flip", flip_sign(table.dimension))
 
     @property
     def d(self) -> int:

@@ -10,9 +10,7 @@ Exit codes: 0 success, 2 usage or scene error, 3 window overflow.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from .errors import BallOverflowError, DaxKernelError, UsageError, WindowOverflowError
 from .groups import render_letters, render_word
@@ -102,6 +100,8 @@ def _fit_profile(windows, free_ranks) -> dict:
     ``true`` for one."""
     if len(windows) < 2:
         return {"slope": None, "intercept": None, "linear": len(windows) == 1}
+    # imported here: only a sweep of two or more windows needs it
+    from fractions import Fraction
     slope = Fraction(free_ranks[-1] - free_ranks[0], windows[-1] - windows[0])
     intercept = Fraction(free_ranks[0]) - slope * windows[0]
     linear = None if len(windows) == 2 else all(
@@ -327,6 +327,7 @@ def main(argv=None) -> int:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_report(report), end="")

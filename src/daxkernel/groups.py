@@ -12,10 +12,9 @@ is equality of ``Word`` values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from operator import itemgetter
 from types import MethodType
-from typing import Iterable
 
 from .errors import (
     BallOverflowError,
@@ -24,47 +23,63 @@ from .errors import (
     UnknownGeneratorError,
     UnsupportedClassError,
 )
+from .record import Frozen, set_field
 
 FREE = "free"
 FREE_ABELIAN = "free_abelian"
 FINITE_CYCLIC = "finite_cyclic"
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Frozen):
     """One direct factor: a free, free-abelian or finite-cyclic group."""
 
-    kind: str
-    gens: tuple[str, ...]
-    order: int = 0  # modulus for finite_cyclic, 0 otherwise
+    _fields = ("kind", "gens", "order")
 
-    def __post_init__(self):
-        if self.kind not in (FREE, FREE_ABELIAN, FINITE_CYCLIC):
-            raise UnsupportedClassError(f"unknown factor kind {self.kind!r}")
-        if not self.gens:
+    def __init__(self, kind: str, gens: tuple[str, ...], order: int = 0):
+        # order: the modulus of a finite_cyclic factor, 0 otherwise
+        if kind not in (FREE, FREE_ABELIAN, FINITE_CYCLIC):
+            raise UnsupportedClassError(f"unknown factor kind {kind!r}")
+        if not gens:
             raise UnsupportedClassError("factor must have at least one generator")
-        if self.kind == FINITE_CYCLIC:
-            if len(self.gens) != 1:
+        if kind == FINITE_CYCLIC:
+            if len(gens) != 1:
                 raise UnsupportedClassError("finite cyclic factor has one generator")
-            if self.order < 1:
+            if order < 1:
                 raise UnsupportedClassError("finite cyclic order must be >= 1")
+        set_field(self, "kind", kind)
+        set_field(self, "gens", gens)
+        set_field(self, "order", order)
 
     @property
     def abelian(self) -> bool:
         return self.kind in (FREE_ABELIAN, FINITE_CYCLIC)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _SpecParts:
+    """What the kernels ``mul_letters`` and ``inv_letters`` read of a spec,
+    and are bound to in its place: its ``factors``, ``_index`` and
+    ``_negated``.  A class with slots, so that the kernels' reads of these
+    are specialized attribute loads."""
+
+    __slots__ = ("factors", "_index", "_negated")
+
+    def __init__(self, factors: tuple[Factor, ...], index: dict, negated):
+        self.factors, self._index, self._negated = factors, index, negated
+
+
+class GroupSpec(Frozen):
     """A direct product of supported factors; no factors means the trivial group.
 
     Its product and inverse kernels on normal-form letter tuples, ``_mul(a, b)``
     and ``_inv(a)``, are bound once, at construction: a spec of one free
     factor binds that factor's own bodies, ``_free_join`` and
     ``_free_inverse`` (bound to the spec's negation table), and every other
-    spec binds ``mul_letters`` and ``inv_letters`` to itself.  Each returns
-    what those two return, so the hot loops of relation assembly call the
-    kernel and skip the dispatch on factors.
+    spec binds ``mul_letters`` and ``inv_letters`` to the parts of itself
+    that they read (``_SpecParts``).  No kernel holds the spec, so a spec
+    is freed as soon as it is dropped, without waiting for the cycle
+    collector.  Each kernel returns what those two return, so the hot
+    loops of relation assembly call the kernel and skip the dispatch on
+    factors.
 
     The spec's negation table, a plain dict kept through its lookup
     ``_negated`` (the dict's ``__getitem__``), maps a letter of a free
@@ -76,41 +91,38 @@ class GroupSpec:
     table.
     """
 
-    factors: tuple[Factor, ...]
-    # name -> (factor index, global index, cyclic order or 0): the one
-    # lookup per letter of the word functions below
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
-    # the generators of free-abelian and finite-cyclic factors, which
-    # commute with every generator: a word of these alone is central
-    _central: frozenset = field(init=False, repr=False, compare=False, hash=False)
-    _mul: object = field(init=False, repr=False, compare=False, hash=False)
-    _inv: object = field(init=False, repr=False, compare=False, hash=False)
-    # the lookup of the negation table, free letter -> its negated letter
-    _negated: object = field(init=False, repr=False, compare=False, hash=False)
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[Factor, ...]):
+        # name -> (factor index, global index, cyclic order or 0): the one
+        # lookup per letter of the word functions below
         index: dict[str, tuple[int, int, int]] = {}
         g = 0
-        for fi, fac in enumerate(self.factors):
+        for fi, fac in enumerate(factors):
             order = fac.order if fac.kind == FINITE_CYCLIC else 0
             for name in fac.gens:
                 if name in index:
                     raise UnsupportedClassError(f"duplicate generator name {name!r}")
                 index[name] = (fi, g, order)
                 g += 1
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_central", frozenset(
-            name for fac in self.factors if fac.abelian for name in fac.gens))
-        object.__setattr__(self, "_negated", {}.__getitem__)
-        if len(self.factors) == 1 and self.factors[0].kind == FREE:
-            kernels = _free_join, MethodType(_free_inverse, self._negated)
+        # the lookup of the negation table, free letter -> its negated letter
+        negated = {}.__getitem__
+        if len(factors) == 1 and factors[0].kind == FREE:
+            kernels = _free_join, MethodType(_free_inverse, negated)
         else:
             # bound as methods: a call costs about what a direct one does
-            kernels = MethodType(mul_letters, self), MethodType(inv_letters, self)
-        object.__setattr__(self, "_mul", kernels[0])
-        object.__setattr__(self, "_inv", kernels[1])
-        object.__setattr__(self, "_hash", hash(self.factors))
+            parts = _SpecParts(factors, index, negated)
+            kernels = MethodType(mul_letters, parts), MethodType(inv_letters, parts)
+        set_field(self, "factors", factors)
+        set_field(self, "_index", index)
+        # the generators of free-abelian and finite-cyclic factors, which
+        # commute with every generator: a word of these alone is central
+        set_field(self, "_central", frozenset(
+            name for fac in factors if fac.abelian for name in fac.gens))
+        set_field(self, "_mul", kernels[0])
+        set_field(self, "_inv", kernels[1])
+        set_field(self, "_negated", negated)
+        set_field(self, "_hash", hash(factors))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -151,8 +163,7 @@ class GroupSpec:
         return render_group_spec(self)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Word:
+class Word(Frozen):
     """A group element in canonical normal form.
 
     Letters are (generator, exponent) pairs: freely reduced syllables for free
@@ -163,14 +174,14 @@ class Word:
     The hash is computed once, at construction; a Word is immutable.  It has
     slots and no per-instance dict, because relation sets and pairing tables
     keep many Words alive at once.  Every ``mul`` and ``inv`` builds one, so
-    the constructor is written by hand: it stores the three slots through
-    their member descriptors, past the frozen ``__setattr__``, and takes the
-    letters as given (``normalize`` makes a normal form of raw letters).
+    the constructor stores the three slots through their member
+    descriptors, past the frozen ``__setattr__``, and takes the letters as
+    given (``normalize`` makes a normal form of raw letters).  A pickled
+    Word is rebuilt by its constructor.
     """
 
-    spec: GroupSpec
-    letters: tuple[tuple[str, int], ...]
-    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("spec", "letters", "_hash")
+    _fields = ("spec", "letters")
 
     def __init__(self, spec: GroupSpec, letters: tuple[tuple[str, int], ...]):
         _set_spec(self, spec)
@@ -191,6 +202,9 @@ class Word:
             return NotImplemented
         return (self._hash == other._hash and self.letters == other.letters
                 and (self.spec is other.spec or self.spec == other.spec))
+
+    def __reduce__(self):
+        return Word, (self.spec, self.letters)
 
     def __str__(self):
         return render_word(self)
@@ -353,8 +367,9 @@ def mul_letters(spec: GroupSpec, a: tuple, b: tuple) -> tuple:
     inner loops, and ``mul`` wraps this for Words.
 
     This is the one general product, and every spec but one of a single
-    free factor binds it as its kernel ``GroupSpec._mul``; that one binds
-    ``_free_join``, which this reaches through ``_join`` for such a spec.
+    free factor binds it as its kernel ``GroupSpec._mul``, to the spec's
+    ``_SpecParts``; that one binds ``_free_join``, which this reaches
+    through ``_join`` for such a spec.
     """
     if not b:
         return a
@@ -410,7 +425,8 @@ def inv_letters(spec: GroupSpec, a: tuple) -> tuple:
     in its place, since blocks of different factors commute.  Nothing is
     renormalized, and no ``Word`` is built (``inv`` wraps this for Words).
     It is the kernel ``GroupSpec._inv`` of every spec but one of a single
-    free factor, which binds that factor's inverse, ``_free_inverse``.
+    free factor, bound as ``mul_letters`` is, and that one binds its
+    factor's inverse, ``_free_inverse``.
     """
     if not a:
         return a

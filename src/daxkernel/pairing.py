@@ -47,24 +47,27 @@ because lambda is well defined on the group.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import PairingDataError, SpecMismatchError
 from .groups import (FREE, GroupSpec, Word, _around, inv, mul, render_letters,
                      shortest_exponent)
 from . import ring as R
+from .record import Frozen, set_field
 from .ring import RingElem
 
 
-@dataclass(frozen=True)
-class SphereClass:
+class SphereClass(Frozen):
     """A generator of the sphere-class module, with its stored pairing rows."""
 
-    name: str
-    embedded: bool
-    base_dax: RingElem
-    lambda_u: RingElem
-    lambda_gen: tuple[tuple[str, RingElem], ...]
+    _fields = ("name", "embedded", "base_dax", "lambda_u", "lambda_gen")
+
+    def __init__(self, name: str, embedded: bool, base_dax: RingElem, lambda_u: RingElem,
+                 lambda_gen: tuple[tuple[str, RingElem], ...]):
+        set_field(self, "name", name)
+        set_field(self, "embedded", embedded)
+        set_field(self, "base_dax", base_dax)
+        set_field(self, "lambda_u", lambda_u)
+        set_field(self, "lambda_gen", lambda_gen)
 
     def lambda_of(self, gen: str) -> RingElem:
         for name, row in self.lambda_gen:
@@ -83,8 +86,7 @@ def sphere_class(spec: GroupSpec, name: str, embedded: bool, base_dax: RingElem,
     return SphereClass(name, embedded, base_dax, lambda_u, rows)
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(Frozen):
     """Pairing data of all sphere-class generators for one scene.
 
     ``u_class`` records the group image of the basepoint arc; the stored
@@ -92,26 +94,28 @@ class PairingTable:
     need not come from the group at all).
     """
 
-    spec: GroupSpec
-    dimension: int
-    classes: tuple[SphereClass, ...]
-    u_class: Word
+    _fields = ("spec", "dimension", "classes", "u_class")
 
-    def __post_init__(self):
-        if self.dimension < 3:
+    def __init__(self, spec: GroupSpec, dimension: int, classes: tuple[SphereClass, ...],
+                 u_class: Word):
+        set_field(self, "spec", spec)
+        set_field(self, "dimension", dimension)
+        set_field(self, "classes", classes)
+        set_field(self, "u_class", u_class)
+        if dimension < 3:
             raise PairingDataError("ambient dimension must be >= 3")
-        if self.u_class.spec != self.spec:
+        if u_class.spec != spec:
             raise SpecMismatchError("basepoint arc word over a different spec")
         seen = set()
-        for a in self.classes:
+        for a in classes:
             if a.name in seen:
                 raise PairingDataError(f"duplicate sphere class name {a.name!r}")
             seen.add(a.name)
             for elem in (a.base_dax, a.lambda_u, *(row for _, row in a.lambda_gen)):
-                if elem.spec != self.spec:
+                if elem.spec != spec:
                     raise SpecMismatchError(
                         f"class {a.name!r} carries data over a different spec")
-            if tuple(g for g, _ in a.lambda_gen) != self.spec.generators:
+            if tuple(g for g, _ in a.lambda_gen) != spec.generators:
                 raise PairingDataError(
                     f"class {a.name!r} rows do not cover the generators in order")
             if not R.is_reduced(a.base_dax):
@@ -120,7 +124,7 @@ class PairingTable:
             if a.embedded and not a.base_dax.is_zero:
                 raise PairingDataError(
                     f"class {a.name!r} is embedded, so its base dax value must vanish")
-            _check_row_consistency(self.spec, a)
+            _check_row_consistency(spec, a)
 
     @functools.cached_property
     def principal_parts(self) -> tuple[RingElem | None, ...]:

@@ -16,7 +16,6 @@ import functools
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import ModeError, SceneError, WindowOverflowError
@@ -36,6 +35,7 @@ from .groups import (
     render_word,
     word_key,
 )
+from .record import Frozen, Record, set_field
 from . import ring as R
 from .ring import RingElem
 from . import snf
@@ -52,8 +52,7 @@ MAX_WINDOW_GENERATORS = 6000
 MAX_ORBIT_STATES = 4096
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(Frozen):
     """Relations supported on a generator window of the reduced group ring.
 
     The window is the ball of radius ``window`` less the identity, in
@@ -83,20 +82,21 @@ class RelationSet:
     ``RingElem`` values on first read, sharing the ``generators`` Words.
     """
 
-    spec: GroupSpec
-    window: int
-    letters: tuple[tuple, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    provenance: tuple[str, ...]
-    dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = field(
-        default=(), repr=False, compare=False)
-    letter_index: dict[tuple, int] | None = field(
-        default=None, repr=False, compare=False)
+    _fields = ("spec", "window", "letters", "columns", "provenance")
 
-    def __post_init__(self):
-        if self.letter_index is None:
-            object.__setattr__(self, "letter_index",
-                               {a: i for i, a in enumerate(self.letters)})
+    def __init__(self, spec: GroupSpec, window: int, letters: tuple[tuple, ...],
+                 columns: tuple[tuple[tuple[int, int], ...], ...], provenance: tuple[str, ...],
+                 dropped_terms: tuple[tuple[str, dict[tuple, int]], ...] = (),
+                 letter_index: dict[tuple, int] | None = None):
+        if letter_index is None:
+            letter_index = {a: i for i, a in enumerate(letters)}
+        set_field(self, "spec", spec)
+        set_field(self, "window", window)
+        set_field(self, "letters", letters)
+        set_field(self, "columns", columns)
+        set_field(self, "provenance", provenance)
+        set_field(self, "dropped_terms", dropped_terms)
+        set_field(self, "letter_index", letter_index)
 
     @classmethod
     def from_relations(cls, spec: GroupSpec, window: int, letters: tuple[tuple, ...],
@@ -149,23 +149,22 @@ class RelationSet:
         return QuotientSolver(self)
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(Frozen):
     """Free rank and torsion of a windowed quotient, with stabilization."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    window: int
-    stable: bool
+    _fields = ("free_rank", "torsion", "window", "stable")
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], window: int, stable: bool):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must divide successively")
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
+        set_field(self, "window", window)
+        set_field(self, "stable", stable)
 
 
-@dataclass(frozen=True)
-class OrbitAction:
+class OrbitAction(Frozen):
     """Centralizer action data for circle scenes in dimension three.
 
     Construction checks that each centralizer element b centralizes
@@ -175,15 +174,13 @@ class OrbitAction:
     when only w(b^-1) is tabled; with neither, w(b) = 0.
     """
 
-    s_class: Word
-    centralizer: tuple[Word, ...]
-    whisker: tuple[tuple[Word, RingElem], ...]
-    moves: tuple[tuple[Word, RingElem], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("s_class", "centralizer", "whisker")
 
-    def __post_init__(self):
-        s, table = self.s_class, dict(self.whisker)
+    def __init__(self, s_class: Word, centralizer: tuple[Word, ...],
+                 whisker: tuple[tuple[Word, RingElem], ...]):
+        s, table = s_class, dict(whisker)
         moves: dict[Word, RingElem] = {}
-        for b in self.centralizer:
+        for b in centralizer:
             if mul(mul(s, b), inv(s)) != b:
                 raise SceneError(
                     f"orbit element {render_word(b)} is not in the centralizer"
@@ -194,18 +191,25 @@ class OrbitAction:
                 w_b = R.zero(s.spec) if w_bi is None else R.gr_neg(R.gr_conj(b, w_bi))
             moves.setdefault(b, w_b)
             moves.setdefault(bi, R.gr_neg(R.gr_conj(bi, w_b)) if w_bi is None else w_bi)
-        object.__setattr__(self, "moves", tuple(moves.items()))
+        set_field(self, "s_class", s_class)
+        set_field(self, "centralizer", centralizer)
+        set_field(self, "whisker", whisker)
+        set_field(self, "moves", tuple(moves.items()))
 
 
-@dataclass
-class OrbitResult:
+class OrbitResult(Record):
     """The orbit search's answer; ``state`` is the representative as the
-    (position, coefficient) pairs of its canonical residue."""
+    (position, coefficient) pairs of its canonical residue, outside
+    equality and ``repr``."""
 
-    representative: RingElem
-    complete: bool
-    size: int
-    state: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+    _fields = ("representative", "complete", "size")
+
+    def __init__(self, representative: RingElem, complete: bool, size: int,
+                 state: tuple[tuple[int, int], ...]):
+        self.representative = representative
+        self.complete = complete
+        self.size = size
+        self.state = state
 
 
 def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],

@@ -9,19 +9,21 @@ zero; ``bar_reduce`` enforces the reduction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import GroupParseError, SpecMismatchError
 from .groups import GroupSpec, Word, inv, mul, parse_word, render_word, word_key
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Frozen):
     """An element of Z[G]: terms sorted by word order, no zero coefficients."""
 
-    spec: GroupSpec
-    terms: tuple[tuple[Word, int], ...]
+    _fields = ("spec", "terms")
+
+    def __init__(self, spec: GroupSpec, terms: tuple[tuple[Word, int], ...]):
+        set_field(self, "spec", spec)
+        set_field(self, "terms", terms)
 
     def items(self) -> tuple[tuple[Word, int], ...]:
         return self.terms

@@ -9,9 +9,7 @@ the identity.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, replace
 
 from .errors import GroupParseError, SceneError
 from .groups import (
@@ -29,33 +27,40 @@ from . import ring as R
 from .ring import RingElem, parse_ring, render_ring
 from .pairing import PairingTable, SphereClass, lambda_letters, sphere_class
 from .calculus import ARCS, CIRCLES, DaxContext
+from .record import Frozen, set_field
 from .traces import HomotopyTrace, KnotRecord
 
-@dataclass(frozen=True)
-class ManifoldScene:
-    dimension: int
-    mode: str
-    group: GroupSpec
-    u_class: Word
-    s_class: Word
-    sphere_generators: tuple[SphereClass, ...] = ()
-    whisker: tuple[tuple[Word, RingElem], ...] = ()
-    window: int | None = None
-    preset: str | None = None
-    notes: tuple[str, ...] = ()
-    knots: tuple[KnotRecord, ...] = ()
 
-    def __post_init__(self):
-        if self.mode not in (ARCS, CIRCLES):
-            raise SceneError(f"mode must be 'arcs' or 'circles', got {self.mode!r}")
-        if self.dimension < 3:
+class ManifoldScene(Frozen):
+    _fields = ("dimension", "mode", "group", "u_class", "s_class", "sphere_generators",
+               "whisker", "window", "preset", "notes", "knots")
+
+    def __init__(self, dimension: int, mode: str, group: GroupSpec, u_class: Word,
+                 s_class: Word, sphere_generators: tuple[SphereClass, ...] = (),
+                 whisker: tuple[tuple[Word, RingElem], ...] = (), window: int | None = None,
+                 preset: str | None = None, notes: tuple[str, ...] = (),
+                 knots: tuple[KnotRecord, ...] = ()):
+        if mode not in (ARCS, CIRCLES):
+            raise SceneError(f"mode must be 'arcs' or 'circles', got {mode!r}")
+        if dimension < 3:
             raise SceneError("dimension must be >= 3")
-        if self.mode == ARCS and not self.s_class.is_identity:
+        if mode == ARCS and not s_class.is_identity:
             raise SceneError("arcs scenes carry no circle class")
-        if self.window is not None and self.window < 1:
+        if window is not None and window < 1:
             raise SceneError("window must be >= 1")
-        if self.whisker and self.mode != CIRCLES:
+        if whisker and mode != CIRCLES:
             raise SceneError("whisker tables only make sense in circles mode")
+        set_field(self, "dimension", dimension)
+        set_field(self, "mode", mode)
+        set_field(self, "group", group)
+        set_field(self, "u_class", u_class)
+        set_field(self, "s_class", s_class)
+        set_field(self, "sphere_generators", sphere_generators)
+        set_field(self, "whisker", whisker)
+        set_field(self, "window", window)
+        set_field(self, "preset", preset)
+        set_field(self, "notes", notes)
+        set_field(self, "knots", knots)
 
     def table(self) -> PairingTable:
         return PairingTable(self.group, self.dimension, self.sphere_generators,
@@ -90,7 +95,8 @@ def _class_from_fields(spec: GroupSpec, u_class: Word, fields: dict) -> SphereCl
         # allows
         short = [(gen, shortest_exponent(e, spec.factor_of(gen)[1].order))
                  for gen, e in u_class.letters]
-        a = replace(a, lambda_u=lambda_letters(spec, a, short))
+        a = SphereClass(a.name, a.embedded, a.base_dax, lambda_letters(spec, a, short),
+                        a.lambda_gen)
     return a
 
 
@@ -297,6 +303,7 @@ def coerce_param(key: str, text: str):
             return text
     if text[:1] not in "[{":
         return text
+    import json
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -377,6 +384,7 @@ def load_scene_file(path) -> ManifoldScene:
 
 def _quote(s: str) -> str:
     # a JSON string is a TOML basic string, except that TOML also escapes DEL
+    import json
     return json.dumps(s, ensure_ascii=False).replace("\x7f", "\\u007f")
 
 

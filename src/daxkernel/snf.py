@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+
+from .record import Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -32,16 +33,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass
-class SmithResult:
-    diagonal: list[int]   # d_1 | d_2 | ... then zeros; length min(n, m)
-    rank: int
-    left: list[dict[int, int]]   # the rows of U, with U*A*V = D (U is n x n)
-    right: list[dict[int, int]]  # the columns of V (V is m x m)
+class SmithResult(Record):
+    _fields = ("diagonal", "rank", "left", "right")
+
+    def __init__(self, diagonal: list[int], rank: int, left: list[dict[int, int]],
+                 right: list[dict[int, int]]):
+        self.diagonal = diagonal  # d_1 | d_2 | ... then zeros; length min(n, m)
+        self.rank = rank
+        self.left = left  # the rows of U, with U*A*V = D (U is n x n)
+        self.right = right  # the columns of V (V is m x m)
 
 
-@dataclass
-class SparseElimination:
+class SparseElimination(Record):
     """The Hermite basis of a lattice of Z^n and the structure of its quotient.
 
     Read as a change of basis of Z^n modulo the lattice: the canonical
@@ -51,17 +54,25 @@ class SparseElimination:
     and it has its own Smith form.
     """
 
-    rank: int
-    torsion: list[int]            # invariant factors > 1
-    basis: dict[int, dict[int, int]]  # the Hermite basis, as hermite_row_basis
-    free_rows: list[int]          # rows outside the pivots and the residual block
-    residual_rows: list[int]
-    # Smith diagonal of the residual block, with a 0 for each row past it
-    residual_diagonal: list[int]
-    # the rows of its left transform U (U*B*V = D), keyed by window position
-    residual_left: list[dict[int, int]]
-    # invariant factors > 1 of each requested column prefix, in request order
-    prefix_torsion: list[list[int]] = field(default_factory=list)
+    _fields = ("rank", "torsion", "basis", "free_rows", "residual_rows",
+               "residual_diagonal", "residual_left", "prefix_torsion")
+
+    def __init__(self, rank: int, torsion: list[int], basis: dict[int, dict[int, int]],
+                 free_rows: list[int], residual_rows: list[int],
+                 residual_diagonal: list[int], residual_left: list[dict[int, int]],
+                 prefix_torsion: list[list[int]] | None = None):
+        self.rank = rank
+        self.torsion = torsion  # invariant factors > 1
+        self.basis = basis  # the Hermite basis, as hermite_row_basis
+        self.free_rows = free_rows  # rows outside the pivots and the residual block
+        self.residual_rows = residual_rows
+        # Smith diagonal of the residual block, with a 0 for each row past it
+        self.residual_diagonal = residual_diagonal
+        # the rows of its left transform U (U*B*V = D), keyed by window position
+        self.residual_left = residual_left
+        # invariant factors > 1 of each requested column prefix, in request
+        # order; a new empty list when not given
+        self.prefix_torsion = [] if prefix_torsion is None else prefix_torsion
 
 
 def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -298,8 +309,7 @@ def reduce_mod_rows(vec: dict[int, int], basis: dict[int, dict[int, int]]) -> di
 # integer linear solve with certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveFailure:
+class SolveFailure(Record):
     """Certificate that M x = b has no integer solution.
 
     ``combination`` is an integer row vector y.  If ``modulus`` is None then
@@ -307,8 +317,11 @@ class SolveFailure:
     y*b != 0 (mod modulus).
     """
 
-    combination: list[int]
-    modulus: int | None
+    _fields = ("combination", "modulus")
+
+    def __init__(self, combination: list[int], modulus: int | None):
+        self.combination = combination
+        self.modulus = modulus
 
 
 def solve_integer(M: list[list[int]], bs: list[list[int]]):

@@ -9,32 +9,33 @@ orbit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SceneError
 from .groups import Word, inv, render_letters, word_key
 from . import ring as R
 from .ring import RingElem
 from . import snf
 from .quotient import OrbitAction, RelationSet, centralizer_orbit_reduce
+from .record import Frozen, Record, set_field
 
 
-@dataclass(frozen=True)
-class HomotopyTrace:
+class HomotopyTrace(Frozen):
     """Ordered signed double-point loops of a generic homotopy."""
 
-    events: tuple[tuple[int, Word], ...]
+    _fields = ("events",)
 
-    def __post_init__(self):
-        for sign, _ in self.events:
+    def __init__(self, events: tuple[tuple[int, Word], ...]):
+        for sign, _ in events:
             if sign not in (1, -1):
                 raise SceneError("trace event signs must be +1 or -1")
+        set_field(self, "events", events)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    name: str
-    trace: HomotopyTrace
+class KnotRecord(Frozen):
+    _fields = ("name", "trace")
+
+    def __init__(self, name: str, trace: HomotopyTrace):
+        set_field(self, "name", name)
+        set_field(self, "trace", trace)
 
 
 def eval_dax_trace(t: HomotopyTrace, spec) -> RingElem:
@@ -59,17 +60,24 @@ def mu2_reduce(v: RingElem) -> RingElem:
     return R.from_terms(v.spec, acc)
 
 
-@dataclass
-class KnotDax:
-    """Dax data of one knot relative to a relation set."""
+class KnotDax(Record):
+    """Dax data of one knot relative to a relation set: ``value`` is the
+    raw trace sum, reduced, and ``residue`` its canonical representative
+    modulo the relations."""
 
-    name: str
-    value: RingElem              # raw trace sum, reduced
-    residue: RingElem            # canonical representative mod relations
-    free_coords: tuple[int, ...]
-    torsion_coords: tuple[int, ...]
-    orbit_complete: bool = True
-    orbit_size: int = 1
+    _fields = ("name", "value", "residue", "free_coords", "torsion_coords",
+               "orbit_complete", "orbit_size")
+
+    def __init__(self, name: str, value: RingElem, residue: RingElem,
+                 free_coords: tuple[int, ...], torsion_coords: tuple[int, ...],
+                 orbit_complete: bool = True, orbit_size: int = 1):
+        self.name = name
+        self.value = value
+        self.residue = residue
+        self.free_coords = free_coords
+        self.torsion_coords = torsion_coords
+        self.orbit_complete = orbit_complete
+        self.orbit_size = orbit_size
 
 
 def dax_of_knot(k: KnotRecord, rs: RelationSet,
@@ -98,8 +106,7 @@ def dax_of_knot(k: KnotRecord, rs: RelationSet,
 # universality of the trace invariant among type <= 1 invariants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Witness:
+class Witness(Record):
     """Certificate that the supplied values are not of type <= 1.
 
     ``combination`` maps knot names to integers y_K with
@@ -107,9 +114,12 @@ class Witness:
     sum y_K * (values difference) is not.
     """
 
-    combination: dict[str, int]
-    modulus: int | None
-    detail: str
+    _fields = ("combination", "modulus", "detail")
+
+    def __init__(self, combination: dict[str, int], modulus: int | None, detail: str):
+        self.combination = combination
+        self.modulus = modulus
+        self.detail = detail
 
 
 def universality_witness(knots: list[KnotRecord], values: dict[str, tuple[int, ...]],

@@ -101,6 +101,14 @@ def phi_class(spec, s_word, name="phi") -> SphereClass:
     return sphere_class(spec, name, True, R.zero(spec), lam_u, rows)
 
 
+def replace(value, **changes):
+    """A copy of a value built by its constructor, with the named fields
+    changed: ``value._fields`` are its constructor's parameters, in order,
+    for the classes this is used on (scenes, sphere classes and knots)."""
+    return type(value)(**{name: changes.pop(name, getattr(value, name))
+                          for name in value._fields}, **changes)
+
+
 def table_for(spec, classes, d=5, u=None) -> PairingTable:
     return PairingTable(spec, d, tuple(classes),
                         spec.identity() if u is None else u)

@@ -1,5 +1,7 @@
+import gc
 import pickle
 import time
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -27,6 +29,8 @@ from daxkernel.groups import (
     word_length,
 )
 from daxkernel.ring import parse_ring
+from daxkernel.cli import build_relations
+from daxkernel.scene import preset_expand
 
 from conftest import (GROUP_TEXTS, ball_words, is_trivial, random_word, ref_normalize,
                       rng_for)
@@ -159,6 +163,30 @@ def test_spec_kernels_stay_out_of_equality_hash_and_repr(text):
     for w in words:
         want = ref_normalize([(n, -e) for n, e in reversed(w)], a).letters
         assert refilled._inv(w) == a._inv(w) == want
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("aspherical", {"group": "F<x,y>", "mode": "circles", "s": "x"}),
+    ("aspherical", {"group": "Z<t> x Z/2<u>", "mode": "circles", "s": "t*u"}),
+    ("three_mfd", {"group": "F<x,y> x Z/3<u>", "mode": "circles", "s": "x",
+                   "phi": "circle"}),
+    ("s1_x_sphere", {"w0": 3}),
+])
+def test_a_dropped_spec_is_freed_without_the_cycle_collector(preset, params):
+    # the kernels are bound to the spec's parts, not to the spec, so a spec
+    # whose kernels built a relation set is in no reference cycle
+    scene = preset_expand(preset, params)
+    ref = weakref.ref(scene.group)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rs, action = build_relations(scene, 3)
+        assert rs.columns and rs.spec is ref()
+        del scene, rs, action
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- normalization -----------------------------------------------------------

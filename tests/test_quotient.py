@@ -1154,13 +1154,13 @@ def test_answers_build_no_relation_ring_elements(monkeypatch, op):
     import harness
 
     built = []
-    post_init = RelationSet.__post_init__
+    init = RelationSet.__init__
 
-    def recording(self):
+    def recording(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(RelationSet, "__post_init__", recording)
+    monkeypatch.setattr(RelationSet, "__init__", recording)
     harness.run_op(op)
     assert built
     for rs in built:

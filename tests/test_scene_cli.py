@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 import tomllib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ from daxkernel.scene import (
     scene_to_dict,
 )
 
-from conftest import is_trivial
+from conftest import is_trivial, replace
 
 Z = parse_group_spec("Z<t>")
 
