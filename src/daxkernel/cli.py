@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import BallOverflowError, DaxKernelError, UsageError, WindowOverflowError
-from .groups import render_letters, render_word
+from .groups import LetterTable, render_word
 from .ring import parse_ring, render_terms
 from .calculus import CIRCLES
 from . import quotient as Q
@@ -54,42 +54,27 @@ def _report(command: str, scene: ManifoldScene, rs: Q.RelationSet,
             **fields, "notes": list(scene.notes)}
 
 
-def _word_text(texts: dict, letters: tuple) -> str:
-    """The text of a normal form other than the identity: its letters'
-    texts joined by ``*``, as ``render_letters`` writes it.  ``texts`` maps
-    a letter to its text; a letter missing there is rendered and added
-    first."""
-    try:
-        return "*".join([texts[x] for x in letters])
-    except KeyError:
-        for x in letters:
-            texts.setdefault(x, render_letters((x,)))
-        return "*".join([texts[x] for x in letters])
-
-
 def _presentation(rs: Q.RelationSet) -> dict:
     """The report's generators, relations and dropped values, rendered from
     window positions and the window's letters; no Word or RingElem is
     built.
 
-    Words are rendered through one plain dict of letter texts per report,
-    filled on a miss by ``_word_text``, so each distinct letter is rendered
-    once and a letter seen before costs one lookup.  No word here is the
-    identity: the generators are the window, and a dropped value is
-    reduced.  Each generator's name is built once; a dropped value is split
-    and sorted by ``quotient.order_dropped``.
+    Words are written from one ``groups.LetterTable`` per report, which
+    renders each distinct letter once and keeps its length.  No word here
+    is the identity: the generators are the window, and a dropped value is
+    reduced.  Each generator's name is built once.  Each dropped value is
+    ordered, and its terms written, by ``quotient.ordered_dropped`` in one
+    pass over its term dict that joins each outside word's letter texts;
+    ``ring.render_terms`` writes its signs and magnitudes.
     """
-    texts: dict[tuple, str] = {}
-    names = [_word_text(texts, a) for a in rs.letters]
+    table, join = LetterTable(rs.spec), "*".join
+    parts = table.parts
+    names = [join(parts(a)) for a in rs.letters]
     relations = [{"value": render_terms([(names[i], c) for i, c in col]),
                   "provenance": prov}
                  for col, prov in zip(rs.columns, rs.provenance)]
-    dropped = []
-    for prov, terms in rs.dropped_terms:
-        inside, outside = Q.order_dropped(rs.spec, rs.letter_index, terms)
-        value = render_terms([(names[i], c) for i, c in inside]
-                             + [(_word_text(texts, w), c) for w, c in outside])
-        dropped.append({"provenance": prov, "value": value})
+    values = Q.ordered_dropped(rs, table, names, lambda letters, p: join(p))
+    dropped = [{"provenance": prov, "value": render_terms(terms)} for prov, terms in values]
     return {"generators": names, "relations": relations,
             "dropped_relations": dropped}
 

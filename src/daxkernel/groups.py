@@ -526,6 +526,56 @@ def key_letters(spec: GroupSpec, a: tuple):
         raise UnknownGeneratorError(f"unknown generator {exc.args[0]!r}") from None
 
 
+class LetterTable:
+    """The texts and lengths of the letters of ``spec`` met so far, for
+    writing and ordering normal forms from their letters.  ``texts`` maps
+    a letter to its text, as ``render_letters`` writes it, and ``lengths``
+    maps that text to the letter's length |e|, e its ``shortest_exponent``;
+    distinct letters have distinct texts.  Both are computed once, when
+    ``parts`` first meets the letter.  Keyed by its text, a length is read
+    through the string's cached hash, so ordering words whose parts are at
+    hand hashes no letter again."""
+
+    __slots__ = ("spec", "texts", "lengths", "_text")
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.texts: dict[tuple, str] = {}
+        self.lengths: dict[str, int] = {}
+        # the lookup of ``texts``, bound once
+        self._text = self.texts.__getitem__
+
+    def parts(self, letters: tuple) -> list[str]:
+        """The texts of ``letters``, in order: joined by ``*``, the text of
+        their normal form, other than the identity."""
+        try:
+            return [*map(self._text, letters)]
+        except KeyError:
+            texts, index = self.texts, self.spec._index
+            for x in letters:
+                if x not in texts:
+                    text = texts[x] = render_letters((x,))
+                    self.lengths[text] = _letters_length(index, (x,))
+            return [*map(self._text, letters)]
+
+    def after(self, a: tuple, pa: list[str], b: tuple, pb: list[str]) -> bool:
+        """Whether the normal form with letters ``a`` comes after another,
+        with letters ``b``, in ``word_key`` order; ``pa`` and ``pb`` are
+        their ``parts``.  One shortlex comparison that builds no key: the
+        longer comes after, a length being the sum of the letters' lengths,
+        and of two of one length the one whose first differing letter keys
+        higher (``_letter_key``).  The letter keys of distinct letters
+        differ, and neither of two distinct words of one length is a prefix
+        of the other, so this is the ``word_key`` order."""
+        length = self.lengths.__getitem__
+        n, m = sum(map(length, pa)), sum(map(length, pb))
+        if n != m:
+            return n > m
+        index = self.spec._index
+        x, y = next((x, y) for x, y in zip(a, b) if x != y)
+        return _letter_key(index, *x) > _letter_key(index, *y)
+
+
 def ball(spec: GroupSpec, radius: int, limit: int = 200_000) -> list[tuple]:
     """The letters of all elements of word length <= radius, identity ``()``
     first, in word_key order; ``Word(spec, a)`` is the element with letters a.

@@ -23,9 +23,9 @@ from .groups import (
     FINITE_CYCLIC,
     FREE_ABELIAN,
     GroupSpec,
+    LetterTable,
     Word,
     _around,
-    _letter_key,
     _letters_length,
     ball,
     inv,
@@ -75,11 +75,11 @@ class RelationSet(Frozen):
     ``dropped_terms`` holds the values that left the window, each as its
     provenance and an unsorted term dict keyed by normal form letter tuples
     (letters -> coefficient, zeros allowed), as relation assembly produced
-    it.  Equality ignores them.  ``order_dropped`` puts the terms of one in
-    ``word_key`` order, with window positions standing for the terms inside
-    the window: the ``target`` report renders them from there, and
-    ``dropped``, read by tests and the benchmark's counters, turns them into
-    ``RingElem`` values on first read, sharing the ``generators`` Words.
+    it.  Equality ignores them.  The one ordering of a dropped value is
+    ``ordered_dropped``: the ``target`` report writes each value through it
+    as text, and ``dropped``, read by tests and the benchmark's counters,
+    as a ``RingElem`` on first read, its terms inside the window sharing
+    the ``generators`` Words.
     """
 
     _fields = ("spec", "window", "letters", "columns", "provenance")
@@ -132,16 +132,14 @@ class RelationSet(Frozen):
 
     @functools.cached_property
     def dropped(self) -> tuple[tuple[str, RingElem], ...]:
-        """(provenance, value) of each dropped value, sorted on first read;
-        the terms inside the window share the ``generators`` Words, and only
-        the terms outside it get a new ``Word``."""
-        spec, gens, out = self.spec, self.generators, []
-        for p, terms in self.dropped_terms:
-            inside, outside = order_dropped(spec, self.letter_index, terms)
-            out.append((p, RingElem(spec, tuple(
-                [(gens[i], c) for i, c in inside]
-                + [(Word(spec, w), c) for w, c in outside]))))
-        return tuple(out)
+        """(provenance, value) of each dropped value, sorted on first read by
+        ``ordered_dropped``; the terms inside the window share the
+        ``generators`` Words, and only the terms outside it get a new
+        ``Word``."""
+        spec = self.spec
+        values = ordered_dropped(self, LetterTable(spec), self.generators,
+                                 lambda letters, parts: Word(spec, letters))
+        return tuple([(p, RingElem(spec, terms)) for p, terms in values])
 
     @functools.cached_property
     def solver(self) -> QuotientSolver:
@@ -212,52 +210,55 @@ class OrbitResult(Record):
         self.state = state
 
 
-def order_dropped(spec: GroupSpec, letter_index: dict[tuple, int],
-                  terms: dict[tuple, int]):
-    """The nonzero terms of a dropped value in ``word_key`` order, as two
-    lists: the terms inside the window as (position, coefficient) pairs
-    sorted by position, then the terms outside it as (letters, coefficient)
-    pairs sorted by ``word_key`` of their letters.  One pass over the term
-    dict splits the terms, each letter tuple looked up once in
-    ``letter_index``; the positions of distinct terms are distinct, so the
-    pairs sort as integers.
+def ordered_dropped(rs: RelationSet, table: LetterTable, inside, outside):
+    """The dropped values of ``rs``, each as its provenance and its nonzero
+    terms in ``word_key`` order: a tuple of (word, coefficient) pairs, built
+    in one pass over its term dict.  A term inside the window gives
+    ``inside[i]``, i its window position, and a term outside it gives
+    ``outside(letters, parts)``, parts its letters' texts from ``table``.
+    The ``target`` report passes generator names and a join of the parts,
+    and ``RelationSet.dropped`` Words and a ``Word`` of the letters.
 
-    Two outside terms, the common case of a free group's dropped values,
-    are put in order by one shortlex comparison that builds no key: the
-    shorter word first, and between words of one length the one whose
-    first differing letter keys lower, by the rules ``word_key`` is made of
-    (``groups._letters_length``, ``groups._letter_key``).  The letter keys
-    of distinct letters differ, and neither of two distinct words of one
-    length is a prefix of the other, so this is the ``word_key`` order.
-    Three or more outside terms are sorted by ``key_letters``.
+    Each term's letters are looked up once in ``rs.letter_index``.  The
+    terms inside come first, by position, and the terms outside after
+    them.  A value of two nonzero terms, nearly every dropped value, is
+    written straight into its pair of terms, two outside terms put in
+    order by ``table.after``; the terms of any other value outside the
+    window are sorted by ``key_letters``.
 
     This is the order of ``RingElem`` terms: the window is the ball of
     radius W less the identity, in ``word_key`` order, and a dropped value
     is reduced, so every term outside the window is longer than W and sorts
     after every term inside.
     """
-    inside, outside = [], []
-    get = letter_index.get
-    for w, c in terms.items():
-        if c:
-            i = get(w)
-            if i is None:
-                outside.append((w, c))
-            else:
-                inside.append((i, c))
-    inside.sort()
-    if len(outside) == 2:
-        index = spec._index
-        a, b = outside[0][0], outside[1][0]
-        n, m = _letters_length(index, a), _letters_length(index, b)
-        if n == m:
-            x, y = next((x, y) for x, y in zip(a, b) if x != y)
-            n, m = _letter_key(index, *x), _letter_key(index, *y)
-        if m < n:
-            outside.reverse()
-    elif len(outside) > 2:
-        outside.sort(key=lambda term: key_letters(spec, term[0]))
-    return inside, outside
+    get, parts, after, spec = rs.letter_index.get, table.parts, table.after, table.spec
+    for prov, terms in rs.dropped_terms:
+        if len(terms) == 2:
+            (v, c), (w, e) = terms.items()
+            if c and e:
+                i, j = get(v), get(w)
+                if i is None and j is None:
+                    p, q = parts(v), parts(w)
+                    a, b = outside(v, p), outside(w, q)
+                    swap = after(v, p, w, q)
+                else:
+                    a = outside(v, parts(v)) if i is None else inside[i]
+                    b = outside(w, parts(w)) if j is None else inside[j]
+                    swap = i is None or (j is not None and j < i)
+                yield prov, ((b, e), (a, c)) if swap else ((a, c), (b, e))
+                continue
+        near, far = [], []
+        for w, c in terms.items():
+            if c:
+                i = get(w)
+                if i is None:
+                    far.append((w, c))
+                else:
+                    near.append((i, c))
+        near.sort()
+        far.sort(key=lambda term: key_letters(spec, term[0]))
+        yield prov, tuple([(inside[i], c) for i, c in near]
+                          + [(outside(w, parts(w)), c) for w, c in far])
 
 
 def _place(letter_index: dict[tuple, int], terms):
@@ -323,7 +324,7 @@ def _assemble(ctx: DaxContext, window: int, embedded: bool) -> RelationSet:
     without a ``word_key`` per term.  Duplicates are caught on those pairs,
     and a kept relation is stored as them, its column.  A value that leaves
     the window is dropped as its term dict, and ``index`` goes to the relation
-    set as its ``letter_index``: ``order_dropped`` sorts a dropped value only
+    set as its ``letter_index``: ``ordered_dropped`` sorts a dropped value only
     when a report or ``RelationSet.dropped`` reads it.  A base relation (one
     of the identity translate) that leaves the window is sorted into the
     message of a ``WindowOverflowError``.

@@ -9,6 +9,7 @@ the identity.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import GroupParseError, SceneError
@@ -63,6 +64,13 @@ class ManifoldScene(Frozen):
         set_field(self, "knots", knots)
 
     def table(self) -> PairingTable:
+        """The scene's pairing table, checked and built on the first call
+        only, so a window sweep builds one; it is kept outside equality,
+        hashing and ``repr``."""
+        return self._table
+
+    @functools.cached_property
+    def _table(self) -> PairingTable:
         return PairingTable(self.group, self.dimension, self.sphere_generators,
                             self.u_class)
 

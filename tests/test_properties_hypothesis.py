@@ -22,6 +22,7 @@ from daxkernel.groups import (
     FREE_ABELIAN,
     Factor,
     GroupSpec,
+    LetterTable,
     Word,
     _letter_key,
     _letters_length,
@@ -35,6 +36,7 @@ from daxkernel.groups import (
     parse_group_spec,
     parse_word,
     render_group_spec,
+    render_letters,
     render_word,
     word_key,
     word_length,
@@ -68,7 +70,7 @@ from daxkernel.quotient import (
     build_rel_3mfd,
     build_rel_arcs,
     build_rel_circles,
-    order_dropped,
+    ordered_dropped,
     quotient_structure,
     restrict_relationset,
     window_generators,
@@ -99,6 +101,7 @@ from conftest import (
     random_word,
     reference_ball,
     reference_boundary_family,
+    reference_dropped,
     reference_elimination,
     reference_is_power_of,
     reference_lambda_letters,
@@ -395,17 +398,22 @@ def two_words(draw):
 @example(("F<x,y> x Z/3<u>", [("y", 1), ("u", 1)], [("x", -1), ("u", 2)]))
 @given(two_words())
 @settings(max_examples=300, deadline=None)
-def test_order_dropped_puts_two_outside_terms_in_key_order(case):
+def test_ordered_dropped_puts_two_outside_terms_in_key_order(case):
     text, first, second = case
     spec = WORD_SPECS[text]
     a, b = normalize(first, spec).letters, normalize(second, spec).letters
     if a == b:
         return
     want = sorted([a, b], key=lambda w: key_letters(spec, w))
-    for terms in ({a: 1, b: -2}, {b: -2, a: 1}):
-        # an empty window: both terms are outside
-        inside, outside = order_dropped(spec, {}, terms)
-        assert inside == [] and [w for w, _ in outside] == want
+    # an empty window: both terms are outside, each given as its letters
+    # and its parts, its letters' texts
+    rs = RelationSet(spec, 0, (), (), (), ((PROV_DAX_IMAGE, {a: 1, b: -2}),
+                                           (PROV_DAX_IMAGE, {b: -2, a: 1})))
+    for _, got in ordered_dropped(rs, LetterTable(spec), (),
+                                  lambda letters, parts: (letters, parts)):
+        assert [w for (w, _), _ in got] == want
+        assert [parts for (_, parts), _ in got] == [[render_letters((x,)) for x in w]
+                                                    for w in want]
 
 
 def draw_elem(draw, spec):
@@ -1174,26 +1182,50 @@ def test_boundary_family_matches_the_reference(case):
 def test_target_report_renders_as_the_reference():
     """Over ``F<x,y>``, ``F<x,y> x Z/3<u>``, ``Z<t> x Z/2<u>`` and
     ``Z/5<u> x F<x>``, the report's relations and dropped values are
-    ``str`` of the reference RingElems.  Some dropped values have two or
-    more terms outside the window, whose order is the one that needs
+    ``str`` of the reference RingElems, and each dropped value's first term
+    shows its sign and magnitude.  Some dropped values have two or more
+    terms outside the window, whose order is the one that needs
     ``word_key``; some outside words hold a letter that no generator holds,
-    which the report's letter texts render first there; and some reports
-    write letters of ``Z/m``."""
+    which the report's letter table renders first there; and some reports
+    write letters of ``Z/m``.  Relation sets built by hand add the shapes
+    that random builds seldom give: two outside words of one length, an
+    order that a letter of ``Z/m`` decides by its shortest exponent (u^3
+    in ``Z/5<u>`` is 2 long, not 3), and a two-entry term dict with a zero
+    coefficient."""
     from daxkernel import cli
     from daxkernel.errors import DaxKernelError
-    from daxkernel.quotient import order_dropped
+    from daxkernel.quotient import window_generators
 
-    seen = {"two outside": 0, "new letter": 0, "cyclic letter": 0}
+    seen = {"two outside": 0, "new letter": 0, "cyclic letter": 0, "two outside tie": 0,
+            "cyclic length": 0, "zero in pair": 0, "negative first": 0, "three outside": 0}
+
+    def raw_key(spec, w):
+        # word_key with each letter's length read as its raw exponent
+        return sum(abs(e) for _, e in w), key_letters(spec, w)[1]
 
     def check_report(rs):
         report = cli._presentation(rs)
         assert_report_matches_reference(report, rs)
+        spec = rs.spec
         known = {x for g in rs.generators for x in g.letters}
         for _, terms in rs.dropped_terms:
-            far = order_dropped(rs.spec, rs.letter_index, terms)[1]
+            far = [w for w, c in terms.items() if c and w not in rs.letter_index]
             seen["two outside"] += len(far) >= 2
-            seen["new letter"] += any(x not in known for w, _ in far for x in w)
-        seen["cyclic letter"] += any(rs.spec._index[name][2] for name, _ in known)
+            seen["three outside"] += len(far) >= 3
+            seen["new letter"] += any(x not in known for w in far for x in w)
+            seen["zero in pair"] += len(terms) == 2 and 0 in terms.values()
+            if len(terms) == len(far) == 2:
+                a, b = far
+                seen["two outside tie"] += word_length(Word(spec, a)) == word_length(Word(spec, b))
+                seen["cyclic length"] += ((raw_key(spec, a) < raw_key(spec, b))
+                                          != (key_letters(spec, a) < key_letters(spec, b)))
+        for entry, (_, value) in zip(report["dropped_relations"], reference_dropped(rs)):
+            if value.terms:
+                w, c = value.terms[0]
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                assert entry["value"].startswith(f"{'-' if c < 0 else ''}{mag}{w}"), entry
+                seen["negative first"] += c < -1
+        seen["cyclic letter"] += any(spec._index[name][2] for name, _ in known)
 
     @given(relation_builds(("F<x,y>", "F<x,y> x Z/3<u>", "Z<t> x Z/2<u>",
                             "Z/5<u> x F<x>")))
@@ -1213,4 +1245,15 @@ def test_target_report_renders_as_the_reference():
                                            parse_word("x^-1", spec)), None, 6)
     assert any((("x", 7),) in terms for _, terms in rs.dropped_terms)
     check_report(rs)
+    # by hand, at W=1, most values with their terms out of word_key order
+    for text, dropped in (
+            ("F<x,y>", ({"y*x": 2, "x*y": -1}, {"x*y^-1": -1, "x^-1*y": 3},
+                        {"x*y": 0, "x": -2}, {"x*y": 1, "x": -3})),
+            ("Z/5<u> x F<x>", ({"u*x^2": 1, "u^3": 2}, {"u^2": -1, "u^4*x": 1}))):
+        spec = parse_group_spec(text)
+        letters = window_generators(spec, 1)
+        terms = [{parse_word(w, spec).letters: c for w, c in value.items()}
+                 for value in dropped]
+        check_report(RelationSet(spec, 1, letters, (), (),
+                                 tuple((PROV_DAX_IMAGE, t) for t in terms)))
     assert all(seen.values()), seen

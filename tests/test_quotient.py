@@ -41,6 +41,7 @@ from conftest import (
     dense_reduce_mod_rows,
     phi_class,
     reference_concordance_quotient,
+    reference_dropped,
     reference_orbit,
     reference_structure,
     rng_for,
@@ -949,6 +950,27 @@ def test_target_report_renders_as_the_reference_on_bench_ops(op):
     assert_report_matches_reference(report, cli.build_relations(sc, report["window"])[0])
 
 
+def test_target_report_orders_the_seed1_product_ties_as_the_dropped_values():
+    """Every dropped value of the seed-1 ``product_DkY.F2.W6`` op has two
+    terms outside the window, of one word length, so each is ordered by
+    its first differing letter.  The report gives each as ``str`` of
+    ``RelationSet.dropped``, which the reference sort agrees with."""
+    op = next(op for op in bench_corpus().build("target_sweep", 1)
+              if op.op_id == "product_DkY.F2.W6")
+    sc = loads_scene(op.scene_text)
+    rs = cli.build_relations(sc, op.window)[0]
+    report = cli.run_scene(sc, "target", op.window)
+    values = rs.dropped
+    assert values == reference_dropped(rs)
+    assert report["dropped_relations"] == [{"provenance": p, "value": str(v)}
+                                           for p, v in values]
+    ties = [v for _, v in values
+            if len(v.terms) == 2 and all(rs.letter_index.get(w.letters) is None
+                                         for w, _ in v.terms)
+            and word_length(v.terms[0][0]) == word_length(v.terms[1][0])]
+    assert len(ties) == len(values) == 1368
+
+
 def test_target_report_makes_no_word_once_relations_are_built(monkeypatch):
     """Once the relations of the seed-0 ``aspherical.F2.W6`` op are built,
     its target report, JSON and text, builds no Word and never calls
@@ -988,11 +1010,14 @@ def test_relation_build_makes_no_word_per_translate(monkeypatch, op_id):
     """Building the relations of a seed-0 orbit scene makes as many Words
     at W=4 as at W=3: the window is kept as letter tuples, and assembly
     joins, inverts and looks up letters, so no Word is built per window
-    element or per translate."""
+    element or per translate.  The scene's pairing table and its
+    principal parts, each found once for all windows, are found before
+    the count."""
     from daxkernel.groups import Word
 
     op = next(op for op in bench_corpus().build("orbit_3mfd", 0) if op.op_id == op_id)
     sc = loads_scene(op.scene_text)
+    sc.table().principal_parts
     sizes = {window: len(ball(sc.group, window)) for window in (3, 4)}
     made = [0]
     init = Word.__init__

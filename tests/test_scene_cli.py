@@ -314,6 +314,27 @@ def test_target_default_sweep_profile():
     assert "truncated" not in rep["sweep"]
 
 
+def test_target_sweep_builds_one_pairing_table(monkeypatch):
+    """The default sweep's four windows share the scene's one pairing
+    table, which stays out of the scene's equality, hash and repr."""
+    from daxkernel import pairing
+
+    built = [0]
+    init = pairing.PairingTable.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(pairing.PairingTable, "__init__", counting)
+    sc = preset_expand("s1_x_sphere", {"d": 5, "w0": 3})
+    fresh = replace(sc)
+    rep = run_scene(sc, "target")
+    assert rep["sweep"]["windows"] == [4, 6, 8, 10]
+    assert built[0] == 1 and sc.table() is sc.table()
+    assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
+
+
 def test_eval_report():
     sc = make_scene(3, "arcs", "F<x,y>",
                     knots=[{"name": "u0", "trace": []},

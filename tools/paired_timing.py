@@ -17,11 +17,13 @@ root's pass time to the second's, with its quartiles, and in how many
 rounds the second root's pass was the faster one; then each root's
 collector runs per pass, counted through ``gc.callbacks`` and charged to
 the root whose pass is running (each pass starts from a full collection,
-which is not counted); last, the ``Word``s each root builds in one pass
-and the Fox steps (``pairing._fox_step`` calls) it takes, each counted in
+which is not counted); last, the ``Word``s each root builds in one pass,
+the Fox steps (``pairing._fox_step`` calls) it takes and the pairing
+tables (``pairing.PairingTable`` constructions) it builds, each counted in
 one more, untimed pass per root after the timed rounds, with that root's
-``groups.Word.__init__`` or ``pairing._fox_step`` wrapped for the pass and
-restored after it.  A ratio above 1 means the second root is faster.
+``groups.Word.__init__``, ``pairing._fox_step`` or
+``pairing.PairingTable.__init__`` wrapped for the pass and restored after
+it.  A ratio above 1 means the second root is faster.
 Separate benchmark runs drift with the machine's speed; the two passes of
 a round run back to back, so their ratio cancels most of that drift.  The
 two package copies share one process, its allocator and its collector,
@@ -181,6 +183,8 @@ def main(argv=None) -> int:
                  for (_, harness, pkg), op_list in zip(roots, ops)]
         fox = [calls_per_pass(harness, op_list, pkg.pairing, "_fox_step")
                for (_, harness, pkg), op_list in zip(roots, ops)]
+        tables = [calls_per_pass(harness, op_list, pkg.pairing.PairingTable, "__init__")
+                  for (_, harness, pkg), op_list in zip(roots, ops)]
 
     print(f"workload {args.workload} seed {args.seed}: {len(ops[0])} ops,"
           f" {rounds} rounds")
@@ -198,6 +202,7 @@ def main(argv=None) -> int:
     print(f"collector runs per pass: root 1 {runs[0]:.1f}, root 2 {runs[1]:.1f}")
     print(f"Words built per pass: root 1 {words[0]}, root 2 {words[1]}")
     print(f"Fox steps per pass: root 1 {fox[0]}, root 2 {fox[1]}")
+    print(f"Pairing tables built per pass: root 1 {tables[0]}, root 2 {tables[1]}")
     return 1 if differ else 0
 
 
